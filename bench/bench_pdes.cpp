@@ -19,7 +19,12 @@
 // stalls growing means lookahead got tighter relative to event density,
 // spills mean the SPSC rings are undersized for the traffic.
 //
-// Exports BENCH_pdes.json. Floor gate: see pdes_floor.h.
+//  E17c: sequential host ns per event at N=512 — what one event of
+//        engine + detector + kernel work costs without any parallel
+//        machinery. Smoke runs skip the N=512 parallel lanes but keep
+//        this row, so its ceiling is checked in the smoke lane too.
+//
+// Exports BENCH_pdes.json. Floor gates: see pdes_floor.h.
 #include <chrono>
 #include <cinttypes>
 #include <thread>
@@ -41,16 +46,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::vector<int> pdes_sizes() {
-  return smoke_mode() ? std::vector<int>{9, 64} : std::vector<int>{9, 64, 512};
-}
+constexpr int kFloorN = 512;
 
 struct PdesRun {
   double wall_s = 0;
   std::uint64_t hash = 0;
+  std::uint64_t events = 0;  // executed events, counted by either engine
   // Parallel-engine internals (zero for the sequential baseline).
   std::uint64_t windows = 0;
-  std::uint64_t events = 0;
   std::uint64_t spills = 0;
   double stall_ms = 0;
 };
@@ -83,9 +86,16 @@ PdesRun run_cluster(int replicas, std::uint64_t seed, const sim::EngineConfig* c
   plan.os_crash(horizon / 2, /*node=*/1, /*reboot_after=*/horizon / 4);
   plan.arm();
 
-  auto t0 = Clock::now();
-  sim.run_until(horizon);
   PdesRun r;
+  auto t0 = Clock::now();
+  if (cfg == nullptr) {
+    // Step the sequential kernel so the lane counts its own events (the
+    // parallel engine counts its own); stops after the first event at
+    // or past the horizon.
+    while (sim.now() < horizon && sim.step()) ++r.events;
+  } else {
+    sim.run_until(horizon);
+  }
   r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
 
   probe.finish();
@@ -116,7 +126,7 @@ int main() {
   Logger::instance().set_level(LogLevel::kOff);
   const bool smoke = smoke_mode();
   const std::uint64_t kSeed = 4242;
-  const std::vector<int> sizes = pdes_sizes();
+  const std::vector<int> sizes = {9, 64, kFloorN};
   const int workers_lanes[] = {1, 2, 4};
 
   title("E17: conservative parallel engine — speedup vs workers",
@@ -138,6 +148,7 @@ int main() {
 
   bool hashes_ok = true;
   double speedup_w4_n512 = 0;
+  double seq_ns_per_event_n512 = 0;
   for (int n : sizes) {
     // Horizon scales down with N so the full matrix stays tractable on
     // a laptop; N=512 is the row the floor reads.
@@ -145,11 +156,15 @@ int main() {
                                 : n >= 64 ? sim::seconds(20)
                                           : sim::seconds(40);
     PdesRun seq = run_cluster(n, kSeed, nullptr, horizon);
-    row({"N=" + std::to_string(n) + " sequential", fmt(seq.wall_s, 2), "-", "-", "-", "-",
-         "-"});
+    const double seq_ns_per_event =
+        seq.events > 0 ? seq.wall_s * 1e9 / static_cast<double>(seq.events) : 0;
+    if (n == kFloorN) seq_ns_per_event_n512 = seq_ns_per_event;
+    row({"N=" + std::to_string(n) + " sequential", fmt(seq.wall_s, 2), "-", "-",
+         fmt_int(static_cast<long long>(seq.events)), "-", "-"});
 
     std::vector<PdesRun> lanes;
     for (int workers : workers_lanes) {
+      if (smoke && n == kFloorN) break;  // smoke keeps only the sequential row
       sim::EngineConfig cfg;
       cfg.kind = sim::EngineKind::kParallel;
       cfg.workers = workers;
@@ -169,6 +184,8 @@ int main() {
     w.kv("replicas", n);
     w.kv("horizon_s", sim::to_seconds(horizon));
     w.kv("sequential_wall_s", seq.wall_s);
+    w.kv("sequential_events", seq.events);
+    w.kv("sequential_ns_per_event", seq_ns_per_event);
     w.kv("sequential_hash", hex16(seq.hash));
     w.key("parallel");
     w.begin_array();
@@ -186,15 +203,19 @@ int main() {
       w.end_object();
     }
     w.end_array();
-    w.kv("hash_invariant_across_workers", lanes.size() == 3 &&
-                                              lanes[0].hash == lanes[1].hash &&
-                                              lanes[1].hash == lanes[2].hash);
+    if (!lanes.empty()) {
+      w.kv("hash_invariant_across_workers", lanes.size() == 3 &&
+                                                lanes[0].hash == lanes[1].hash &&
+                                                lanes[1].hash == lanes[2].hash);
+    }
     w.end_object();
   }
   w.end_array();
   w.kv("hashes_ok", hashes_ok);
   w.kv("speedup_w4_n512", speedup_w4_n512);
   w.kv("floor_speedup_w4_n512", kFloorSpeedupW4N512);
+  w.kv("seq_ns_per_event_n512", seq_ns_per_event_n512);
+  w.kv("floor_seq_ns_per_event_n512", kFloorSeqNsPerEventN512);
   w.end_object();
   write_file("BENCH_pdes.json", w.take());
 
@@ -203,18 +224,26 @@ int main() {
       " an unobservable knob. Speedup asymptotes at the horizon/lookahead window\n"
       " granularity — more workers only help while every shard has events inside\n"
       " the current window.)\n");
+  std::printf("\nE17c: sequential N=%d host %.0f ns/event (ceiling %.0f)\n", kFloorN,
+              seq_ns_per_event_n512, kFloorSeqNsPerEventN512);
 
   if (!hashes_ok) {
     std::printf("DETERMINISM VIOLATION: history hash diverged across worker counts\n");
     return 1;
   }
   const char* enforce = std::getenv("OFTT_BENCH_ENFORCE_FLOOR");
-  const bool gate = enforce != nullptr && enforce[0] != '\0' && !smoke &&
+  const bool gate = enforce != nullptr && enforce[0] != '\0' &&
                     std::thread::hardware_concurrency() >= kFloorMinCores;
-  if (gate && speedup_w4_n512 < kFloorSpeedupW4N512) {
+  bool floors_ok = true;
+  if (gate && seq_ns_per_event_n512 > kFloorSeqNsPerEventN512) {
+    std::printf("FLOOR REGRESSION: sequential N=512 costs %.0f ns/event, ceiling is %.0f\n",
+                seq_ns_per_event_n512, kFloorSeqNsPerEventN512);
+    floors_ok = false;
+  }
+  if (gate && !smoke && speedup_w4_n512 < kFloorSpeedupW4N512) {
     std::printf("FLOOR REGRESSION: W=4 speedup at N=512 is %.2fx, floor is %.2fx\n",
                 speedup_w4_n512, kFloorSpeedupW4N512);
-    return 1;
+    floors_ok = false;
   }
-  return 0;
+  return floors_ok ? 0 : 1;
 }

@@ -34,8 +34,10 @@ inline void title(const std::string& name, const std::string& what) {
 
 /// Print a row of columns each padded to width 14 (first column 28).
 inline void row(const std::vector<std::string>& cols) {
+  // The leading space keeps columns apart even when a value (a 16-digit
+  // hex digest) is wider than the column.
   for (std::size_t i = 0; i < cols.size(); ++i) {
-    std::printf(i == 0 ? "%-28s" : "%14s", cols[i].c_str());
+    std::printf(i == 0 ? "%-28s" : " %13s", cols[i].c_str());
   }
   std::printf("\n");
 }

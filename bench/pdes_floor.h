@@ -17,7 +17,14 @@ namespace oftt::bench {
 /// the N=512 engine-only SWIM cluster.
 inline constexpr double kFloorSpeedupW4N512 = 2.0;
 
-/// Cores below which the speedup floor is vacuous and skipped.
+/// Maximum host ns per event of the sequential engine on the same
+/// N=512 cluster: ~2x the cost with slot-indexed member bookkeeping
+/// (2.1–4.1 µs on a 4-core VM), well under the ~14 µs that node-keyed
+/// map lookups on every datagram cost, so a return to those trips it.
+/// Checked in smoke runs too: the sequential N=512 lane always runs.
+inline constexpr double kFloorSeqNsPerEventN512 = 7000.0;
+
+/// Cores below which the floors are vacuous and skipped.
 inline constexpr unsigned kFloorMinCores = 4;
 
 }  // namespace oftt::bench

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -76,7 +75,6 @@ struct MembershipView {
   const Member* primary() const;
   std::size_t size() const { return members.size(); }
   int quorum() const { return quorum_required(members.size()); }
-  bool knows(int node) const { return find(node) != nullptr; }
 
   /// True when `other` strictly supersedes this view.
   bool superseded_by(const MembershipView& other) const;

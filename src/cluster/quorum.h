@@ -12,9 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 
+#include "cluster/slots.h"
 #include "sim/time.h"
 
 namespace oftt::cluster {
@@ -28,8 +28,9 @@ struct Campaign {
   std::string reason;
   /// When the failure evidence was observed (feeds the failover span).
   sim::SimTime evidence = 0;
-  /// Nodes that granted us their ack. Our own vote is implicit.
-  std::set<int> votes;
+  /// Nodes that granted us their ack. Our own vote is implicit. The
+  /// candidate sets it over its member slots when the campaign opens.
+  MemberSet votes;
   int retries = 0;
 
   /// Votes counted toward quorum: granted acks plus our own.

@@ -4,23 +4,23 @@
 
 namespace oftt::cluster {
 
-int SuccessionPlanner::successor(const MembershipView& view, const std::set<int>& live) {
+int SuccessionPlanner::successor(const MembershipView& view, const MemberSet& live) {
   const Member* best = nullptr;
   for (const Member& m : view.members) {
     if (m.role == MemberRole::kDead) continue;
-    if (live.find(m.node) == live.end()) continue;
+    if (!live.contains(m.node)) continue;
     if (best == nullptr || m.rank < best->rank) best = &m;
   }
   return best != nullptr ? best->node : -1;
 }
 
-int SuccessionPlanner::successor(const MembershipView& view, const std::set<int>& live,
-                                 const std::set<int>& eligible) {
+int SuccessionPlanner::successor(const MembershipView& view, const MemberSet& live,
+                                 const MemberSet& eligible) {
   const Member* best = nullptr;
   for (const Member& m : view.members) {
     if (m.role == MemberRole::kDead) continue;
-    if (live.find(m.node) == live.end()) continue;
-    if (eligible.find(m.node) == eligible.end()) continue;
+    if (!live.contains(m.node)) continue;
+    if (!eligible.contains(m.node)) continue;
     if (best == nullptr || m.rank < best->rank) best = &m;
   }
   if (best != nullptr) return best->node;
@@ -30,7 +30,7 @@ int SuccessionPlanner::successor(const MembershipView& view, const std::set<int>
 }
 
 void SuccessionPlanner::promote(MembershipView& view, int new_primary,
-                                std::uint32_t incarnation, const std::set<int>& live) {
+                                std::uint32_t incarnation, const MemberSet& live) {
   std::stable_sort(view.members.begin(), view.members.end(),
                    [](const Member& a, const Member& b) { return a.rank < b.rank; });
   std::vector<Member> survivors, dead;
@@ -39,7 +39,7 @@ void SuccessionPlanner::promote(MembershipView& view, int new_primary,
       m.role = MemberRole::kPrimary;
       m.incarnation = incarnation;
       survivors.insert(survivors.begin(), m);
-    } else if (live.find(m.node) != live.end() && m.role != MemberRole::kDead) {
+    } else if (live.contains(m.node) && m.role != MemberRole::kDead) {
       m.role = MemberRole::kBackup;
       survivors.push_back(m);
     } else {

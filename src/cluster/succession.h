@@ -8,9 +8,8 @@
 // acks before it may act on the plan.
 #pragma once
 
-#include <set>
-
 #include "cluster/membership.h"
+#include "cluster/slots.h"
 
 namespace oftt::cluster {
 
@@ -20,15 +19,15 @@ class SuccessionPlanner {
   /// lowest-ranked member of `view` that is in `live`. Dead members are
   /// skipped even if (stalely) listed live. Returns -1 if nobody
   /// qualifies.
-  static int successor(const MembershipView& view, const std::set<int>& live);
+  static int successor(const MembershipView& view, const MemberSet& live);
 
   /// Replication-aware variant: prefer the lowest-ranked live member
   /// that is also in `eligible` (replicas fresh enough to promote per
   /// their policy's staleness bound). Falls back to the plain live-only
   /// answer when no live member is eligible — a stale replica beats no
   /// primary at all; it restores what state it has.
-  static int successor(const MembershipView& view, const std::set<int>& live,
-                       const std::set<int>& eligible);
+  static int successor(const MembershipView& view, const MemberSet& live,
+                       const MemberSet& eligible);
 
   /// Rewrite `view` for `new_primary` taking over at `incarnation`:
   /// the new primary gets rank 0, live survivors re-rank 1..k in their
@@ -36,7 +35,7 @@ class SuccessionPlanner {
   /// and ranked after every survivor (still counted for quorum).
   /// Bumps the view version.
   static void promote(MembershipView& view, int new_primary, std::uint32_t incarnation,
-                      const std::set<int>& live);
+                      const MemberSet& live);
 
   /// A previously dead member came back: readmit it as a backup with
   /// the worst rank (it re-earns seniority from the back of the line).

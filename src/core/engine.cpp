@@ -62,7 +62,10 @@ Engine::Engine(sim::Process& process, OfttConfig config)
     // primary emerges through the same quorum-gated election that
     // handles failover (see cluster_tick).
     view_ = cluster::MembershipView::initial(config_.cluster_nodes);
-    member_last_hb_[process_->node().id()] = started_at_;
+    slots_ = cluster::SlotIndex(config_.cluster_nodes);
+    peers_ = config_.cluster_peers(process_->node().id());
+    member_slots_.assign(slots_.size(), MemberSlot{});
+    member_slot(process_->node().id()).last_hb = started_at_;
     // View gossip and promotion rounds ride reliable sessions so a
     // single lost datagram never stalls a view change or an election.
     // Small window + drop-oldest queue: only the newest view matters,
@@ -182,7 +185,7 @@ bool Engine::node_replica_ready() const {
 bool Engine::peer_visible() const {
   sim::SimTime now = process_->sim().now();
   if (config_.cluster_mode()) {
-    for (int peer : config_.cluster_peers(process_->node().id())) {
+    for (int peer : peers_) {
       // Swim mode: a peer is visible while the detector has not
       // confirmed it dead — per-member heartbeat freshness no longer
       // exists (each peer is contacted only ~once per N periods).
@@ -190,8 +193,7 @@ bool Engine::peer_visible() const {
         if (swim_->presumed_live(peer)) return true;
         continue;
       }
-      auto it = member_last_hb_.find(peer);
-      if (it != member_last_hb_.end() && now - it->second < config_.peer_timeout) return true;
+      if (heard_within(peer, now, config_.peer_timeout)) return true;
     }
     return false;
   }
@@ -437,23 +439,46 @@ void Engine::check_components(sim::SimTime now) {
 // promotion
 // ---------------------------------------------------------------------
 
-std::set<int> Engine::live_members(sim::SimTime now) const {
-  std::set<int> live;
+sim::SimTime Engine::last_heard(int node) const {
+  const int s = slots_.slot(node);
+  return s == cluster::SlotIndex::kNoSlot ? kNeverHeard
+                                          : member_slots_[static_cast<std::size_t>(s)].last_hb;
+}
+
+cluster::Member* Engine::self_in_view() {
+  const int self = process_->node().id();
+  if (self_pos_ >= view_.members.size() || view_.members[self_pos_].node != self) {
+    cluster::Member* me = view_.find(self);
+    if (me == nullptr) return nullptr;
+    self_pos_ = static_cast<std::size_t>(me - view_.members.data());
+  }
+  return &view_.members[self_pos_];
+}
+
+bool Engine::heard_within(int node, sim::SimTime now, sim::SimTime window) const {
+  const sim::SimTime last = last_heard(node);
+  return last != kNeverHeard && now - last < window;
+}
+
+cluster::MemberSet Engine::live_members(sim::SimTime now) const {
+  cluster::MemberSet live(slots_);
   live.insert(process_->node().id());
-  for (int peer : config_.cluster_peers(process_->node().id())) {
-    if (swim_) {
-      // Suspects count as live: a member is removed from quorum and
-      // succession math only once its suspicion timeout expired without
-      // refutation (never merely on a missed probe).
-      if (swim_->presumed_live(peer)) live.insert(peer);
-      continue;
-    }
-    auto it = member_last_hb_.find(peer);
-    if (it != member_last_hb_.end() && now - it->second < config_.peer_timeout) {
+  for (int peer : peers_) {
+    // Swim: suspects count as live — a member is removed from quorum
+    // and succession math only once its suspicion timeout expired
+    // without refutation (never merely on a missed probe).
+    if (swim_ ? swim_->presumed_live(peer) : heard_within(peer, now, config_.peer_timeout)) {
       live.insert(peer);
     }
   }
   return live;
+}
+
+cluster::MemberSet Engine::ready_peers(cluster::MemberSet among) const {
+  for (int peer : peers_) {
+    if (!member_slot(peer).ready) among.erase(peer);
+  }
+  return among;
 }
 
 void Engine::cluster_tick(sim::SimTime now) {
@@ -473,34 +498,29 @@ void Engine::cluster_tick(sim::SimTime now) {
     hb.seq = ++hb_seq_;
     hb.replica_ready = node_replica_ready();
     Buffer hb_payload = hb.encode();
-    for (int peer : config_.cluster_peers(self)) send_to_member(peer, hb_payload);
+    for (int peer : peers_) send_to_member(peer, hb_payload);
   }
 
-  member_last_hb_[self] = now;
-  if (auto* me = view_.find(self)) me->last_heartbeat = now;
+  member_slot(self).last_hb = now;
+  if (cluster::Member* me = self_in_view()) me->last_heartbeat = now;
 
   if (role_ == Role::kPrimary) {
-    // Fold our liveness observations into the view we own.
+    // Fold our liveness observations into the view we own, noting the
+    // dead members on the same pass.
+    cluster::MemberSet dead(slots_);
     for (auto& m : view_.members) {
-      auto it = member_last_hb_.find(m.node);
-      if (it != member_last_hb_.end()) {
-        m.last_heartbeat = std::max(m.last_heartbeat, it->second);
-      }
+      m.last_heartbeat = std::max(m.last_heartbeat, last_heard(m.node));
+      if (m.role == cluster::MemberRole::kDead) dead.insert(m.node);
     }
     // Readmit rebooted members: a dead member heartbeating again (or,
     // under swim, refuting its death certificate with a bumped
     // incarnation) rejoins as a backup at the back of the succession
-    // order.
-    for (int peer : config_.cluster_peers(self)) {
-      const cluster::Member* m = view_.find(peer);
-      if (m == nullptr || m->role != cluster::MemberRole::kDead) continue;
-      bool back;
-      if (swim_) {
-        back = swim_->state(peer) == swim::MemberState::kAlive;
-      } else {
-        auto it = member_last_hb_.find(peer);
-        back = it != member_last_hb_.end() && now - it->second < config_.peer_timeout;
-      }
+    // order. Rejoins happen in configured-peer order; a rejoin never
+    // changes another member's role, so `dead` stays current.
+    for (int peer : peers_) {
+      if (!dead.contains(peer)) continue;
+      const bool back = swim_ ? swim_->state(peer) == swim::MemberState::kAlive
+                              : heard_within(peer, now, config_.peer_timeout);
       if (back && cluster::SuccessionPlanner::rejoin(view_, peer)) {
         obs::Event e;
         e.kind = obs::EventKind::kViewChange;
@@ -517,22 +537,23 @@ void Engine::cluster_tick(sim::SimTime now) {
     // Quorum stepdown: a primary that cannot see a live majority of the
     // configured membership must stop serving (it may be the minority
     // side of a partition while the majority elects a successor).
-    if (config_.quorum_stepdown &&
-        static_cast<int>(live_members(now).size()) < view_.quorum()) {
-      demote(cat("quorum lost: ", live_members(now).size(), " live of ",
-                 view_.size(), ", need ", view_.quorum()));
-      return;
+    if (config_.quorum_stepdown) {
+      const std::size_t live = live_members(now).size();
+      if (static_cast<int>(live) < view_.quorum()) {
+        demote(cat("quorum lost: ", live, " live of ", view_.size(), ", need ",
+                   view_.quorum()));
+        return;
+      }
     }
     if (swim_) {
       // O(1) view refresh: one member per tick, full traversal every N
       // ticks. View *changes* still broadcast at the change site.
-      std::vector<int> peers = config_.cluster_peers(self);
-      if (!peers.empty()) {
+      if (!peers_.empty()) {
         ViewGossip g;
         g.from_node = self;
         g.unit = config_.unit_name;
         g.view = view_;
-        ep_->send(peers[swim_gossip_rr_++ % peers.size()], g.encode());
+        ep_->send(peers_[swim_gossip_rr_++ % peers_.size()], g.encode());
       }
     } else {
       gossip_view();
@@ -551,11 +572,9 @@ void Engine::cluster_tick(sim::SimTime now) {
       // detector's false-positive rate, not its suspicion rate.
       primary_ok = swim_->presumed_live(prim->node);
     } else {
-      auto it = member_last_hb_.find(prim->node);
-      sim::SimTime seen = it != member_last_hb_.end() ? it->second : 0;
       // Join grace: a freshly (re)booted engine has heard nothing yet —
       // give the primary one full timeout from our own start.
-      seen = std::max(seen, started_at_);
+      const sim::SimTime seen = std::max(last_heard(prim->node), started_at_);
       primary_ok = now - seen < config_.peer_timeout;
     }
     if (primary_ok) {
@@ -569,7 +588,7 @@ void Engine::cluster_tick(sim::SimTime now) {
     if (now - started_at_ < config_.startup_probe_timeout) return;
   }
 
-  std::set<int> live = live_members(now);
+  const cluster::MemberSet live = live_members(now);
   if (campaign_.active) {
     // Retransmit on a fixed cadence; give up after a few rounds so the
     // successor choice can be recomputed against fresh liveness.
@@ -589,15 +608,8 @@ void Engine::cluster_tick(sim::SimTime now) {
   // Succession prefers members whose replicas are fresh enough to
   // promote per their policy (piggybacked on peer heartbeats); if no
   // live member qualifies, the planner falls back to plain seniority.
-  std::set<int> eligible;
-  for (int n : live) {
-    if (n == process_->node().id()) {
-      if (node_replica_ready()) eligible.insert(n);
-      continue;
-    }
-    auto rit = member_ready_.find(n);
-    if (rit == member_ready_.end() || rit->second) eligible.insert(n);
-  }
+  cluster::MemberSet eligible = ready_peers(live);
+  if (!node_replica_ready()) eligible.erase(self);
   if (cluster::SuccessionPlanner::successor(view_, live, eligible) !=
       process_->node().id()) {
     return;
@@ -613,9 +625,7 @@ void Engine::cluster_tick(sim::SimTime now) {
                          swim_->incarnation(prim->node), ")"),
                      evidence, /*had_primary=*/true);
     } else {
-      auto it = member_last_hb_.find(prim->node);
-      sim::SimTime evidence =
-          std::max(it != member_last_hb_.end() ? it->second : 0, started_at_);
+      const sim::SimTime evidence = std::max(last_heard(prim->node), started_at_);
       start_campaign(now,
                      cat("primary node ", prim->node, " heartbeat timeout (",
                          sim::to_millis(config_.peer_timeout), " ms)"),
@@ -630,6 +640,7 @@ void Engine::start_campaign(sim::SimTime now, const std::string& reason,
                             sim::SimTime evidence, bool had_primary) {
   campaign_.clear();
   campaign_.active = true;
+  campaign_.votes = cluster::MemberSet(slots_);
   campaign_.incarnation = std::max(incarnation_, view_.incarnation) + 1;
   campaign_.started = now;
   campaign_.reason = reason;
@@ -665,9 +676,7 @@ void Engine::send_campaign_requests() {
   req.view_version = view_.version;
   req.reason = campaign_.reason;
   Buffer payload = req.encode();
-  for (int peer : config_.cluster_peers(process_->node().id())) {
-    ep_->send(peer, payload);
-  }
+  for (int peer : peers_) ep_->send(peer, payload);
 }
 
 void Engine::maybe_promote_on_quorum() {
@@ -695,15 +704,10 @@ void Engine::maybe_promote_on_quorum() {
 
 void Engine::cluster_handoff(const std::string& reason) {
   sim::SimTime now = process_->sim().now();
-  std::set<int> live = live_members(now);
-  std::set<int> others = live;
+  const cluster::MemberSet live = live_members(now);
+  cluster::MemberSet others = live;
   others.erase(process_->node().id());
-  std::set<int> eligible;
-  for (int n : others) {
-    auto rit = member_ready_.find(n);
-    if (rit == member_ready_.end() || rit->second) eligible.insert(n);
-  }
-  int succ = cluster::SuccessionPlanner::successor(view_, others, eligible);
+  int succ = cluster::SuccessionPlanner::successor(view_, others, ready_peers(others));
   if (succ < 0) return;  // callers check peer_visible() first
   // Primary-led view change: no quorum round needed — the incumbent
   // still owns the view and simply publishes its successor.
@@ -733,13 +737,11 @@ void Engine::gossip_view() {
   // resynchronizes its view from this broadcast, no join protocol.
   // Rides the session — the drop-oldest queue sheds superseded views
   // to unreachable members instead of hoarding them.
-  for (int peer : config_.cluster_peers(process_->node().id())) {
-    ep_->send(peer, payload);
-  }
+  for (int peer : peers_) ep_->send(peer, payload);
 }
 
 void Engine::handle_view_gossip(const ViewGossip& g, sim::SimTime now) {
-  member_last_hb_[g.from_node] = now;
+  member_slot(g.from_node).last_hb = now;
   bool changed = view_.merge(g.view);
   if (changed) {
     obs::Event e;
@@ -787,7 +789,7 @@ void Engine::handle_view_gossip(const ViewGossip& g, sim::SimTime now) {
 
 void Engine::handle_promote_request(const sim::Datagram& d, const PromoteRequest& req,
                                     sim::SimTime now) {
-  member_last_hb_[req.candidate] = now;
+  member_slot(req.candidate).last_hb = now;
   bool granted = false;
   if (role_ != Role::kPrimary && req.incarnation > view_.incarnation) {
     // Partition safety: refuse while the primary is demonstrably alive
@@ -804,9 +806,7 @@ void Engine::handle_promote_request(const sim::Datagram& d, const PromoteRequest
         // least suspecting and therefore grant.
         primary_fresh = swim_->state(prim->node) == swim::MemberState::kAlive;
       } else {
-        auto it = member_last_hb_.find(prim->node);
-        primary_fresh = it != member_last_hb_.end() &&
-                        now - it->second < 2 * config_.heartbeat_period;
+        primary_fresh = heard_within(prim->node, now, 2 * config_.heartbeat_period);
       }
     }
     if (!primary_fresh) {
@@ -966,13 +966,14 @@ void Engine::swim_burst(const swim::Update& u) {
   p.replica_ready = node_replica_ready();
   p.updates.push_back(u);
   Buffer payload = p.encode();
-  for (int peer : config_.cluster_peers(self)) send_to_member(peer, payload);
+  for (int peer : peers_) send_to_member(peer, payload);
 }
 
 void Engine::swim_note_sender(int node, Role sender_role, std::uint32_t inc, bool ready,
                               sim::SimTime now) {
-  member_last_hb_[node] = now;
-  member_ready_[node] = ready;
+  MemberSlot& m = member_slot(node);
+  m.last_hb = now;
+  m.ready = ready;
   swim_->heard_from(node, now);
   if (role_ == Role::kPrimary && sender_role == Role::kPrimary &&
       node != process_->node().id()) {
@@ -1253,9 +1254,10 @@ void Engine::dispatch(const sim::Datagram& d) {
       PeerHeartbeat hb;
       if (!PeerHeartbeat::decode(d.payload, hb)) return;
       if (config_.cluster_mode()) {
-        if (!view_.knows(hb.node)) return;  // not a configured member
-        member_last_hb_[hb.node] = now;
-        member_ready_[hb.node] = hb.replica_ready;
+        if (!slots_.contains(hb.node)) return;  // not a configured member
+        MemberSlot& m = member_slot(hb.node);
+        m.last_hb = now;
+        m.ready = hb.replica_ready;
         if (role_ == Role::kPrimary && hb.role == Role::kPrimary) {
           // Dual primary after a healed partition: same arbitration as
           // the pair protocol — highest incarnation wins, ties go to
@@ -1278,7 +1280,6 @@ void Engine::dispatch(const sim::Datagram& d) {
       peer_last_hb_[d.network_id] = now;
       peer_role_ = hb.role;
       peer_incarnation_ = hb.incarnation;
-      member_ready_[hb.node] = hb.replica_ready;
       if (role_ == Role::kNegotiating &&
           (hb.role == Role::kPrimary || hb.role == Role::kBackup)) {
         resolve_with_peer(hb.role, hb.incarnation, hb.node);
@@ -1315,43 +1316,43 @@ void Engine::dispatch(const sim::Datagram& d) {
     case MsgKind::kViewGossip: {
       ViewGossip g;
       if (!ViewGossip::decode(d.payload, g)) return;
-      if (!config_.cluster_mode() || !view_.knows(g.from_node)) return;
+      if (!slots_.contains(g.from_node)) return;
       handle_view_gossip(g, now);
       break;
     }
     case MsgKind::kPromoteRequest: {
       PromoteRequest req;
       if (!PromoteRequest::decode(d.payload, req)) return;
-      if (!config_.cluster_mode() || !view_.knows(req.candidate)) return;
+      if (!slots_.contains(req.candidate)) return;
       handle_promote_request(d, req, now);
       break;
     }
     case MsgKind::kPromoteAck: {
       PromoteAck ack;
       if (!PromoteAck::decode(d.payload, ack)) return;
-      if (!config_.cluster_mode() || !view_.knows(ack.voter)) return;
-      member_last_hb_[ack.voter] = now;
+      if (!slots_.contains(ack.voter)) return;
+      member_slot(ack.voter).last_hb = now;
       handle_promote_ack(ack);
       break;
     }
     case MsgKind::kSwimProbe: {
       SwimProbe p;
       if (!SwimProbe::decode(d.payload, p)) return;
-      if (!swim_ || !view_.knows(p.from) || !view_.knows(p.origin)) return;
+      if (!swim_ || !slots_.contains(p.from) || !slots_.contains(p.origin)) return;
       handle_swim_probe(d, p, now);
       break;
     }
     case MsgKind::kSwimAck: {
       SwimAck a;
       if (!SwimAck::decode(d.payload, a)) return;
-      if (!swim_ || !view_.knows(a.from) || !view_.knows(a.origin)) return;
+      if (!swim_ || !slots_.contains(a.from) || !slots_.contains(a.origin)) return;
       handle_swim_ack(d, a, now);
       break;
     }
     case MsgKind::kSwimPingReq: {
       SwimPingReq req;
       if (!SwimPingReq::decode(d.payload, req)) return;
-      if (!swim_ || !view_.knows(req.from) || !view_.knows(req.target)) return;
+      if (!swim_ || !slots_.contains(req.from) || !slots_.contains(req.target)) return;
       handle_swim_ping_req(d, req, now);
       break;
     }

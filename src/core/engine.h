@@ -16,13 +16,16 @@
 // which is also who restarts it if it dies (failure class d).
 #pragma once
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "cluster/membership.h"
 #include "cluster/quorum.h"
+#include "cluster/slots.h"
 #include "cluster/succession.h"
 #include "common/hresult.h"
 #include "core/config.h"
@@ -97,6 +100,10 @@ class Engine {
   /// membership view and whether a promotion campaign is in flight.
   const cluster::MembershipView& view() const { return view_; }
   bool campaigning() const { return campaign_.active; }
+  /// Members this engine presumes live at `now` (self included): fresh
+  /// heartbeats, or not confirmed dead under swim. The quorum and
+  /// succession input.
+  cluster::MemberSet live_members(sim::SimTime now) const;
 
   /// Swim detection (config().detection == kSwim, cluster mode): this
   /// engine's failure detector; null under legacy gossip detection.
@@ -110,6 +117,17 @@ class Engine {
   const obs::EventLog& event_log() const { return event_log_; }
 
  private:
+  /// "Never heard from": below every real timestamp, so max() with it
+  /// is a no-op and freshness checks test for it explicitly.
+  static constexpr sim::SimTime kNeverHeard = std::numeric_limits<sim::SimTime>::min();
+  struct MemberSlot {
+    /// Freshest proof of life across networks.
+    sim::SimTime last_hb = kNeverHeard;
+    /// Replica readiness from the member's heartbeats (succession
+    /// prefers ready members; members not heard from yet count as ready).
+    bool ready = true;
+  };
+
   void on_datagram(const sim::Datagram& d);
   /// The shared message switch: raw datagrams land here after the
   /// session endpoint declines them; session-delivered payloads arrive
@@ -141,7 +159,23 @@ class Engine {
 
   // cluster mode (N-replica role management)
   void cluster_tick(sim::SimTime now);
-  std::set<int> live_members(sim::SimTime now) const;
+  /// `among` minus the peers whose last heartbeat reported a replica not
+  /// ready to promote (self is left to the caller).
+  cluster::MemberSet ready_peers(cluster::MemberSet among) const;
+  /// Freshest proof of life from a member (kNeverHeard if none, or if
+  /// `node` is not configured).
+  sim::SimTime last_heard(int node) const;
+  /// `node` must be configured: dispatch() drops frames naming anyone
+  /// else before they reach the bookkeeping.
+  MemberSlot& member_slot(int node) {
+    return member_slots_[static_cast<std::size_t>(slots_.slot(node))];
+  }
+  const MemberSlot& member_slot(int node) const {
+    return member_slots_[static_cast<std::size_t>(slots_.slot(node))];
+  }
+  /// This engine's own entry in view_ (null if the view lacks it).
+  cluster::Member* self_in_view();
+  bool heard_within(int node, sim::SimTime now, sim::SimTime window) const;
   void start_campaign(sim::SimTime now, const std::string& reason, sim::SimTime evidence,
                       bool had_primary);
   void send_campaign_requests();
@@ -203,10 +237,18 @@ class Engine {
   /// must feel loss (see DESIGN.md, transport section).
   std::unique_ptr<transport::Endpoint> ep_;
   cluster::MembershipView view_;
-  std::map<int, sim::SimTime> member_last_hb_;  // freshest across networks
-  /// Per-member replica readiness from peer heartbeats (succession
-  /// prefers ready members; unknown members count as ready).
-  std::map<int, bool> member_ready_;
+  /// One dense slot per configured member, built once from
+  /// cluster_nodes (the configured set is static). Empty in pair mode,
+  /// so there every wire node id counts as unconfigured.
+  cluster::SlotIndex slots_;
+  /// cluster_peers(self) in configured order — the order every fan-out
+  /// and readmission scan walks.
+  std::vector<int> peers_;
+  /// Indexed by slots_: one cache line per datagram's bookkeeping.
+  std::vector<MemberSlot> member_slots_;
+  /// Where self sat in view_.members when last looked up; re-found only
+  /// after a view change moved it.
+  std::size_t self_pos_ = 0;
   cluster::VoteLedger votes_;
   cluster::Campaign campaign_;
   sim::SimTime started_at_ = 0;

@@ -9,12 +9,14 @@
 // clean under TSAN even though the barrier itself already orders the
 // two sides.
 //
-// The ring is bounded (EngineConfig::mailbox_capacity). A full ring
-// must not block the producer — a blocked worker would deadlock the
-// barrier — so overflow spills into a mutex-guarded vector and is
-// counted (oftt.pdes.mailbox_spills); determinism is unaffected because
-// the destination queue re-orders by (time, key) regardless of arrival
-// order.
+// The ring starts at EngineConfig::mailbox_capacity. A full ring must
+// not block the producer — a blocked worker would deadlock the barrier
+// — so overflow spills into a mutex-guarded vector and is counted
+// (oftt.pdes.mailbox_spills). The drain after a spill grows the ring to
+// hold that whole window's traffic, so spills stop after the first busy
+// windows instead of recurring every window. Determinism is unaffected
+// either way: the destination queue re-orders by (time, key)
+// regardless of arrival order.
 #pragma once
 
 #include <atomic>
@@ -40,12 +42,7 @@ struct CrossEvent {
 
 class SpscMailbox {
  public:
-  explicit SpscMailbox(std::size_t capacity) {
-    std::size_t cap = 8;
-    while (cap < capacity) cap <<= 1;
-    ring_.resize(cap);
-    mask_ = cap - 1;
-  }
+  explicit SpscMailbox(std::size_t capacity) { resize(capacity); }
 
   SpscMailbox(const SpscMailbox&) = delete;
   SpscMailbox& operator=(const SpscMailbox&) = delete;
@@ -80,8 +77,10 @@ class SpscMailbox {
     }
     tail_.store(tail, std::memory_order_release);
     std::lock_guard<std::mutex> lock(spill_mu_);
+    if (spill_.empty()) return;
     for (CrossEvent& e : spill_) deliver(std::move(e));
-    spill_.clear();
+    resize(ring_.size() + spill_.size());  // the ring is empty now
+    std::vector<CrossEvent>().swap(spill_);  // the grown ring replaces its memory
   }
 
   std::size_t capacity() const { return ring_.size(); }
@@ -90,6 +89,17 @@ class SpscMailbox {
   std::size_t peak() const { return peak_.load(std::memory_order_relaxed); }
 
  private:
+  /// Fresh ring of at least `capacity` (a power of two, ≥ 8). Only with
+  /// the ring empty and the producer parked.
+  void resize(std::size_t capacity) {
+    std::size_t cap = 8;
+    while (cap < capacity) cap <<= 1;
+    ring_ = std::vector<CrossEvent>(cap);
+    mask_ = cap - 1;
+    head_.store(0, std::memory_order_relaxed);
+    tail_.store(0, std::memory_order_relaxed);
+  }
+
   std::vector<CrossEvent> ring_;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> head_{0};

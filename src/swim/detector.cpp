@@ -19,16 +19,30 @@ Detector::Detector(DetectorConfig config, sim::Rng rng)
     : config_(std::move(config)), rng_(rng) {
   budget_ = config_.retransmit_budget > 0 ? config_.retransmit_budget
                                           : auto_budget(config_.members.size());
+  std::vector<int> peers;
+  peers.reserve(config_.members.size());
   for (int node : config_.members) {
-    if (node == config_.self) continue;
-    members_.emplace(node, MemberInfo{});
+    if (node != config_.self) peers.push_back(node);
   }
+  slots_ = cluster::SlotIndex(std::move(peers));
+  members_.resize(slots_.size());
+  for (std::size_t s = 0; s < members_.size(); ++s) members_[s].node = slots_.nodes()[s];
   reshuffle();
+}
+
+Detector::MemberInfo* Detector::find(int node) {
+  const int s = slots_.slot(node);
+  return s == cluster::SlotIndex::kNoSlot ? nullptr : &members_[static_cast<std::size_t>(s)];
+}
+
+const Detector::MemberInfo* Detector::find(int node) const {
+  const int s = slots_.slot(node);
+  return s == cluster::SlotIndex::kNoSlot ? nullptr : &members_[static_cast<std::size_t>(s)];
 }
 
 void Detector::reshuffle() {
   order_.clear();
-  for (const auto& [node, info] : members_) order_.push_back(node);
+  for (const MemberInfo& m : members_) order_.push_back(m.node);
   // Fisher-Yates on the injected stream: every member walks its peers
   // in an independent random order, so probe load spreads evenly and no
   // two members gang up on the same victim every period.
@@ -45,17 +59,18 @@ void Detector::tick(sim::SimTime now, std::vector<Transition>& out) {
   // with neither a direct nor an indirect ack — suspect the target at
   // the incarnation we hold for it.
   if (round_.target >= 0 && !round_.acked) {
-    auto it = members_.find(round_.target);
-    if (it != members_.end() && it->second.state == MemberState::kAlive) {
-      apply(Update{round_.target, it->second.incarnation, MemberState::kSuspect}, now, out);
+    const MemberInfo* m = find(round_.target);
+    if (m != nullptr && m->state == MemberState::kAlive) {
+      apply(Update{round_.target, m->incarnation, MemberState::kSuspect}, now, out);
     }
     round_.target = -1;
     round_.acked = true;
   }
   // Expire suspicions whose refutation window closed.
-  for (auto& [node, info] : members_) {
-    if (info.state == MemberState::kSuspect && now >= info.suspect_deadline) {
-      apply(Update{node, info.incarnation, MemberState::kDead}, now, out);
+  if (suspects_ == 0) return;
+  for (const MemberInfo& m : members_) {
+    if (m.state == MemberState::kSuspect && now >= m.suspect_deadline) {
+      apply(Update{m.node, m.incarnation, MemberState::kDead}, now, out);
     }
   }
 }
@@ -70,8 +85,8 @@ int Detector::next_target(sim::SimTime now) {
     if (order_pos_ >= order_.size()) reshuffle();
     if (order_.empty()) return -1;
     int candidate = order_[order_pos_++];
-    auto it = members_.find(candidate);
-    if (it == members_.end() || it->second.state == MemberState::kDead) continue;
+    const MemberInfo* m = find(candidate);
+    if (m == nullptr || m->state == MemberState::kDead) continue;
     round_.target = candidate;
     round_.started = now;
     round_.acked = false;
@@ -83,9 +98,9 @@ int Detector::next_target(sim::SimTime now) {
 
 std::vector<int> Detector::proxies(int target, int k) {
   std::vector<int> candidates;
-  for (const auto& [node, info] : members_) {
-    if (node == target || info.state == MemberState::kDead) continue;
-    candidates.push_back(node);
+  for (const MemberInfo& m : members_) {
+    if (m.node == target || m.state == MemberState::kDead) continue;
+    candidates.push_back(m.node);
   }
   std::vector<int> picked;
   for (int i = 0; i < k && !candidates.empty(); ++i) {
@@ -103,12 +118,11 @@ void Detector::on_ack(int from, std::uint64_t seq, sim::SimTime now) {
 }
 
 void Detector::heard_from(int node, sim::SimTime now) {
-  auto it = members_.find(node);
-  if (it != members_.end()) it->second.last_heard = now;
+  if (MemberInfo* m = find(node)) m->last_heard = now;
 }
 
 void Detector::absorb(const Update& u, sim::SimTime now, std::vector<Transition>& out) {
-  if (u.node != config_.self && members_.find(u.node) == members_.end()) {
+  if (u.node != config_.self && find(u.node) == nullptr) {
     return;  // not a configured member — static membership, ignore
   }
   apply(u, now, out);
@@ -132,7 +146,7 @@ void Detector::apply(const Update& u, sim::SimTime now, std::vector<Transition>&
     out.push_back(tr);
     return;
   }
-  MemberInfo& m = members_.at(u.node);
+  MemberInfo& m = *find(u.node);  // absorb() and tick() pass configured peers only
   if (!u.supersedes(m.incarnation, m.state)) return;
   Transition tr;
   tr.node = u.node;
@@ -141,6 +155,8 @@ void Detector::apply(const Update& u, sim::SimTime now, std::vector<Transition>&
   tr.to = u.state;
   if (m.state == MemberState::kSuspect) tr.suspected_for = now - m.suspect_since;
   tr.refuted_death = m.state == MemberState::kDead && u.state == MemberState::kAlive;
+  suspects_ += static_cast<std::size_t>(u.state == MemberState::kSuspect);
+  suspects_ -= static_cast<std::size_t>(m.state == MemberState::kSuspect);
   m.incarnation = u.incarnation;
   m.state = u.state;
   switch (u.state) {
@@ -199,9 +215,9 @@ std::vector<Update> Detector::piggyback() {
 
 std::vector<Update> Detector::piggyback_for(int peer) {
   std::vector<Update> out = piggyback();
-  auto it = members_.find(peer);
-  if (it == members_.end() || it->second.state == MemberState::kAlive) return out;
-  Update accusation{peer, it->second.incarnation, it->second.state};
+  const MemberInfo* m = find(peer);
+  if (m == nullptr || m->state == MemberState::kAlive) return out;
+  Update accusation{peer, m->incarnation, m->state};
   for (const Update& u : out) {
     if (u.node == peer) return out;  // already riding this frame
   }
@@ -215,33 +231,29 @@ void Detector::announce(int node) {
     enqueue(Update{config_.self, self_incarnation_, MemberState::kAlive});
     return;
   }
-  auto it = members_.find(node);
-  if (it == members_.end()) return;
-  enqueue(Update{node, it->second.incarnation, it->second.state});
+  if (const MemberInfo* m = find(node)) enqueue(Update{node, m->incarnation, m->state});
 }
 
 MemberState Detector::state(int node) const {
   if (node == config_.self) return MemberState::kAlive;
-  auto it = members_.find(node);
-  return it == members_.end() ? MemberState::kDead : it->second.state;
+  const MemberInfo* m = find(node);
+  return m == nullptr ? MemberState::kDead : m->state;
 }
 
 std::uint32_t Detector::incarnation(int node) const {
   if (node == config_.self) return self_incarnation_;
-  auto it = members_.find(node);
-  return it == members_.end() ? 0 : it->second.incarnation;
+  const MemberInfo* m = find(node);
+  return m == nullptr ? 0 : m->incarnation;
 }
 
 sim::SimTime Detector::last_heard(int node) const {
-  auto it = members_.find(node);
-  return it == members_.end() ? 0 : it->second.last_heard;
+  const MemberInfo* m = find(node);
+  return m == nullptr ? 0 : m->last_heard;
 }
 
 sim::SimTime Detector::suspect_since(int node) const {
-  auto it = members_.find(node);
-  return it == members_.end() || it->second.state != MemberState::kSuspect
-             ? 0
-             : it->second.suspect_since;
+  const MemberInfo* m = find(node);
+  return m == nullptr || m->state != MemberState::kSuspect ? 0 : m->suspect_since;
 }
 
 }  // namespace oftt::swim

@@ -20,9 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
+#include "cluster/slots.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 #include "swim/swim.h"
@@ -139,6 +139,7 @@ class Detector {
 
  private:
   struct MemberInfo {
+    int node = -1;
     MemberState state = MemberState::kAlive;
     std::uint32_t incarnation = 0;
     sim::SimTime last_heard = 0;
@@ -161,12 +162,21 @@ class Detector {
   void apply(const Update& u, sim::SimTime now, std::vector<Transition>& out);
   void enqueue(const Update& u);
   void reshuffle();
+  /// The peer's slot entry; null for self and unconfigured ids.
+  MemberInfo* find(int node);
+  const MemberInfo* find(int node) const;
 
   DetectorConfig config_;
   sim::Rng rng_;
   int budget_ = 0;
   std::uint32_t self_incarnation_ = 0;
-  std::map<int, MemberInfo> members_;  // peers only (self excluded)
+  /// Peers only (self excluded), one slot each in node-id order — the
+  /// order every traversal (reshuffle, tick, proxies) walks, so rng
+  /// draws and transitions come out in a fixed sequence.
+  cluster::SlotIndex slots_;
+  std::vector<MemberInfo> members_;
+  /// Members currently suspect: tick() skips the expiry scan at zero.
+  std::size_t suspects_ = 0;
   std::vector<Buffered> buffer_;
   std::vector<int> order_;  // current traversal of probe targets
   std::size_t order_pos_ = 0;

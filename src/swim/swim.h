@@ -11,7 +11,8 @@
 // frames — epidemic dissemination reaches every member in O(log N)
 // periods while per-node message cost stays O(1).
 //
-// Layering: swim sits beside cluster (below core, above common/sim).
+// Layering: swim sits above cluster (whose SlotIndex it keys members
+// by) and below core, above common/sim.
 // It knows nothing about engines, datagrams or wire framing — core
 // owns the frames (SwimProbe/SwimAck/SwimPingReq in core/wire) and
 // drives the Detector; cluster keeps quorum-gated promotion. Swim only

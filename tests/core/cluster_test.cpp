@@ -9,12 +9,15 @@
 
 #include "cluster/membership.h"
 #include "cluster/quorum.h"
+#include "cluster/slots.h"
 #include "cluster/succession.h"
 #include "core/deployment.h"
+#include "core/wire.h"
 #include "obs/json.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
 #include "sim/fault_plan.h"
+#include "sim/rng.h"
 #include "support/counter_app.h"
 
 namespace oftt::core {
@@ -64,12 +67,56 @@ TEST(Membership, MergeAdoptsOnlyNewerViewsAndKeepsFresherHeartbeats) {
   EXPECT_EQ(mine.version, 4u);
 }
 
+// The adopted view lists members in a different rank order than ours
+// (a promotion moved the primary to the front and the dead to the
+// back): every node must still keep its freshest heartbeat, whichever
+// side observed it.
+TEST(Membership, MergeKeepsFreshestHeartbeatAcrossRankReorders) {
+  cluster::MembershipView mine = cluster::MembershipView::initial({1, 2, 3, 4, 5});
+  const sim::SimTime my_hb[] = {100, 500, 300, 50, 0};
+  for (int i = 0; i < 5; ++i) mine.members[static_cast<std::size_t>(i)].last_heartbeat = my_hb[i];
+
+  cluster::MembershipView newer = cluster::MembershipView::initial({3, 2, 5, 1, 4});
+  newer.version = 1;
+  const sim::SimTime their_hb[] = {900, 100, 70, 200, 10};  // for 3, 2, 5, 1, 4
+  for (int i = 0; i < 5; ++i) newer.members[static_cast<std::size_t>(i)].last_heartbeat = their_hb[i];
+
+  cluster::MembershipView adopted = mine;
+  EXPECT_TRUE(adopted.merge(newer));
+  ASSERT_EQ(adopted.size(), 5u);
+  const int order[] = {3, 2, 5, 1, 4};
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(adopted.members[static_cast<std::size_t>(i)].node, order[i]);
+  EXPECT_EQ(adopted.find(1)->last_heartbeat, 200);
+  EXPECT_EQ(adopted.find(2)->last_heartbeat, 500);
+  EXPECT_EQ(adopted.find(3)->last_heartbeat, 900);
+  EXPECT_EQ(adopted.find(4)->last_heartbeat, 50);
+  EXPECT_EQ(adopted.find(5)->last_heartbeat, 70);
+
+  // Same (incarnation, version) in another order, plus an unknown node
+  // and a missing one: only heartbeats move, never the member list.
+  cluster::MembershipView same = mine;
+  cluster::MembershipView reordered = cluster::MembershipView::initial({5, 9, 3, 1});
+  const sim::SimTime reordered_hb[] = {40, 7777, 800, 90};  // for 5, 9, 3, 1
+  for (int i = 0; i < 4; ++i) {
+    reordered.members[static_cast<std::size_t>(i)].last_heartbeat = reordered_hb[i];
+  }
+  EXPECT_FALSE(same.merge(reordered));
+  const sim::SimTime want[] = {100, 500, 800, 50, 40};  // for 1..5
+  for (int n = 1; n <= 5; ++n) {
+    EXPECT_EQ(same.members[static_cast<std::size_t>(n - 1)].node, n);
+    EXPECT_EQ(same.find(n)->last_heartbeat, want[n - 1]) << "node " << n;
+  }
+  EXPECT_EQ(same.find(9), nullptr);
+}
+
 TEST(Succession, PromotionReranksSurvivorsAndMarksDeadLast) {
   cluster::MembershipView v = cluster::MembershipView::initial({10, 11, 12, 13, 14});
-  cluster::SuccessionPlanner::promote(v, 10, 1, {10, 11, 12, 13, 14});
+  const cluster::SlotIndex slots({10, 11, 12, 13, 14});
+  auto set = [&](std::initializer_list<int> nodes) { return cluster::MemberSet(slots, nodes); };
+  cluster::SuccessionPlanner::promote(v, 10, 1, set({10, 11, 12, 13, 14}));
   // Primary dies; 12 was lost with it.
-  EXPECT_EQ(cluster::SuccessionPlanner::successor(v, {11, 13, 14}), 11);
-  cluster::SuccessionPlanner::promote(v, 11, 2, {11, 13, 14});
+  EXPECT_EQ(cluster::SuccessionPlanner::successor(v, set({11, 13, 14})), 11);
+  cluster::SuccessionPlanner::promote(v, 11, 2, set({11, 13, 14}));
   EXPECT_EQ(v.primary()->node, 11);
   EXPECT_EQ(v.find(11)->rank, 0);
   EXPECT_EQ(v.find(13)->rank, 1);
@@ -86,7 +133,7 @@ TEST(Succession, PromotionReranksSurvivorsAndMarksDeadLast) {
   EXPECT_EQ(v.find(10)->role, cluster::MemberRole::kBackup);
   EXPECT_EQ(v.find(10)->rank, 4);
   EXPECT_EQ(v.find(12)->rank, 3);
-  EXPECT_EQ(cluster::SuccessionPlanner::successor(v, {10}), 10);
+  EXPECT_EQ(cluster::SuccessionPlanner::successor(v, set({10})), 10);
   EXPECT_FALSE(cluster::SuccessionPlanner::rejoin(v, 10)) << "idempotent";
 }
 
@@ -384,6 +431,160 @@ TEST(ClusterValidation, RejectsNonsensicalConfigs) {
     OfttConfig absent;
     absent.cluster_nodes = {lone.id() + 1, lone.id() + 2};
     EXPECT_THROW(Engine::install(lone, absent), std::invalid_argument);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Fail closed on wire node ids: frames naming anyone outside the
+// configured membership are dropped before they touch any state.
+// ---------------------------------------------------------------------
+
+TEST(SlotIndex, ResolvesConfiguredIdsAndRejectsEverythingElse) {
+  const cluster::SlotIndex slots({4096, 3, 100, 7});
+  EXPECT_EQ(slots.nodes(), (std::vector<int>{3, 7, 100, 4096})) << "slots follow node-id order";
+  EXPECT_EQ(slots.slot(3), 0);
+  EXPECT_EQ(slots.slot(100), 2);
+  EXPECT_EQ(slots.slot(4096), 3);
+  for (int bad : {-1, -2147483647 - 1, 0, 2, 4, 99, 101, 4095, 4097, 2147483647}) {
+    EXPECT_EQ(slots.slot(bad), cluster::SlotIndex::kNoSlot) << bad;
+  }
+  cluster::MemberSet set(slots, {7, 4096, 5, -1});
+  EXPECT_EQ(set.size(), 2u) << "unconfigured ids never become members";
+  EXPECT_TRUE(set.contains(7));
+  EXPECT_FALSE(set.contains(5));
+  set.erase(7);
+  set.erase(12345);
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_THROW(cluster::SlotIndex({1, 2, 1}), std::invalid_argument);
+}
+
+// Members {0, 2, 5, 6}: 1, 3 and 4 are gaps, 7 is past the slot table
+// and forges the frames. The forged frames ride their own lossless
+// fixed-latency network, whose rng stream nothing else draws from, so
+// an attacked run and a clean run must end in identical engine state,
+// rendered one line per engine plus one per oftt.* counter.
+std::vector<std::string> run_forged_ids(std::uint64_t seed, DetectionMode mode, bool attack) {
+  const std::vector<int> members = {0, 2, 5, 6};
+  const int bad_ids[] = {-1, -2147483647 - 1, 1, 3, 4, 7, 8, 4096, 2147483647};
+  sim::Simulation sim(seed);
+  std::vector<sim::Node*> nodes;
+  for (int i = 0; i < 8; ++i) nodes.push_back(&sim.add_node(cat("n", i)));
+  sim::Network& lan = sim.add_network("lan0");
+  sim::Network& forged = sim.add_network("forged");
+  for (sim::Node* n : nodes) {
+    lan.attach(n->id());
+    forged.attach(n->id());
+  }
+  lan.set_latency(sim::milliseconds(1), sim::milliseconds(3));
+  lan.set_loss(0.01);
+  forged.set_latency(sim::milliseconds(1), sim::milliseconds(1));
+  for (int id : members) {
+    nodes[static_cast<std::size_t>(id)]->set_boot_script([members, mode](sim::Node& node) {
+      OfttConfig cfg;
+      cfg.cluster_nodes = members;
+      cfg.networks = {0};
+      cfg.detection = mode;
+      Engine::install(node, cfg);
+    });
+    nodes[static_cast<std::size_t>(id)]->boot();
+  }
+  nodes[7]->set_boot_script(
+      [](sim::Node& node) { node.start_process("forger", [](sim::Process&) {}); });
+  nodes[7]->boot();
+  std::shared_ptr<sim::Process> forger = nodes[7]->find_process("forger");
+
+  sim::Rng pick(seed * 7919 + 1);
+  auto bad = [&] { return bad_ids[pick.uniform(0, std::size(bad_ids) - 1)]; };
+  auto member = [&] { return members[static_cast<std::size_t>(pick.uniform(0, 3))]; };
+  sim.run_until(sim::seconds(1));
+  while (sim.now() < sim::seconds(5)) {
+    if (attack) {
+      // Every frame carries at least one unconfigured id in a field the
+      // engine checks, plus piggybacked accusations that would move
+      // detector state if the frame got through.
+      std::vector<swim::Update> ups = {{member(), 7, swim::MemberState::kDead},
+                                       {bad(), 3, swim::MemberState::kSuspect}};
+      PeerHeartbeat hb;
+      hb.node = bad();
+      hb.role = Role::kPrimary;
+      hb.incarnation = 99;
+      hb.replica_ready = false;
+      SwimProbe probe;
+      probe.from = bad();
+      probe.origin = member();
+      probe.seq = 1;
+      probe.role = Role::kPrimary;
+      probe.incarnation = 99;
+      probe.updates = ups;
+      SwimProbe relayed = probe;
+      relayed.from = member();
+      relayed.origin = bad();
+      SwimAck ack;
+      ack.from = bad();
+      ack.origin = member();
+      ack.updates = ups;
+      SwimAck misrouted = ack;
+      misrouted.from = member();
+      misrouted.origin = bad();
+      SwimPingReq req;
+      req.from = bad();
+      req.target = member();
+      req.updates = ups;
+      SwimPingReq aimless = req;
+      aimless.from = member();
+      aimless.target = bad();
+      for (const Buffer& frame :
+           {hb.encode(), probe.encode(), relayed.encode(), ack.encode(), misrouted.encode(),
+            req.encode(), aimless.encode()}) {
+        forger->send(1, member(), kEnginePort, frame, "forger");
+      }
+    }
+    sim.run_for(sim::milliseconds(50));
+  }
+  sim.run_until(sim::seconds(6));
+
+  std::vector<std::string> snap;
+  for (int id : members) {
+    Engine* e = Engine::find(*nodes[static_cast<std::size_t>(id)]);
+    std::string line = cat("node ", id);
+    if (e == nullptr) {
+      snap.push_back(line + " down");
+      continue;
+    }
+    line += cat(" role ", role_name(e->role()), " inc ", e->incarnation(), " view ",
+                e->view().summary(), " live");
+    const cluster::MemberSet live = e->live_members(sim.now());
+    for (int n = -2; n <= 9; ++n) {
+      if (live.contains(n)) line += cat(" ", n);
+    }
+    if (const swim::Detector* d = e->swim_detector()) {
+      line += cat(" self_inc ", d->self_incarnation(), " buffered ", d->update_buffer_size());
+      for (int n : members) {
+        line += cat(" | ", n, " ", swim::member_state_name(d->state(n)), "@", d->incarnation(n),
+                    " heard ", d->last_heard(n), " suspect ", d->suspect_since(n));
+      }
+    }
+    for (const cluster::Member& m : e->view().members) {
+      line += cat(" hb", m.node, "=", m.last_heartbeat);
+    }
+    snap.push_back(line);
+  }
+  for (const auto& [name, cell] : sim.telemetry().metrics().counters()) {
+    if (name.rfind("oftt.", 0) == 0) snap.push_back(cat(name, " = ", cell->value.load()));
+  }
+  return snap;
+}
+
+TEST(ClusterWire, UnconfiguredNodeIdsChangeNoEngineState) {
+  for (DetectionMode mode : {DetectionMode::kSwim, DetectionMode::kGossip}) {
+    for (std::uint64_t seed : {11u, 22u, 33u}) {
+      const std::vector<std::string> clean = run_forged_ids(seed, mode, /*attack=*/false);
+      const std::vector<std::string> attacked = run_forged_ids(seed, mode, /*attack=*/true);
+      ASSERT_EQ(clean.size(), attacked.size());
+      for (std::size_t i = 0; i < clean.size(); ++i) {
+        EXPECT_EQ(attacked[i], clean[i]) << detection_mode_name(mode) << " seed " << seed;
+      }
+    }
   }
 }
 

@@ -153,14 +153,16 @@ TEST(PolicyGovernor, NeverTouchesSemiActive) {
 
 TEST(SuccessionEligibility, PrefersEligibleAndFallsBackToSeniority) {
   cluster::MembershipView view = cluster::MembershipView::initial({1, 2, 3});
-  std::set<int> live{2, 3};
+  const cluster::SlotIndex slots({1, 2, 3});
+  auto set = [&](std::initializer_list<int> nodes) { return cluster::MemberSet(slots, nodes); };
+  const cluster::MemberSet live = set({2, 3});
   EXPECT_EQ(cluster::SuccessionPlanner::successor(view, live), 2);
   // Rank-1 node 2 is stale: rank-2 node 3 is preferred while eligible.
-  EXPECT_EQ(cluster::SuccessionPlanner::successor(view, live, {3}), 3);
-  EXPECT_EQ(cluster::SuccessionPlanner::successor(view, live, {2, 3}), 2);
+  EXPECT_EQ(cluster::SuccessionPlanner::successor(view, live, set({3})), 3);
+  EXPECT_EQ(cluster::SuccessionPlanner::successor(view, live, set({2, 3})), 2);
   // Nobody eligible: a stale replica beats no primary at all.
-  EXPECT_EQ(cluster::SuccessionPlanner::successor(view, live, {}), 2);
-  EXPECT_EQ(cluster::SuccessionPlanner::successor(view, {}, {}), -1);
+  EXPECT_EQ(cluster::SuccessionPlanner::successor(view, live, set({})), 2);
+  EXPECT_EQ(cluster::SuccessionPlanner::successor(view, set({}), set({})), -1);
 }
 
 // ---------------------------------------------------------------------

@@ -65,6 +65,27 @@ TEST(SpscMailbox, OverflowSpillsInsteadOfBlocking) {
   EXPECT_EQ(got[12], 12);
 }
 
+TEST(SpscMailbox, DrainAfterSpillGrowsTheRingToHoldTheBurst) {
+  SpscMailbox box(8);
+  auto burst = [&box] {
+    for (int i = 0; i < 8 + 5; ++i) box.push(CrossEvent{i, 0, 0, nullptr});
+  };
+  burst();
+  std::size_t drained = 0;
+  box.drain([&](CrossEvent&&) { ++drained; });
+  EXPECT_EQ(drained, 13u);
+  EXPECT_EQ(box.spills(), 5u);
+  EXPECT_EQ(box.capacity(), 16u) << "the drain sizes the ring for the window that spilled";
+
+  // The same burst again fits: no further spills, nothing lost, FIFO.
+  burst();
+  std::vector<SimTime> got;
+  box.drain([&](CrossEvent&& e) { got.push_back(e.at); });
+  EXPECT_EQ(box.spills(), 5u);
+  ASSERT_EQ(got.size(), 13u);
+  for (int i = 0; i < 13; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+}
+
 TEST(Partition, StrategiesArePureFunctionsOfNodeId) {
   Partition rr{4, PartitionStrategy::kRoundRobin};
   EXPECT_EQ(rr.shard_of(0), 0);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/strings.h"
 #include "core/wire.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -247,6 +248,84 @@ TEST(SwimDetector, ProxiesExcludeSelfTargetAndDeadMembers) {
     std::set<int> uniq(p.begin(), p.end());
     EXPECT_EQ(uniq.size(), p.size()) << "proxies must be distinct";
   }
+}
+
+// Sparse, unsorted member ids with self in the middle: the detector's
+// dense slot layout must not change which peer each rng draw picks or
+// the order transitions come out in. The pinned trace is what the
+// node-keyed implementation produced for seed 7. 4096 never acks until
+// it refutes its death certificate; ids 5 and -1 are unconfigured.
+std::vector<std::string> sparse_trace(std::uint64_t seed) {
+  DetectorConfig dc;
+  dc.self = 100;
+  dc.members = {4096, 3, 100, 7};
+  dc.probe_timeout = sim::milliseconds(40);
+  dc.suspicion_timeout = sim::milliseconds(300);
+  Detector d(dc, sim::Rng(seed));
+  std::vector<std::string> out;
+  std::vector<Transition> trs;
+  auto flush = [&] {
+    for (const Transition& t : trs) {
+      out.push_back(cat("tr ", t.node, " ", swim::member_state_name(t.from), "->",
+                        swim::member_state_name(t.to), "@", t.incarnation,
+                        t.refuted_death ? " refuted" : ""));
+    }
+    trs.clear();
+  };
+  sim::SimTime now = 0;
+  for (int round = 0; round < 14; ++round) {
+    now += kPeriod;
+    d.tick(now, trs);
+    flush();
+    if (round == 10) {
+      d.absorb(Update{4096, 1, MemberState::kAlive}, now, trs);
+      d.absorb(Update{5, 9, MemberState::kDead}, now, trs);
+      d.absorb(Update{-1, 9, MemberState::kDead}, now, trs);
+      flush();
+    }
+    const int target = d.next_target(now);
+    std::string line = cat("probe ", target, " proxies");
+    for (int p : d.proxies(target, 2)) line += cat(" ", p);
+    out.push_back(line);
+    if (target != 4096 || round >= 10) d.on_ack(target, d.probe_seq(), now + sim::milliseconds(10));
+  }
+  return out;
+}
+
+TEST(SwimDetector, SparseMemberIdsKeepProbeProxyAndTransitionOrder) {
+  const std::vector<std::string> expected = {
+      "probe 7 proxies 3 4096",
+      "probe 4096 proxies 7 3",
+      "tr 4096 alive->suspect@0",
+      "probe 3 proxies 7 4096",
+      "probe 7 proxies 3 4096",
+      "probe 4096 proxies 7 3",
+      "tr 4096 suspect->dead@0",
+      "probe 3 proxies 7",
+      "probe 3 proxies 7",
+      "probe 7 proxies 3",
+      "probe 3 proxies 7",
+      "probe 7 proxies 3",
+      "tr 4096 dead->alive@1 refuted",
+      "probe 4096 proxies 3 7",
+      "probe 3 proxies 4096 7",
+      "probe 7 proxies 4096 3",
+      "probe 7 proxies 4096 3",
+  };
+  EXPECT_EQ(sparse_trace(7), expected);
+  EXPECT_EQ(sparse_trace(7), sparse_trace(7)) << "same seed, same trace";
+
+  DetectorConfig dc;
+  dc.self = 100;
+  dc.members = {4096, 3, 100, 7};
+  Detector d(dc, sim::Rng(1));
+  for (int unconfigured : {-1, 0, 5, 99, 101, 4095, 4097}) {
+    EXPECT_EQ(d.state(unconfigured), MemberState::kDead) << unconfigured;
+    EXPECT_EQ(d.last_heard(unconfigured), 0) << unconfigured;
+    d.heard_from(unconfigured, sim::seconds(1));  // ignored, never grows state
+  }
+  EXPECT_EQ(d.state(100), MemberState::kAlive) << "self";
+  EXPECT_EQ(d.last_heard(3), 0);
 }
 
 // ---------------------------------------------------------------------
