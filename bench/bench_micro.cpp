@@ -62,6 +62,15 @@ void BM_Fnv64(benchmark::State& state) {
 }
 BENCHMARK(BM_Fnv64)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
+void BM_Crc32c(benchmark::State& state) {
+  Buffer b(static_cast<std::size_t>(state.range(0)), 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(b));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
 void BM_OrpcRequestRoundTrip(benchmark::State& state) {
   dcom::RequestPacket req;
   req.call_id = 42;

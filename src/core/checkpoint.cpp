@@ -39,22 +39,22 @@ Buffer CheckpointImage::marshal() const {
     w.str(name);
     w.blob(ctx);
   }
-  // Checksum over everything serialized so far.
-  w.u64(fnv64(w.data()));
+  // CRC-32C over everything serialized so far, zero-extended to the
+  // 8-byte trailer.
+  w.u64(crc32c(w.data()));
   return std::move(w).take();
 }
 
 bool CheckpointImage::unmarshal(const Buffer& buf, CheckpointImage& out) {
   if (buf.size() < 8) return false;
-  // Validate the trailing checksum first.
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<std::uint64_t>(buf[buf.size() - 8 + static_cast<std::size_t>(i)])
-              << (8 * i);
-  }
-  if (fnv64(buf.data(), buf.size() - 8) != stored) return false;
+  // Validate the trailing checksum first. The trailer is a CRC-32C
+  // zero-extended to 8 bytes; nonzero high bits mean a foreign or
+  // damaged trailer, never a valid one.
+  const std::size_t body = buf.size() - 8;
+  const std::uint64_t stored = BinaryReader(buf.data() + body, 8).u64();
+  if (stored > 0xFFFFFFFFu || crc32c(buf.data(), body) != stored) return false;
 
-  BinaryReader r(buf.data(), buf.size() - 8);
+  BinaryReader r(buf.data(), body);
   out = CheckpointImage{};
   out.seq = r.u64();
   out.base_seq = r.u64();
@@ -89,6 +89,12 @@ bool CheckpointImage::unmarshal(const Buffer& buf, CheckpointImage& out) {
   }
   out.checksum = stored;
   return !r.failed();
+}
+
+std::uint32_t CheckpointImage::crc32c_of_marshalled(const Buffer& buf) {
+  const std::size_t body = buf.size() - 8;
+  const auto body_crc = static_cast<std::uint32_t>(BinaryReader(buf.data() + body, 8).u64());
+  return crc32c_combine(body_crc, crc32c(buf.data() + body, 8), 8);
 }
 
 CheckpointImage capture_checkpoint(nt::NtRuntime& rt, CheckpointMode mode,

@@ -50,13 +50,18 @@ struct CheckpointImage {
   std::map<std::string, Buffer> regions;           // full mode
   std::vector<SelectiveCell> cells;                // selective mode
   std::map<std::string, Buffer> task_contexts;     // serialized TaskContext by task name
-  std::uint64_t checksum = 0;                      // FNV over the payload
+  std::uint64_t checksum = 0;                      // CRC-32C trailer, zero-extended to u64
 
   std::size_t payload_bytes() const;
 
   Buffer marshal() const;
-  /// Returns false on truncation or checksum mismatch.
+  /// Returns false on truncation, checksum mismatch or a trailer whose
+  /// high 32 bits are set.
   static bool unmarshal(const Buffer& buf, CheckpointImage& out);
+  /// crc32c() of a whole marshalled image, trailer included, derived
+  /// from the trailer without reading the body. Only meaningful for a
+  /// buffer that marshal() produced or unmarshal() accepted.
+  static std::uint32_t crc32c_of_marshalled(const Buffer& buf);
 };
 
 /// Registered selective-save designation (OFTTSelSave).

@@ -255,9 +255,11 @@ void Ftim::take_checkpoint() {
 void Ftim::journal_checkpoint(const CheckpointImage& img, const Buffer& blob) {
   if (!journal_) return;
   const bool is_delta = img.mode == CheckpointMode::kDelta;
+  // `blob` is freshly marshalled or was accepted by unmarshal, so its
+  // trailer is its checksum: the journal need not read it again.
   if (!journal_->append(
           is_delta ? store::RecordType::kDelta : store::RecordType::kSnapshot, img.seq,
-          is_delta ? img.base_seq : 0, blob)) {
+          is_delta ? img.base_seq : 0, blob, CheckpointImage::crc32c_of_marshalled(blob))) {
     OFTT_LOG_WARN("oftt/ftim", process_->node().name(), "/", process_->name(),
                   ": journal append failed for seq ", img.seq, " (disk full?)");
   }

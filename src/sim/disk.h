@@ -42,6 +42,28 @@ class DiskStore {
     data_[{node, key}] = std::move(value);
     return true;
   }
+  /// Keep the first `at` bytes of the value under (node, key) and append
+  /// `bytes` after them — an append at a known-good offset, which also
+  /// truncates whatever followed `at` (a torn tail). A missing key reads
+  /// as empty. All or nothing under the same rules as write(): a failed
+  /// disk, a full disk, or `at` past the end of the value refuses the
+  /// write and leaves the value untouched.
+  bool write_at(int node, const std::string& key, std::size_t at, const Buffer& bytes) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto& acct = accounts_[node];
+    if (acct.fail_writes) return false;
+    auto it = data_.find({node, key});
+    std::size_t old_bytes = it != data_.end() ? it->second.size() : 0;
+    if (at > old_bytes) return false;
+    if (acct.capacity != 0 && acct.used_bytes - old_bytes + at + bytes.size() > acct.capacity) {
+      return false;
+    }
+    acct.used_bytes = acct.used_bytes - old_bytes + at + bytes.size();
+    Buffer& value = it != data_.end() ? it->second : data_[{node, key}];
+    value.resize(at);
+    value.insert(value.end(), bytes.begin(), bytes.end());
+    return true;
+  }
   std::optional<Buffer> read(int node, const std::string& key) const {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = data_.find({node, key});

@@ -31,7 +31,15 @@ Simulation::Simulation(std::uint64_t seed)
     // thread-local clock, not the barrier-granularity shared one.
     : telemetry_([this] { return now(); }), rng_(seed) {}
 
-Simulation::~Simulation() = default;
+Simulation::~Simulation() {
+  // Components cancel their pending events as they die (PeriodicTimer),
+  // so they must go while every queue still exists: the shard queues die
+  // with engine_, the first member destroyed. Same relative order as the
+  // members' own teardown.
+  attachments_.clear();
+  networks_.clear();
+  nodes_.clear();
+}
 
 void Simulation::set_engine(const EngineConfig& config) {
   if (config.kind == EngineKind::kSequential) {

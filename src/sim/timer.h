@@ -2,6 +2,9 @@
 // stopped. Heartbeats, checkpoint periods and PLC scan cycles all use
 // this. Safe to stop/restart from inside its own callback.
 //
+// stop() (and so the destructor) cancels the one pending event, so no
+// closure that points at the timer outlives it.
+//
 // Timers are the timer wheel's bread and butter: each re-arm is a
 // short-horizon schedule (O(1) wheel insert, no allocation), and the
 // callback is held as an InlineFn — start() forwards it straight into
@@ -38,7 +41,7 @@ class PeriodicTimer {
 
   void stop() {
     running_ = false;
-    ++generation_;
+    EventQueue::cancel_owned(pending_);
   }
 
   bool running() const { return running_; }
@@ -46,9 +49,7 @@ class PeriodicTimer {
 
  private:
   void arm(SimTime delay) {
-    const std::uint64_t gen = generation_;
-    strand_->schedule_after(delay, [this, gen] {
-      if (!running_ || gen != generation_) return;
+    pending_ = strand_->schedule_after(delay, [this] {
       // Re-arm first: fn_ may stop() or restart the timer.
       arm(period_);
       fn_();
@@ -59,7 +60,7 @@ class PeriodicTimer {
   SimTime period_ = 0;
   InlineFn fn_;
   bool running_ = false;
-  std::uint64_t generation_ = 0;
+  EventHandle pending_;
 };
 
 }  // namespace oftt::sim

@@ -63,14 +63,6 @@ Journal::Journal(sim::Simulation& sim, int node, std::string prefix, JournalOpti
     }
     segments_.push_back(seg);
   }
-  if (!segments_.empty()) {
-    // Resume appending after the last *intact* record: a torn tail from
-    // the crash that ended the previous incarnation is truncated here,
-    // so fresh frames land on a trustworthy boundary.
-    auto bytes = disk.read(node_, segment_key(segments_.back().index));
-    active_bytes_ = bytes ? *bytes : Buffer{};
-    active_bytes_.resize(segments_.back().bytes);
-  }
   segments_gauge_.add(static_cast<std::int64_t>(segments_.size()));
 }
 
@@ -90,32 +82,40 @@ Journal::Segment& Journal::active_segment() {
 
 bool Journal::append(RecordType type, std::uint64_t id, std::uint64_t base,
                      const Buffer& payload) {
+  return append(type, id, base, payload, crc32c(payload));
+}
+
+bool Journal::append(RecordType type, std::uint64_t id, std::uint64_t base,
+                     const Buffer& payload, std::uint32_t payload_crc) {
   Segment& seg = active_segment();
 
-  BinaryWriter body;
-  body.u8(static_cast<std::uint8_t>(type));
-  body.u64(id);
-  body.u64(base);
-  body.raw(payload.data(), payload.size());
-  const Buffer& body_bytes = body.data();
+  // Frame in one buffer: preamble, record header and payload, then
+  // patch the CRC over type..payload into its slot, combined from the
+  // header's CRC and the payload's.
+  const std::size_t body_len = kBodyHeader + payload.size();
+  BinaryWriter w;
+  w.u32(kMagic);
+  w.u32(static_cast<std::uint32_t>(body_len));
+  w.u32(0);  // crc, patched below
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(id);
+  w.u64(base);
+  w.raw(payload.data(), payload.size());
+  Buffer frame = std::move(w).take();
+  const std::uint32_t crc =
+      crc32c_combine(crc32c(frame.data() + kPreamble, kBodyHeader), payload_crc, payload.size());
+  for (std::size_t i = 0; i < 4; ++i) frame[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
 
-  BinaryWriter frame;
-  frame.u32(kMagic);
-  frame.u32(static_cast<std::uint32_t>(body_bytes.size()));
-  frame.u32(crc32(body_bytes));
-  frame.raw(body_bytes.data(), body_bytes.size());
-
-  Buffer candidate = active_bytes_;
-  candidate.insert(candidate.end(), frame.data().begin(), frame.data().end());
-  if (!sim::DiskStore::of(*sim_).write(node_, segment_key(seg.index), candidate)) {
-    // The disk refused (full / failed). active_bytes_ still mirrors the
-    // durable content, so nothing to roll back.
+  // Append at the segment's valid length: a torn tail left by a crash is
+  // overwritten, so the new frame lands on a trustworthy boundary.
+  if (!sim::DiskStore::of(*sim_).write_at(node_, segment_key(seg.index), seg.bytes, frame)) {
+    // The disk refused (full / failed) and kept the segment as it was.
     ++append_failures_;
     ctr_append_failures_.inc();
     return false;
   }
-  active_bytes_ = std::move(candidate);
-  seg.bytes = active_bytes_.size();
+  seg.bytes += frame.size();
+  const std::size_t active_bytes = seg.bytes;  // compact() may move `seg`
   if (type == RecordType::kSnapshot) {
     seg.has_snapshot = true;
     seg.max_snapshot_id = std::max(seg.max_snapshot_id, id);
@@ -126,7 +126,7 @@ bool Journal::append(RecordType type, std::uint64_t id, std::uint64_t base,
   ctr_bytes_written_.inc(frame.size());
 
   if (type == RecordType::kSnapshot && options_.auto_compact) compact();
-  if (active_bytes_.size() >= options_.segment_bytes) rotate();
+  if (active_bytes >= options_.segment_bytes) rotate();
   drop_oldest_over_cap();
   return true;
 }
@@ -135,7 +135,6 @@ void Journal::rotate() {
   std::uint32_t next = segments_.empty() ? 0 : segments_.back().index + 1;
   segments_.push_back(Segment{next});
   segments_gauge_.add(1);
-  active_bytes_.clear();
 }
 
 void Journal::drop_oldest_over_cap() {
@@ -186,7 +185,7 @@ std::size_t Journal::scan_segment(const Buffer& bytes, std::vector<Record>* out)
     const std::uint32_t crc = read_u32(p + 8);
     if (frame_len < kBodyHeader || frame_len > bytes.size() - pos - kPreamble) break;
     const std::uint8_t* body = p + kPreamble;
-    if (crc32(body, frame_len) != crc) break;
+    if (crc32c(body, frame_len) != crc) break;
     Record r;
     r.type = static_cast<RecordType>(body[0]);
     r.id = read_u64(body + 1);
@@ -202,7 +201,6 @@ void Journal::wipe() {
   sim::DiskStore::of(*sim_).erase_prefix(node_, prefix_ + ".seg.");
   segments_gauge_.add(-static_cast<std::int64_t>(segments_.size()));
   segments_.clear();
-  active_bytes_.clear();
 }
 
 std::vector<Record> Journal::recover() const {

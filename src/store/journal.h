@@ -18,14 +18,17 @@
 //    \------------- header -------------/\------ crc covers this ------/
 //
 //   frame_len = bytes after the crc field (type..payload)
-//   crc      = CRC-32 over type..payload
+//   crc      = CRC-32C (Castagnoli, common/bytes.h) over type..payload
 //   type     = kSnapshot | kDelta | kMessage
 //   id       = record sequence id (checkpoint seq / message ordinal)
 //   base     = for kDelta: the id this delta applies on top of
 //
-// Write path: append() frames the record into the active segment and
-// rewrites that segment's DiskStore value (the moral equivalent of an
-// fwrite+fsync of the tail). When the active segment exceeds
+// Write path: append() frames the record once (CRC patched in place)
+// and writes it with DiskStore::write_at at the active segment's valid
+// length — the moral equivalent of a positioned write+fsync of the
+// tail. The journal keeps no in-memory copy of the segment; a torn tail
+// left by a crash sits past the valid length, so the next append
+// overwrites it. When the active segment exceeds
 // segment_bytes the journal rotates to a fresh one. Appending a
 // kSnapshot retires every strictly older segment — they are wholly
 // shadowed by the newer snapshot — via compact().
@@ -99,10 +102,15 @@ class Journal {
           JournalOptions options = JournalOptions());
 
   /// Append one record; returns false when the disk refused the write
-  /// (full/failed disk) — the record is then NOT durable and the
-  /// in-memory segment image is rolled back so a later retry re-frames
-  /// cleanly.
+  /// (full/failed disk) — the record is then NOT durable, the segment
+  /// on disk is unchanged, and a later retry re-frames cleanly.
   bool append(RecordType type, std::uint64_t id, std::uint64_t base, const Buffer& payload);
+  /// Same, for a payload whose crc32c() the caller already holds (a
+  /// checkpoint image carries its own): the frame CRC is combined from
+  /// it instead of re-reading the payload. A wrong `payload_crc` makes
+  /// the record fail its check on recovery; it never passes bad bytes.
+  bool append(RecordType type, std::uint64_t id, std::uint64_t base, const Buffer& payload,
+              std::uint32_t payload_crc);
 
   /// Retire every segment strictly older than the one holding the
   /// newest snapshot record; returns bytes reclaimed.
@@ -129,7 +137,7 @@ class Journal {
  private:
   struct Segment {
     std::uint32_t index = 0;
-    std::size_t bytes = 0;
+    std::size_t bytes = 0;  // valid length: the offset the next append writes at
     bool has_snapshot = false;
     std::uint64_t max_snapshot_id = 0;
   };
@@ -148,7 +156,6 @@ class Journal {
   std::string prefix_;
   JournalOptions options_;
   std::vector<Segment> segments_;  // ascending index order
-  Buffer active_bytes_;            // in-memory image of the active segment
 
   std::uint64_t records_appended_ = 0;
   std::uint64_t bytes_appended_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/bytes.h"
 #include "common/guid.h"
@@ -109,6 +110,62 @@ TEST(Fnv64, StableAndSensitive) {
   EXPECT_EQ(fnv64(a), fnv64(a));
   EXPECT_NE(fnv64(a), fnv64(b));
   EXPECT_NE(fnv64(a), fnv64(Buffer{}));
+}
+
+TEST(Crc32c, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32c(check.data(), check.size()), 0xE3069283u);
+  EXPECT_EQ(detail::crc32c_table(check.data(), check.size()), 0xE3069283u);
+  EXPECT_EQ(crc32c(nullptr, 0), 0u);
+  // RFC 3720 (iSCSI) B.4 test vectors.
+  EXPECT_EQ(crc32c(Buffer(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(crc32c(Buffer(32, 0xFF)), 0x62A8AB43u);
+  Buffer ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i) ascending[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(crc32c(ascending), 0x46DD794Eu);
+}
+
+Buffer pseudo_random_bytes(std::size_t n) {
+  Buffer b(n);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& byte : b) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    byte = static_cast<std::uint8_t>(x >> 24);
+  }
+  return b;
+}
+
+// crc32c() runs on the SSE4.2 instruction where the CPU has it; it must
+// agree with the portable table kernel on every length and alignment,
+// or bytes written on one machine would fail their check on another.
+TEST(Crc32c, DispatchedPathMatchesTableKernel) {
+  const Buffer b = pseudo_random_bytes(1024 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(crc32c(b.data() + offset, len), detail::crc32c_table(b.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Long buffers run as three interleaved streams over 24 KiB chunks
+  // on the hardware path; straddle the chunk edges and odd tails.
+  const Buffer big = pseudo_random_bytes(6u << 20);
+  for (std::size_t len : {24575u, 24576u, 24577u, 49159u, 73727u}) {
+    EXPECT_EQ(crc32c(big.data() + 3, len), detail::crc32c_table(big.data() + 3, len))
+        << "length " << len;
+  }
+  EXPECT_EQ(crc32c(big), detail::crc32c_table(big.data(), big.size()));
+}
+
+TEST(Crc32c, CombineEqualsCrcOfConcatenation) {
+  const Buffer b = pseudo_random_bytes(100000);
+  const std::uint32_t whole = crc32c(b);
+  for (std::size_t split : {0u, 1u, 17u, 4096u, 24577u, 99999u, 100000u}) {
+    const std::uint32_t a = crc32c(b.data(), split);
+    const std::uint32_t rest = crc32c(b.data() + split, b.size() - split);
+    EXPECT_EQ(crc32c_combine(a, rest, b.size() - split), whole) << "split at " << split;
+  }
 }
 
 TEST(Guid, FromNameIsDeterministicAndDistinct) {

@@ -231,7 +231,7 @@ Buffer image_with_declared_region_count(std::uint32_t count) {
   w.u8(static_cast<std::uint8_t>(CheckpointMode::kFull));  // mode
   w.i64(0);                                              // taken_at
   w.u32(count);                                          // nregions
-  w.u64(fnv64(w.data()));
+  w.u64(crc32c(w.data()));
   return std::move(w).take();
 }
 }  // namespace fuzz
@@ -251,8 +251,24 @@ TEST_F(CheckpointTest, UnmarshalRejectsHugeDeclaredCounts) {
   w.u32(0);  // regions
   w.u32(0);  // cells
   w.u32(0);  // task contexts
-  w.u64(fnv64(w.data()));
+  w.u64(crc32c(w.data()));
   EXPECT_TRUE(CheckpointImage::unmarshal(std::move(w).take(), out));
+}
+
+TEST_F(CheckpointTest, UnmarshalRejectsTrailerWithHighBitsSet) {
+  src_->memory().alloc("g", 64).write<std::uint32_t>(0, 0xAB);
+  Buffer blob = capture_checkpoint(*src_, CheckpointMode::kFull, {}, 1, 1, {}).marshal();
+  CheckpointImage out;
+  ASSERT_TRUE(CheckpointImage::unmarshal(blob, out));
+  EXPECT_EQ(out.checksum, crc32c(blob.data(), blob.size() - 8));
+  EXPECT_EQ(CheckpointImage::crc32c_of_marshalled(blob), crc32c(blob));
+  // The low word still holds the valid CRC-32C; any set bit in the high
+  // word makes the trailer foreign.
+  for (std::size_t byte = 4; byte < 8; ++byte) {
+    Buffer forged = blob;
+    forged[forged.size() - 8 + byte] = 0x01;
+    EXPECT_FALSE(CheckpointImage::unmarshal(forged, out)) << "high trailer byte " << byte;
+  }
 }
 
 TEST_F(CheckpointTest, UnmarshalSurvivesTruncationSweep) {
@@ -279,8 +295,9 @@ TEST_F(CheckpointTest, UnmarshalSurvivesRandomGarbage) {
     Buffer junk(static_cast<std::size_t>(rng.uniform(0, 512)));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_u64());
     CheckpointImage out;
-    // The odds of 512 random bytes carrying a valid trailing fnv64 of
-    // themselves are negligible; the parser must simply say no.
+    // A random trailer passes only if its high 32 bits are zero and its
+    // low word is the CRC-32C of the rest: odds of 2^-64 per buffer. The
+    // parser must simply say no.
     EXPECT_FALSE(CheckpointImage::unmarshal(junk, out));
   }
 }

@@ -4,6 +4,7 @@
 // equality, the ordered-logger byte-diff, and the oftt.pdes.* metrics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
@@ -191,8 +192,9 @@ TEST(ParallelEngine, SmokeTimersAndCrossNodeSends) {
 
   Network& net = sim.add_network("lan");
   net.set_latency(milliseconds(1), milliseconds(1));
-  auto ticks = std::make_shared<int>(0);
-  auto recvs = std::make_shared<int>(0);
+  // Nodes on different workers bump the counters concurrently.
+  auto ticks = std::make_shared<std::atomic<int>>(0);
+  auto recvs = std::make_shared<std::atomic<int>>(0);
   for (int n = 0; n < 4; ++n) {
     Node& node = sim.add_node("n" + std::to_string(n));
     net.attach(node.id());

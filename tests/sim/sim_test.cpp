@@ -418,6 +418,26 @@ TEST(PeriodicTimer, RestartFromInsideCallback) {
   EXPECT_EQ(slow, 3);
 }
 
+TEST(PeriodicTimer, StopAndDestructionCancelThePendingEvent) {
+  Simulation sim;
+  Node& node = sim.add_node("n");
+  node.boot();
+  auto proc = node.start_process("p", nullptr);
+  {
+    PeriodicTimer timer(proc->main_strand());
+    timer.start(milliseconds(10), [] {});
+    sim.run_for(milliseconds(25));
+  }  // destroyed with its next fire pending
+  PeriodicTimer stopped(proc->main_strand());
+  stopped.start(milliseconds(10), [] {});
+  stopped.stop();
+  // No event is left that would call into a dead or stopped timer, so
+  // draining the queue does not move the clock.
+  const SimTime before = sim.now();
+  sim.run();
+  EXPECT_EQ(sim.now(), before);
+}
+
 TEST(Rng, DeterministicAcrossRuns) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());

@@ -120,6 +120,23 @@ TEST_F(JournalTest, RecoverImageInvalidWithoutSnapshot) {
   EXPECT_FALSE(j.recover_image().valid);
 }
 
+TEST_F(JournalTest, CallerSuppliedPayloadCrcFramesIdenticallyOrFailsClosed) {
+  Journal plain(sim_, 0, "plain.j");
+  Journal given(sim_, 0, "given.j");
+  Journal wrong(sim_, 0, "wrong.j");
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    const Buffer p = payload(40 * i, static_cast<std::uint8_t>(i));
+    ASSERT_TRUE(plain.append(RecordType::kDelta, i, i - 1, p));
+    ASSERT_TRUE(given.append(RecordType::kDelta, i, i - 1, p, crc32c(p)));
+    ASSERT_TRUE(wrong.append(RecordType::kDelta, i, i - 1, p, i == 2 ? crc32c(p) ^ 1u : crc32c(p)));
+  }
+  EXPECT_EQ(*disk().read(0, "given.j.seg.00000000"), *disk().read(0, "plain.j.seg.00000000"));
+  // A CRC that does not match the payload ends the scan at that record.
+  auto records = wrong.recover();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].id, 1u);
+}
+
 TEST_F(JournalTest, TornTailTruncatedOnReopen) {
   std::string key;
   {
@@ -268,6 +285,91 @@ TEST(DiskStoreTest, CapacityRejectsWritesButKeepsExistingValue) {
   // Shrinking within the cap is fine.
   EXPECT_TRUE(disk.write(0, "k", Buffer(100)));
   EXPECT_EQ(disk.used_bytes(0), 100u);
+}
+
+TEST(DiskStoreTest, WriteAtAppendsAfterTheKeptPrefix) {
+  sim::Simulation sim;
+  auto& disk = sim::DiskStore::of(sim);
+  EXPECT_TRUE(disk.write_at(0, "k", 0, payload(10, 0)));  // missing key reads as empty
+  EXPECT_TRUE(disk.write_at(0, "k", 10, payload(5, 10)));
+  EXPECT_EQ(*disk.read(0, "k"), payload(15, 0));
+  EXPECT_EQ(disk.used_bytes(0), 15u);
+  // `at` past the end would leave a hole: refused, nothing changes.
+  EXPECT_FALSE(disk.write_at(0, "k", 16, payload(1, 0)));
+  EXPECT_FALSE(disk.write_at(0, "other", 1, payload(1, 0)));
+  EXPECT_EQ(*disk.read(0, "k"), payload(15, 0));
+  EXPECT_FALSE(disk.read(0, "other").has_value());
+  EXPECT_EQ(disk.used_bytes(0), 15u);
+}
+
+TEST(DiskStoreTest, WriteAtPastATornTailTruncatesIt) {
+  sim::Simulation sim;
+  auto& disk = sim::DiskStore::of(sim);
+  ASSERT_TRUE(disk.write(0, "k", payload(20, 0)));
+  // Bytes 12..19 are a torn record; the next append lands at 12.
+  EXPECT_TRUE(disk.write_at(0, "k", 12, payload(3, 100)));
+  Buffer want = payload(12, 0);
+  Buffer tail = payload(3, 100);
+  want.insert(want.end(), tail.begin(), tail.end());
+  EXPECT_EQ(*disk.read(0, "k"), want);
+  EXPECT_EQ(disk.used_bytes(0), 15u);
+}
+
+TEST(DiskStoreTest, RefusedWriteAtLeavesValueAndAccountingUnchanged) {
+  sim::Simulation sim;
+  auto& disk = sim::DiskStore::of(sim);
+  disk.set_capacity(0, 100);
+  ASSERT_TRUE(disk.write(0, "k", payload(80, 0)));
+  // Full disk: truncating 10 bytes and appending 31 would need 101.
+  EXPECT_FALSE(disk.write_at(0, "k", 70, payload(31, 0)));
+  EXPECT_EQ(*disk.read(0, "k"), payload(80, 0));
+  EXPECT_EQ(disk.used_bytes(0), 80u);
+  // Exactly at the cap is fine.
+  EXPECT_TRUE(disk.write_at(0, "k", 70, payload(30, 70)));
+  EXPECT_EQ(*disk.read(0, "k"), payload(100, 0));
+  EXPECT_EQ(disk.used_bytes(0), 100u);
+  // Failed disk: even a shrinking write is refused.
+  disk.fail_writes(0, true);
+  EXPECT_FALSE(disk.write_at(0, "k", 50, payload(1, 0)));
+  EXPECT_FALSE(disk.write_at(0, "new", 0, payload(1, 0)));
+  EXPECT_EQ(*disk.read(0, "k"), payload(100, 0));
+  EXPECT_FALSE(disk.read(0, "new").has_value());
+  EXPECT_EQ(disk.used_bytes(0), 100u);
+}
+
+// The journal appends through write_at; rotation, snapshot compaction
+// and max_segments drops must keep the node's used_bytes equal to what
+// actually sits on disk.
+TEST_F(JournalTest, DiskAccountingHoldsAcrossRotateCompactAndDrops) {
+  auto on_disk = [&](int node) {
+    std::size_t n = 0;
+    for (const std::string& key : disk().keys_with_prefix(node, "")) n += disk().read(node, key)->size();
+    return n;
+  };
+  JournalOptions compacting;
+  compacting.segment_bytes = 128;
+  Journal snaps(sim_, 0, "snap.j", compacting);
+  JournalOptions capped;
+  capped.segment_bytes = 128;
+  capped.auto_compact = false;
+  capped.max_segments = 2;
+  Journal msgs(sim_, 0, "msg.j", capped);
+  for (std::uint64_t i = 1; i <= 24; ++i) {
+    const RecordType type = i % 5 == 1 ? RecordType::kSnapshot : RecordType::kDelta;
+    ASSERT_TRUE(snaps.append(type, i, i - 1, payload(20 + 7 * (i % 4), 0)));
+    ASSERT_TRUE(msgs.append(RecordType::kMessage, i, 0, payload(40, 0)));
+    ASSERT_EQ(disk().used_bytes(0), on_disk(0)) << "after record " << i;
+  }
+  EXPECT_GT(snaps.compactions(), 0u);
+  EXPECT_GT(msgs.bytes_reclaimed(), 0u);
+  EXPECT_LE(msgs.segment_count(), 2u);
+  // Recovery sees the newest snapshot and the chain on top of it.
+  RecoveredImage img = snaps.recover_image();
+  ASSERT_TRUE(img.valid);
+  EXPECT_EQ(img.snapshot_id, 21u);
+  EXPECT_EQ(img.last_id, 24u);
+  snaps.wipe();
+  EXPECT_EQ(disk().used_bytes(0), on_disk(0));
 }
 
 }  // namespace
