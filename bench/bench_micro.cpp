@@ -96,10 +96,8 @@ void BM_OpcItemStatesMarshal(benchmark::State& state) {
                      opc::Quality::kGood, sim::seconds(1)});
   }
   for (auto _ : state) {
-    BinaryWriter w;
-    opc::marshal_item_states(w, items);
-    BinaryReader r(w.data());
-    benchmark::DoNotOptimize(opc::unmarshal_item_states(r));
+    std::vector<opc::ItemState> out;
+    benchmark::DoNotOptimize(codec::decode(codec::encode(items), out));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -117,45 +117,6 @@ bool MembershipView::merge(const MembershipView& other) {
   return false;
 }
 
-void MembershipView::encode(BinaryWriter& w) const {
-  w.u64(version);
-  w.u32(incarnation);
-  w.u16(static_cast<std::uint16_t>(members.size()));
-  for (const Member& m : members) {
-    w.i32(m.node);
-    w.i32(m.rank);
-    w.u8(static_cast<std::uint8_t>(m.role));
-    w.u32(m.incarnation);
-    w.i64(m.last_heartbeat);
-  }
-}
-
-bool MembershipView::decode(BinaryReader& r, MembershipView& out) {
-  out = MembershipView{};
-  out.version = r.u64();
-  out.incarnation = r.u32();
-  std::uint16_t n = r.u16();
-  if (r.failed()) return false;
-  // A member serializes to 21 bytes (i32 node + i32 rank + u8 role +
-  // u32 incarnation + i64 last_heartbeat): reject garbage counts before
-  // reserve() allocates anything.
-  if (n > r.remaining() / 21) return false;
-  out.members.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    Member m;
-    m.node = r.i32();
-    m.rank = r.i32();
-    std::uint8_t role = r.u8();
-    if (role > static_cast<std::uint8_t>(MemberRole::kDead)) return false;
-    m.role = static_cast<MemberRole>(role);
-    m.incarnation = r.u32();
-    m.last_heartbeat = r.i64();
-    if (r.failed()) return false;
-    out.members.push_back(m);
-  }
-  return !r.failed();
-}
-
 std::string MembershipView::summary() const {
   // Built by append: GCC 12's -Wrestrict falsely fires on chained
   // operator+ of a literal and a std::to_string temporary at -O3.

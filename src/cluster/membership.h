@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bytes.h"
 #include "sim/time.h"
 
 namespace oftt::cluster {
@@ -35,6 +34,7 @@ enum class MemberRole : std::uint8_t {
 };
 
 const char* member_role_name(MemberRole r);
+constexpr bool wire_valid(MemberRole r) { return r <= MemberRole::kDead; }
 
 struct Member {
   int node = -1;
@@ -46,6 +46,9 @@ struct Member {
   /// Freshest proof of life the view's owner has for this member.
   sim::SimTime last_heartbeat = 0;
 
+  template <class V> void fields(V& v) {
+    v(node); v(rank); v(role); v(incarnation); v(last_heartbeat);
+  }
   bool operator==(const Member&) const = default;
 };
 
@@ -83,9 +86,10 @@ struct MembershipView {
   /// observations. Returns true when the member list itself changed.
   bool merge(const MembershipView& other);
 
-  /// Wire format (embedded in core's ViewGossip / StatusReport).
-  void encode(BinaryWriter& w) const;
-  static bool decode(BinaryReader& r, MembershipView& out);
+  /// Wire layout (embedded in core's ViewGossip / StatusReport).
+  template <class V> void fields(V& v) {
+    v(version); v(incarnation); v.template list<std::uint16_t>(members);
+  }
 
   /// One-line operator rendering: "v3 inc2: 1*P 2.B 0!D" (rank order;
   /// * primary, . backup, ! dead, ? unknown).

@@ -109,6 +109,8 @@ class BinaryReader {
   /// True once any read ran past the end; all subsequent reads return
   /// zero values. Callers validate once at the end of a parse.
   bool failed() const { return failed_; }
+  /// Reject the rest of the parse: a field was read but is not valid.
+  void fail() { failed_ = true; }
   std::size_t remaining() const { return size_ - pos_; }
   bool at_end() const { return pos_ == size_; }
 

@@ -1,0 +1,291 @@
+// Declarative wire codecs: one field list per message.
+//
+// A message describes its layout once, as a member template
+//
+//   template <class V> void fields(V& v) {
+//     v.tag(MsgKind::kTakeover);  // fixed byte: kind, version
+//     v(from_node);               // scalars, enums, strings, blobs, guids
+//     v(reason);
+//     v(items);                   // std::vector: u32 count + elements
+//   }
+//
+// and the visitors below walk it. Writer emits the bytes; Reader parses
+// them fail-closed; MinSize computes the smallest encoding of a type,
+// which is what bounds a claimed element count against the bytes left.
+// Reader rejects:
+//   - a fixed byte (`tag`, `one_of`) with another value;
+//   - an enum byte its `wire_valid()` predicate refuses. Every wire enum
+//     has one, found by argument-dependent lookup next to the enum;
+//   - a count larger than the bytes left over the element's minimum
+//     encoded size — before anything is allocated;
+//   - anything a BinaryReader rejects (truncation, lying lengths);
+//   - and, for a whole frame (`decode`), trailing bytes.
+// Field types: bool, integers (little-endian, their own width), enums
+// (one byte), double, std::string and Buffer (u32 length + bytes), Guid,
+// std::vector<T> (u32 count; `list<Count>` picks another width),
+// std::variant (u8 index + alternative), std::pair, and any type with
+// its own fields(). Layouts are append-only: a field is never reordered
+// or removed, since that changes the bytes every peer and pinned hash
+// depends on.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
+
+#include "common/bytes.h"
+#include "common/guid.h"
+
+namespace oftt::codec {
+
+namespace detail {
+template <class T> struct is_vector : std::false_type {};
+template <class T> struct is_vector<std::vector<T>> : std::true_type {};
+template <class T> struct is_variant : std::false_type {};
+template <class... A> struct is_variant<std::variant<A...>> : std::true_type {};
+template <class T> struct is_pair : std::false_type {};
+template <class A, class B> struct is_pair<std::pair<A, B>> : std::true_type {};
+
+// Bytes, strings and guids have dedicated BinaryWriter/Reader calls;
+// every other scalar goes by its width.
+template <class T>
+inline constexpr bool is_scalar_v =
+    std::is_arithmetic_v<T> || std::is_enum_v<T> || std::is_same_v<T, std::monostate>;
+
+template <class T, bool = std::is_enum_v<T>> struct unsigned_of {
+  using type = std::make_unsigned_t<T>;
+};
+template <class T> struct unsigned_of<T, true> {
+  using type = std::make_unsigned_t<std::underlying_type_t<T>>;
+};
+}  // namespace detail
+
+template <class T> std::size_t min_size();
+
+/// Emits a field list with a BinaryWriter.
+class Writer {
+ public:
+  explicit Writer(BinaryWriter& w) : w_(w) {}
+
+  template <class K> void tag(K k) { w_.u8(static_cast<std::uint8_t>(k)); }
+  template <class E> void one_of(const E& e, std::initializer_list<E>) { tag(e); }
+  template <class T> void optional(const T& x, bool present) {
+    w_.boolean(present);
+    if (present) (*this)(x);
+  }
+  template <class Count, class T> void list(const std::vector<T>& xs) {
+    (*this)(static_cast<Count>(xs.size()));
+    for (const T& x : xs) (*this)(x);
+  }
+
+  template <class T> void operator()(const T& x) {
+    if constexpr (std::is_same_v<T, std::monostate>) {
+    } else if constexpr (std::is_same_v<T, bool>) {
+      w_.boolean(x);
+    } else if constexpr (std::is_same_v<T, double>) {
+      w_.f64(x);
+    } else if constexpr (detail::is_scalar_v<T>) {
+      static_assert(!std::is_enum_v<T> || sizeof(T) == 1, "wire enums are one byte");
+      const auto u = static_cast<typename detail::unsigned_of<T>::type>(x);
+      if constexpr (sizeof(T) == 1) w_.u8(u);
+      else if constexpr (sizeof(T) == 2) w_.u16(u);
+      else if constexpr (sizeof(T) == 4) w_.u32(u);
+      else w_.u64(u);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      w_.str(x);
+    } else if constexpr (std::is_same_v<T, Buffer>) {
+      w_.blob(x);
+    } else if constexpr (std::is_same_v<T, Guid>) {
+      w_.guid(x);
+    } else if constexpr (detail::is_vector<T>::value) {
+      list<std::uint32_t>(x);
+    } else if constexpr (detail::is_variant<T>::value) {
+      tag(x.index());
+      std::visit([this](const auto& alt) { (*this)(alt); }, x);
+    } else if constexpr (detail::is_pair<T>::value) {
+      (*this)(x.first);
+      (*this)(x.second);
+    } else {
+      // Writing never mutates; fields() is non-const only so Reader can
+      // share it.
+      const_cast<T&>(x).fields(*this);
+    }
+  }
+
+ private:
+  BinaryWriter& w_;
+};
+
+/// Parses a field list fail-closed: any rejection marks the underlying
+/// BinaryReader failed, and every later read yields zero values.
+class Reader {
+ public:
+  explicit Reader(BinaryReader& r) : r_(r) {}
+
+  template <class K> void tag(K k) {
+    if (r_.u8() != static_cast<std::uint8_t>(k)) r_.fail();
+  }
+  template <class E> void one_of(E& e, std::initializer_list<E> allowed) {
+    const std::uint8_t raw = r_.u8();
+    for (E a : allowed) {
+      if (raw == static_cast<std::uint8_t>(a)) {
+        e = a;
+        return;
+      }
+    }
+    r_.fail();
+  }
+  template <class T> void optional(T& x, bool /*present: decided by the wire*/) {
+    x = T{};
+    if (r_.boolean()) (*this)(x);
+  }
+  template <class Count, class T> void list(std::vector<T>& xs) {
+    Count n{};
+    (*this)(n);
+    if (r_.failed()) return;
+    if (n > r_.remaining() / std::max<std::size_t>(1, min_size<T>())) {
+      r_.fail();
+      return;
+    }
+    xs.clear();
+    xs.resize(n);
+    for (T& x : xs) {
+      (*this)(x);
+      if (r_.failed()) return;
+    }
+  }
+
+  template <class T> void operator()(T& x) {
+    if constexpr (std::is_same_v<T, std::monostate>) {
+    } else if constexpr (std::is_same_v<T, bool>) {
+      x = r_.boolean();
+    } else if constexpr (std::is_same_v<T, double>) {
+      x = r_.f64();
+    } else if constexpr (std::is_enum_v<T>) {
+      const T e = static_cast<T>(r_.u8());
+      if (wire_valid(e)) x = e;
+      else r_.fail();
+    } else if constexpr (detail::is_scalar_v<T>) {
+      typename detail::unsigned_of<T>::type u{};
+      if constexpr (sizeof(T) == 1) u = r_.u8();
+      else if constexpr (sizeof(T) == 2) u = r_.u16();
+      else if constexpr (sizeof(T) == 4) u = r_.u32();
+      else u = r_.u64();
+      x = static_cast<T>(u);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      x = r_.str();
+    } else if constexpr (std::is_same_v<T, Buffer>) {
+      x = r_.blob();
+    } else if constexpr (std::is_same_v<T, Guid>) {
+      x = r_.guid();
+    } else if constexpr (detail::is_vector<T>::value) {
+      list<std::uint32_t>(x);
+    } else if constexpr (detail::is_variant<T>::value) {
+      read_variant(x, std::make_index_sequence<std::variant_size_v<T>>{});
+    } else if constexpr (detail::is_pair<T>::value) {
+      (*this)(x.first);
+      (*this)(x.second);
+    } else {
+      x.fields(*this);
+    }
+  }
+
+ private:
+  template <class V, std::size_t... I> void read_variant(V& v, std::index_sequence<I...>) {
+    const std::uint8_t index = r_.u8();
+    if (index >= sizeof...(I)) {
+      r_.fail();
+      return;
+    }
+    ((index == I ? (*this)(v.template emplace<I>()) : void()), ...);
+  }
+
+  BinaryReader& r_;
+};
+
+/// Sums the smallest encoding of a field list: counts, lengths and
+/// presence flags at zero, a variant at its smallest alternative.
+class MinSize {
+ public:
+  std::size_t bytes = 0;
+
+  template <class K> void tag(K) { bytes += 1; }
+  template <class E> void one_of(E&, std::initializer_list<E>) { bytes += 1; }
+  template <class T> void optional(T&, bool) { bytes += 1; }
+  template <class Count, class T> void list(std::vector<T>&) { bytes += sizeof(Count); }
+
+  template <class T> void operator()(T& x) {
+    if constexpr (std::is_same_v<T, std::monostate>) {
+    } else if constexpr (detail::is_scalar_v<T>) {
+      bytes += sizeof(T);
+    } else if constexpr (std::is_same_v<T, std::string> || detail::is_vector<T>::value) {
+      bytes += 4;  // Buffer is a vector too: u32 length
+    } else if constexpr (std::is_same_v<T, Guid>) {
+      bytes += 16;
+    } else if constexpr (detail::is_variant<T>::value) {
+      bytes += 1 + smallest_alternative(static_cast<T*>(nullptr));
+    } else if constexpr (detail::is_pair<T>::value) {
+      (*this)(x.first);
+      (*this)(x.second);
+    } else {
+      x.fields(*this);
+    }
+  }
+
+ private:
+  template <class... A> static std::size_t smallest_alternative(std::variant<A...>*) {
+    return std::min({min_size<A>()...});
+  }
+};
+
+/// Smallest encoding of T, computed once per type from its field list.
+template <class T> std::size_t min_size() {
+  static const std::size_t n = [] {
+    MinSize m;
+    T x{};
+    m(x);
+    return m.bytes;
+  }();
+  return n;
+}
+
+/// Append fields to a writer (an embedded layout, no framing).
+template <class... T> void write(BinaryWriter& w, const T&... xs) {
+  Writer v(w);
+  (v(xs), ...);
+}
+
+/// Read fields from the reader's position; true unless the reader
+/// failed (now or earlier). Trailing bytes are the caller's business.
+template <class... T> bool read(BinaryReader& r, T&... xs) {
+  Reader v(r);
+  (v(xs), ...);
+  return !r.failed();
+}
+
+/// Fields into a fresh buffer.
+template <class... T> Buffer encode(const T&... xs) {
+  BinaryWriter w;
+  write(w, xs...);
+  return std::move(w).take();
+}
+
+/// Whole-frame decode: every field valid and no byte left over.
+template <class T> bool decode(const Buffer& b, T& out) {
+  BinaryReader r(b);
+  return read(r, out) && r.at_end();
+}
+
+/// CRTP base giving a message with fields() the `msg.encode()` /
+/// `T::decode(buf, out)` pair.
+template <class T> struct Message {
+  Buffer encode() const { return codec::encode(static_cast<const T&>(*this)); }
+  static bool decode(const Buffer& b, T& out) { return codec::decode(b, out); }
+};
+
+}  // namespace oftt::codec

@@ -20,6 +20,8 @@ enum class Role : std::uint8_t {
 };
 
 const char* role_name(Role r);
+/// Wire and disk validity (every wire enum has one; see common/codec.h).
+constexpr bool wire_valid(Role r) { return r <= Role::kShutdown; }
 
 /// How the execution unit keeps its backups restorable. The numeric
 /// values travel on the wire (FtHeartbeat, PolicySwitch) and in the
@@ -38,6 +40,7 @@ enum class ReplicationMode : std::uint8_t {
 };
 
 const char* replication_mode_name(ReplicationMode m);
+constexpr bool wire_valid(ReplicationMode m) { return m <= ReplicationMode::kSemiActive; }
 
 /// How cluster mode learns liveness. Pair mode ignores this.
 enum class DetectionMode : std::uint8_t {

@@ -312,11 +312,9 @@ void Engine::enter_role(Role role) {
 }
 
 void Engine::persist_role_hint() {
-  BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(role_));
-  w.u32(incarnation_);
   sim::DiskStore::of(process_->sim())
-      .write(process_->node().id(), "oftt.role." + config_.unit_name, std::move(w).take());
+      .write(process_->node().id(), "oftt.role." + config_.unit_name,
+             codec::encode(role_, incarnation_));
 }
 
 void Engine::restore_role_hint() {
@@ -324,9 +322,13 @@ void Engine::restore_role_hint() {
                   .read(process_->node().id(), "oftt.role." + config_.unit_name);
   if (!blob) return;
   BinaryReader r(*blob);
-  Role stored_role = static_cast<Role>(r.u8());
-  std::uint32_t stored_inc = r.u32();
-  if (r.failed()) return;
+  Role stored_role = Role::kUnknown;
+  std::uint32_t stored_inc = 0;
+  if (!codec::read(r, stored_role, stored_inc) || !r.at_end()) {
+    OFTT_LOG_WARN("oftt/engine", process_->node().name(), ": ignored malformed role hint (",
+                  blob->size(), " bytes)");
+    return;
+  }
   // Seed the incarnation clock from before the reboot: a former primary
   // must not come back announcing a *stale* incarnation, or its probes
   // would look older than the promoted peer's reign and the negotiation

@@ -44,564 +44,22 @@ std::string ftim_port(const std::string& process_name) { return "oftt.ftim." + p
 
 std::uint8_t wire_kind(const Buffer& payload) { return payload.empty() ? 0 : payload[0]; }
 
-namespace {
-BinaryWriter begin(MsgKind kind) {
-  BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(kind));
-  return w;
-}
-bool begin_read(const Buffer& b, MsgKind kind, BinaryReader& r) {
-  return static_cast<MsgKind>(r.u8()) == kind && b.size() >= 1;
-}
-}  // namespace
-
 Buffer Probe::encode(bool reply) const {
-  BinaryWriter w = begin(reply ? MsgKind::kProbeReply : MsgKind::kProbe);
-  w.i32(node);
-  w.i32(boot_count);
-  w.u32(incarnation);
-  w.u8(static_cast<std::uint8_t>(role));
-  return std::move(w).take();
+  Probe p = *this;
+  p.kind = reply ? MsgKind::kProbeReply : MsgKind::kProbe;
+  return codec::encode(p);
 }
 
 bool Probe::decode(const Buffer& b, Probe& out, bool reply) {
-  BinaryReader r(b);
-  if (!begin_read(b, reply ? MsgKind::kProbeReply : MsgKind::kProbe, r)) return false;
-  out.node = r.i32();
-  out.boot_count = r.i32();
-  out.incarnation = r.u32();
-  out.role = static_cast<Role>(r.u8());
-  return !r.failed();
+  return codec::decode(b, out) && out.kind == (reply ? MsgKind::kProbeReply : MsgKind::kProbe);
 }
 
-Buffer PeerHeartbeat::encode() const {
-  BinaryWriter w = begin(MsgKind::kPeerHeartbeat);
-  w.i32(node);
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u32(incarnation);
-  w.u64(seq);
-  w.boolean(replica_ready);
-  return std::move(w).take();
+Buffer encode_checkpoint(std::string component, Buffer image) {
+  return CheckpointFrame{{}, std::move(component), std::move(image)}.encode();
 }
 
-bool PeerHeartbeat::decode(const Buffer& b, PeerHeartbeat& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kPeerHeartbeat, r)) return false;
-  out.node = r.i32();
-  out.role = static_cast<Role>(r.u8());
-  out.incarnation = r.u32();
-  out.seq = r.u64();
-  out.replica_ready = r.boolean();
-  return !r.failed();
-}
-
-Buffer Takeover::encode() const {
-  BinaryWriter w = begin(MsgKind::kTakeover);
-  w.i32(from_node);
-  w.u32(incarnation);
-  w.str(reason);
-  return std::move(w).take();
-}
-
-bool Takeover::decode(const Buffer& b, Takeover& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kTakeover, r)) return false;
-  out.from_node = r.i32();
-  out.incarnation = r.u32();
-  out.reason = r.str();
-  return !r.failed();
-}
-
-Buffer FtRegister::encode() const {
-  BinaryWriter w = begin(MsgKind::kFtRegister);
-  w.str(component);
-  w.str(process_name);
-  w.str(ftim_port);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.i32(max_local_restarts);
-  w.i32(switchover_on_permanent);
-  w.boolean(currently_active);
-  w.u32(incarnation);
-  return std::move(w).take();
-}
-
-bool FtRegister::decode(const Buffer& b, FtRegister& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kFtRegister, r)) return false;
-  out.component = r.str();
-  out.process_name = r.str();
-  out.ftim_port = r.str();
-  out.kind = static_cast<FtimKind>(r.u8());
-  out.max_local_restarts = r.i32();
-  out.switchover_on_permanent = r.i32();
-  out.currently_active = r.boolean();
-  out.incarnation = r.u32();
-  return !r.failed();
-}
-
-Buffer FtHeartbeat::encode() const {
-  BinaryWriter w = begin(MsgKind::kFtHeartbeat);
-  w.str(component);
-  w.u64(seq);
-  w.u8(static_cast<std::uint8_t>(policy));
-  w.boolean(ready);
-  w.i64(applied_at);
-  return std::move(w).take();
-}
-
-bool FtHeartbeat::decode(const Buffer& b, FtHeartbeat& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kFtHeartbeat, r)) return false;
-  out.component = r.str();
-  out.seq = r.u64();
-  out.policy = static_cast<ReplicationMode>(r.u8());
-  out.ready = r.boolean();
-  out.applied_at = r.i64();
-  return !r.failed();
-}
-
-Buffer FtDistress::encode() const {
-  BinaryWriter w = begin(MsgKind::kFtDistress);
-  w.str(component);
-  w.str(reason);
-  return std::move(w).take();
-}
-
-bool FtDistress::decode(const Buffer& b, FtDistress& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kFtDistress, r)) return false;
-  out.component = r.str();
-  out.reason = r.str();
-  return !r.failed();
-}
-
-Buffer WatchdogMsg::encode() const {
-  BinaryWriter w = begin(op);
-  w.str(component);
-  w.str(watchdog);
-  w.i64(timeout);
-  return std::move(w).take();
-}
-
-bool WatchdogMsg::decode(const Buffer& b, WatchdogMsg& out) {
-  BinaryReader r(b);
-  auto kind = static_cast<MsgKind>(r.u8());
-  if (kind != MsgKind::kWatchdogCreate && kind != MsgKind::kWatchdogReset &&
-      kind != MsgKind::kWatchdogDelete) {
-    return false;
-  }
-  out.op = kind;
-  out.component = r.str();
-  out.watchdog = r.str();
-  out.timeout = r.i64();
-  return !r.failed();
-}
-
-Buffer SetRule::encode() const {
-  BinaryWriter w = begin(MsgKind::kSetRule);
-  w.str(component);
-  w.i32(max_local_restarts);
-  w.i32(switchover_on_permanent);
-  return std::move(w).take();
-}
-
-bool SetRule::decode(const Buffer& b, SetRule& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kSetRule, r)) return false;
-  out.component = r.str();
-  out.max_local_restarts = r.i32();
-  out.switchover_on_permanent = r.i32();
-  return !r.failed();
-}
-
-Buffer SetActive::encode() const {
-  BinaryWriter w = begin(MsgKind::kSetActive);
-  w.boolean(active);
-  w.u32(incarnation);
-  w.u8(static_cast<std::uint8_t>(role));
-  return std::move(w).take();
-}
-
-bool SetActive::decode(const Buffer& b, SetActive& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kSetActive, r)) return false;
-  out.active = r.boolean();
-  out.incarnation = r.u32();
-  out.role = static_cast<Role>(r.u8());
-  return !r.failed();
-}
-
-Buffer EngineHello::encode() const {
-  BinaryWriter w = begin(MsgKind::kEngineHello);
-  w.i32(node);
-  return std::move(w).take();
-}
-
-bool EngineHello::decode(const Buffer& b, EngineHello& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kEngineHello, r)) return false;
-  out.node = r.i32();
-  return !r.failed();
-}
-
-Buffer StatusReport::encode() const {
-  BinaryWriter w = begin(MsgKind::kStatusReport);
-  w.str(unit);
-  w.i32(node);
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u32(incarnation);
-  w.boolean(peer_visible);
-  w.u32(static_cast<std::uint32_t>(components.size()));
-  for (const auto& c : components) {
-    w.str(c.name);
-    w.u8(static_cast<std::uint8_t>(c.state));
-    w.i32(c.restarts);
-    w.u64(c.heartbeats);
-    w.u8(static_cast<std::uint8_t>(c.policy));
-    w.boolean(c.ready);
-  }
-  w.boolean(!view.members.empty());
-  if (!view.members.empty()) view.encode(w);
-  w.u32(static_cast<std::uint32_t>(swim_members.size()));
-  for (const auto& u : swim_members) u.encode(w);
-  return std::move(w).take();
-}
-
-bool StatusReport::decode(const Buffer& b, StatusReport& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kStatusReport, r)) return false;
-  out.unit = r.str();
-  out.node = r.i32();
-  out.role = static_cast<Role>(r.u8());
-  out.incarnation = r.u32();
-  out.peer_visible = r.boolean();
-  std::uint32_t n = r.u32();
-  // A component status serializes to at least 19 bytes (4-byte name
-  // length + u8 state + i32 restarts + u64 heartbeats + u8 policy +
-  // bool ready): reject garbage counts before the loop allocates
-  // anything.
-  if (n > r.remaining() / 19) return false;
-  out.components.clear();
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-    ComponentStatus c;
-    c.name = r.str();
-    c.state = static_cast<ComponentState>(r.u8());
-    c.restarts = r.i32();
-    c.heartbeats = r.u64();
-    c.policy = static_cast<ReplicationMode>(r.u8());
-    c.ready = r.boolean();
-    out.components.push_back(std::move(c));
-  }
-  out.view = cluster::MembershipView{};
-  if (!r.failed() && r.boolean()) {
-    if (!cluster::MembershipView::decode(r, out.view)) return false;
-  }
-  if (r.failed()) return false;
-  std::uint32_t sn = r.u32();
-  // A swim update serializes to exactly 9 bytes (i32 node + u32
-  // incarnation + u8 state).
-  if (sn > r.remaining() / 9) return false;
-  out.swim_members.clear();
-  for (std::uint32_t i = 0; i < sn; ++i) {
-    swim::Update u;
-    if (!swim::Update::decode(r, u)) return false;
-    out.swim_members.push_back(u);
-  }
-  return !r.failed();
-}
-
-Buffer RoleAnnounce::encode() const {
-  BinaryWriter w = begin(MsgKind::kRoleAnnounce);
-  w.str(unit);
-  w.i32(node);
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u32(incarnation);
-  return std::move(w).take();
-}
-
-bool RoleAnnounce::decode(const Buffer& b, RoleAnnounce& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kRoleAnnounce, r)) return false;
-  out.unit = r.str();
-  out.node = r.i32();
-  out.role = static_cast<Role>(r.u8());
-  out.incarnation = r.u32();
-  return !r.failed();
-}
-
-Buffer SubscribeRoles::encode() const {
-  BinaryWriter w = begin(MsgKind::kSubscribeRoles);
-  w.i32(subscriber_node);
-  w.str(subscriber_port);
-  return std::move(w).take();
-}
-
-bool SubscribeRoles::decode(const Buffer& b, SubscribeRoles& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kSubscribeRoles, r)) return false;
-  out.subscriber_node = r.i32();
-  out.subscriber_port = r.str();
-  return !r.failed();
-}
-
-Buffer ViewGossip::encode() const {
-  BinaryWriter w = begin(MsgKind::kViewGossip);
-  w.u8(kClusterWireVersion);
-  w.i32(from_node);
-  w.str(unit);
-  view.encode(w);
-  return std::move(w).take();
-}
-
-bool ViewGossip::decode(const Buffer& b, ViewGossip& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kViewGossip, r)) return false;
-  if (r.u8() != kClusterWireVersion) return false;
-  out.from_node = r.i32();
-  out.unit = r.str();
-  if (!cluster::MembershipView::decode(r, out.view)) return false;
-  return !r.failed();
-}
-
-Buffer PromoteRequest::encode() const {
-  BinaryWriter w = begin(MsgKind::kPromoteRequest);
-  w.u8(kClusterWireVersion);
-  w.i32(candidate);
-  w.str(unit);
-  w.u32(incarnation);
-  w.u64(view_version);
-  w.str(reason);
-  return std::move(w).take();
-}
-
-bool PromoteRequest::decode(const Buffer& b, PromoteRequest& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kPromoteRequest, r)) return false;
-  if (r.u8() != kClusterWireVersion) return false;
-  out.candidate = r.i32();
-  out.unit = r.str();
-  out.incarnation = r.u32();
-  out.view_version = r.u64();
-  out.reason = r.str();
-  return !r.failed();
-}
-
-Buffer PromoteAck::encode() const {
-  BinaryWriter w = begin(MsgKind::kPromoteAck);
-  w.u8(kClusterWireVersion);
-  w.i32(voter);
-  w.i32(candidate);
-  w.u32(incarnation);
-  w.boolean(granted);
-  return std::move(w).take();
-}
-
-bool PromoteAck::decode(const Buffer& b, PromoteAck& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kPromoteAck, r)) return false;
-  if (r.u8() != kClusterWireVersion) return false;
-  out.voter = r.i32();
-  out.candidate = r.i32();
-  out.incarnation = r.u32();
-  out.granted = r.boolean();
-  return !r.failed();
-}
-
-Buffer DecisionMsg::encode() const {
-  BinaryWriter w = begin(MsgKind::kDecision);
-  w.str(component);
-  w.u64(seq);
-  w.i64(decided_at);
-  w.blob(payload);
-  return std::move(w).take();
-}
-
-bool DecisionMsg::decode(const Buffer& b, DecisionMsg& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kDecision, r)) return false;
-  out.component = r.str();
-  out.seq = r.u64();
-  out.decided_at = r.i64();
-  out.payload = r.blob();
-  return !r.failed();
-}
-
-Buffer PolicySwitchMsg::encode() const {
-  BinaryWriter w = begin(MsgKind::kPolicySwitch);
-  w.str(component);
-  w.u8(static_cast<std::uint8_t>(to));
-  w.u32(incarnation);
-  w.u64(at_seq);
-  w.u64(decision_seq);
-  w.str(reason);
-  return std::move(w).take();
-}
-
-bool PolicySwitchMsg::decode(const Buffer& b, PolicySwitchMsg& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kPolicySwitch, r)) return false;
-  out.component = r.str();
-  out.to = static_cast<ReplicationMode>(r.u8());
-  out.incarnation = r.u32();
-  out.at_seq = r.u64();
-  out.decision_seq = r.u64();
-  out.reason = r.str();
-  return !r.failed();
-}
-
-Buffer encode_checkpoint(const std::string& component, const Buffer& image) {
-  BinaryWriter w = begin(MsgKind::kCheckpoint);
-  w.str(component);
-  w.blob(image);
-  return std::move(w).take();
-}
-
-bool decode_checkpoint(const Buffer& b, std::string& component, Buffer& image) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kCheckpoint, r)) return false;
-  component = r.str();
-  image = r.blob();
-  return !r.failed();
-}
-
-Buffer encode_checkpoint_nack(const std::string& component, std::uint64_t have_seq) {
-  BinaryWriter w = begin(MsgKind::kCheckpointNack);
-  w.str(component);
-  w.u64(have_seq);
-  return std::move(w).take();
-}
-
-bool decode_checkpoint_nack(const Buffer& b, std::string& component,
-                            std::uint64_t& have_seq) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kCheckpointNack, r)) return false;
-  component = r.str();
-  have_seq = r.u64();
-  return !r.failed() && r.at_end();
-}
-
-Buffer CheckpointPull::encode() const {
-  BinaryWriter w = begin(MsgKind::kCheckpointPull);
-  w.str(component);
-  w.u64(have_seq);
-  w.u32(have_incarnation);
-  w.i32(from_node);
-  return std::move(w).take();
-}
-
-bool CheckpointPull::decode(const Buffer& b, CheckpointPull& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kCheckpointPull, r)) return false;
-  out.component = r.str();
-  out.have_seq = r.u64();
-  out.have_incarnation = r.u32();
-  out.from_node = r.i32();
-  return !r.failed();
-}
-
-namespace {
-
-// The three swim frames share one payload layout after their two
-// leading i32 addresses; factoring it keeps the encoders byte-for-byte
-// consistent so a proxy can relay frames without re-encoding.
-void swim_encode_tail(BinaryWriter& w, std::uint64_t seq, Role role,
-                      std::uint32_t incarnation, bool replica_ready,
-                      const std::vector<swim::Update>& updates) {
-  w.u64(seq);
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u32(incarnation);
-  w.boolean(replica_ready);
-  w.u8(static_cast<std::uint8_t>(updates.size()));
-  for (const auto& u : updates) u.encode(w);
-}
-
-bool swim_decode_tail(BinaryReader& r, std::uint64_t& seq, Role& role,
-                      std::uint32_t& incarnation, bool& replica_ready,
-                      std::vector<swim::Update>& updates) {
-  seq = r.u64();
-  role = static_cast<Role>(r.u8());
-  incarnation = r.u32();
-  replica_ready = r.boolean();
-  std::uint8_t n = r.u8();
-  if (r.failed()) return false;
-  // A swim update serializes to exactly 9 bytes; the count byte caps
-  // the batch at 255 but a garbled count must still not over-read.
-  if (n > r.remaining() / 9) return false;
-  updates.clear();
-  for (std::uint8_t i = 0; i < n; ++i) {
-    swim::Update u;
-    if (!swim::Update::decode(r, u)) return false;
-    updates.push_back(u);
-  }
-  return !r.failed();
-}
-
-}  // namespace
-
-Buffer SwimProbe::encode() const {
-  BinaryWriter w = begin(MsgKind::kSwimProbe);
-  w.u8(kClusterWireVersion);
-  w.i32(from);
-  w.i32(origin);
-  swim_encode_tail(w, seq, role, incarnation, replica_ready, updates);
-  return std::move(w).take();
-}
-
-bool SwimProbe::decode(const Buffer& b, SwimProbe& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kSwimProbe, r)) return false;
-  if (r.u8() != kClusterWireVersion) return false;
-  out.from = r.i32();
-  out.origin = r.i32();
-  if (!swim_decode_tail(r, out.seq, out.role, out.incarnation,
-                        out.replica_ready, out.updates)) {
-    return false;
-  }
-  return !r.failed();
-}
-
-Buffer SwimAck::encode() const {
-  BinaryWriter w = begin(MsgKind::kSwimAck);
-  w.u8(kClusterWireVersion);
-  w.i32(from);
-  w.i32(origin);
-  swim_encode_tail(w, seq, role, incarnation, replica_ready, updates);
-  return std::move(w).take();
-}
-
-bool SwimAck::decode(const Buffer& b, SwimAck& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kSwimAck, r)) return false;
-  if (r.u8() != kClusterWireVersion) return false;
-  out.from = r.i32();
-  out.origin = r.i32();
-  if (!swim_decode_tail(r, out.seq, out.role, out.incarnation,
-                        out.replica_ready, out.updates)) {
-    return false;
-  }
-  return !r.failed();
-}
-
-Buffer SwimPingReq::encode() const {
-  BinaryWriter w = begin(MsgKind::kSwimPingReq);
-  w.u8(kClusterWireVersion);
-  w.i32(from);
-  w.i32(target);
-  swim_encode_tail(w, seq, role, incarnation, replica_ready, updates);
-  return std::move(w).take();
-}
-
-bool SwimPingReq::decode(const Buffer& b, SwimPingReq& out) {
-  BinaryReader r(b);
-  if (!begin_read(b, MsgKind::kSwimPingReq, r)) return false;
-  if (r.u8() != kClusterWireVersion) return false;
-  out.from = r.i32();
-  out.target = r.i32();
-  if (!swim_decode_tail(r, out.seq, out.role, out.incarnation,
-                        out.replica_ready, out.updates)) {
-    return false;
-  }
-  return !r.failed();
+Buffer encode_checkpoint_nack(std::string component, std::uint64_t have_seq) {
+  return CheckpointNack{{}, std::move(component), have_seq}.encode();
 }
 
 }  // namespace oftt::core

@@ -14,6 +14,7 @@
 
 #include "cluster/membership.h"
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "core/config.h"
 #include "swim/swim.h"
 
@@ -72,16 +73,26 @@ inline constexpr std::uint8_t kClusterWireVersion = 1;
 
 std::uint8_t wire_kind(const Buffer& payload);
 
+// Every message below lists its layout once, in fields() (see
+// common/codec.h): the kind byte first, then the fields in wire order.
+// codec::Message supplies `msg.encode()` and `T::decode(buf, out)`.
+
+/// Probe and its reply share one layout under two kind bytes.
 struct Probe {
+  MsgKind kind = MsgKind::kProbe;  // kProbe or kProbeReply
   int node = -1;
   int boot_count = 0;
   std::uint32_t incarnation = 0;
   Role role = Role::kUnknown;
+  template <class V> void fields(V& v) {
+    v.one_of(kind, {MsgKind::kProbe, MsgKind::kProbeReply});
+    v(node); v(boot_count); v(incarnation); v(role);
+  }
   Buffer encode(bool reply) const;
   static bool decode(const Buffer& b, Probe& out, bool reply);
 };
 
-struct PeerHeartbeat {
+struct PeerHeartbeat : codec::Message<PeerHeartbeat> {
   int node = -1;
   Role role = Role::kUnknown;
   std::uint32_t incarnation = 0;
@@ -89,21 +100,26 @@ struct PeerHeartbeat {
   /// Every local replica is fresh enough (per its policy's staleness
   /// bound) to take over. Succession prefers ready nodes.
   bool replica_ready = true;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, PeerHeartbeat& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kPeerHeartbeat);
+    v(node); v(role); v(incarnation); v(seq); v(replica_ready);
+  }
 };
 
-struct Takeover {
+struct Takeover : codec::Message<Takeover> {
   int from_node = -1;
   std::uint32_t incarnation = 0;
   std::string reason;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, Takeover& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kTakeover);
+    v(from_node); v(incarnation); v(reason);
+  }
 };
 
 enum class FtimKind : std::uint8_t { kOpcClient = 0, kOpcServer = 1 };
+constexpr bool wire_valid(FtimKind k) { return k <= FtimKind::kOpcServer; }
 
-struct FtRegister {
+struct FtRegister : codec::Message<FtRegister> {
   std::string component;     // logical component name
   std::string process_name;  // for engine-driven restart
   std::string ftim_port;
@@ -114,11 +130,14 @@ struct FtRegister {
   /// node's live role instead of renegotiating over running state.
   bool currently_active = false;
   std::uint32_t incarnation = 0;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, FtRegister& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kFtRegister);
+    v(component); v(process_name); v(ftim_port); v(kind); v(max_local_restarts);
+    v(switchover_on_permanent); v(currently_active); v(incarnation);
+  }
 };
 
-struct FtHeartbeat {
+struct FtHeartbeat : codec::Message<FtHeartbeat> {
   std::string component;
   std::uint64_t seq = 0;
   /// Active replication policy, so the engine can aggregate per-node
@@ -130,24 +149,30 @@ struct FtHeartbeat {
   /// When the newest replica state this FTIM holds was applied (sim
   /// time; 0 = nothing applied yet).
   sim::SimTime applied_at = 0;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, FtHeartbeat& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kFtHeartbeat);
+    v(component); v(seq); v(policy); v(ready); v(applied_at);
+  }
 };
 
-struct FtDistress {
+struct FtDistress : codec::Message<FtDistress> {
   std::string component;
   std::string reason;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, FtDistress& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kFtDistress);
+    v(component); v(reason);
+  }
 };
 
-struct WatchdogMsg {
+struct WatchdogMsg : codec::Message<WatchdogMsg> {
   MsgKind op = MsgKind::kWatchdogCreate;
   std::string component;
   std::string watchdog;
   sim::SimTime timeout = 0;  // create/reset
-  Buffer encode() const;
-  static bool decode(const Buffer& b, WatchdogMsg& out);
+  template <class V> void fields(V& v) {
+    v.one_of(op, {MsgKind::kWatchdogCreate, MsgKind::kWatchdogReset, MsgKind::kWatchdogDelete});
+    v(component); v(watchdog); v(timeout);
+  }
 };
 
 /// Run-time recovery-rule update — the paper's stated extension ("An
@@ -155,26 +180,32 @@ struct WatchdogMsg {
 /// rule either statically at compilation time or dynamically at
 /// run-time. The current implementation only supports static
 /// decision."); this implementation supports both.
-struct SetRule {
+struct SetRule : codec::Message<SetRule> {
   std::string component;
   int max_local_restarts = -1;
   int switchover_on_permanent = -1;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, SetRule& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kSetRule);
+    v(component); v(max_local_restarts); v(switchover_on_permanent);
+  }
 };
 
-struct SetActive {
+struct SetActive : codec::Message<SetActive> {
   bool active = false;
   std::uint32_t incarnation = 0;
   Role role = Role::kUnknown;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, SetActive& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kSetActive);
+    v(active); v(incarnation); v(role);
+  }
 };
 
-struct EngineHello {
+struct EngineHello : codec::Message<EngineHello> {
   int node = -1;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, EngineHello& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kEngineHello);
+    v(node);
+  }
 };
 
 enum class ComponentState : std::uint8_t {
@@ -184,6 +215,7 @@ enum class ComponentState : std::uint8_t {
   kRestarting = 3,
 };
 const char* component_state_name(ComponentState s);
+constexpr bool wire_valid(ComponentState s) { return s <= ComponentState::kRestarting; }
 
 struct ComponentStatus {
   std::string name;
@@ -192,9 +224,12 @@ struct ComponentStatus {
   std::uint64_t heartbeats = 0;
   ReplicationMode policy = ReplicationMode::kColdPassive;
   bool ready = true;
+  template <class V> void fields(V& v) {
+    v(name); v(state); v(restarts); v(heartbeats); v(policy); v(ready);
+  }
 };
 
-struct StatusReport {
+struct StatusReport : codec::Message<StatusReport> {
   std::string unit;
   int node = -1;
   Role role = Role::kUnknown;
@@ -208,58 +243,72 @@ struct StatusReport {
   /// suspect / dead with incarnation numbers) — what the monitor's swim
   /// board renders. Empty under legacy gossip detection.
   std::vector<swim::Update> swim_members;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, StatusReport& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kStatusReport);
+    v(unit); v(node); v(role); v(incarnation); v(peer_visible); v(components);
+    v.optional(view, !view.members.empty());
+    v(swim_members);
+  }
 };
 
-struct RoleAnnounce {
+struct RoleAnnounce : codec::Message<RoleAnnounce> {
   std::string unit;
   int node = -1;
   Role role = Role::kUnknown;
   std::uint32_t incarnation = 0;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, RoleAnnounce& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kRoleAnnounce);
+    v(unit); v(node); v(role); v(incarnation);
+  }
 };
 
-struct SubscribeRoles {
+struct SubscribeRoles : codec::Message<SubscribeRoles> {
   int subscriber_node = -1;
   std::string subscriber_port;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, SubscribeRoles& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kSubscribeRoles);
+    v(subscriber_node); v(subscriber_port);
+  }
 };
 
 /// The primary's periodic membership broadcast (cluster mode). Sent to
 /// every configured member — including ones marked dead, so a rebooted
 /// node resynchronizes its view without a separate join protocol.
-struct ViewGossip {
+struct ViewGossip : codec::Message<ViewGossip> {
   int from_node = -1;
   std::string unit;
   cluster::MembershipView view;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, ViewGossip& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kViewGossip); v.tag(kClusterWireVersion);
+    v(from_node); v(unit); v(view);
+  }
 };
 
 /// A backup that believes the primary failed asks the surviving members
 /// to ack its promotion at `incarnation` (see cluster/quorum.h).
-struct PromoteRequest {
+struct PromoteRequest : codec::Message<PromoteRequest> {
   int candidate = -1;
   std::string unit;
   std::uint32_t incarnation = 0;   // proposed (current + 1)
   std::uint64_t view_version = 0;  // candidate's view when it decided
   std::string reason;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, PromoteRequest& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kPromoteRequest); v.tag(kClusterWireVersion);
+    v(candidate); v(unit); v(incarnation); v(view_version); v(reason);
+  }
 };
 
 /// Voter's reply. `granted` is false when the voter still sees a live
 /// primary or already voted for a different candidate this incarnation.
-struct PromoteAck {
+struct PromoteAck : codec::Message<PromoteAck> {
   int voter = -1;
   int candidate = -1;
   std::uint32_t incarnation = 0;
   bool granted = false;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, PromoteAck& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kPromoteAck); v.tag(kClusterWireVersion);
+    v(voter); v(candidate); v(incarnation); v(granted);
+  }
 };
 
 /// Semi-active ordering decision (leader -> followers, over the same
@@ -267,27 +316,31 @@ struct PromoteAck {
 /// apply decisions in seq order through the application's registered
 /// decision handler; a gap means a lost leader epoch and triggers a
 /// full-checkpoint resync.
-struct DecisionMsg {
+struct DecisionMsg : codec::Message<DecisionMsg> {
   std::string component;
   std::uint64_t seq = 0;
   sim::SimTime decided_at = 0;
   Buffer payload;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, DecisionMsg& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kDecision);
+    v(component); v(seq); v(decided_at); v(payload);
+  }
 };
 
 /// Live policy switch: the active FTIM tells its replicas which policy
 /// governs the stream from (incarnation, at_seq) onward so both sides
 /// change discipline at the same point in the checkpoint sequence.
-struct PolicySwitchMsg {
+struct PolicySwitchMsg : codec::Message<PolicySwitchMsg> {
   std::string component;
   ReplicationMode to = ReplicationMode::kColdPassive;
   std::uint32_t incarnation = 0;
   std::uint64_t at_seq = 0;        // checkpoint seq the switch takes effect at
   std::uint64_t decision_seq = 0;  // decision-log watermark at the switch
   std::string reason;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, PolicySwitchMsg& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kPolicySwitch);
+    v(component); v(to); v(incarnation); v(at_seq); v(decision_seq); v(reason);
+  }
 };
 
 /// SWIM direct probe (origin -> target, or proxy -> target on behalf of
@@ -297,7 +350,7 @@ struct PolicySwitchMsg {
 /// (dual-primary arbitration rides detection traffic — there are no
 /// all-to-all heartbeats in swim mode to carry it) plus the bounded,
 /// freshness-prioritized piggyback batch that disseminates membership.
-struct SwimProbe {
+struct SwimProbe : codec::Message<SwimProbe> {
   int from = -1;    // sending member (prober, or the relaying proxy)
   int origin = -1;  // member whose probe round this is
   std::uint64_t seq = 0;
@@ -305,14 +358,17 @@ struct SwimProbe {
   std::uint32_t incarnation = 0;       // sender's engine incarnation
   bool replica_ready = true;
   std::vector<swim::Update> updates;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, SwimProbe& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kSwimProbe); v.tag(kClusterWireVersion);
+    v(from); v(origin); v(seq); v(role); v(incarnation); v(replica_ready);
+    v.template list<std::uint8_t>(updates);
+  }
 };
 
 /// Probe acknowledgement. `from` is the acking member (the probed
 /// target); a proxy that receives an ack whose origin is not itself
 /// forwards the frame verbatim to `origin`.
-struct SwimAck {
+struct SwimAck : codec::Message<SwimAck> {
   int from = -1;
   int origin = -1;
   std::uint64_t seq = 0;
@@ -320,14 +376,17 @@ struct SwimAck {
   std::uint32_t incarnation = 0;
   bool replica_ready = true;
   std::vector<swim::Update> updates;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, SwimAck& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kSwimAck); v.tag(kClusterWireVersion);
+    v(from); v(origin); v(seq); v(role); v(incarnation); v(replica_ready);
+    v.template list<std::uint8_t>(updates);
+  }
 };
 
 /// Indirect-probe request (origin -> proxy): "probe `target` for me".
 /// Sent to k random proxies when the direct probe misses its ack — the
 /// k extra paths separate a dead member from a lossy or one-way link.
-struct SwimPingReq {
+struct SwimPingReq : codec::Message<SwimPingReq> {
   int from = -1;    // the origin asking for help
   int target = -1;  // the member to probe
   std::uint64_t seq = 0;
@@ -335,22 +394,33 @@ struct SwimPingReq {
   std::uint32_t incarnation = 0;
   bool replica_ready = true;
   std::vector<swim::Update> updates;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, SwimPingReq& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kSwimPingReq); v.tag(kClusterWireVersion);
+    v(from); v(target); v(seq); v(role); v(incarnation); v(replica_ready);
+    v.template list<std::uint8_t>(updates);
+  }
 };
 
 /// Checkpoint frame: kind byte + component + image blob.
-Buffer encode_checkpoint(const std::string& component, const Buffer& image);
-bool decode_checkpoint(const Buffer& b, std::string& component, Buffer& image);
+struct CheckpointFrame : codec::Message<CheckpointFrame> {
+  std::string component;
+  Buffer image;
+  template <class V> void fields(V& v) { v.tag(MsgKind::kCheckpoint); v(component); v(image); }
+};
+/// Takes the image by value: a caller done with it moves it in.
+Buffer encode_checkpoint(std::string component, Buffer image);
 
 /// Delta nack: a backup received a delta it cannot apply from its
 /// current state (sequence gap ahead of what it holds, or a newer
 /// incarnation it has no base for) and needs a self-contained image to
 /// resync. Per-checkpoint *acks* no longer exist on the wire — the
 /// transport session's ack watermark carries replication progress.
-Buffer encode_checkpoint_nack(const std::string& component, std::uint64_t have_seq);
-bool decode_checkpoint_nack(const Buffer& b, std::string& component,
-                            std::uint64_t& have_seq);
+struct CheckpointNack : codec::Message<CheckpointNack> {
+  std::string component;
+  std::uint64_t have_seq = 0;
+  template <class V> void fields(V& v) { v.tag(MsgKind::kCheckpointNack); v(component); v(have_seq); }
+};
+Buffer encode_checkpoint_nack(std::string component, std::uint64_t have_seq);
 
 /// Cold-restart resync request (FTIM -> primary FTIM): "I recovered my
 /// local journal up to (have_incarnation, have_seq) — send me what I'm
@@ -358,13 +428,15 @@ bool decode_checkpoint_nack(const Buffer& b, std::string& component,
 /// individual session frames (the session keeps them in order) when the
 /// requester's state is a valid base, or broadcasts a fresh full image
 /// otherwise.
-struct CheckpointPull {
+struct CheckpointPull : codec::Message<CheckpointPull> {
   std::string component;
   std::uint64_t have_seq = 0;
   std::uint32_t have_incarnation = 0;
   int from_node = -1;
-  Buffer encode() const;
-  static bool decode(const Buffer& b, CheckpointPull& out);
+  template <class V> void fields(V& v) {
+    v.tag(MsgKind::kCheckpointPull);
+    v(component); v(have_seq); v(have_incarnation); v(from_node);
+  }
 };
 
 }  // namespace oftt::core

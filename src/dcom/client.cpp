@@ -134,9 +134,7 @@ void OrpcClient::on_datagram(const sim::Datagram& d) {
     activations_.erase(it);
     ObjectRef ref;
     if (SUCCEEDED(resp.hr)) {
-      BinaryReader r(resp.result);
-      ref = ObjectRef::unmarshal(r);
-      if (r.failed()) resp.hr = E_UNEXPECTED;
+      if (!codec::decode(resp.result, ref)) resp.hr = E_UNEXPECTED;
     }
     pending.handler(resp.hr, ref);
     return;

@@ -20,7 +20,7 @@ void marshal_interface(OrpcServer& server, BinaryWriter& w, const com::ComPtr<I>
   // instead of proxying a proxy.
   if (auto* proxy = dynamic_cast<ProxyBase*>(obj.get())) {
     w.u8(1);
-    proxy->ref().marshal(w);
+    codec::write(w, proxy->ref());
     return;
   }
   com::ComPtr<com::IUnknown> unk = obj.template as<com::IUnknown>();
@@ -30,14 +30,14 @@ void marshal_interface(OrpcServer& server, BinaryWriter& w, const com::ComPtr<I>
     return;
   }
   w.u8(1);
-  ref.marshal(w);
+  codec::write(w, ref);
 }
 
 template <typename I>
 com::ComPtr<I> unmarshal_interface(OrpcClient& client, BinaryReader& r) {
   if (r.u8() == 0) return {};
-  ObjectRef ref = ObjectRef::unmarshal(r);
-  if (r.failed()) return {};
+  ObjectRef ref;
+  if (!codec::read(r, ref)) return {};
   com::ComPtr<com::IUnknown> unk = client.unmarshal(ref);
   if (!unk) return {};
   return unk.template as<I>();

@@ -8,90 +8,4 @@ std::string ObjectRef::to_string() const {
   return cat("objref(node=", node, ", port=", port, ", oid=", oid, ")");
 }
 
-Buffer encode_request(const RequestPacket& p) {
-  BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(PacketKind::kRequest));
-  w.u64(p.call_id);
-  w.u64(p.oid);
-  w.guid(p.iid);
-  w.u16(p.method);
-  w.blob(p.args);
-  w.i32(p.reply_node);
-  w.str(p.reply_port);
-  return std::move(w).take();
-}
-
-Buffer encode_response(const ResponsePacket& p) {
-  BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(PacketKind::kResponse));
-  w.u64(p.call_id);
-  w.i32(p.hr);
-  w.blob(p.result);
-  return std::move(w).take();
-}
-
-Buffer encode_ping(const PingPacket& p) {
-  BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(PacketKind::kPing));
-  w.u32(static_cast<std::uint32_t>(p.oids.size()));
-  for (auto oid : p.oids) w.u64(oid);
-  return std::move(w).take();
-}
-
-Buffer encode_activate(const ActivatePacket& p) {
-  BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(PacketKind::kActivate));
-  w.u64(p.call_id);
-  w.guid(p.clsid);
-  w.guid(p.iid);
-  w.i32(p.reply_node);
-  w.str(p.reply_port);
-  return std::move(w).take();
-}
-
-std::uint8_t packet_kind(const Buffer& payload) { return payload.empty() ? 0 : payload[0]; }
-
-bool decode_request(const Buffer& payload, RequestPacket& out) {
-  BinaryReader r(payload);
-  if (r.u8() != static_cast<std::uint8_t>(PacketKind::kRequest)) return false;
-  out.call_id = r.u64();
-  out.oid = r.u64();
-  out.iid = r.guid();
-  out.method = r.u16();
-  out.args = r.blob();
-  out.reply_node = r.i32();
-  out.reply_port = r.str();
-  return !r.failed();
-}
-
-bool decode_response(const Buffer& payload, ResponsePacket& out) {
-  BinaryReader r(payload);
-  if (r.u8() != static_cast<std::uint8_t>(PacketKind::kResponse)) return false;
-  out.call_id = r.u64();
-  out.hr = r.i32();
-  out.result = r.blob();
-  return !r.failed();
-}
-
-bool decode_ping(const Buffer& payload, PingPacket& out) {
-  BinaryReader r(payload);
-  if (r.u8() != static_cast<std::uint8_t>(PacketKind::kPing)) return false;
-  std::uint32_t n = r.u32();
-  out.oids.clear();
-  out.oids.reserve(n);
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) out.oids.push_back(r.u64());
-  return !r.failed();
-}
-
-bool decode_activate(const Buffer& payload, ActivatePacket& out) {
-  BinaryReader r(payload);
-  if (r.u8() != static_cast<std::uint8_t>(PacketKind::kActivate)) return false;
-  out.call_id = r.u64();
-  out.clsid = r.guid();
-  out.iid = r.guid();
-  out.reply_node = r.i32();
-  out.reply_port = r.str();
-  return !r.failed();
-}
-
 }  // namespace oftt::dcom

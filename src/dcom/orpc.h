@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/guid.h"
 #include "common/hresult.h"
 
@@ -28,19 +29,8 @@ struct ObjectRef {
   bool valid() const { return node >= 0 && oid != 0; }
   bool operator==(const ObjectRef&) const = default;
 
-  void marshal(BinaryWriter& w) const {
-    w.i32(node);
-    w.str(port);
-    w.u64(oid);
-    w.guid(iid);
-  }
-  static ObjectRef unmarshal(BinaryReader& r) {
-    ObjectRef ref;
-    ref.node = r.i32();
-    ref.port = r.str();
-    ref.oid = r.u64();
-    ref.iid = r.guid();
-    return ref;
+  template <class V> void fields(V& v) {
+    v(node); v(port); v(oid); v(iid);
   }
 
   std::string to_string() const;
@@ -53,6 +43,8 @@ enum class PacketKind : std::uint8_t {
   kActivate = 4,
 };
 
+// Each packet lists its layout once (common/codec.h); decoding is
+// fail-closed, and the ping's oid count is bounded by the bytes present.
 struct RequestPacket {
   std::uint64_t call_id = 0;
   std::uint64_t oid = 0;
@@ -61,16 +53,28 @@ struct RequestPacket {
   Buffer args;
   int reply_node = -1;
   std::string reply_port;
+  template <class V> void fields(V& v) {
+    v.tag(PacketKind::kRequest);
+    v(call_id); v(oid); v(iid); v(method); v(args); v(reply_node); v(reply_port);
+  }
 };
 
 struct ResponsePacket {
   std::uint64_t call_id = 0;
   HRESULT hr = S_OK;
   Buffer result;
+  template <class V> void fields(V& v) {
+    v.tag(PacketKind::kResponse);
+    v(call_id); v(hr); v(result);
+  }
 };
 
 struct PingPacket {
   std::vector<std::uint64_t> oids;
+  template <class V> void fields(V& v) {
+    v.tag(PacketKind::kPing);
+    v(oids);
+  }
 };
 
 struct ActivatePacket {
@@ -79,19 +83,23 @@ struct ActivatePacket {
   Iid iid;
   int reply_node = -1;
   std::string reply_port;
+  template <class V> void fields(V& v) {
+    v.tag(PacketKind::kActivate);
+    v(call_id); v(clsid); v(iid); v(reply_node); v(reply_port);
+  }
 };
 
-Buffer encode_request(const RequestPacket& p);
-Buffer encode_response(const ResponsePacket& p);
-Buffer encode_ping(const PingPacket& p);
-Buffer encode_activate(const ActivatePacket& p);
+inline Buffer encode_request(const RequestPacket& p) { return codec::encode(p); }
+inline Buffer encode_response(const ResponsePacket& p) { return codec::encode(p); }
+inline Buffer encode_ping(const PingPacket& p) { return codec::encode(p); }
+inline Buffer encode_activate(const ActivatePacket& p) { return codec::encode(p); }
 
 /// Peek the packet kind (first byte); returns 0 on empty payload.
-std::uint8_t packet_kind(const Buffer& payload);
+inline std::uint8_t packet_kind(const Buffer& payload) { return payload.empty() ? 0 : payload[0]; }
 
-bool decode_request(const Buffer& payload, RequestPacket& out);
-bool decode_response(const Buffer& payload, ResponsePacket& out);
-bool decode_ping(const Buffer& payload, PingPacket& out);
-bool decode_activate(const Buffer& payload, ActivatePacket& out);
+inline bool decode_request(const Buffer& b, RequestPacket& out) { return codec::decode(b, out); }
+inline bool decode_response(const Buffer& b, ResponsePacket& out) { return codec::decode(b, out); }
+inline bool decode_ping(const Buffer& b, PingPacket& out) { return codec::decode(b, out); }
+inline bool decode_activate(const Buffer& b, ActivatePacket& out) { return codec::decode(b, out); }
 
 }  // namespace oftt::dcom

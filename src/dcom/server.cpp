@@ -102,9 +102,7 @@ void OrpcServer::handle_activate(const sim::Datagram& d) {
       resp.hr = REGDB_E_CLASSNOTREG;  // missing proxy/stub installation
     } else {
       resp.hr = S_OK;
-      BinaryWriter w;
-      ref.marshal(w);
-      resp.result = std::move(w).take();
+      resp.result = codec::encode(ref);
     }
   }
   send_response(act.reply_node, act.reply_port, std::move(resp));

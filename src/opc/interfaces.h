@@ -25,21 +25,8 @@ struct ServerStatus {
   std::string vendor;
   bool running = false;
 
-  void marshal(BinaryWriter& w) const {
-    w.i64(start_time);
-    w.i64(current_time);
-    w.u32(group_count);
-    w.str(vendor);
-    w.boolean(running);
-  }
-  static ServerStatus unmarshal(BinaryReader& r) {
-    ServerStatus s;
-    s.start_time = r.i64();
-    s.current_time = r.i64();
-    s.group_count = r.u32();
-    s.vendor = r.str();
-    s.running = r.boolean();
-    return s;
+  template <class V> void fields(V& v) {
+    v(start_time); v(current_time); v(group_count); v(vendor); v(running);
   }
 };
 

@@ -12,74 +12,17 @@ namespace {
 
 constexpr const char* kNotifyPort = "opc.notify";
 
-/// Minimum encoded sizes, used to bound claimed counts against the
-/// bytes actually present (fail-closed against count-bomb frames).
-constexpr std::size_t kMinBatchBytes = 4 + 4;           // sub_id + item count
-constexpr std::size_t kMinItemBytes = 4 + 1 + 1 + 8;    // tag + quality + value tag + ts
-
-bool valid_quality(std::uint8_t q) {
-  return q == static_cast<std::uint8_t>(Quality::kBad) ||
-         q == static_cast<std::uint8_t>(Quality::kUncertain) ||
-         q == static_cast<std::uint8_t>(Quality::kGood);
-}
-
 }  // namespace
 
-Buffer encode_notify_frame(const std::vector<SubBatch>& batches) {
-  BinaryWriter w;
-  w.u8(kNotifyFrame);
-  w.u8(kNotifyVersion);
-  w.u32(static_cast<std::uint32_t>(batches.size()));
-  for (const SubBatch& b : batches) {
-    w.u32(b.sub_id);
-    w.u32(static_cast<std::uint32_t>(b.items.size()));
-    for (const NotifyItem& it : b.items) {
-      w.u32(it.tag);
-      w.u8(static_cast<std::uint8_t>(it.quality));
-      it.value.marshal(w);
-      w.i64(it.timestamp);
-    }
-  }
-  return std::move(w).take();
+Buffer encode_notify_frame(std::vector<SubBatch> batches) {
+  return NotifyFrame{{}, std::move(batches)}.encode();
 }
 
 bool decode_notify_frame(const Buffer& payload, std::vector<SubBatch>* out) {
-  out->clear();
-  BinaryReader r(payload);
-  if (r.u8() != kNotifyFrame) return false;
-  if (r.u8() != kNotifyVersion) return false;
-  std::uint32_t nbatches = r.u32();
-  if (r.failed() || nbatches > r.remaining() / kMinBatchBytes) return false;
-  out->reserve(nbatches);
-  for (std::uint32_t b = 0; b < nbatches; ++b) {
-    SubBatch batch;
-    batch.sub_id = r.u32();
-    std::uint32_t nitems = r.u32();
-    if (r.failed() || nitems > r.remaining() / kMinItemBytes) {
-      out->clear();
-      return false;
-    }
-    batch.items.reserve(nitems);
-    for (std::uint32_t i = 0; i < nitems; ++i) {
-      NotifyItem item;
-      item.tag = r.u32();
-      std::uint8_t q = r.u8();
-      item.value = OpcValue::unmarshal(r);
-      item.timestamp = r.i64();
-      if (r.failed() || !valid_quality(q)) {
-        out->clear();
-        return false;
-      }
-      item.quality = static_cast<Quality>(q);
-      batch.items.push_back(std::move(item));
-    }
-    out->push_back(std::move(batch));
-  }
-  if (r.failed() || !r.at_end()) {
-    out->clear();
-    return false;
-  }
-  return true;
+  NotifyFrame f;
+  const bool ok = NotifyFrame::decode(payload, f);
+  *out = ok ? std::move(f.batches) : std::vector<SubBatch>{};
+  return ok;
 }
 
 transport::SessionConfig NotifyPlane::default_config() {
@@ -157,13 +100,14 @@ void NotifyPlane::flush(int client_node) {
 
   std::uint64_t items = 0;
   for (const SubBatch& b : batches) items += b.items.size();
-  Buffer frame = encode_notify_frame(batches);
+  const std::size_t nbatches = batches.size();
+  Buffer frame = encode_notify_frame(std::move(batches));
   std::size_t frame_bytes = frame.size();
   if (!ep_->send(client_node, std::move(frame), /*tag=*/0, nullptr,
                  transport::kClassNotify)) {
     ++frames_rejected_;
-    batches_dropped_ += batches.size();
-    ctr_drops_.inc(batches.size());
+    batches_dropped_ += nbatches;
+    ctr_drops_.inc(nbatches);
     obs::Event e;
     e.kind = obs::EventKind::kOpcBatchDrop;
     e.node = process_->node().id();

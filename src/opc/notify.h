@@ -14,10 +14,10 @@
 //    t+0), on the kClassNotify traffic class of a reliable
 //    transport::Endpoint — checkpoint-adjacent bulk traffic with its
 //    own byte meter.
-//  - fail-closed decode: count guards sized against the remaining
-//    bytes, quality whitelist, strict end-of-frame — garbage or
-//    truncation yields `false`, never a partial batch (same contract as
-//    the SWIM wire frames).
+//  - fail-closed decode (common/codec.h): count guards sized against
+//    the remaining bytes, quality and value-tag whitelists, strict
+//    end-of-frame — garbage or truncation yields `false`, never a
+//    partial batch (same contract as the SWIM wire frames).
 //
 // One NotifyPlane attaches per process (server side enqueues, client
 // side registers per-subscription sinks); both halves share the single
@@ -53,6 +53,9 @@ struct NotifyItem {
   OpcValue value;
   sim::SimTime timestamp = 0;
 
+  template <class V> void fields(V& v) {
+    v(tag); v(quality); v(value); v(timestamp);
+  }
   bool operator==(const NotifyItem&) const = default;
 };
 
@@ -62,10 +65,21 @@ struct SubBatch {
   std::uint32_t sub_id = 0;
   std::vector<NotifyItem> items;
 
+  template <class V> void fields(V& v) {
+    v(sub_id); v(items);
+  }
   bool operator==(const SubBatch&) const = default;
 };
 
-Buffer encode_notify_frame(const std::vector<SubBatch>& batches);
+struct NotifyFrame : codec::Message<NotifyFrame> {
+  std::vector<SubBatch> batches;
+  template <class V> void fields(V& v) {
+    v.tag(kNotifyFrame); v.tag(kNotifyVersion); v(batches);
+  }
+};
+
+/// Takes the batches by value: a caller done with them moves them in.
+Buffer encode_notify_frame(std::vector<SubBatch> batches);
 /// Fail-closed: returns false (and leaves *out empty) on any malformed,
 /// truncated or trailing-garbage input.
 bool decode_notify_frame(const Buffer& payload, std::vector<SubBatch>* out);

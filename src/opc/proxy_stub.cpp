@@ -4,6 +4,7 @@
 // management effort" (paper §3.3). Every marshalable interface needs
 // exactly this kind of translation unit.
 #include "com/object.h"
+#include "common/codec.h"
 #include "common/logging.h"
 #include "dcom/marshal.h"
 #include "dcom/registry.h"
@@ -31,10 +32,7 @@ class OpcServerProxy final : public com::Object<OpcServerProxy, IOPCServer>,
   void GetStatus(StatusHandler done) override {
     invoke(methods::kGetStatus, {}, [done](HRESULT hr, BinaryReader& r) {
       ServerStatus s;
-      if (SUCCEEDED(hr)) {
-        s = ServerStatus::unmarshal(r);
-        if (r.failed()) hr = E_UNEXPECTED;
-      }
+      if (SUCCEEDED(hr) && !codec::read(r, s)) hr = E_UNEXPECTED;
       if (done) done(hr, s);
     });
   }
@@ -75,7 +73,7 @@ StubDispatch make_opc_server_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
       case methods::kGetStatus:
         target->GetStatus([&](HRESULT hr, const ServerStatus& s) {
           out = hr;
-          if (SUCCEEDED(hr)) s.marshal(result);
+          if (SUCCEEDED(hr)) codec::write(result, s);
         });
         return out;
       case methods::kAddGroup: {
@@ -103,54 +101,13 @@ StubDispatch make_opc_server_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
 // IOPCGroup
 // ---------------------------------------------------------------------
 
-void marshal_string_list(BinaryWriter& w, const std::vector<std::string>& ids) {
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const auto& s : ids) w.str(s);
-}
-
-std::vector<std::string> unmarshal_string_list(BinaryReader& r) {
-  std::uint32_t n = r.u32();
-  std::vector<std::string> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) out.push_back(r.str());
-  return out;
-}
-
-void marshal_u32_list(BinaryWriter& w, const std::vector<std::uint32_t>& vals) {
-  w.u32(static_cast<std::uint32_t>(vals.size()));
-  for (std::uint32_t v : vals) w.u32(v);
-}
-
-std::vector<std::uint32_t> unmarshal_u32_list(BinaryReader& r) {
-  std::uint32_t n = r.u32();
-  std::vector<std::uint32_t> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) out.push_back(r.u32());
-  return out;
-}
-
-void marshal_hresults(BinaryWriter& w, const std::vector<HRESULT>& hrs) {
-  w.u32(static_cast<std::uint32_t>(hrs.size()));
-  for (HRESULT hr : hrs) w.i32(hr);
-}
-
-std::vector<HRESULT> unmarshal_hresults(BinaryReader& r) {
-  std::uint32_t n = r.u32();
-  std::vector<HRESULT> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) out.push_back(r.i32());
-  return out;
-}
-
 class OpcGroupProxy final : public com::Object<OpcGroupProxy, IOPCGroup>,
                             public dcom::ProxyBase {
  public:
   OpcGroupProxy(OrpcClient& client, ObjectRef ref) : ProxyBase(client, std::move(ref)) {}
 
   void AddItems(const std::vector<std::string>& item_ids, ResultsHandler done) override {
-    BinaryWriter w;
-    marshal_string_list(w, item_ids);
-    invoke(methods::kAddItems, std::move(w).take(), results_handler(std::move(done)));
+    invoke(methods::kAddItems, codec::encode(item_ids), results_handler(std::move(done)));
   }
 
   void SetDeadband(double percent, AckHandler done) override {
@@ -160,20 +117,13 @@ class OpcGroupProxy final : public com::Object<OpcGroupProxy, IOPCGroup>,
   }
 
   void RemoveItems(const std::vector<std::string>& item_ids, AckHandler done) override {
-    BinaryWriter w;
-    marshal_string_list(w, item_ids);
-    invoke(methods::kRemoveItems, std::move(w).take(), ack_handler(std::move(done)));
+    invoke(methods::kRemoveItems, codec::encode(item_ids), ack_handler(std::move(done)));
   }
 
   void SyncRead(const std::vector<std::string>& item_ids, ReadHandler done) override {
-    BinaryWriter w;
-    marshal_string_list(w, item_ids);
-    invoke(methods::kSyncRead, std::move(w).take(), [done](HRESULT hr, BinaryReader& r) {
+    invoke(methods::kSyncRead, codec::encode(item_ids), [done](HRESULT hr, BinaryReader& r) {
       std::vector<ItemState> items;
-      if (SUCCEEDED(hr)) {
-        items = unmarshal_item_states(r);
-        if (r.failed()) hr = E_UNEXPECTED;
-      }
+      if (SUCCEEDED(hr) && !codec::read(r, items)) hr = E_UNEXPECTED;
       if (done) done(hr, items);
     });
   }
@@ -186,13 +136,7 @@ class OpcGroupProxy final : public com::Object<OpcGroupProxy, IOPCGroup>,
 
   void Write(const std::vector<std::pair<std::string, OpcValue>>& values,
              ResultsHandler done) override {
-    BinaryWriter w;
-    w.u32(static_cast<std::uint32_t>(values.size()));
-    for (const auto& [tag, value] : values) {
-      w.str(tag);
-      value.marshal(w);
-    }
-    invoke(methods::kWrite, std::move(w).take(), results_handler(std::move(done)));
+    invoke(methods::kWrite, codec::encode(values), results_handler(std::move(done)));
   }
 
   void SetCallback(ComPtr<IOPCDataCallback> callback, AckHandler done) override {
@@ -211,17 +155,10 @@ class OpcGroupProxy final : public com::Object<OpcGroupProxy, IOPCGroup>,
 
   void EnableBatchedNotify(const std::vector<std::string>& item_ids, int sink_node,
                            std::uint32_t sub_id, ItemIdsHandler done) override {
-    BinaryWriter w;
-    marshal_string_list(w, item_ids);
-    w.i32(sink_node);
-    w.u32(sub_id);
-    invoke(methods::kEnableBatchedNotify, std::move(w).take(),
+    invoke(methods::kEnableBatchedNotify, codec::encode(item_ids, sink_node, sub_id),
            [done](HRESULT hr, BinaryReader& r) {
              std::vector<std::uint32_t> tags;
-             if (SUCCEEDED(hr)) {
-               tags = unmarshal_u32_list(r);
-               if (r.failed()) hr = E_UNEXPECTED;
-             }
+             if (SUCCEEDED(hr) && !codec::read(r, tags)) hr = E_UNEXPECTED;
              if (done) done(hr, tags);
            });
   }
@@ -235,10 +172,7 @@ class OpcGroupProxy final : public com::Object<OpcGroupProxy, IOPCGroup>,
   static OrpcClient::ResultHandler results_handler(ResultsHandler done) {
     return [done = std::move(done)](HRESULT hr, BinaryReader& r) {
       std::vector<HRESULT> results;
-      if (SUCCEEDED(hr)) {
-        results = unmarshal_hresults(r);
-        if (r.failed()) hr = E_UNEXPECTED;
-      }
+      if (SUCCEEDED(hr) && !codec::read(r, results)) hr = E_UNEXPECTED;
       if (done) done(hr, results);
     };
   }
@@ -253,11 +187,11 @@ StubDispatch make_opc_group_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
     HRESULT out = E_UNEXPECTED;
     switch (method) {
       case methods::kAddItems: {
-        auto ids = unmarshal_string_list(args);
-        if (args.failed()) return E_INVALIDARG;
+        std::vector<std::string> ids;
+        if (!codec::read(args, ids)) return E_INVALIDARG;
         target->AddItems(ids, [&](HRESULT hr, const std::vector<HRESULT>& hrs) {
           out = hr;
-          if (SUCCEEDED(hr)) marshal_hresults(result, hrs);
+          if (SUCCEEDED(hr)) codec::write(result, hrs);
         });
         return out;
       }
@@ -268,17 +202,17 @@ StubDispatch make_opc_group_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
         return out;
       }
       case methods::kRemoveItems: {
-        auto ids = unmarshal_string_list(args);
-        if (args.failed()) return E_INVALIDARG;
+        std::vector<std::string> ids;
+        if (!codec::read(args, ids)) return E_INVALIDARG;
         target->RemoveItems(ids, [&](HRESULT hr) { out = hr; });
         return out;
       }
       case methods::kSyncRead: {
-        auto ids = unmarshal_string_list(args);
-        if (args.failed()) return E_INVALIDARG;
+        std::vector<std::string> ids;
+        if (!codec::read(args, ids)) return E_INVALIDARG;
         target->SyncRead(ids, [&](HRESULT hr, const std::vector<ItemState>& items) {
           out = hr;
-          if (SUCCEEDED(hr)) marshal_item_states(result, items);
+          if (SUCCEEDED(hr)) codec::write(result, items);
         });
         return out;
       }
@@ -289,17 +223,11 @@ StubDispatch make_opc_group_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
         return out;
       }
       case methods::kWrite: {
-        std::uint32_t n = args.u32();
         std::vector<std::pair<std::string, OpcValue>> values;
-        values.reserve(n);
-        for (std::uint32_t i = 0; i < n && !args.failed(); ++i) {
-          std::string tag = args.str();
-          values.emplace_back(std::move(tag), OpcValue::unmarshal(args));
-        }
-        if (args.failed()) return E_INVALIDARG;
+        if (!codec::read(args, values)) return E_INVALIDARG;
         target->Write(values, [&](HRESULT hr, const std::vector<HRESULT>& hrs) {
           out = hr;
-          if (SUCCEEDED(hr)) marshal_hresults(result, hrs);
+          if (SUCCEEDED(hr)) codec::write(result, hrs);
         });
         return out;
       }
@@ -317,14 +245,14 @@ StubDispatch make_opc_group_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
         return out;
       }
       case methods::kEnableBatchedNotify: {
-        auto ids = unmarshal_string_list(args);
-        int sink_node = args.i32();
-        std::uint32_t sub_id = args.u32();
-        if (args.failed()) return E_INVALIDARG;
+        std::vector<std::string> ids;
+        int sink_node = -1;
+        std::uint32_t sub_id = 0;
+        if (!codec::read(args, ids, sink_node, sub_id)) return E_INVALIDARG;
         target->EnableBatchedNotify(
             ids, sink_node, sub_id, [&](HRESULT hr, const std::vector<std::uint32_t>& tags) {
               out = hr;
-              if (SUCCEEDED(hr)) marshal_u32_list(result, tags);
+              if (SUCCEEDED(hr)) codec::write(result, tags);
             });
         return out;
       }
@@ -343,19 +271,12 @@ class OpcCallbackProxy final : public com::Object<OpcCallbackProxy, IOPCDataCall
   OpcCallbackProxy(OrpcClient& client, ObjectRef ref) : ProxyBase(client, std::move(ref)) {}
 
   void OnDataChange(std::uint32_t transaction, const std::vector<ItemState>& items) override {
-    BinaryWriter w;
-    w.u32(transaction);
-    marshal_item_states(w, items);
-    invoke(methods::kOnDataChange, std::move(w).take(), nullptr);
+    invoke(methods::kOnDataChange, codec::encode(transaction, items), nullptr);
   }
 
   void OnReadComplete(std::uint32_t transaction, HRESULT hr,
                       const std::vector<ItemState>& items) override {
-    BinaryWriter w;
-    w.u32(transaction);
-    w.i32(hr);
-    marshal_item_states(w, items);
-    invoke(methods::kOnReadComplete, std::move(w).take(), nullptr);
+    invoke(methods::kOnReadComplete, codec::encode(transaction, hr, items), nullptr);
   }
 };
 
@@ -365,17 +286,17 @@ StubDispatch make_opc_callback_stub(ComPtr<IUnknown> obj, OrpcServer&) {
     if (!target) return E_NOINTERFACE;
     switch (method) {
       case methods::kOnDataChange: {
-        std::uint32_t transaction = args.u32();
-        auto items = unmarshal_item_states(args);
-        if (args.failed()) return E_INVALIDARG;
+        std::uint32_t transaction = 0;
+        std::vector<ItemState> items;
+        if (!codec::read(args, transaction, items)) return E_INVALIDARG;
         target->OnDataChange(transaction, items);
         return S_OK;
       }
       case methods::kOnReadComplete: {
-        std::uint32_t transaction = args.u32();
-        HRESULT hr = args.i32();
-        auto items = unmarshal_item_states(args);
-        if (args.failed()) return E_INVALIDARG;
+        std::uint32_t transaction = 0;
+        HRESULT hr = S_OK;
+        std::vector<ItemState> items;
+        if (!codec::read(args, transaction, hr, items)) return E_INVALIDARG;
         target->OnReadComplete(transaction, hr, items);
         return S_OK;
       }
@@ -398,10 +319,7 @@ class OpcBrowseProxy final : public com::Object<OpcBrowseProxy, IOPCBrowse>,
     w.str(filter);
     invoke(methods::kBrowseItemIds, std::move(w).take(), [done](HRESULT hr, BinaryReader& r) {
       std::vector<std::string> ids;
-      if (SUCCEEDED(hr)) {
-        ids = unmarshal_string_list(r);
-        if (r.failed()) hr = E_UNEXPECTED;
-      }
+      if (SUCCEEDED(hr) && !codec::read(r, ids)) hr = E_UNEXPECTED;
       if (done) done(hr, ids);
     });
   }
@@ -417,7 +335,7 @@ StubDispatch make_opc_browse_stub(ComPtr<IUnknown> obj, OrpcServer&) {
     HRESULT out = E_UNEXPECTED;
     target->BrowseItemIds(filter, [&](HRESULT hr, const std::vector<std::string>& ids) {
       out = hr;
-      if (SUCCEEDED(hr)) marshal_string_list(result, ids);
+      if (SUCCEEDED(hr)) codec::write(result, ids);
     });
     return out;
   };

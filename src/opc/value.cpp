@@ -38,27 +38,6 @@ std::string OpcValue::as_string() const {
   return to_string();
 }
 
-void OpcValue::marshal(BinaryWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(v_.index()));
-  switch (v_.index()) {
-    case 0: break;
-    case 1: w.boolean(std::get<bool>(v_)); break;
-    case 2: w.i32(std::get<std::int32_t>(v_)); break;
-    case 3: w.f64(std::get<double>(v_)); break;
-    case 4: w.str(std::get<std::string>(v_)); break;
-  }
-}
-
-OpcValue OpcValue::unmarshal(BinaryReader& r) {
-  switch (r.u8()) {
-    case 1: return from_bool(r.boolean());
-    case 2: return from_int(r.i32());
-    case 3: return from_real(r.f64());
-    case 4: return from_string(r.str());
-    default: return OpcValue();
-  }
-}
-
 std::string OpcValue::to_string() const {
   switch (v_.index()) {
     case 1: return std::get<bool>(v_) ? "true" : "false";
@@ -67,35 +46,6 @@ std::string OpcValue::to_string() const {
     case 4: return std::get<std::string>(v_);
     default: return "(empty)";
   }
-}
-
-void ItemState::marshal(BinaryWriter& w) const {
-  w.str(item_id);
-  value.marshal(w);
-  w.u8(static_cast<std::uint8_t>(quality));
-  w.i64(timestamp);
-}
-
-ItemState ItemState::unmarshal(BinaryReader& r) {
-  ItemState s;
-  s.item_id = r.str();
-  s.value = OpcValue::unmarshal(r);
-  s.quality = static_cast<Quality>(r.u8());
-  s.timestamp = r.i64();
-  return s;
-}
-
-void marshal_item_states(BinaryWriter& w, const std::vector<ItemState>& items) {
-  w.u32(static_cast<std::uint32_t>(items.size()));
-  for (const auto& i : items) i.marshal(w);
-}
-
-std::vector<ItemState> unmarshal_item_states(BinaryReader& r) {
-  std::uint32_t n = r.u32();
-  std::vector<ItemState> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) out.push_back(ItemState::unmarshal(r));
-  return out;
 }
 
 }  // namespace oftt::opc

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "sim/time.h"
 
 namespace oftt::opc {
@@ -15,6 +16,9 @@ namespace oftt::opc {
 enum class Quality : std::uint8_t { kBad = 0, kUncertain = 1, kGood = 3 };
 
 const char* quality_name(Quality q);
+constexpr bool wire_valid(Quality q) {
+  return q == Quality::kBad || q == Quality::kUncertain || q == Quality::kGood;
+}
 
 class OpcValue {
  public:
@@ -38,8 +42,9 @@ class OpcValue {
 
   bool operator==(const OpcValue&) const = default;
 
-  void marshal(BinaryWriter& w) const;
-  static OpcValue unmarshal(BinaryReader& r);
+  /// Wire layout: u8 type tag (the variant index; an unknown tag fails
+  /// the read) followed by the value.
+  template <class V> void fields(V& v) { v(v_); }
 
   std::string to_string() const;
 
@@ -58,11 +63,9 @@ struct ItemState {
 
   bool operator==(const ItemState&) const = default;
 
-  void marshal(BinaryWriter& w) const;
-  static ItemState unmarshal(BinaryReader& r);
+  template <class V> void fields(V& v) {
+    v(item_id); v(value); v(quality); v(timestamp);
+  }
 };
-
-void marshal_item_states(BinaryWriter& w, const std::vector<ItemState>& items);
-std::vector<ItemState> unmarshal_item_states(BinaryReader& r);
 
 }  // namespace oftt::opc

@@ -27,8 +27,11 @@ struct ExecContext {
   SimTime now = 0;
 };
 
-// Defined in parallel_engine.cpp.
-extern thread_local ExecContext* tl_ctx;
+// Defined in parallel_engine.cpp. constinit (constant-initialized to
+// null) lets other translation units read it directly instead of
+// through a thread_local init wrapper, which UBSan's null check
+// misreports on every sequential-engine read.
+extern constinit thread_local ExecContext* tl_ctx;
 
 }  // namespace pdes
 }  // namespace oftt::sim

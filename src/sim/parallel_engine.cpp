@@ -12,7 +12,7 @@
 namespace oftt::sim {
 
 namespace pdes {
-thread_local ExecContext* tl_ctx = nullptr;
+constinit thread_local ExecContext* tl_ctx = nullptr;
 }  // namespace pdes
 
 namespace {

@@ -13,21 +13,6 @@ const char* member_state_name(MemberState s) {
   return "?";
 }
 
-void Update::encode(BinaryWriter& w) const {
-  w.i32(node);
-  w.u32(incarnation);
-  w.u8(static_cast<std::uint8_t>(state));
-}
-
-bool Update::decode(BinaryReader& r, Update& out) {
-  out.node = r.i32();
-  out.incarnation = r.u32();
-  std::uint8_t s = r.u8();
-  if (r.failed() || s > static_cast<std::uint8_t>(MemberState::kDead)) return false;
-  out.state = static_cast<MemberState>(s);
-  return true;
-}
-
 std::string update_summary(const Update& u) {
   return cat(u.node, " ", member_state_name(u.state), "@", u.incarnation);
 }

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/bytes.h"
 
 namespace oftt::swim {
 
@@ -40,6 +39,7 @@ enum class MemberState : std::uint8_t {
 };
 
 const char* member_state_name(MemberState s);
+constexpr bool wire_valid(MemberState s) { return s <= MemberState::kDead; }
 
 /// One piggybacked membership assertion: "node is <state> at
 /// <incarnation>". Joins are alive updates, suspicions/confirmations
@@ -61,8 +61,9 @@ struct Update {
     return static_cast<std::uint8_t>(state) > static_cast<std::uint8_t>(cur_state);
   }
 
-  void encode(BinaryWriter& w) const;
-  static bool decode(BinaryReader& r, Update& out);
+  template <class V> void fields(V& v) {
+    v(node); v(incarnation); v(state);
+  }
 
   bool operator==(const Update&) const = default;
 };

@@ -14,6 +14,7 @@
 #include "obs/telemetry.h"
 #include "sim/fault_plan.h"
 #include "sim/rng.h"
+#include "store/journal.h"
 #include "support/counter_app.h"
 
 namespace oftt::core {
@@ -511,6 +512,39 @@ TEST(PolicySwitch, SwitchedPolicySurvivesOsCrashViaTheJournal) {
   ASSERT_NE(restarted, nullptr);
   EXPECT_EQ(restarted->replication_mode(), ReplicationMode::kWarmPassive)
       << "policy must be restored from the journal on cold restart";
+}
+
+// A policy record whose mode byte names no ReplicationMode (a forged or
+// bit-rotted record with a valid frame CRC) is skipped on replay: the
+// last valid record still wins, rather than the unknown mode quietly
+// becoming cold-passive.
+TEST(PolicySwitch, ForgedPolicyRecordIsSkippedOnReplay) {
+  sim::Simulation sim(9004);
+  PairDeployment dep(sim, policy_pair_options(ReplicationMode::kColdPassive));
+  sim.run_for(sim::seconds(4));
+
+  int primary = dep.primary_node();
+  ASSERT_NE(primary, -1);
+  sim::Node& backup_node = primary == dep.node_a().id() ? dep.node_b() : dep.node_a();
+  auto app_proc = dep.node_by_id(primary)->find_process("app");
+  ASSERT_NE(app_proc, nullptr);
+  ASSERT_EQ(OFTTSwitchReplication(*app_proc, ReplicationMode::kWarmPassive, "test"), S_OK);
+  sim.run_for(sim::seconds(3));
+  ASSERT_EQ(dep.ftim_on(backup_node)->replication_mode(), ReplicationMode::kWarmPassive);
+
+  backup_node.crash();
+  store::JournalOptions popts;  // the FTIM's policy-journal geometry
+  popts.segment_bytes = 256;
+  popts.auto_compact = false;
+  popts.max_segments = 2;
+  store::Journal forged(sim, backup_node.id(), "oftt.plcy.app", popts);
+  ASSERT_TRUE(forged.append(store::RecordType::kPolicy, 1'000'000, 0, Buffer{0x7F}));
+
+  backup_node.boot();
+  sim.run_for(sim::seconds(3));
+  Ftim* restarted = dep.ftim_on(backup_node);
+  ASSERT_NE(restarted, nullptr);
+  EXPECT_EQ(restarted->replication_mode(), ReplicationMode::kWarmPassive);
 }
 
 TEST(PolicyGovernorScenario, DegradesToColdUnderSustainedLossAndRecoversWarm) {

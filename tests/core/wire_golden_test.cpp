@@ -1,0 +1,342 @@
+// Golden bytes for every control-plane, notify and ORPC frame.
+//
+// Each frame below is one populated sample of a message layout; its
+// exact encoding is pinned as (length, CRC-32C). A layout change of any
+// kind — a reordered field, a different count width, a dropped
+// presence flag — moves the pin, so the codecs can be rewritten freely
+// as long as this test keeps passing unmodified. On a mismatch the
+// failure prints the frame's hex so the offending bytes can be found.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/wire.h"
+#include "dcom/orpc.h"
+#include "opc/notify.h"
+
+namespace oftt {
+namespace {
+
+using namespace core;
+
+std::vector<swim::Update> sample_updates() {
+  return {swim::Update{4, 7, swim::MemberState::kSuspect},
+          swim::Update{0, 2, swim::MemberState::kAlive},
+          swim::Update{9, 11, swim::MemberState::kDead}};
+}
+
+cluster::MembershipView sample_view() {
+  cluster::MembershipView v;
+  v.version = 12;
+  v.incarnation = 3;
+  v.members = {cluster::Member{2, 0, cluster::MemberRole::kPrimary, 3, 1'500'000},
+               cluster::Member{0, 1, cluster::MemberRole::kBackup, 1, 1'400'000},
+               cluster::Member{1, 2, cluster::MemberRole::kDead, 2, 0}};
+  return v;
+}
+
+template <class Swim>
+Swim sample_swim(int a, int b) {
+  Swim s;
+  s.from = a;
+  s.seq = 0x0102030405060708ull;
+  s.role = Role::kBackup;
+  s.incarnation = 6;
+  s.replica_ready = false;
+  s.updates = sample_updates();
+  if constexpr (requires { s.origin; }) s.origin = b;
+  else s.target = b;
+  return s;
+}
+
+std::vector<std::pair<std::string, Buffer>> golden_frames() {
+  std::vector<std::pair<std::string, Buffer>> f;
+  Probe probe;
+  probe.node = 1;
+  probe.boot_count = 3;
+  probe.incarnation = 5;
+  probe.role = Role::kNegotiating;
+  f.emplace_back("Probe", probe.encode(false));
+  f.emplace_back("ProbeReply", probe.encode(true));
+
+  PeerHeartbeat hb;
+  hb.node = 2;
+  hb.role = Role::kPrimary;
+  hb.incarnation = 9;
+  hb.seq = 4242;
+  hb.replica_ready = false;
+  f.emplace_back("PeerHeartbeat", hb.encode());
+
+  Takeover to;
+  to.from_node = 0;
+  to.incarnation = 10;
+  to.reason = "component 'app' permanent failure";
+  f.emplace_back("Takeover", to.encode());
+
+  FtRegister reg;
+  reg.component = "calltrack";
+  reg.process_name = "calltrack_proc";
+  reg.ftim_port = "oftt.ftim.calltrack_proc";
+  reg.kind = FtimKind::kOpcServer;
+  reg.max_local_restarts = 2;
+  reg.switchover_on_permanent = 0;
+  reg.currently_active = true;
+  reg.incarnation = 5;
+  f.emplace_back("FtRegister", reg.encode());
+
+  FtHeartbeat fhb;
+  fhb.component = "calltrack";
+  fhb.seq = 77;
+  fhb.policy = ReplicationMode::kSemiActive;
+  fhb.ready = false;
+  fhb.applied_at = 123'456'789;
+  f.emplace_back("FtHeartbeat", fhb.encode());
+
+  FtDistress distress;
+  distress.component = "calltrack";
+  distress.reason = "sensor bus";
+  f.emplace_back("FtDistress", distress.encode());
+
+  for (MsgKind op : {MsgKind::kWatchdogCreate, MsgKind::kWatchdogReset, MsgKind::kWatchdogDelete}) {
+    WatchdogMsg wd;
+    wd.op = op;
+    wd.component = "app";
+    wd.watchdog = "loop";
+    wd.timeout = 300'000'000;
+    f.emplace_back("Watchdog" + std::to_string(static_cast<int>(op)), wd.encode());
+  }
+
+  SetRule rule;
+  rule.component = "app";
+  rule.max_local_restarts = 7;
+  rule.switchover_on_permanent = 1;
+  f.emplace_back("SetRule", rule.encode());
+
+  SetActive act;
+  act.active = true;
+  act.incarnation = 4;
+  act.role = Role::kPrimary;
+  f.emplace_back("SetActive", act.encode());
+
+  EngineHello hello;
+  hello.node = 6;
+  f.emplace_back("EngineHello", hello.encode());
+
+  StatusReport sr;
+  sr.unit = "calltrack";
+  sr.node = 2;
+  sr.role = Role::kPrimary;
+  sr.incarnation = 3;
+  sr.peer_visible = true;
+  sr.components.push_back(ComponentStatus{"app", ComponentState::kRestarting, 2, 900,
+                                          ReplicationMode::kWarmPassive, false});
+  sr.components.push_back(ComponentStatus{"opc", ComponentState::kUp, 0, 12,
+                                          ReplicationMode::kColdPassive, true});
+  sr.view = sample_view();
+  sr.swim_members = sample_updates();
+  f.emplace_back("StatusReport", sr.encode());
+  StatusReport pair_sr;
+  pair_sr.unit = "pair";
+  pair_sr.node = 0;
+  pair_sr.role = Role::kBackup;
+  f.emplace_back("StatusReportPair", pair_sr.encode());
+
+  RoleAnnounce ra;
+  ra.unit = "calltrack";
+  ra.node = 1;
+  ra.role = Role::kBackup;
+  ra.incarnation = 8;
+  f.emplace_back("RoleAnnounce", ra.encode());
+
+  SubscribeRoles sub;
+  sub.subscriber_node = 2;
+  sub.subscriber_port = "oftt.divert.telsim";
+  f.emplace_back("SubscribeRoles", sub.encode());
+
+  f.emplace_back("Checkpoint", encode_checkpoint("calltrack", Buffer{9, 8, 7, 6, 0, 255}));
+  f.emplace_back("CheckpointNack", encode_checkpoint_nack("calltrack", 41));
+
+  CheckpointPull pull;
+  pull.component = "calltrack";
+  pull.have_seq = 33;
+  pull.have_incarnation = 2;
+  pull.from_node = 1;
+  f.emplace_back("CheckpointPull", pull.encode());
+
+  DecisionMsg dec;
+  dec.component = "calltrack";
+  dec.seq = 19;
+  dec.decided_at = 5'000'000;
+  dec.payload = {0xDE, 0xAD, 0xBE, 0xEF};
+  f.emplace_back("Decision", dec.encode());
+
+  PolicySwitchMsg ps;
+  ps.component = "calltrack";
+  ps.to = ReplicationMode::kWarmPassive;
+  ps.incarnation = 3;
+  ps.at_seq = 100;
+  ps.decision_seq = 7;
+  ps.reason = "governor";
+  f.emplace_back("PolicySwitch", ps.encode());
+
+  ViewGossip vg;
+  vg.from_node = 2;
+  vg.unit = "calltrack";
+  vg.view = sample_view();
+  f.emplace_back("ViewGossip", vg.encode());
+
+  PromoteRequest preq;
+  preq.candidate = 1;
+  preq.unit = "calltrack";
+  preq.incarnation = 4;
+  preq.view_version = 12;
+  preq.reason = "primary silent";
+  f.emplace_back("PromoteRequest", preq.encode());
+
+  PromoteAck pack;
+  pack.voter = 0;
+  pack.candidate = 1;
+  pack.incarnation = 4;
+  pack.granted = true;
+  f.emplace_back("PromoteAck", pack.encode());
+
+  f.emplace_back("SwimProbe", sample_swim<SwimProbe>(3, 5).encode());
+  f.emplace_back("SwimAck", sample_swim<SwimAck>(5, 3).encode());
+  f.emplace_back("SwimPingReq", sample_swim<SwimPingReq>(3, 8).encode());
+
+  std::vector<opc::SubBatch> batches(2);
+  batches[0].sub_id = 7;
+  batches[0].items = {
+      opc::NotifyItem{0, opc::Quality::kGood, opc::OpcValue::from_real(3.5), 1000},
+      opc::NotifyItem{9, opc::Quality::kUncertain, opc::OpcValue::from_int(-4), 1001},
+      opc::NotifyItem{2, opc::Quality::kBad, opc::OpcValue(), 0}};
+  batches[1].sub_id = 19;
+  batches[1].items = {
+      opc::NotifyItem{123456, opc::Quality::kGood, opc::OpcValue::from_bool(true), 77},
+      opc::NotifyItem{3, opc::Quality::kGood, opc::OpcValue::from_string("mode: auto"), 78}};
+  f.emplace_back("NotifyFrame", opc::encode_notify_frame(batches));
+
+  dcom::RequestPacket req;
+  req.call_id = 7;
+  req.oid = 9;
+  req.iid = Guid::from_name("IID_X");
+  req.method = 3;
+  req.args = {1, 2, 3};
+  req.reply_node = 4;
+  req.reply_port = "orpcc.app";
+  f.emplace_back("OrpcRequest", dcom::encode_request(req));
+
+  dcom::ResponsePacket resp;
+  resp.call_id = 7;
+  resp.hr = RPC_E_SERVERFAULT;
+  resp.result = {5, 6};
+  f.emplace_back("OrpcResponse", dcom::encode_response(resp));
+
+  dcom::PingPacket ping;
+  ping.oids = {1, 5, 0xFFFFFFFFFFull};
+  f.emplace_back("OrpcPing", dcom::encode_ping(ping));
+
+  dcom::ActivatePacket activate;
+  activate.call_id = 8;
+  activate.clsid = Guid::from_name("CLSID_Y");
+  activate.iid = Guid::from_name("IID_X");
+  activate.reply_node = 1;
+  activate.reply_port = "orpcc.hmi";
+  f.emplace_back("OrpcActivate", dcom::encode_activate(activate));
+  return f;
+}
+
+struct Pin {
+  const char* name;
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+// Pinned at the hand-written codecs these frames were first encoded
+// with. Never edit a row to make the test pass: a moved pin is a wire
+// format change, which breaks mixed-version peers and every pinned
+// history hash.
+constexpr Pin kPins[] = {
+    {"Probe", 14, 0x212e04e4u},
+    {"ProbeReply", 14, 0xdd27fb2eu},
+    {"PeerHeartbeat", 19, 0xc4c5aa02u},
+    {"Takeover", 46, 0x9075c2e1u},
+    {"FtRegister", 74, 0x49f7272eu},
+    {"FtHeartbeat", 32, 0x5021b192u},
+    {"FtDistress", 28, 0xf7ad18acu},
+    {"Watchdog13", 24, 0x647bd4bau},
+    {"Watchdog14", 24, 0xaf47e5d9u},
+    {"Watchdog15", 24, 0x15082757u},
+    {"SetRule", 16, 0x64c42007u},
+    {"SetActive", 7, 0x6ccbf044u},
+    {"EngineHello", 5, 0xd641d488u},
+    {"StatusReport", 181, 0x5df08ed9u},
+    {"StatusReportPair", 28, 0x0013ea76u},
+    {"RoleAnnounce", 23, 0x67dd85f9u},
+    {"SubscribeRoles", 27, 0x8e587cbeu},
+    {"Checkpoint", 24, 0xde31bc61u},
+    {"CheckpointNack", 22, 0xf9f3cf9du},
+    {"CheckpointPull", 30, 0x6106204bu},
+    {"Decision", 38, 0x58b0bfacu},
+    {"PolicySwitch", 47, 0xcbcf1be4u},
+    {"ViewGossip", 96, 0x88bb6dedu},
+    {"PromoteRequest", 49, 0x7c9ab6bdu},
+    {"PromoteAck", 15, 0xd745c202u},
+    {"SwimProbe", 52, 0x0dcc1044u},
+    {"SwimAck", 52, 0x63fd0e2fu},
+    {"SwimPingReq", 52, 0x0e1bfdd4u},
+    {"NotifyFrame", 119, 0x08cb418fu},
+    {"OrpcRequest", 59, 0x90c60cb0u},
+    {"OrpcResponse", 19, 0xee449b8au},
+    {"OrpcPing", 29, 0x603fd4a7u},
+    {"OrpcActivate", 58, 0x049d64c0u},
+};
+
+std::string hex(const Buffer& b) {
+  std::string s;
+  char byte[3];
+  for (std::uint8_t c : b) {
+    std::snprintf(byte, sizeof byte, "%02x", c);
+    s += byte;
+  }
+  return s;
+}
+
+TEST(WireGolden, EveryFrameMatchesItsPinnedBytes) {
+  auto frames = golden_frames();
+  ASSERT_EQ(frames.size(), std::size(kPins));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto& [name, bytes] = frames[i];
+    EXPECT_EQ(name, kPins[i].name);
+    char row[96];
+    std::snprintf(row, sizeof row, "{\"%s\", %zu, 0x%08xu},", name.c_str(), bytes.size(),
+                  crc32c(bytes));
+    EXPECT_EQ(bytes.size(), kPins[i].size) << row << "\n" << hex(bytes);
+    EXPECT_EQ(crc32c(bytes), kPins[i].crc) << row << "\n" << hex(bytes);
+  }
+}
+
+TEST(WireGolden, EveryMsgKindHasAPinnedSample) {
+  std::vector<bool> seen(256, false);
+  for (const auto& [name, bytes] : golden_frames()) {
+    ASSERT_FALSE(bytes.empty()) << name;
+    seen[bytes[0]] = true;
+  }
+  const MsgKind kinds[] = {
+      MsgKind::kProbe,          MsgKind::kProbeReply,     MsgKind::kPeerHeartbeat,
+      MsgKind::kTakeover,       MsgKind::kFtRegister,     MsgKind::kFtHeartbeat,
+      MsgKind::kFtDistress,     MsgKind::kWatchdogCreate, MsgKind::kWatchdogReset,
+      MsgKind::kWatchdogDelete, MsgKind::kSetRule,        MsgKind::kSetActive,
+      MsgKind::kEngineHello,    MsgKind::kStatusReport,   MsgKind::kRoleAnnounce,
+      MsgKind::kSubscribeRoles, MsgKind::kCheckpoint,     MsgKind::kCheckpointNack,
+      MsgKind::kCheckpointPull, MsgKind::kDecision,       MsgKind::kPolicySwitch,
+      MsgKind::kViewGossip,     MsgKind::kPromoteRequest, MsgKind::kPromoteAck,
+      MsgKind::kSwimProbe,      MsgKind::kSwimAck,        MsgKind::kSwimPingReq};
+  for (MsgKind k : kinds) EXPECT_TRUE(seen[static_cast<std::uint8_t>(k)]) << int(k);
+}
+
+}  // namespace
+}  // namespace oftt

@@ -154,33 +154,30 @@ TEST(Wire, RoleAnnounceAndSubscribeRoundTrip) {
 TEST(Wire, CheckpointFrameRoundTrip) {
   Buffer image{9, 8, 7, 6};
   Buffer frame = encode_checkpoint("calltrack", image);
-  std::string component;
-  Buffer out;
-  ASSERT_TRUE(decode_checkpoint(frame, component, out));
-  EXPECT_EQ(component, "calltrack");
-  EXPECT_EQ(out, image);
+  CheckpointFrame out;
+  ASSERT_TRUE(CheckpointFrame::decode(frame, out));
+  EXPECT_EQ(out.component, "calltrack");
+  EXPECT_EQ(out.image, image);
 }
 
 TEST(Wire, CheckpointNackRoundTrip) {
   Buffer frame = encode_checkpoint_nack("calltrack", 41);
-  std::string component;
-  std::uint64_t have_seq = 0;
-  ASSERT_TRUE(decode_checkpoint_nack(frame, component, have_seq));
-  EXPECT_EQ(component, "calltrack");
-  EXPECT_EQ(have_seq, 41u);
+  CheckpointNack out;
+  ASSERT_TRUE(CheckpointNack::decode(frame, out));
+  EXPECT_EQ(out.component, "calltrack");
+  EXPECT_EQ(out.have_seq, 41u);
 }
 
 TEST(Wire, CheckpointNackRejectsTruncationAndTrailingGarbage) {
   Buffer frame = encode_checkpoint_nack("c", 7);
-  std::string component;
-  std::uint64_t have_seq = 0;
+  CheckpointNack out;
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
     Buffer t(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(decode_checkpoint_nack(t, component, have_seq)) << "cut at " << cut;
+    EXPECT_FALSE(CheckpointNack::decode(t, out)) << "cut at " << cut;
   }
   Buffer padded = frame;
   padded.push_back(0xEE);
-  EXPECT_FALSE(decode_checkpoint_nack(padded, component, have_seq));
+  EXPECT_FALSE(CheckpointNack::decode(padded, out));
 }
 
 // A declared element count far past the remaining bytes must fail the
@@ -216,19 +213,18 @@ TEST(Wire, FuzzGarbageFramesNeverDecode) {
     StatusReport sr;
     Probe p;
     Takeover t;
-    std::string c;
-    Buffer img;
-    std::uint64_t seq = 0;
+    CheckpointFrame ckpt;
+    CheckpointNack nack;
     if (!junk.empty() && trial % 2 == 0) {
       junk[0] = static_cast<std::uint8_t>(MsgKind::kStatusReport);
     }
     StatusReport::decode(junk, sr);  // must not crash / huge-alloc
     Probe::decode(junk, p, false);
     Takeover::decode(junk, t);
-    decode_checkpoint(junk, c, img);
-    decode_checkpoint_nack(junk, c, seq);
+    CheckpointFrame::decode(junk, ckpt);
+    CheckpointNack::decode(junk, nack);
     EXPECT_LT(sr.components.size(), 4096u);
-    EXPECT_LT(img.size(), 4096u);
+    EXPECT_LT(ckpt.image.size(), 4096u);
   }
 }
 
@@ -280,9 +276,8 @@ TEST(Wire, EmptyBufferRejectedEverywhere) {
   Buffer empty;
   PeerHeartbeat hb;
   EXPECT_FALSE(PeerHeartbeat::decode(empty, hb));
-  std::string c;
-  Buffer img;
-  EXPECT_FALSE(decode_checkpoint(empty, c, img));
+  CheckpointFrame ckpt;
+  EXPECT_FALSE(CheckpointFrame::decode(empty, ckpt));
   EXPECT_EQ(wire_kind(empty), 0);
 }
 

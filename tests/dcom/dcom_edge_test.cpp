@@ -66,7 +66,8 @@ TEST_F(EdgeTest, RemarshalingAProxyForwardsTheOriginalReference) {
   marshal_interface(OrpcServer::of(*hmi_), w, server_iface);
   BinaryReader r(w.data());
   ASSERT_EQ(r.u8(), 1);
-  ObjectRef round = ObjectRef::unmarshal(r);
+  ObjectRef round;
+  ASSERT_TRUE(codec::read(r, round));
   EXPECT_EQ(round, proxy->ref());
   EXPECT_EQ(round.node, server_->id()) << "still points at the real server";
 }

@@ -249,11 +249,12 @@ TEST_F(DcomTest, PingGcReclaimsAbandonedExports) {
   auto& server = OrpcServer::of(*svc);
   EXPECT_EQ(server.export_count(), 1u);
   // Client process dies without releasing -> pings stop -> GC reclaims.
-  calc.detach();  // deliberately leak the proxy reference
+  ICalc* abandoned = calc.detach();  // the reference is never released remotely
   client_proc_->kill("client gone");
   sim_.run_for(sim::seconds(30));
   EXPECT_EQ(server.export_count(), 0u);
   EXPECT_GT(sim_.counter_value("orpc.gc_reclaimed"), 0u);
+  abandoned->Release();  // free the orphaned proxy's memory only after GC ran
 }
 
 TEST_F(DcomTest, PingsKeepLiveExportsAlive) {

@@ -106,6 +106,29 @@ TEST(NotifyFrame, InvalidQualityRejected) {
   EXPECT_FALSE(decode_notify_frame(frame, &out));
 }
 
+// An unknown value type tag fails the reader: it must not decode as an
+// empty value and leave the rest of the frame to be parsed out of
+// alignment.
+TEST(NotifyFrame, UnknownValueTypeTagRejected) {
+  Buffer bogus{9, 1, 2, 3, 4};
+  BinaryReader r(bogus);
+  OpcValue v;
+  EXPECT_FALSE(codec::read(r, v));
+  EXPECT_TRUE(r.failed());
+
+  std::vector<SubBatch> in;
+  in.push_back(SubBatch{1, {NotifyItem{0, Quality::kGood, OpcValue(), 5}}});
+  Buffer frame = encode_notify_frame(in);
+  // The value tag follows frame/ver/counts/sub/count/tag/quality.
+  std::size_t tag_off = 1 + 1 + 4 + 4 + 4 + 4 + 1;
+  ASSERT_EQ(frame[tag_off], 0);  // monostate
+  for (std::uint8_t t = 5; t != 0; ++t) {
+    frame[tag_off] = t;
+    std::vector<SubBatch> out;
+    EXPECT_FALSE(decode_notify_frame(frame, &out)) << "tag " << int(t);
+  }
+}
+
 TEST(NotifyFrame, SeededGarbageNeverCrashesAndFailsClosed) {
   sim::Rng rng(0xC0FFEE);
   for (int round = 0; round < 500; ++round) {

@@ -27,11 +27,9 @@ TEST(OpcValue, MarshalRoundTripAllTypes) {
   for (const OpcValue& v :
        {OpcValue(), OpcValue::from_bool(true), OpcValue::from_int(-9),
         OpcValue::from_real(3.5), OpcValue::from_string("tag value")}) {
-    BinaryWriter w;
-    v.marshal(w);
-    Buffer b = std::move(w).take();
-    BinaryReader r(b);
-    EXPECT_EQ(OpcValue::unmarshal(r), v);
+    OpcValue out;
+    ASSERT_TRUE(codec::decode(codec::encode(v), out));
+    EXPECT_EQ(out, v);
   }
 }
 
@@ -40,11 +38,9 @@ TEST(ItemStates, VectorMarshalRoundTrip) {
       {"a", OpcValue::from_int(1), Quality::kGood, sim::seconds(1)},
       {"b", OpcValue(), Quality::kBad, 0},
   };
-  BinaryWriter w;
-  marshal_item_states(w, items);
-  Buffer b = std::move(w).take();
-  BinaryReader r(b);
-  EXPECT_EQ(unmarshal_item_states(r), items);
+  std::vector<ItemState> out;
+  ASSERT_TRUE(codec::decode(codec::encode(items), out));
+  EXPECT_EQ(out, items);
 }
 
 class DeviceTest : public ::testing::Test {

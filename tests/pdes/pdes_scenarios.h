@@ -112,8 +112,8 @@ inline std::uint64_t ring_hash(std::uint64_t seed, int nodes, bool lossy,
 
   // Global cancel-race driver (coordinator context end to end).
   auto round = std::make_shared<int>(0);
-  auto driver = std::make_shared<std::function<void()>>();
-  *driver = [&sim, digest, round, driver] {
+  auto racer = std::make_shared<std::function<void()>>();
+  *racer = [&sim, digest, round, racer] {
     fold(digest->global, static_cast<std::uint64_t>(sim.now()) + 17);
     EventHandle timeout = sim.schedule_after(milliseconds(30), [&sim, digest] {
       fold(digest->global, static_cast<std::uint64_t>(sim.now()) ^ 0x77);
@@ -124,9 +124,9 @@ inline std::uint64_t ring_hash(std::uint64_t seed, int nodes, bool lossy,
       sim.cancel(timeout);
     });
     ++*round;
-    sim.schedule_after(milliseconds(50), [driver] { (*driver)(); });
+    sim.schedule_after(milliseconds(50), [racer] { (*racer)(); });
   };
-  sim.schedule_after(microseconds(25'501), [driver] { (*driver)(); });
+  sim.schedule_after(microseconds(25'501), [racer] { (*racer)(); });
 
   FaultPlan plan(sim);
   if (nodes > 1) {
@@ -135,6 +135,9 @@ inline std::uint64_t ring_hash(std::uint64_t seed, int nodes, bool lossy,
   plan.arm();
 
   sim.run_until(seconds(3));
+  // The cancel-race closure holds itself (to reschedule); break the
+  // cycle so it is freed with the events still queued.
+  *racer = nullptr;
 
   for (const auto& inj : plan.journal()) {
     fold(digest->global, static_cast<std::uint64_t>(inj.at));

@@ -73,8 +73,8 @@ inline std::uint64_t kernel_scenario_hash(std::uint64_t seed) {
   // a canceller; on even rounds the cancel (at +10 ms) beats the fire,
   // on odd rounds it loses (at +40 ms) and must be a harmless no-op.
   auto round = std::make_shared<int>(0);
-  auto driver = std::make_shared<std::function<void()>>();
-  *driver = [&sim, &h, round, driver] {
+  auto racer = std::make_shared<std::function<void()>>();
+  *racer = [&sim, &h, round, racer] {
     fold(h, static_cast<std::uint64_t>(sim.now()) + 17);
     EventHandle timeout = sim.schedule_after(milliseconds(30), [&sim, &h] {
       fold(h, static_cast<std::uint64_t>(sim.now()) ^ 0x77);
@@ -85,9 +85,9 @@ inline std::uint64_t kernel_scenario_hash(std::uint64_t seed) {
       sim.cancel(timeout);
     });
     ++*round;
-    sim.schedule_after(milliseconds(50), [driver] { (*driver)(); });
+    sim.schedule_after(milliseconds(50), [racer] { (*racer)(); });
   };
-  sim.schedule_after(milliseconds(25), [driver] { (*driver)(); });
+  sim.schedule_after(milliseconds(25), [racer] { (*racer)(); });
 
   FaultPlan plan(sim);
   plan.os_crash(seconds(2), 1, /*reboot_after=*/seconds(1));
@@ -99,6 +99,9 @@ inline std::uint64_t kernel_scenario_hash(std::uint64_t seed) {
   plan.arm();
 
   sim.run_until(seconds(10));
+  // The cancel-race closure holds itself (to reschedule); break the
+  // cycle so it is freed with the events still queued.
+  *racer = nullptr;
 
   for (const auto& inj : plan.journal()) fold(h, static_cast<std::uint64_t>(inj.at));
   fold(h, net.delivered());

@@ -8,6 +8,7 @@
 #include "core/deployment.h"
 #include "core/diverter.h"
 #include "msmq/queue_manager.h"
+#include "sim/disk.h"
 #include "sim/fault_plan.h"
 #include "sim/simulation.h"
 #include "support/counter_app.h"
@@ -236,6 +237,26 @@ TEST_F(RecoveryTest, RebootedEngineRestoresRoleHint) {
   EXPECT_TRUE(dep.engine_a()->role_hint_restored());
   EXPECT_GE(dep.engine_a()->incarnation(), 1u)
       << "incarnation clock must not restart from zero";
+  EXPECT_EQ(dep.primary_node(), dep.node_b().id()) << "survivor keeps primary";
+  EXPECT_EQ(dep.backup_node(), dep.node_a().id());
+}
+
+// A role hint whose role byte names no Role is ignored, not restored:
+// the node still rejoins as backup under the surviving primary.
+TEST_F(RecoveryTest, MalformedRoleHintIsIgnored) {
+  PairDeployment dep(sim, recovery_options());
+  sim.run_for(sim::seconds(3));
+  ASSERT_EQ(dep.primary_node(), dep.node_a().id());
+
+  dep.node_a().crash();
+  sim.run_for(sim::seconds(2));
+  ASSERT_TRUE(sim::DiskStore::of(sim).write(dep.node_a().id(), "oftt.role.calltrack",
+                                            Buffer{0x7F, 9, 0, 0, 0}));
+  dep.node_a().boot();
+  sim.run_for(sim::seconds(5));
+
+  ASSERT_NE(dep.engine_a(), nullptr);
+  EXPECT_FALSE(dep.engine_a()->role_hint_restored());
   EXPECT_EQ(dep.primary_node(), dep.node_b().id()) << "survivor keeps primary";
   EXPECT_EQ(dep.backup_node(), dep.node_a().id());
 }

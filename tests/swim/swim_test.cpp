@@ -44,20 +44,16 @@ TEST(SwimUpdate, PrecedenceOrdersIncarnationThenGravity) {
 
 TEST(SwimUpdate, EncodeDecodeRoundTripsAndRejectsBadState) {
   Update in{42, 9u, MemberState::kSuspect};
-  BinaryWriter w;
-  in.encode(w);
-  EXPECT_EQ(w.size(), 9u) << "an update is exactly i32 + u32 + u8 on the wire";
+  Buffer b = codec::encode(in);
+  EXPECT_EQ(b.size(), 9u) << "an update is exactly i32 + u32 + u8 on the wire";
 
-  BinaryReader r(w.data());
   Update out;
-  ASSERT_TRUE(Update::decode(r, out));
+  ASSERT_TRUE(codec::decode(b, out));
   EXPECT_EQ(out, in);
 
   // A state byte beyond kDead must fail closed, not alias a state.
-  Buffer bad = w.data();
-  bad.back() = 7;
-  BinaryReader rb(bad);
-  EXPECT_FALSE(Update::decode(rb, out));
+  b.back() = 7;
+  EXPECT_FALSE(codec::decode(b, out));
 }
 
 // ---------------------------------------------------------------------
