@@ -24,6 +24,7 @@
 #include <cinttypes>
 
 #include "bench_util.h"
+#include "common/strings.h"
 #include "kernel_floor.h"
 #include "obs/json.h"
 #include "pdes/pdes_scenarios.h"
@@ -140,14 +141,14 @@ KernelResult run_timer_heavy(std::uint64_t seed, int timers, sim::SimTime durati
   constexpr int kNodes = 8;
   std::vector<sim::Node*> nodes;
   for (int n = 0; n < kNodes; ++n) {
-    nodes.push_back(&sim.add_node("n" + std::to_string(n)));
+    nodes.push_back(&sim.add_node(cat("n", n)));
     nodes.back()->boot();
   }
   std::vector<std::shared_ptr<sim::Process>> procs;
   std::vector<std::unique_ptr<sim::PeriodicTimer>> running;
   for (int t = 0; t < timers; ++t) {
     auto proc = nodes[static_cast<std::size_t>(t % kNodes)]->start_process(
-        "p" + std::to_string(t), nullptr);
+        cat("p", t), nullptr);
     procs.push_back(proc);
     auto timer = std::make_unique<sim::PeriodicTimer>(proc->main_strand());
     // Engine-like periods: 10..500 ms, deterministic spread.

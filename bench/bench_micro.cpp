@@ -7,11 +7,14 @@
 
 #include "common/bytes.h"
 #include "common/strings.h"
+#include "core/api.h"
 #include "core/checkpoint.h"
+#include "core/deployment.h"
 #include "core/wire.h"
 #include "dcom/orpc.h"
 #include "msmq/message.h"
 #include "obs/metrics.h"
+#include "opc/tag_store.h"
 #include "opc/value.h"
 #include "sim/simulation.h"
 
@@ -168,6 +171,60 @@ void BM_CheckpointRestore(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CheckpointRestore)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_TagStoreIntern(benchmark::State& state) {
+  // A farm-sized store built from scratch, as every app (re)start does:
+  // 2^18 fresh names through the name index.
+  std::vector<std::string> names;
+  for (int i = 0; i < (1 << 18); ++i) names.push_back(cat("p", i));
+  for (auto _ : state) {
+    opc::TagStore store(32);
+    for (const std::string& n : names) store.intern(n);
+    benchmark::DoNotOptimize(store.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(names.size()));
+}
+BENCHMARK(BM_TagStoreIntern)->Unit(benchmark::kMillisecond);
+
+/// Warm-passive pair app whose whole state is one region of `bytes`.
+class RegionApp {
+ public:
+  RegionApp(sim::Process& process, std::size_t bytes) {
+    auto& rt = nt::NtRuntime::of(process);
+    rt.create_thread_static("main", 0x1000);
+    rt.memory().alloc("globals", bytes);
+    core::FtimOptions f;
+    f.replication = core::ReplicationMode::kWarmPassive;
+    f.full_checkpoint_interval = 1;  // every capture is a full image
+    f.checkpoint_period = sim::seconds(3600);
+    f.delta_stream_period = sim::seconds(3600);  // only save_now() captures
+    core::OFTTInitialize(process, f);
+  }
+};
+
+void BM_CheckpointPairHop(benchmark::State& state) {
+  // One full image from capture on the primary to restore on the backup:
+  // marshal, journal, transmit, deliver, unmarshal, journal, fold.
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  sim::Simulation sim(1);
+  core::PairDeploymentOptions opts;
+  opts.engine.replication = core::ReplicationMode::kWarmPassive;
+  opts.with_msmq = false;
+  opts.with_monitor = false;
+  opts.app_factory = [bytes](sim::Process& proc) { proc.attachment<RegionApp>(proc, bytes); };
+  core::PairDeployment dep(sim, opts);
+  sim.run_for(sim::seconds(3));
+  core::Ftim& primary = *dep.ftim_on(*dep.node_by_id(dep.primary_node()));
+  core::Ftim& backup = *dep.ftim_on(*dep.node_by_id(dep.backup_node()));
+  for (auto _ : state) {
+    const std::uint64_t before = backup.full_checkpoints_received();
+    primary.save_now();
+    while (backup.full_checkpoints_received() == before && sim.step()) {
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointPairHop)->Arg(1 << 20)->Arg(6 << 20)->Unit(benchmark::kMicrosecond);
 
 void BM_StatusReportEncode(benchmark::State& state) {
   core::StatusReport sr;

@@ -29,6 +29,7 @@
 
 #include "bench_util.h"
 #include "com/object.h"
+#include "common/strings.h"
 #include "core/api.h"
 #include "core/deployment.h"
 #include "dcom/scm.h"
@@ -84,7 +85,7 @@ TickCost run_tick_cost(int tags, int changed, int ticks, std::uint64_t seed) {
   auto dev = std::make_shared<opc::Device>("plant");
   std::vector<std::string> names;
   names.reserve(static_cast<std::size_t>(tags));
-  for (int i = 0; i < tags; ++i) names.push_back("t" + std::to_string(i));
+  for (int i = 0; i < tags; ++i) names.push_back(cat("t", i));
   for (int i = 0; i < tags; ++i) {
     opc::TagId id = dev->store().intern(names[static_cast<std::size_t>(i)]);
     dev->store().set(id, opc::OpcValue::from_real(0.0), opc::Quality::kGood, sim.now());
@@ -239,7 +240,7 @@ class TagPlantApp {
         timer_(process.main_strand()) {
     auto& rt = nt::NtRuntime::of(process);
     rt.create_thread_static("plant_main", 0x501000);
-    for (int i = 0; i < options_.tags; ++i) store_.intern("p" + std::to_string(i));
+    for (int i = 0; i < options_.tags; ++i) store_.intern(cat("p", i));
     for (int i = 0; i < options_.tags; ++i) {
       store_.set(static_cast<opc::TagId>(i), opc::OpcValue::from_real(0.0),
                  opc::Quality::kGood, process.sim().now());

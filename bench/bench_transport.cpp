@@ -112,7 +112,7 @@ class SessionPeer {
     p.bind(kPort, [this](const sim::Datagram& d) { ep_->handle(d); });
     ep_ = std::make_unique<transport::Endpoint>(p.main_strand(), kPort,
                                                 transport::SessionConfig{});
-    ep_->on_deliver([this](int, int, const Buffer& b) { bytes_ += b.size(); });
+    ep_->on_deliver([this](int, int, ByteView b) { bytes_ += b.size(); });
   }
   transport::Endpoint& ep() { return *ep_; }
   std::size_t bytes() const { return bytes_; }

@@ -20,7 +20,7 @@ std::uint64_t fnv64(const void* data, std::size_t n) {
   return h;
 }
 
-std::uint64_t fnv64(const Buffer& b) { return fnv64(b.data(), b.size()); }
+std::uint64_t fnv64(ByteView b) { return fnv64(b.data(), b.size()); }
 
 namespace {
 
@@ -168,7 +168,7 @@ std::uint32_t crc32c(const void* data, std::size_t n) {
   return update(0xFFFFFFFFu, static_cast<const std::uint8_t*>(data), n) ^ 0xFFFFFFFFu;
 }
 
-std::uint32_t crc32c(const Buffer& b) { return crc32c(b.data(), b.size()); }
+std::uint32_t crc32c(ByteView b) { return crc32c(b.data(), b.size()); }
 
 std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::size_t len_b) {
   return crc32c_multmodp(crc32c_zeros_op(len_b), crc_a) ^ crc_b;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +20,10 @@
 namespace oftt {
 
 using Buffer = std::vector<std::uint8_t>;
+/// Read-only bytes owned elsewhere — a payload inside a frame, a record
+/// inside a journal segment — so a layer can hand bytes on without
+/// copying them. A Buffer converts to it implicitly.
+using ByteView = std::span<const std::uint8_t>;
 
 class BinaryWriter {
  public:
@@ -41,7 +46,7 @@ class BinaryWriter {
     u32(static_cast<std::uint32_t>(s.size()));
     raw(s.data(), s.size());
   }
-  void blob(const Buffer& b) {
+  void blob(ByteView b) {
     u32(static_cast<std::uint32_t>(b.size()));
     raw(b.data(), b.size());
   }
@@ -50,6 +55,15 @@ class BinaryWriter {
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
+
+  /// Overwrite four bytes already written at `at` (a length or a
+  /// checksum known only once what follows is written).
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  /// Size the buffer once for a large frame, so appending never moves
+  /// the bytes already written.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   const Buffer& data() const& { return buf_; }
   Buffer take() && { return std::move(buf_); }
@@ -67,7 +81,7 @@ class BinaryWriter {
 
 class BinaryReader {
  public:
-  explicit BinaryReader(const Buffer& buf) : data_(buf.data()), size_(buf.size()) {}
+  explicit BinaryReader(ByteView buf) : data_(buf.data()), size_(buf.size()) {}
   BinaryReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
   std::uint8_t u8() { return take_le<std::uint8_t>(); }
@@ -95,6 +109,14 @@ class BinaryReader {
     std::uint32_t n = u32();
     if (!require(n)) return {};
     Buffer b(data_ + pos_, data_ + pos_ + n);
+    pos_ += n;
+    return b;
+  }
+  /// A blob read in place: the view points into the reader's bytes.
+  ByteView blob_view() {
+    std::uint32_t n = u32();
+    if (!require(n)) return {};
+    ByteView b(data_ + pos_, n);
     pos_ += n;
     return b;
   }
@@ -141,7 +163,7 @@ class BinaryReader {
 
 /// FNV-1a hash. Not an integrity check: it names things (chaos schedule
 /// ids) and is kept off every data path.
-std::uint64_t fnv64(const Buffer& b);
+std::uint64_t fnv64(ByteView b);
 std::uint64_t fnv64(const void* data, std::size_t n);
 
 /// CRC-32C (Castagnoli polynomial, reflected): the one integrity check
@@ -153,7 +175,7 @@ std::uint64_t fnv64(const void* data, std::size_t n);
 /// slicing-by-8 table. Both paths return identical values, so no byte
 /// on disk or wire depends on the machine that wrote it.
 std::uint32_t crc32c(const void* data, std::size_t n);
-std::uint32_t crc32c(const Buffer& b);
+std::uint32_t crc32c(ByteView b);
 /// crc32c(A followed by B) from crc32c(A), crc32c(B) and B's length,
 /// without reading either: lets a checksum computed once travel with
 /// its bytes into a larger frame. O(log len_b).

@@ -22,6 +22,8 @@
 //   - and, for a whole frame (`decode`), trailing bytes.
 // Field types: bool, integers (little-endian, their own width), enums
 // (one byte), double, std::string and Buffer (u32 length + bytes), Guid,
+// ByteView (a Buffer's encoding, decoded in place: the view points into
+// the frame, which must outlive it),
 // std::vector<T> (u32 count; `list<Count>` picks another width),
 // std::variant (u8 index + alternative), std::pair, and any type with
 // its own fields(). Layouts are append-only: a field is never reordered
@@ -98,7 +100,7 @@ class Writer {
       else w_.u64(u);
     } else if constexpr (std::is_same_v<T, std::string>) {
       w_.str(x);
-    } else if constexpr (std::is_same_v<T, Buffer>) {
+    } else if constexpr (std::is_same_v<T, Buffer> || std::is_same_v<T, ByteView>) {
       w_.blob(x);
     } else if constexpr (std::is_same_v<T, Guid>) {
       w_.guid(x);
@@ -181,6 +183,8 @@ class Reader {
       x = r_.str();
     } else if constexpr (std::is_same_v<T, Buffer>) {
       x = r_.blob();
+    } else if constexpr (std::is_same_v<T, ByteView>) {
+      x = r_.blob_view();
     } else if constexpr (std::is_same_v<T, Guid>) {
       x = r_.guid();
     } else if constexpr (detail::is_vector<T>::value) {
@@ -223,7 +227,8 @@ class MinSize {
     if constexpr (std::is_same_v<T, std::monostate>) {
     } else if constexpr (detail::is_scalar_v<T>) {
       bytes += sizeof(T);
-    } else if constexpr (std::is_same_v<T, std::string> || detail::is_vector<T>::value) {
+    } else if constexpr (std::is_same_v<T, std::string> || std::is_same_v<T, ByteView> ||
+                         detail::is_vector<T>::value) {
       bytes += 4;  // Buffer is a vector too: u32 length
     } else if constexpr (std::is_same_v<T, Guid>) {
       bytes += 16;
@@ -276,7 +281,7 @@ template <class... T> Buffer encode(const T&... xs) {
 }
 
 /// Whole-frame decode: every field valid and no byte left over.
-template <class T> bool decode(const Buffer& b, T& out) {
+template <class T> bool decode(ByteView b, T& out) {
   BinaryReader r(b);
   return read(r, out) && r.at_end();
 }
@@ -285,7 +290,7 @@ template <class T> bool decode(const Buffer& b, T& out) {
 /// `T::decode(buf, out)` pair.
 template <class T> struct Message {
   Buffer encode() const { return codec::encode(static_cast<const T&>(*this)); }
-  static bool decode(const Buffer& b, T& out) { return codec::decode(b, out); }
+  static bool decode(ByteView b, T& out) { return codec::decode(b, out); }
 };
 
 }  // namespace oftt::codec

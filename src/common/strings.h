@@ -15,7 +15,7 @@ namespace oftt {
 template <typename... Args>
 std::string cat(Args&&... args) {
   std::ostringstream os;
-  (os << ... << std::forward<Args>(args));
+  ((os << std::forward<Args>(args)), ...);
   return os.str();
 }
 

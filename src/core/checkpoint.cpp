@@ -15,8 +15,25 @@ std::size_t CheckpointImage::payload_bytes() const {
   return n;
 }
 
+std::size_t CheckpointImage::marshalled_size() const {
+  // seq, base_seq, decision_seq, incarnation, mode, taken_at, three
+  // counts and the trailer; each entry adds its u32 length prefixes.
+  std::size_t n = 8 + 8 + 8 + 4 + 1 + 8 + 3 * 4 + 8;
+  for (const auto& [name, bytes] : regions) n += 8 + name.size() + bytes.size();
+  for (const auto& c : cells) n += 12 + c.region.size() + c.bytes.size();
+  for (const auto& [name, ctx] : task_contexts) n += 8 + name.size() + ctx.size();
+  return n;
+}
+
 Buffer CheckpointImage::marshal() const {
   BinaryWriter w;
+  w.reserve(marshalled_size());
+  marshal(w);
+  return std::move(w).take();
+}
+
+void CheckpointImage::marshal(BinaryWriter& w) const {
+  const std::size_t start = w.size();
   w.u64(seq);
   w.u64(base_seq);
   w.u64(decision_seq);
@@ -39,13 +56,12 @@ Buffer CheckpointImage::marshal() const {
     w.str(name);
     w.blob(ctx);
   }
-  // CRC-32C over everything serialized so far, zero-extended to the
+  // CRC-32C over the image serialized so far, zero-extended to the
   // 8-byte trailer.
-  w.u64(crc32c(w.data()));
-  return std::move(w).take();
+  w.u64(crc32c(w.data().data() + start, w.size() - start));
 }
 
-bool CheckpointImage::unmarshal(const Buffer& buf, CheckpointImage& out) {
+bool CheckpointImage::unmarshal(ByteView buf, CheckpointImage& out) {
   if (buf.size() < 8) return false;
   // Validate the trailing checksum first. The trailer is a CRC-32C
   // zero-extended to 8 bytes; nonzero high bits mean a foreign or
@@ -91,7 +107,7 @@ bool CheckpointImage::unmarshal(const Buffer& buf, CheckpointImage& out) {
   return !r.failed();
 }
 
-std::uint32_t CheckpointImage::crc32c_of_marshalled(const Buffer& buf) {
+std::uint32_t CheckpointImage::crc32c_of_marshalled(ByteView buf) {
   const std::size_t body = buf.size() - 8;
   const auto body_crc = static_cast<std::uint32_t>(BinaryReader(buf.data() + body, 8).u64());
   return crc32c_combine(body_crc, crc32c(buf.data() + body, 8), 8);

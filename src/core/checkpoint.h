@@ -55,13 +55,18 @@ struct CheckpointImage {
   std::size_t payload_bytes() const;
 
   Buffer marshal() const;
+  /// Append the marshalled image to `w` (a checkpoint frame being
+  /// built around it); the trailer covers only the image's own bytes.
+  void marshal(BinaryWriter& w) const;
+  /// Exact size marshal() produces, so a writer can be sized once.
+  std::size_t marshalled_size() const;
   /// Returns false on truncation, checksum mismatch or a trailer whose
   /// high 32 bits are set.
-  static bool unmarshal(const Buffer& buf, CheckpointImage& out);
+  static bool unmarshal(ByteView buf, CheckpointImage& out);
   /// crc32c() of a whole marshalled image, trailer included, derived
-  /// from the trailer without reading the body. Only meaningful for a
-  /// buffer that marshal() produced or unmarshal() accepted.
-  static std::uint32_t crc32c_of_marshalled(const Buffer& buf);
+  /// from the trailer without reading the body. Only meaningful for
+  /// bytes that marshal() produced or unmarshal() accepted.
+  static std::uint32_t crc32c_of_marshalled(ByteView buf);
 };
 
 /// Registered selective-save designation (OFTTSelSave).

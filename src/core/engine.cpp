@@ -78,14 +78,14 @@ Engine::Engine(sim::Process& process, OfttConfig config)
     scfg.rto_initial = sim::milliseconds(50);
     scfg.rto_max = sim::milliseconds(400);
     ep_ = std::make_unique<transport::Endpoint>(process.main_strand(), kEnginePort, scfg);
-    ep_->on_deliver([this](int src_node, int network_id, const Buffer& payload) {
+    ep_->on_deliver([this](int src_node, int network_id, ByteView payload) {
       sim::Datagram d;
       d.network_id = network_id;
       d.src_node = src_node;
       d.src_port = kEnginePort;
       d.dst_node = process_->node().id();
       d.dst_port = kEnginePort;
-      d.payload = payload;
+      d.payload.assign(payload.begin(), payload.end());
       dispatch(d);
     });
     if (config_.detection == DetectionMode::kSwim) {

@@ -79,7 +79,7 @@ Ftim::Ftim(sim::Process& process, FtimOptions options)
   scfg.rto_initial = sim::milliseconds(50);
   scfg.rto_max = sim::milliseconds(500);
   ep_ = std::make_unique<transport::Endpoint>(*strand_, port_, scfg);
-  ep_->on_deliver([this](int src_node, int network_id, const Buffer& payload) {
+  ep_->on_deliver([this](int src_node, int network_id, ByteView payload) {
     on_frame(src_node, network_id, payload);
   });
 
@@ -226,7 +226,16 @@ void Ftim::take_checkpoint() {
     ckpts_since_full_ = 0;
     force_full_ = false;
   }
-  Buffer blob = img.marshal();
+  // The image is marshalled once, straight into the checkpoint frame;
+  // the journal and the first send read it there (DESIGN.md, checkpoint
+  // data path).
+  BinaryWriter w;
+  const std::size_t image_at =
+      begin_checkpoint_frame(w, options_.component, img.marshalled_size());
+  img.marshal(w);
+  end_checkpoint_frame(w, image_at);
+  Buffer frame = std::move(w).take();
+  const ByteView blob(frame.data() + image_at, frame.size() - image_at);
   last_checkpoint_bytes_ = blob.size();
   ++checkpoints_sent_;
   if (delta) ++delta_checkpoints_sent_; else ++full_checkpoints_sent_;
@@ -235,18 +244,17 @@ void Ftim::take_checkpoint() {
   publish_event(obs::EventKind::kCheckpointTaken, delta ? "delta" : "full", ckpt_seq_,
                 blob.size());
   journal_checkpoint(img, blob);
-  if (ckpt_peers_.empty()) return;
   const auto bytes = static_cast<std::int64_t>(blob.size());
-  // Held until the fan-out is done: freeing the image before the sends
-  // copy the frame changes the allocator's reuse pattern, which cost
-  // ~14% more page faults on image-heavy runs.
-  const CheckpointFrame ckpt{{}, options_.component, std::move(blob)};
-  Buffer frame = ckpt.encode();
   // Fan out to every backup replica over its session; the session
   // handles retransmission, ordering and (on the dual-network
-  // configuration) alternating networks across retries.
-  for (int peer : ckpt_peers_) {
-    if (!ep_->send(peer, frame, /*tag=*/ckpt_seq_, nullptr, transport::kClassCheckpoint)) {
+  // configuration) alternating networks across retries. The last peer
+  // takes the frame itself, the others a copy. `img` is held until the
+  // fan-out is done: freeing it earlier changes the allocator's reuse
+  // pattern, which cost ~14% more page faults on image-heavy runs.
+  for (std::size_t i = 0; i < ckpt_peers_.size(); ++i) {
+    Buffer payload = i + 1 < ckpt_peers_.size() ? frame : std::move(frame);
+    if (!ep_->send(ckpt_peers_[i], std::move(payload), /*tag=*/ckpt_seq_, nullptr,
+                   transport::kClassCheckpoint)) {
       // Session queue full — the peer has been unreachable long enough
       // to absorb the whole window. Shed this frame; the stream resumes
       // self-contained once the peer is back.
@@ -263,7 +271,7 @@ void Ftim::take_checkpoint() {
   }
 }
 
-void Ftim::journal_checkpoint(const CheckpointImage& img, const Buffer& blob) {
+void Ftim::journal_checkpoint(const CheckpointImage& img, ByteView blob) {
   if (!journal_) return;
   const bool is_delta = img.mode == CheckpointMode::kDelta;
   // `blob` is freshly marshalled or was accepted by unmarshal, so its
@@ -296,11 +304,11 @@ void Ftim::recover_from_journal() {
   // the base state (fold-on-receipt or activation restore).
   decisions_applied_ = latest_->decision_seq;
   decision_seq_ = latest_->decision_seq;
-  for (store::Record& drec : journal_->recover()) {
+  journal_->scan([this](const store::RecordView& drec) {
     if (drec.type == store::RecordType::kDecision && drec.id > decisions_applied_) {
-      pending_decisions_[drec.id] = std::move(drec.payload);
+      pending_decisions_[drec.id] = Buffer(drec.payload.begin(), drec.payload.end());
     }
-  }
+  });
   recovered_from_journal_ = true;
   journal_replayed_records_ = replayed;
   ctr_journal_recoveries_.inc();
@@ -484,7 +492,7 @@ void Ftim::on_port(const sim::Datagram& d) {
   on_frame(d.src_node, d.network_id, d.payload);
 }
 
-void Ftim::on_frame(int src_node, int network_id, const Buffer& payload) {
+void Ftim::on_frame(int src_node, int network_id, ByteView payload) {
   (void)network_id;
   switch (static_cast<MsgKind>(wire_kind(payload))) {
     case MsgKind::kSetActive: {
@@ -529,7 +537,7 @@ void Ftim::on_frame(int src_node, int network_id, const Buffer& payload) {
   }
 }
 
-Ftim::Accept Ftim::accept_image(CheckpointImage&& img, const Buffer& blob) {
+Ftim::Accept Ftim::accept_image(CheckpointImage&& img, ByteView blob) {
   if (img.mode == CheckpointMode::kDelta) {
     if (!latest_ || latest_->incarnation != img.incarnation ||
         latest_->seq != img.base_seq) {
@@ -571,10 +579,12 @@ Ftim::Accept Ftim::accept_image(CheckpointImage&& img, const Buffer& blob) {
   return Accept::kApplied;
 }
 
-void Ftim::handle_checkpoint(int src_node, const Buffer& payload) {
-  CheckpointFrame frame;
-  if (!CheckpointFrame::decode(payload, frame)) return;
-  const Buffer& blob = frame.image;
+void Ftim::handle_checkpoint(int src_node, ByteView payload) {
+  // Decoded in place: the image is read from the delivered frame and
+  // unmarshalled once, into what becomes latest_.
+  CheckpointFrameView frame;
+  if (!CheckpointFrameView::decode(payload, frame)) return;
+  const ByteView blob = frame.image;
   CheckpointImage img;
   if (!CheckpointImage::unmarshal(blob, img)) {
     ++checkpoints_rejected_;
@@ -583,15 +593,17 @@ void Ftim::handle_checkpoint(int src_node, const Buffer& payload) {
   }
   const bool is_delta = img.mode == CheckpointMode::kDelta;
   // Warm/semi replicas fold arriving state straight into the live
-  // runtime; keep a copy of the frame's own image so a delta folds only
-  // its changed cells, not the whole accumulated base.
+  // runtime. A delta keeps a copy of its own cells so it folds only
+  // what changed, not the whole accumulated base; a full image folds
+  // from latest_, which it becomes.
   const bool fold = policy_->apply_on_receipt() && !active_;
-  CheckpointImage fold_img;
-  if (fold) fold_img = img;
+  CheckpointImage fold_delta;
+  if (fold && is_delta) fold_delta = img;
   switch (accept_image(std::move(img), blob)) {
     case Accept::kApplied:
       applied_at_ = process_->sim().now();
       if (fold && latest_) {
+        const CheckpointImage& fold_img = is_delta ? fold_delta : *latest_;
         if (!runtime_current_) {
           // First contact (or post-gap resync): adopt the whole
           // accumulated base, not just this frame's cells.
@@ -650,30 +662,26 @@ void Ftim::handle_checkpoint_pull(const CheckpointPull& msg) {
   // last full checkpoint retires older-incarnation records, so chain
   // ids cannot alias across incarnations.)
   if (journal_ && msg.have_seq > 0 && msg.have_incarnation == incarnation_) {
-    struct SuffixDelta {
-      std::uint64_t seq;
-      Buffer blob;
-    };
-    std::vector<SuffixDelta> suffix;
+    // Views into the journal: each delta is copied once, into its frame.
+    std::vector<store::RecordView> suffix;
     std::size_t suffix_bytes = 0;
     std::uint64_t cur = msg.have_seq;
-    std::vector<store::Record> records = journal_->recover();
-    for (store::Record& r : records) {
+    journal_->scan([&](const store::RecordView& r) {
       if (r.type == store::RecordType::kDelta && r.base == cur) {
         cur = r.id;
         suffix_bytes += r.payload.size();
-        suffix.push_back(SuffixDelta{r.id, std::move(r.payload)});
+        suffix.push_back(r);
       }
-    }
+    });
     if (cur == ckpt_seq_) {
       // Ship the chain as individual session frames: the session keeps
       // them in order on the wire (the old single-frame batch existed
       // only because separate datagrams reordered under latency
       // jitter), and any live delta taken after this point queues
       // strictly behind them on the same session.
-      for (SuffixDelta& d : suffix) {
-        ep_->send(msg.from_node, encode_checkpoint(options_.component, std::move(d.blob)),
-                  /*tag=*/d.seq, nullptr, transport::kClassCheckpoint);
+      for (const store::RecordView& d : suffix) {
+        ep_->send(msg.from_node, encode_checkpoint(options_.component, d.payload),
+                  /*tag=*/d.id, nullptr, transport::kClassCheckpoint);
       }
       if (!suffix.empty()) {
         delta_bytes_sent_ += suffix_bytes;

@@ -213,7 +213,7 @@ class Ftim {
 
   void on_port(const sim::Datagram& d);
   /// Dispatch one application frame (session-delivered or raw local).
-  void on_frame(int src_node, int network_id, const Buffer& payload);
+  void on_frame(int src_node, int network_id, ByteView payload);
   void register_with_engine();
   void heartbeat_tick();
   void take_checkpoint();
@@ -221,11 +221,11 @@ class Ftim {
   /// The restore (if any) is done; start the reign: checkpoint timer,
   /// activation event, application callback.
   void finish_activation(bool restored, int anomalies);
-  void handle_checkpoint(int src_node, const Buffer& payload);
+  void handle_checkpoint(int src_node, ByteView payload);
   void handle_checkpoint_pull(const CheckpointPull& msg);
   void handle_decision(int src_node, const DecisionMsg& msg);
   void handle_policy_switch(const PolicySwitchMsg& msg);
-  Accept accept_image(CheckpointImage&& img, const Buffer& blob);
+  Accept accept_image(CheckpointImage&& img, ByteView blob);
   void check_engine();
   void send_engine(const Buffer& payload);
   void publish_event(obs::EventKind kind, std::string detail, std::uint64_t a,
@@ -233,7 +233,7 @@ class Ftim {
   /// Replay the local journal into latest_ (cold-restart recovery),
   /// then ask the peers for whatever suffix this node missed.
   void recover_from_journal();
-  void journal_checkpoint(const CheckpointImage& img, const Buffer& blob);
+  void journal_checkpoint(const CheckpointImage& img, ByteView blob);
   /// Record the active policy in the (tiny, snapshot-free) policy
   /// journal so a cold restart resumes under the switched policy.
   void persist_policy(ReplicationMode mode);

@@ -71,7 +71,7 @@ enum class MsgKind : std::uint8_t {
 /// the frame instead of misparsing it.
 inline constexpr std::uint8_t kClusterWireVersion = 1;
 
-std::uint8_t wire_kind(const Buffer& payload);
+std::uint8_t wire_kind(ByteView payload);
 
 // Every message below lists its layout once, in fields() (see
 // common/codec.h): the kind byte first, then the fields in wire order.
@@ -401,14 +401,27 @@ struct SwimPingReq : codec::Message<SwimPingReq> {
   }
 };
 
-/// Checkpoint frame: kind byte + component + image blob.
-struct CheckpointFrame : codec::Message<CheckpointFrame> {
+/// Checkpoint frame: kind byte + component + image blob. One field list,
+/// two ownerships of the image: CheckpointFrame owns it, and
+/// CheckpointFrameView decodes it in place — a view into the received
+/// frame, so a multi-megabyte image is not copied just to be parsed.
+template <class Image>
+struct BasicCheckpointFrame : codec::Message<BasicCheckpointFrame<Image>> {
   std::string component;
-  Buffer image;
+  Image image;
   template <class V> void fields(V& v) { v.tag(MsgKind::kCheckpoint); v(component); v(image); }
 };
-/// Takes the image by value: a caller done with it moves it in.
-Buffer encode_checkpoint(std::string component, Buffer image);
+using CheckpointFrame = BasicCheckpointFrame<Buffer>;
+using CheckpointFrameView = BasicCheckpointFrame<ByteView>;
+Buffer encode_checkpoint(const std::string& component, ByteView image);
+/// Build a checkpoint frame around an image marshalled in place: write
+/// the header (sizing `w` for an image of `image_bytes`), append the
+/// image to `w`, then close the frame. The image is written into the
+/// frame once instead of being copied in. begin_checkpoint_frame
+/// returns the image's offset in the frame.
+std::size_t begin_checkpoint_frame(BinaryWriter& w, const std::string& component,
+                                   std::size_t image_bytes);
+void end_checkpoint_frame(BinaryWriter& w, std::size_t image_at);
 
 /// Delta nack: a backup received a delta it cannot apply from its
 /// current state (sequence gap ahead of what it holds, or a newer

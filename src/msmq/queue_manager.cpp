@@ -37,7 +37,7 @@ QueueManager::QueueManager(sim::Process& process)
   sc.queue_policy = transport::QueuePolicy::kReject;
   ep_ = std::make_unique<transport::Endpoint>(process.main_strand(), kMsmqPort,
                                               std::move(sc));
-  ep_->on_deliver([this](int, int, const Buffer& payload) {
+  ep_->on_deliver([this](int, int, ByteView payload) {
     BinaryReader r(payload);
     if (static_cast<MqPacket>(r.u8()) != MqPacket::kXfer) {
       ctr_bad_packet_.inc();

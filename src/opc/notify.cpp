@@ -18,7 +18,7 @@ Buffer encode_notify_frame(std::vector<SubBatch> batches) {
   return NotifyFrame{{}, std::move(batches)}.encode();
 }
 
-bool decode_notify_frame(const Buffer& payload, std::vector<SubBatch>* out) {
+bool decode_notify_frame(ByteView payload, std::vector<SubBatch>* out) {
   NotifyFrame f;
   const bool ok = NotifyFrame::decode(payload, f);
   *out = ok ? std::move(f.batches) : std::vector<SubBatch>{};
@@ -58,7 +58,7 @@ NotifyPlane::NotifyPlane(sim::Process& process, transport::SessionConfig config)
   ep_ = std::make_unique<transport::Endpoint>(process.main_strand(), kNotifyPort,
                                               std::move(config));
   ep_->on_deliver(
-      [this](int src, int, const Buffer& payload) { on_frame(src, payload); });
+      [this](int src, int, ByteView payload) { on_frame(src, payload); });
 }
 
 NotifyPlane& NotifyPlane::of(sim::Process& process) {
@@ -133,7 +133,7 @@ void NotifyPlane::flush(int client_node) {
   }
 }
 
-void NotifyPlane::on_frame(int src_node, const Buffer& payload) {
+void NotifyPlane::on_frame(int src_node, ByteView payload) {
   (void)src_node;
   std::vector<SubBatch> batches;
   if (!decode_notify_frame(payload, &batches)) {

@@ -82,7 +82,7 @@ struct NotifyFrame : codec::Message<NotifyFrame> {
 Buffer encode_notify_frame(std::vector<SubBatch> batches);
 /// Fail-closed: returns false (and leaves *out empty) on any malformed,
 /// truncated or trailing-garbage input.
-bool decode_notify_frame(const Buffer& payload, std::vector<SubBatch>* out);
+bool decode_notify_frame(ByteView payload, std::vector<SubBatch>* out);
 
 class NotifyPlane {
  public:
@@ -115,7 +115,7 @@ class NotifyPlane {
 
  private:
   void flush(int client_node);
-  void on_frame(int src_node, const Buffer& payload);
+  void on_frame(int src_node, ByteView payload);
   obs::Gauge& pending_gauge(int client_node);
 
   sim::Process* process_;

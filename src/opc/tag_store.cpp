@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <type_traits>
 
 #include "common/strings.h"
@@ -42,11 +43,38 @@ TagStore::TagStore(int shard_count) {
   shard_bits_ = log2_of(shard_count);
 }
 
+std::uint32_t TagStore::hash_name(std::string_view name) {
+  const std::uint64_t h = std::hash<std::string_view>{}(name);
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+std::size_t TagStore::probe(std::string_view name, std::uint32_t hash) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const IndexEntry& e = index_[i];
+    if (e.id == kInvalidTagId || (e.hash == hash && names_[e.id] == name)) return i;
+  }
+}
+
+void TagStore::grow_index() {
+  std::vector<IndexEntry> old = std::move(index_);
+  index_.assign(old.empty() ? 16 : old.size() * 2, IndexEntry{});
+  const std::size_t mask = index_.size() - 1;
+  for (const IndexEntry& e : old) {
+    if (e.id == kInvalidTagId) continue;
+    std::size_t i = e.hash & mask;
+    while (index_[i].id != kInvalidTagId) i = (i + 1) & mask;
+    index_[i] = e;
+  }
+}
+
 TagId TagStore::intern(std::string_view name) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) return it->second;
+  if (2 * (names_.size() + 1) > index_.size()) grow_index();
+  const std::uint32_t hash = hash_name(name);
+  IndexEntry& e = index_[probe(name, hash)];
+  if (e.id != kInvalidTagId) return e.id;
   TagId id = static_cast<TagId>(names_.size());
-  ids_.emplace(std::string(name), id);
+  e = IndexEntry{id, hash};
   names_.emplace_back(name);
   Shard& sh = shards_[static_cast<std::size_t>(shard_of(id))];
   std::size_t slot = slot_of(id);
@@ -60,8 +88,8 @@ TagId TagStore::intern(std::string_view name) {
 }
 
 TagId TagStore::find(std::string_view name) const {
-  auto it = ids_.find(name);
-  return it == ids_.end() ? kInvalidTagId : it->second;
+  if (index_.empty()) return kInvalidTagId;
+  return index_[probe(name, hash_name(name))].id;
 }
 
 std::vector<std::string> TagStore::sorted_names() const {

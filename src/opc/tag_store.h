@@ -8,7 +8,8 @@
 //
 //  - string → dense TagId interning: tag names are resolved to a
 //    std::uint32_t exactly once (AddItems / add_input time); every hot
-//    path after that is an array index.
+//    path after that is an array index. Each name is stored once, in
+//    id order; the name index is a flat open-addressing table of ids.
 //  - a fixed power-of-two shard count. A tag's shard is `id & mask`, its
 //    slot within the shard `id >> shard_bits`, so sequential interning
 //    round-robins tags across shards and every shard's slot arrays stay
@@ -141,14 +142,28 @@ class TagStore {
     std::size_t region_slots = 0;
   };
 
+  /// One slot of the name index: the id whose name hashes here, and
+  /// that hash, which settles most probes without a string compare.
+  struct IndexEntry {
+    TagId id = kInvalidTagId;
+    std::uint32_t hash = 0;
+  };
+
   std::size_t slot_of(TagId id) const { return id >> shard_bits_; }
   void write_slot(Shard& sh, std::size_t slot, const OpcValue& v, Quality q,
                   sim::SimTime now);
+  static std::uint32_t hash_name(std::string_view name);
+  /// Index slot holding `name`, or the empty slot where it belongs.
+  /// The index must not be empty.
+  std::size_t probe(std::string_view name, std::uint32_t hash) const;
+  void grow_index();
 
   std::vector<Shard> shards_;
   std::uint32_t shard_mask_ = 0;
   int shard_bits_ = 0;
-  std::map<std::string, TagId, std::less<>> ids_;
+  /// Name → id: a power-of-two table, linear probing, at most half
+  /// full. Nothing iterates it, so its layout never reaches an output.
+  std::vector<IndexEntry> index_;
   std::vector<std::string> names_;
   std::uint64_t mutations_ = 0;
   bool bound_ = false;

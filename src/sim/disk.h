@@ -9,6 +9,8 @@
 // the chaos hook that rejects every write outright (a dying disk).
 #pragma once
 
+#include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -48,27 +50,49 @@ class DiskStore {
   /// as empty. All or nothing under the same rules as write(): a failed
   /// disk, a full disk, or `at` past the end of the value refuses the
   /// write and leaves the value untouched.
-  bool write_at(int node, const std::string& key, std::size_t at, const Buffer& bytes) {
+  ///
+  /// The appended bytes are gathered from `parts` in order (a record
+  /// header and its payload), each copied once, straight into the value.
+  bool write_at(int node, const std::string& key, std::size_t at,
+                std::initializer_list<ByteView> parts) {
+    std::size_t n = 0;
+    for (ByteView p : parts) n += p.size();
     std::lock_guard<std::mutex> lock(mu_);
     auto& acct = accounts_[node];
     if (acct.fail_writes) return false;
     auto it = data_.find({node, key});
     std::size_t old_bytes = it != data_.end() ? it->second.size() : 0;
     if (at > old_bytes) return false;
-    if (acct.capacity != 0 && acct.used_bytes - old_bytes + at + bytes.size() > acct.capacity) {
+    if (acct.capacity != 0 && acct.used_bytes - old_bytes + at + n > acct.capacity) {
       return false;
     }
-    acct.used_bytes = acct.used_bytes - old_bytes + at + bytes.size();
+    acct.used_bytes = acct.used_bytes - old_bytes + at + n;
     Buffer& value = it != data_.end() ? it->second : data_[{node, key}];
     value.resize(at);
-    value.insert(value.end(), bytes.begin(), bytes.end());
+    // Grow once for all parts, geometrically so that a run of small
+    // appends stays amortized O(1).
+    if (value.capacity() < at + n) value.reserve(std::max(at + n, 2 * value.capacity()));
+    for (ByteView p : parts) value.insert(value.end(), p.begin(), p.end());
     return true;
+  }
+  bool write_at(int node, const std::string& key, std::size_t at, ByteView bytes) {
+    return write_at(node, key, at, {bytes});
   }
   std::optional<Buffer> read(int node, const std::string& key) const {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = data_.find({node, key});
     if (it == data_.end()) return std::nullopt;
     return it->second;
+  }
+  /// The value under (node, key) read in place, or nullopt. The view
+  /// stays valid until that key is next written or erased: keys are
+  /// per node and only the node's own code touches them, so a node
+  /// reading its journal cannot race a writer.
+  std::optional<ByteView> view(int node, const std::string& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = data_.find({node, key});
+    if (it == data_.end()) return std::nullopt;
+    return ByteView(it->second);
   }
   void erase(int node, const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);

@@ -171,7 +171,8 @@ bool Network::send(Datagram d) {
     serialization =
         static_cast<SimTime>(static_cast<double>(d.payload.size()) / bandwidth_ * 1e9);
   }
-  int dst = d.dst_node;
+  const int src_node = d.src_node;
+  const int dst = d.dst_node;
   for (int i = 0; i < copies; ++i) {
     // Each copy draws its own latency, so a duplicate can overtake the
     // original — the nastier of the two orderings for receivers.
@@ -179,16 +180,20 @@ bool Network::send(Datagram d) {
                           ? latency_min_
                           : latency_min_ + rng.uniform(0, latency_max_ - latency_min_);
     latency += serialization;
+    // The last (usually the only) delivery takes the datagram itself; a
+    // duplicate gets its own copy.
+    Datagram dgram = i + 1 < copies ? d : std::move(d);
     if (parallel) {
       // Cross-shard delivery: keyed with the sender's counter at send
       // time, routed through the engine (mailbox if the destination
       // lives on another worker).
-      engine->post_send(d.src_node, dst, sim_.now() + latency, [this, dst, dgram = d] {
-        delivered_.fetch_add(1, std::memory_order_relaxed);
-        sim_.node(dst).deliver(dgram);
-      });
+      engine->post_send(src_node, dst, sim_.now() + latency,
+                        [this, dst, dgram = std::move(dgram)] {
+                          delivered_.fetch_add(1, std::memory_order_relaxed);
+                          sim_.node(dst).deliver(dgram);
+                        });
     } else {
-      sim_.schedule_after(latency, [this, dst, dgram = d] {
+      sim_.schedule_after(latency, [this, dst, dgram = std::move(dgram)] {
         delivered_.fetch_add(1, std::memory_order_relaxed);
         sim_.node(dst).deliver(dgram);
       });

@@ -1,6 +1,7 @@
 #include "store/journal.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "obs/telemetry.h"
@@ -27,6 +28,12 @@ std::uint64_t read_u64(const std::uint8_t* p) {
   return v;
 }
 
+template <class T>
+std::uint8_t* put_le(std::uint8_t* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return p;
+}
+
 }  // namespace
 
 Journal::Journal(sim::Simulation& sim, int node, std::string prefix, JournalOptions options)
@@ -49,18 +56,17 @@ Journal::Journal(sim::Simulation& sim, int node, std::string prefix, JournalOpti
   }
   std::sort(indices.begin(), indices.end());
   for (std::uint32_t index : indices) {
-    auto bytes = disk.read(node_, segment_key(index));
+    auto bytes = disk.view(node_, segment_key(index));
     if (!bytes) continue;
     Segment seg;
     seg.index = index;
-    std::vector<Record> records;
-    seg.bytes = scan_segment(*bytes, &records);
-    for (const Record& r : records) {
+    const std::function<void(const RecordView&)> note = [&seg](const RecordView& r) {
       if (r.type == RecordType::kSnapshot) {
         seg.has_snapshot = true;
         seg.max_snapshot_id = std::max(seg.max_snapshot_id, r.id);
       }
-    }
+    };
+    seg.bytes = scan_segment(*bytes, &note);
     segments_.push_back(seg);
   }
   segments_gauge_.add(static_cast<std::int64_t>(segments_.size()));
@@ -80,50 +86,45 @@ Journal::Segment& Journal::active_segment() {
   return segments_.back();
 }
 
-bool Journal::append(RecordType type, std::uint64_t id, std::uint64_t base,
-                     const Buffer& payload) {
+bool Journal::append(RecordType type, std::uint64_t id, std::uint64_t base, ByteView payload) {
   return append(type, id, base, payload, crc32c(payload));
 }
 
-bool Journal::append(RecordType type, std::uint64_t id, std::uint64_t base,
-                     const Buffer& payload, std::uint32_t payload_crc) {
+bool Journal::append(RecordType type, std::uint64_t id, std::uint64_t base, ByteView payload,
+                     std::uint32_t payload_crc) {
   Segment& seg = active_segment();
 
-  // Frame in one buffer: preamble, record header and payload, then
-  // patch the CRC over type..payload into its slot, combined from the
-  // header's CRC and the payload's.
-  const std::size_t body_len = kBodyHeader + payload.size();
-  BinaryWriter w;
-  w.u32(kMagic);
-  w.u32(static_cast<std::uint32_t>(body_len));
-  w.u32(0);  // crc, patched below
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(id);
-  w.u64(base);
-  w.raw(payload.data(), payload.size());
-  Buffer frame = std::move(w).take();
+  // Header on the stack: preamble and record header, the CRC over
+  // type..payload combined from the header's CRC and the payload's.
+  std::array<std::uint8_t, kPreamble + kBodyHeader> header;
+  std::uint8_t* body = header.data() + kPreamble;
+  put_le(put_le(put_le(body, static_cast<std::uint8_t>(type)), id), base);
   const std::uint32_t crc =
-      crc32c_combine(crc32c(frame.data() + kPreamble, kBodyHeader), payload_crc, payload.size());
-  for (std::size_t i = 0; i < 4; ++i) frame[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+      crc32c_combine(crc32c(body, kBodyHeader), payload_crc, payload.size());
+  std::uint8_t* p = put_le(header.data(), kMagic);
+  p = put_le(p, static_cast<std::uint32_t>(kBodyHeader + payload.size()));
+  put_le(p, crc);
+  const std::size_t frame_bytes = header.size() + payload.size();
 
   // Append at the segment's valid length: a torn tail left by a crash is
   // overwritten, so the new frame lands on a trustworthy boundary.
-  if (!sim::DiskStore::of(*sim_).write_at(node_, segment_key(seg.index), seg.bytes, frame)) {
+  if (!sim::DiskStore::of(*sim_).write_at(node_, segment_key(seg.index), seg.bytes,
+                                          {ByteView(header), payload})) {
     // The disk refused (full / failed) and kept the segment as it was.
     ++append_failures_;
     ctr_append_failures_.inc();
     return false;
   }
-  seg.bytes += frame.size();
+  seg.bytes += frame_bytes;
   const std::size_t active_bytes = seg.bytes;  // compact() may move `seg`
   if (type == RecordType::kSnapshot) {
     seg.has_snapshot = true;
     seg.max_snapshot_id = std::max(seg.max_snapshot_id, id);
   }
   ++records_appended_;
-  bytes_appended_ += frame.size();
+  bytes_appended_ += frame_bytes;
   ctr_records_.inc();
-  ctr_bytes_written_.inc(frame.size());
+  ctr_bytes_written_.inc(frame_bytes);
 
   if (type == RecordType::kSnapshot && options_.auto_compact) compact();
   if (active_bytes >= options_.segment_bytes) rotate();
@@ -176,7 +177,8 @@ std::size_t Journal::compact() {
   return reclaimed;
 }
 
-std::size_t Journal::scan_segment(const Buffer& bytes, std::vector<Record>* out) {
+std::size_t Journal::scan_segment(ByteView bytes,
+                                  const std::function<void(const RecordView&)>* fn) {
   std::size_t pos = 0;
   while (bytes.size() - pos >= kPreamble) {
     const std::uint8_t* p = bytes.data() + pos;
@@ -186,12 +188,10 @@ std::size_t Journal::scan_segment(const Buffer& bytes, std::vector<Record>* out)
     if (frame_len < kBodyHeader || frame_len > bytes.size() - pos - kPreamble) break;
     const std::uint8_t* body = p + kPreamble;
     if (crc32c(body, frame_len) != crc) break;
-    Record r;
-    r.type = static_cast<RecordType>(body[0]);
-    r.id = read_u64(body + 1);
-    r.base = read_u64(body + 9);
-    r.payload.assign(body + kBodyHeader, body + frame_len);
-    if (out) out->push_back(std::move(r));
+    if (fn) {
+      (*fn)(RecordView{static_cast<RecordType>(body[0]), read_u64(body + 1), read_u64(body + 9),
+                       ByteView(body + kBodyHeader, frame_len - kBodyHeader)});
+    }
     pos += kPreamble + frame_len;
   }
   return pos;
@@ -203,20 +203,26 @@ void Journal::wipe() {
   segments_.clear();
 }
 
-std::vector<Record> Journal::recover() const {
-  std::vector<Record> out;
+void Journal::scan(const std::function<void(const RecordView&)>& fn) const {
   auto& disk = sim::DiskStore::of(*sim_);
   for (const Segment& seg : segments_) {
-    auto bytes = disk.read(node_, segment_key(seg.index));
-    if (!bytes) continue;
-    scan_segment(*bytes, &out);
+    if (auto bytes = disk.view(node_, segment_key(seg.index))) scan_segment(*bytes, &fn);
   }
+}
+
+std::vector<Record> Journal::recover() const {
+  std::vector<Record> out;
+  scan([&out](const RecordView& r) {
+    out.push_back(Record{r.type, r.id, r.base, Buffer(r.payload.begin(), r.payload.end())});
+  });
   return out;
 }
 
 RecoveredImage Journal::recover_image() const {
   RecoveredImage img;
-  std::vector<Record> records = recover();
+  // Fold over views; only the records of the chain are copied out.
+  std::vector<RecordView> records;
+  scan([&records](const RecordView& r) { records.push_back(r); });
   std::ptrdiff_t snap_at = -1;
   for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(records.size()) - 1; i >= 0; --i) {
     if (records[static_cast<std::size_t>(i)].type == RecordType::kSnapshot) {
@@ -225,17 +231,17 @@ RecoveredImage Journal::recover_image() const {
     }
   }
   if (snap_at < 0) return img;
-  Record& snap = records[static_cast<std::size_t>(snap_at)];
+  const RecordView& snap = records[static_cast<std::size_t>(snap_at)];
   img.valid = true;
-  img.snapshot = std::move(snap.payload);
+  img.snapshot.assign(snap.payload.begin(), snap.payload.end());
   img.snapshot_id = snap.id;
   img.last_id = snap.id;
   for (std::size_t i = static_cast<std::size_t>(snap_at) + 1; i < records.size(); ++i) {
-    Record& r = records[i];
+    const RecordView& r = records[i];
     if (r.type != RecordType::kDelta) continue;
     if (r.base != img.last_id) continue;  // chain break: later deltas unusable
     img.last_id = r.id;
-    img.deltas.push_back(std::move(r));
+    img.deltas.push_back(Record{r.type, r.id, r.base, Buffer(r.payload.begin(), r.payload.end())});
   }
   return img;
 }

@@ -23,18 +23,20 @@
 //   id       = record sequence id (checkpoint seq / message ordinal)
 //   base     = for kDelta: the id this delta applies on top of
 //
-// Write path: append() frames the record once (CRC patched in place)
-// and writes it with DiskStore::write_at at the active segment's valid
-// length — the moral equivalent of a positioned write+fsync of the
-// tail. The journal keeps no in-memory copy of the segment; a torn tail
+// Write path: append() builds the record header on the stack and
+// gathers header and payload with DiskStore::write_at at the active
+// segment's valid length — the moral equivalent of a positioned
+// write+fsync of the tail. The payload is copied once, into the
+// segment. The journal keeps no in-memory copy of the segment; a torn tail
 // left by a crash sits past the valid length, so the next append
 // overwrites it. When the active segment exceeds
 // segment_bytes the journal rotates to a fresh one. Appending a
 // kSnapshot retires every strictly older segment — they are wholly
 // shadowed by the newer snapshot — via compact().
 //
-// Read path: recover() scans segments in order and returns every intact
-// record. A corrupt or torn record ends the scan of its segment (frame
+// Read path: scan() walks the segments in place, in order, and visits
+// every intact record as a view into its segment; recover() copies them
+// out. A corrupt or torn record ends the scan of its segment (frame
 // boundaries after it are untrustworthy); a torn tail in the *last*
 // segment is the expected crash signature and simply truncates the
 // recovered suffix. recover_image() additionally folds the records into
@@ -43,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,6 +72,14 @@ struct Record {
   std::uint64_t id = 0;
   std::uint64_t base = 0;
   Buffer payload;
+};
+
+/// A record read in place: `payload` points into its segment on disk.
+struct RecordView {
+  RecordType type = RecordType::kSnapshot;
+  std::uint64_t id = 0;
+  std::uint64_t base = 0;
+  ByteView payload;
 };
 
 struct JournalOptions {
@@ -104,19 +115,25 @@ class Journal {
   /// Append one record; returns false when the disk refused the write
   /// (full/failed disk) — the record is then NOT durable, the segment
   /// on disk is unchanged, and a later retry re-frames cleanly.
-  bool append(RecordType type, std::uint64_t id, std::uint64_t base, const Buffer& payload);
+  bool append(RecordType type, std::uint64_t id, std::uint64_t base, ByteView payload);
   /// Same, for a payload whose crc32c() the caller already holds (a
   /// checkpoint image carries its own): the frame CRC is combined from
   /// it instead of re-reading the payload. A wrong `payload_crc` makes
   /// the record fail its check on recovery; it never passes bad bytes.
-  bool append(RecordType type, std::uint64_t id, std::uint64_t base, const Buffer& payload,
+  bool append(RecordType type, std::uint64_t id, std::uint64_t base, ByteView payload,
               std::uint32_t payload_crc);
 
   /// Retire every segment strictly older than the one holding the
   /// newest snapshot record; returns bytes reclaimed.
   std::size_t compact();
 
-  /// Scan all segments and return every intact record in log order.
+  /// Visit every intact record in log order, in place. The payload
+  /// views stay valid until the journal is next appended to, compacted
+  /// or wiped.
+  void scan(const std::function<void(const RecordView&)>& fn) const;
+
+  /// Scan all segments and return a copy of every intact record in log
+  /// order.
   std::vector<Record> recover() const;
 
   /// Fold recover() into newest-snapshot + chained delta suffix.
@@ -146,10 +163,11 @@ class Journal {
   Segment& active_segment();
   void rotate();
   void drop_oldest_over_cap();
-  /// Parse one segment's bytes; appends intact records to `out` and
-  /// stops at the first corrupt/torn frame. Returns the number of valid
-  /// bytes — the trustworthy prefix appends may continue after.
-  static std::size_t scan_segment(const Buffer& bytes, std::vector<Record>* out);
+  /// Parse one segment's bytes; visits intact records (when `fn` is
+  /// set) and stops at the first corrupt/torn frame. Returns the number
+  /// of valid bytes — the trustworthy prefix appends may continue after.
+  static std::size_t scan_segment(ByteView bytes,
+                                  const std::function<void(const RecordView&)>* fn);
 
   sim::Simulation* sim_;
   int node_;

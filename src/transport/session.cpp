@@ -128,6 +128,7 @@ void Endpoint::transmit(int peer, TxSession& ts, std::uint64_t seq) {
   if (it == ts.inflight.end()) return;
   InflightFrame& f = it->second;
   BinaryWriter w;
+  w.reserve(1 + 8 + 8 + 1 + 4 + f.payload.size());
   w.u8(kDataFrame);
   w.u64(ts.epoch);
   w.u64(seq);
@@ -183,7 +184,9 @@ void Endpoint::handle_data(const sim::Datagram& d, BinaryReader& r) {
   std::uint64_t epoch = r.u64();
   std::uint64_t seq = r.u64();
   std::uint8_t flags = r.u8();
-  Buffer payload = r.blob();
+  // Delivered in place: the payload stays inside the datagram, and only
+  // a frame parked in the reorder buffer is copied out.
+  const ByteView payload = r.blob_view();
   if (r.failed() || !r.at_end() || seq == 0 || epoch == 0) {
     ++malformed_frames_;
     return;
@@ -226,7 +229,7 @@ void Endpoint::handle_data(const sim::Datagram& d, BinaryReader& r) {
     ++duplicate_frames_;
     ctr_dup_frames_.inc();
   } else if (rx.reorder.size() < config_.reorder_cap) {
-    rx.reorder.emplace(seq, ReorderEntry{std::move(payload), voided});
+    rx.reorder.emplace(seq, ReorderEntry{Buffer(payload.begin(), payload.end()), voided});
     hist_reorder_depth_.record(static_cast<std::int64_t>(rx.reorder.size()));
   }
   // else: reorder buffer full — drop; retransmission refills the hole.

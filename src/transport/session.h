@@ -52,7 +52,7 @@ inline constexpr std::uint8_t kDataFrame = 0xD1;
 inline constexpr std::uint8_t kAckFrame = 0xD2;
 
 /// Cheap pre-parse test: does this payload claim to be a transport frame?
-inline bool is_transport_frame(const Buffer& payload) {
+inline bool is_transport_frame(ByteView payload) {
   return !payload.empty() && (payload[0] == kDataFrame || payload[0] == kAckFrame);
 }
 
@@ -106,7 +106,9 @@ struct SessionConfig {
 class Endpoint {
  public:
   /// Delivery callback: exactly-once, in-order per (peer, rx lifetime).
-  using DeliverFn = std::function<void(int src_node, int network_id, const Buffer& payload)>;
+  /// The payload is a view into the arriving datagram (or the reorder
+  /// buffer), valid for the duration of the call.
+  using DeliverFn = std::function<void(int src_node, int network_id, ByteView payload)>;
   /// Per-frame ack callback, invoked when the peer acknowledges the
   /// frame. `tag` is the caller's opaque id from send().
   using AckFn = std::function<void(std::uint64_t tag)>;

@@ -3,6 +3,7 @@
 // than garbage (half-dead peers send half messages).
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "core/wire.h"
 #include "msmq/message.h"
 #include "transport/session.h"
@@ -158,6 +159,33 @@ TEST(Wire, CheckpointFrameRoundTrip) {
   ASSERT_TRUE(CheckpointFrame::decode(frame, out));
   EXPECT_EQ(out.component, "calltrack");
   EXPECT_EQ(out.image, image);
+}
+
+TEST(Wire, CheckpointFrameBuiltInPlaceMatchesEncodeAndDecodesAsView) {
+  CheckpointImage img;
+  img.seq = 7;
+  img.incarnation = 2;
+  img.regions["globals"] = Buffer(300, 0xAB);
+  img.task_contexts["main"] = Buffer{1, 2, 3};
+  const Buffer image = img.marshal();
+  ASSERT_EQ(image.size(), img.marshalled_size());
+
+  BinaryWriter w;
+  const std::size_t image_at = begin_checkpoint_frame(w, "calltrack", img.marshalled_size());
+  img.marshal(w);
+  end_checkpoint_frame(w, image_at);
+  const Buffer frame = std::move(w).take();
+  EXPECT_EQ(frame, encode_checkpoint("calltrack", image)) << "same bytes as a copied-in image";
+
+  CheckpointFrameView view;
+  ASSERT_TRUE(CheckpointFrameView::decode(frame, view));
+  EXPECT_EQ(view.component, "calltrack");
+  EXPECT_EQ(view.image.data(), frame.data() + image_at) << "the image is read in place";
+  EXPECT_EQ(Buffer(view.image.begin(), view.image.end()), image);
+  CheckpointImage out;
+  ASSERT_TRUE(CheckpointImage::unmarshal(view.image, out));
+  EXPECT_EQ(out.regions, img.regions);
+  EXPECT_EQ(CheckpointImage::crc32c_of_marshalled(view.image), crc32c(image));
 }
 
 TEST(Wire, CheckpointNackRoundTrip) {

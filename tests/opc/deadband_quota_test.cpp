@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "common/strings.h"
 #include "msmq/queue_manager.h"
 #include "opc/server.h"
 #include "sim/simulation.h"
@@ -46,7 +47,7 @@ TEST(Deadband, SuppressesJitterPassesSpikes) {
 
   auto run_with_deadband = [&](double percent) {
     com::ComPtr<opc::IOPCGroup> group;
-    server->AddGroup("g" + std::to_string(percent), sim::milliseconds(10),
+    server->AddGroup(cat("g", percent), sim::milliseconds(10),
                      [&](HRESULT, com::ComPtr<opc::IOPCGroup> g) { group = std::move(g); });
     group->AddItems({"Noisy"}, nullptr);
     if (percent > 0) {

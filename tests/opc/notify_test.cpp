@@ -10,6 +10,7 @@
 
 #include <map>
 
+#include "common/strings.h"
 #include "dcom/scm.h"
 #include "obs/event_bus.h"
 #include "opc/client.h"
@@ -176,7 +177,7 @@ TEST(NotifyFrame, RandomizedBatchesRoundTrip) {
                       rng.uniform(-1000, 1000))); break;
           case 2: item.value = OpcValue::from_real(
                       static_cast<double>(rng.uniform(-5000, 5000)) / 16.0); break;
-          default: item.value = OpcValue::from_string("s" + std::to_string(i)); break;
+          default: item.value = OpcValue::from_string(cat("s", i)); break;
         }
         batch.items.push_back(std::move(item));
       }

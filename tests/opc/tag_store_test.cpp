@@ -4,8 +4,10 @@
 // percent-deadband first-sample contract).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "common/strings.h"
 #include "nt/memory.h"
 #include "nt/runtime.h"
 #include "opc/server.h"
@@ -42,9 +44,77 @@ TEST(TagStore, SortedNamesMatchesSeedBrowseOrder) {
   EXPECT_EQ(names[2], "zeta");
 }
 
+// Names in a scrambled (non-sorted, non-sequential) order, so neither
+// the index nor sorted_names() can lean on insertion order.
+std::vector<std::string> scrambled_names(int n) {
+  std::vector<std::string> out;
+  for (int i = 0; i < n; ++i) out.push_back("tag." + std::to_string((i * 7919) % 100003));
+  return out;
+}
+
+TEST(TagStoreIndex, IdsStayDenseInInsertionOrderAcrossGrowths) {
+  // 1000 names take the index from 16 slots through 7 doublings.
+  const std::vector<std::string> names = scrambled_names(1000);
+  TagStore store(4);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(store.intern(names[i]), static_cast<TagId>(i)) << names[i];
+  }
+  ASSERT_EQ(store.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(store.find(names[i]), static_cast<TagId>(i)) << names[i];
+    EXPECT_EQ(store.name(static_cast<TagId>(i)), names[i]);
+  }
+}
+
+TEST(TagStoreIndex, ReinterningReturnsTheExistingId) {
+  const std::vector<std::string> names = scrambled_names(300);
+  TagStore store(4);
+  for (const std::string& n : names) store.intern(n);
+  for (std::size_t i = names.size(); i-- > 0;) {
+    EXPECT_EQ(store.intern(names[i]), static_cast<TagId>(i)) << names[i];
+  }
+  EXPECT_EQ(store.size(), names.size()) << "re-interning adds nothing";
+  EXPECT_EQ(store.intern("fresh"), static_cast<TagId>(names.size()));
+}
+
+TEST(TagStoreIndex, FindReturnsInvalidForUnknownNamesAndOnAnEmptyStore) {
+  TagStore store;
+  EXPECT_EQ(store.find("plant.a"), kInvalidTagId);
+  EXPECT_EQ(store.find(""), kInvalidTagId);
+  store.intern("plant.a");
+  EXPECT_EQ(store.find("plant."), kInvalidTagId) << "a prefix is another name";
+  EXPECT_EQ(store.find("plant.ab"), kInvalidTagId) << "so is an extension";
+  EXPECT_EQ(store.find(""), kInvalidTagId);
+  EXPECT_EQ(store.find("plant.a"), 0u);
+  EXPECT_EQ(store.size(), 1u) << "find never interns";
+}
+
+TEST(TagStoreIndex, NamesLongerThanTheSsoBufferWork) {
+  // Long names sharing a 200-byte prefix differ only in their tail.
+  const std::string prefix(200, 'x');
+  TagStore store;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_EQ(store.intern(prefix + std::to_string(i)), static_cast<TagId>(i));
+  }
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(store.find(prefix + std::to_string(i)), static_cast<TagId>(i));
+    EXPECT_EQ(store.name(static_cast<TagId>(i)), prefix + std::to_string(i));
+  }
+  EXPECT_EQ(store.find(prefix), kInvalidTagId);
+  EXPECT_EQ(store.intern(prefix + "7"), 7u);
+}
+
+TEST(TagStoreIndex, SortedNamesUnchangedAcrossGrowths) {
+  std::vector<std::string> names = scrambled_names(500);
+  TagStore store;
+  for (const std::string& n : names) store.intern(n);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(store.sorted_names(), names);
+}
+
 TEST(TagStore, SequentialIdsRoundRobinAcrossShards) {
   TagStore store(8);
-  for (int i = 0; i < 16; ++i) store.intern("t" + std::to_string(i));
+  for (int i = 0; i < 16; ++i) store.intern(cat("t", i));
   std::set<int> shards;
   for (TagId id = 0; id < 8; ++id) shards.insert(store.shard_of(id));
   EXPECT_EQ(shards.size(), 8u) << "first 8 sequential ids land on 8 distinct shards";

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "chaos/coverage.h"
+#include "common/strings.h"
 #include "core/deployment.h"
 #include "opc/tag_store.h"
 #include "opc/value.h"
@@ -87,7 +88,7 @@ inline std::uint64_t ring_hash(std::uint64_t seed, int nodes, bool lossy,
   }
 
   for (int n = 0; n < nodes; ++n) {
-    Node& node = sim.add_node("n" + std::to_string(n));
+    Node& node = sim.add_node(cat("n", n));
     net.attach(node.id());
     node.set_boot_script([&sim, digest, nodes](Node& self) {
       const int id = self.id();
@@ -190,7 +191,7 @@ inline std::uint64_t swim_cluster_hash(std::uint64_t seed, int replicas, SimTime
 
 struct TagFarmApp {
   TagFarmApp(Process& p, int tags) : store(32), ticker(p.main_strand()) {
-    for (int i = 0; i < tags; ++i) store.intern("t" + std::to_string(i));
+    for (int i = 0; i < tags; ++i) store.intern(cat("t", i));
     for (int i = 0; i < tags; ++i) {
       store.set(static_cast<opc::TagId>(i), opc::OpcValue::from_real(0.0),
                 opc::Quality::kGood, p.sim().now());

@@ -10,6 +10,7 @@
 
 #include <map>
 
+#include "common/strings.h"
 #include "core/deployment.h"
 #include "msmq/queue_manager.h"
 #include "sim/disk.h"
@@ -96,12 +97,12 @@ TEST_P(MsmqLossSweep, ExactlyOnceDeliveryUnderLoss) {
     got.insert(m.label);
   });
   for (int i = 0; i < c.messages; ++i) {
-    msmq::MsmqApi::of(*sender).send("q", "m" + std::to_string(i), Buffer{});
+    msmq::MsmqApi::of(*sender).send("q", cat("m", i), Buffer{});
   }
   sim.run_for(sim::seconds(60));
   ASSERT_EQ(got.size(), static_cast<std::size_t>(c.messages));
   for (int i = 0; i < c.messages; ++i) {
-    EXPECT_EQ(got.count("m" + std::to_string(i)), 1u) << "message " << i;
+    EXPECT_EQ(got.count(cat("m", i)), 1u) << "message " << i;
   }
 }
 

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/strings.h"
 #include "sim/fault_plan.h"
 #include "sim/simulation.h"
 #include "sim/timer.h"
@@ -45,7 +46,7 @@ inline std::uint64_t kernel_scenario_hash(std::uint64_t seed) {
     std::unique_ptr<PeriodicTimer> aux;
   };
   for (int n = 0; n < kNodes; ++n) {
-    Node& node = sim.add_node("n" + std::to_string(n));
+    Node& node = sim.add_node(cat("n", n));
     net.attach(node.id());
     node.set_boot_script([&sim, &h](Node& self) {
       const int dst = (self.id() + 1) % kNodes;

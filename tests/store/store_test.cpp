@@ -315,6 +315,43 @@ TEST(DiskStoreTest, WriteAtPastATornTailTruncatesIt) {
   EXPECT_EQ(disk.used_bytes(0), 15u);
 }
 
+TEST(DiskStoreTest, WriteAtGathersPartsAndViewReadsInPlace) {
+  sim::Simulation sim;
+  auto& disk = sim::DiskStore::of(sim);
+  const Buffer head = payload(4, 0);
+  const Buffer body = payload(6, 4);
+  EXPECT_TRUE(disk.write_at(0, "k", 0, {ByteView(head), ByteView(body)}));
+  EXPECT_EQ(*disk.read(0, "k"), payload(10, 0));
+  EXPECT_EQ(disk.used_bytes(0), 10u);
+  const std::optional<ByteView> view = disk.view(0, "k");
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(Buffer(view->begin(), view->end()), payload(10, 0));
+  EXPECT_EQ(disk.view(0, "k")->data(), view->data()) << "views alias the stored value";
+  EXPECT_FALSE(disk.view(0, "missing").has_value());
+  EXPECT_FALSE(disk.view(1, "k").has_value()) << "keys are per node";
+}
+
+TEST_F(JournalTest, ScanVisitsTheRecordsRecoverCopies) {
+  JournalOptions opts;
+  opts.segment_bytes = 64;  // a few records per segment
+  Journal j(sim_, 0, "t.j", opts);
+  for (std::uint64_t i = 1; i <= 12; ++i) {
+    ASSERT_TRUE(j.append(i % 4 == 1 ? RecordType::kSnapshot : RecordType::kDelta, i, i - 1,
+                         payload(10 + i, static_cast<std::uint8_t>(i))));
+  }
+  const std::vector<Record> copies = j.recover();
+  std::vector<RecordView> views;
+  j.scan([&views](const RecordView& r) { views.push_back(r); });
+  ASSERT_EQ(views.size(), copies.size());
+  ASSERT_FALSE(views.empty());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(views[i].type, copies[i].type);
+    EXPECT_EQ(views[i].id, copies[i].id);
+    EXPECT_EQ(views[i].base, copies[i].base);
+    EXPECT_EQ(Buffer(views[i].payload.begin(), views[i].payload.end()), copies[i].payload);
+  }
+}
+
 TEST(DiskStoreTest, RefusedWriteAtLeavesValueAndAccountingUnchanged) {
   sim::Simulation sim;
   auto& disk = sim::DiskStore::of(sim);

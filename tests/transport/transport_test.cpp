@@ -31,7 +31,7 @@ class TestPeer {
   TestPeer(sim::Process& p, std::vector<std::uint64_t>* log, SessionConfig config) {
     p.bind(kPort, [this](const sim::Datagram& d) { ep_->handle(d); });
     ep_ = std::make_unique<Endpoint>(p.main_strand(), kPort, std::move(config));
-    ep_->on_deliver([log](int, int, const Buffer& b) {
+    ep_->on_deliver([log](int, int, ByteView b) {
       BinaryReader r(b);
       log->push_back(r.u64());
     });
