@@ -11,6 +11,9 @@
 //        (asserted, not just reported): notifications == changed tags
 //        exactly, independent of N. Wall-clock notifications/s is the
 //        floor-gated throughput of the whole hub→group→sink path.
+//        A second row sends the same ticks through the notification
+//        plane to an OpcConnection on another node (group tick ->
+//        frame -> transport -> client sink), with its own floor.
 //  E16b: coalescing and update-to-notify latency vs client count —
 //        clients spread over 10 nodes, several subscriptions per node;
 //        batches-per-frame shows every frame shared across a node's
@@ -127,6 +130,77 @@ TickCost run_tick_cost(int tags, int changed, int ticks, std::uint64_t seed) {
 // ---------------------------------------------------------------------
 
 const Clsid kClsid = Guid::from_name("CLSID_BenchOpcPlc");
+
+// ---------------------------------------------------------------------
+// E16a, batched row — the same tick through the notification plane:
+// group tick -> NotifyPlane frame -> transport -> client sink.
+// ---------------------------------------------------------------------
+
+TickCost run_batched_tick_cost(int tags, int changed, int ticks, std::uint64_t seed) {
+  const sim::SimTime rate = sim::milliseconds(10);
+  sim::Simulation sim(seed);
+  auto& server = sim.add_node("server");
+  auto& client = sim.add_node("client");
+  auto& net = sim.add_network("lan");
+  net.attach(server.id());
+  net.attach(client.id());
+
+  auto dev = std::make_shared<opc::Device>("plant");
+  std::vector<std::string> names;
+  names.reserve(static_cast<std::size_t>(tags));
+  for (int i = 0; i < tags; ++i) names.push_back(cat("t", i));
+  for (int i = 0; i < tags; ++i) {
+    opc::TagId id = dev->store().intern(names[static_cast<std::size_t>(i)]);
+    dev->store().set(id, opc::OpcValue::from_real(0.0), opc::Quality::kGood, sim.now());
+  }
+  server.set_boot_script([dev](sim::Node& node) {
+    dcom::install_scm(node);
+    node.start_process("opcserver", [dev](sim::Process& proc) {
+      opc::install_opc_server(proc, kClsid, dev, "bench");
+    });
+  });
+  server.boot();
+  client.boot();
+  auto hmi = client.start_process("hmi", nullptr);
+
+  opc::OpcConnection::Config cfg;
+  cfg.update_rate = rate;
+  cfg.batched_notifications = true;
+  opc::OpcConnection conn(*hmi, server.id(), kClsid, cfg);
+  std::uint64_t delivered = 0;
+  conn.subscribe(names,
+                 [&delivered](const std::vector<opc::ItemState>& items) {
+                   delivered += items.size();
+                 });
+  // Connect, then drain the initial announce of all N items.
+  const sim::SimTime deadline = sim.now() + sim::seconds(60);
+  while (delivered < static_cast<std::uint64_t>(tags) && sim.now() < deadline) {
+    sim.run_for(rate);
+  }
+  sim.run_for(2 * rate + rate / 2);
+
+  TickCost r;
+  r.tags = tags;
+  r.changed_per_tick = changed;
+  r.ticks = ticks;
+  const std::uint64_t delivered0 = delivered;
+  const std::uint64_t routed0 = dev->hub().routed();
+  const auto wall0 = Clock::now();
+  for (int t = 0; t < ticks; ++t) {
+    int start = (t * changed) % tags;
+    for (int c = 0; c < changed; ++c) {
+      opc::TagId id = static_cast<opc::TagId>((start + c) % tags);
+      dev->store().set(id, opc::OpcValue::from_real(static_cast<double>(t + 1)),
+                       opc::Quality::kGood, sim.now());
+    }
+    sim.run_for(rate);
+  }
+  sim.run_for(2 * rate);  // drain the final mutation
+  r.wall_s = std::chrono::duration<double>(Clock::now() - wall0).count();
+  r.notified = delivered - delivered0;
+  r.routed = dev->hub().routed() - routed0;
+  return r;
+}
 
 struct CoalesceResult {
   int clients = 0;
@@ -390,6 +464,23 @@ int main() {
     }
     if (r.notify_per_sec() < 0.7 * kFloorNotifyPerSec) floor_ok = false;
   }
+  title("E16a (batched): group tick -> NotifyPlane frame -> transport -> client sink",
+        "the same ticks delivered through the notification plane to an OpcConnection on "
+        "another node; every change must reach the client sink exactly once");
+  row({"N tags", "delivered", "expected", "hub routed", "wall notif/s"});
+  rule(5);
+  std::vector<TickCost> batched_costs;
+  for (int n : tag_counts) {
+    TickCost r = run_batched_tick_cost(n, kChanged, kTicks, 17);
+    batched_costs.push_back(r);
+    row({fmt_int(n), fmt_int(static_cast<long long>(r.notified)),
+         fmt_int(static_cast<long long>(kChanged) * kTicks),
+         fmt_int(static_cast<long long>(r.routed)), fmt(r.notify_per_sec() / 1e6, 2) + "M"});
+    if (r.notified != static_cast<std::uint64_t>(kChanged) * static_cast<std::uint64_t>(kTicks)) {
+      invariant_ok = false;
+    }
+    if (r.notify_per_sec() < 0.7 * kFloorBatchedNotifyPerSec) floor_ok = false;
+  }
 
   // E16b -----------------------------------------------------------------
   const std::vector<int> client_counts =
@@ -464,6 +555,17 @@ int main() {
     w.begin_object();
     w.kv("tags", r.tags);
     w.kv("notified", r.notified);
+    w.kv("expected", static_cast<std::uint64_t>(kChanged) * static_cast<std::uint64_t>(kTicks));
+    w.kv("hub_routed", r.routed);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("batched_tick_cost");
+  w.begin_array();
+  for (const TickCost& r : batched_costs) {
+    w.begin_object();
+    w.kv("tags", r.tags);
+    w.kv("delivered", r.notified);
     w.kv("expected", static_cast<std::uint64_t>(kChanged) * static_cast<std::uint64_t>(kTicks));
     w.kv("hub_routed", r.routed);
     w.end_object();

@@ -5,9 +5,12 @@
 namespace oftt::obs {
 namespace detail {
 
-void HistogramCell::record(std::int64_t v) {
-  count.fetch_add(1, std::memory_order_relaxed);
-  sum.fetch_add(v, std::memory_order_relaxed);
+void HistogramCell::record(std::int64_t v, std::uint64_t n) {
+  if (n == 0) return;
+  count.fetch_add(n, std::memory_order_relaxed);
+  // Unsigned product: wraps exactly as n separate atomic adds would.
+  sum.fetch_add(static_cast<std::int64_t>(static_cast<std::uint64_t>(v) * n),
+                std::memory_order_relaxed);
   std::int64_t seen = min.load(std::memory_order_relaxed);
   while (v < seen && !min.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
   }
@@ -16,7 +19,7 @@ void HistogramCell::record(std::int64_t v) {
   }
   std::size_t i = 0;
   while (i < bounds.size() && v > bounds[i]) ++i;
-  counts[i].fetch_add(1, std::memory_order_relaxed);
+  counts[i].fetch_add(n, std::memory_order_relaxed);
 }
 
 std::int64_t HistogramCell::quantile(double q) const {

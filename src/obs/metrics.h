@@ -44,7 +44,8 @@ struct HistogramCell {
   std::atomic<std::int64_t> min{INT64_MAX};
   std::atomic<std::int64_t> max{INT64_MIN};
 
-  void record(std::int64_t v);
+  /// Record v n times; n = 0 records nothing.
+  void record(std::int64_t v, std::uint64_t n = 1);
   /// Approximate quantile (0..1): linear interpolation inside the
   /// bucket holding the q-th sample; exact at bucket edges.
   std::int64_t quantile(double q) const;
@@ -91,8 +92,9 @@ class Gauge {
 class Histogram {
  public:
   Histogram() = default;
-  void record(std::int64_t v) {
-    if (cell_ != nullptr) cell_->record(v);
+  /// record(v, n) equals n calls of record(v), in one update per cell.
+  void record(std::int64_t v, std::uint64_t n = 1) {
+    if (cell_ != nullptr) cell_->record(v, n);
   }
   std::uint64_t count() const {
     return cell_ != nullptr ? cell_->count.load(std::memory_order_relaxed) : 0;

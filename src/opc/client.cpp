@@ -1,5 +1,7 @@
 #include "opc/client.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "opc/notify.h"
 #include "sim/node.h"
@@ -101,16 +103,7 @@ void OpcConnection::enable_batched(std::uint64_t gen) {
   auto& plane = NotifyPlane::of(*process_);
   if (notify_sub_id_ == 0) {
     notify_sub_id_ = plane.allocate_sub_id();
-    plane.register_sink(notify_sub_id_, [this](const SubBatch& batch) {
-      std::vector<ItemState> items;
-      items.reserve(batch.items.size());
-      for (const NotifyItem& it : batch.items) {
-        auto name = tag_names_.find(it.tag);
-        if (name == tag_names_.end()) continue;  // unknown TagId: stale mapping
-        items.push_back(ItemState{name->second, it.value, it.quality, it.timestamp});
-      }
-      if (!items.empty()) on_update(items);
-    });
+    plane.register_sink(notify_sub_id_, [this](const SubBatch& batch) { on_batch(batch); });
   }
   group_->EnableBatchedNotify(
       items_, process_->node().id(), notify_sub_id_,
@@ -120,12 +113,49 @@ void OpcConnection::enable_batched(std::uint64_t gen) {
           fail("EnableBatchedNotify", FAILED(hr) ? hr : E_UNEXPECTED);
           return;
         }
-        tag_names_.clear();
+        std::vector<std::pair<TagId, std::size_t>> order;
+        order.reserve(tags.size());
         for (std::size_t i = 0; i < tags.size(); ++i) {
-          if (tags[i] != kInvalidTagId) tag_names_[tags[i]] = items_[i];
+          if (tags[i] != kInvalidTagId) order.emplace_back(tags[i], i);
+        }
+        std::sort(order.begin(), order.end());
+        batch_tags_.clear();
+        batch_names_.clear();
+        for (const auto& [tag, i] : order) {
+          if (!batch_tags_.empty() && batch_tags_.back() == tag) continue;  // listed twice
+          batch_tags_.push_back(tag);
+          batch_names_.push_back(items_[i]);
         }
         finish_subscribe(gen);
       });
+}
+
+void OpcConnection::on_batch(const SubBatch& batch) {
+  // The server sends a batch in TagId order, so each lookup resumes
+  // where the last one stopped, and a run of consecutive tags costs one
+  // compare per item; an item out of order restarts the search.
+  // batch_items_ keeps its elements: each is overwritten in place.
+  std::size_t n = 0;
+  std::size_t at = 0;
+  for (const NotifyItem& it : batch.items) {
+    if (at > 0 && batch_tags_[at - 1] >= it.tag) at = 0;
+    if (at == batch_tags_.size() || batch_tags_[at] != it.tag) {
+      at = static_cast<std::size_t>(
+          std::lower_bound(batch_tags_.begin() + static_cast<std::ptrdiff_t>(at),
+                           batch_tags_.end(), it.tag) -
+          batch_tags_.begin());
+      if (at == batch_tags_.size() || batch_tags_[at] != it.tag) continue;  // stale mapping
+    }
+    if (n == batch_items_.size()) batch_items_.emplace_back();
+    ItemState& s = batch_items_[n++];
+    s.item_id = batch_names_[at];
+    s.value = it.value;
+    s.quality = it.quality;
+    s.timestamp = it.timestamp;
+    ++at;
+  }
+  batch_items_.resize(n);
+  if (n > 0) on_update(batch_items_);
 }
 
 void OpcConnection::finish_subscribe(std::uint64_t gen) {

@@ -7,16 +7,18 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "com/object.h"
 #include "dcom/client.h"
 #include "opc/interfaces.h"
+#include "opc/tag_store.h"
 #include "sim/timer.h"
 
 namespace oftt::opc {
+
+struct SubBatch;
 
 class DataSink final : public com::Object<DataSink, IOPCDataCallback> {
  public:
@@ -88,6 +90,7 @@ class OpcConnection {
   void on_update(const std::vector<ItemState>& items);
   void finish_subscribe(std::uint64_t gen);
   void enable_batched(std::uint64_t gen);
+  void on_batch(const SubBatch& batch);
 
   sim::Process* process_;
   int server_node_;
@@ -101,9 +104,13 @@ class OpcConnection {
   com::ComPtr<IOPCGroup> group_;
   com::ComPtr<DataSink> sink_;
   /// Batched mode: the NotifyPlane demux key (0 until first connect)
-  /// and TagId -> item name mapping learned from EnableBatchedNotify.
+  /// and the TagId -> item name mapping learned from
+  /// EnableBatchedNotify, as two parallel arrays sorted by TagId.
   std::uint32_t notify_sub_id_ = 0;
-  std::map<std::uint32_t, std::string> tag_names_;
+  std::vector<TagId> batch_tags_;
+  std::vector<std::string> batch_names_;
+  /// The last batch's items; reused so a batch allocates nothing.
+  std::vector<ItemState> batch_items_;
   sim::SimTime last_update_ = 0;
   std::uint64_t updates_ = 0, reconnects_ = 0, failures_ = 0;
   sim::PeriodicTimer staleness_timer_;

@@ -14,17 +14,8 @@ ItemState Device::read(const std::string& tag, sim::SimTime now) const {
   if (id == kInvalidTagId) {
     return ItemState{tag, OpcValue(), Quality::kBad, now};
   }
-  return read_id(id, now);
-}
-
-ItemState Device::read_id(TagId id, sim::SimTime now) const {
-  (void)now;
-  ItemState s;
-  s.item_id = store_.name(id);
-  s.value = store_.value(id);
-  s.quality = faulted_ ? Quality::kBad : store_.quality(id);
-  s.timestamp = store_.timestamp(id);
-  return s;
+  return ItemState{store_.name(id), store_.value(id),
+                   faulted_ ? Quality::kBad : store_.quality(id), store_.timestamp(id)};
 }
 
 HRESULT Device::write(const std::string& tag, const OpcValue& value, sim::SimTime now) {

@@ -52,8 +52,6 @@ class Device {
   /// Read a point; unknown tags and faulted devices read back with BAD
   /// quality (OPC semantics — reads do not fail, quality degrades).
   ItemState read(const std::string& tag, sim::SimTime now) const;
-  /// TagId fast path; `id` must be a valid interned id.
-  ItemState read_id(TagId id, sim::SimTime now) const;
 
   /// Write a point; devices decide which tags are writable.
   virtual HRESULT write(const std::string& tag, const OpcValue& value, sim::SimTime now);

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/bytes.h"
@@ -114,16 +113,25 @@ class NotifyPlane {
   std::uint64_t notifications_received() const { return notifications_received_; }
 
  private:
+  /// Server side, per client node: the frame being filled this tick.
+  /// Kept across flushes, so a steady tick allocates no bookkeeping.
+  struct Outbox {
+    NotifyFrame frame;
+    bool flush_scheduled = false;
+    obs::Gauge pending_gauge;
+  };
+
   void flush(int client_node);
   void on_frame(int src_node, ByteView payload);
-  obs::Gauge& pending_gauge(int client_node);
+  Outbox& outbox(int client_node);
 
   sim::Process* process_;
   std::unique_ptr<transport::Endpoint> ep_;
-  std::map<int, std::vector<SubBatch>> pending_;
-  std::set<int> flush_scheduled_;
+  std::map<int, Outbox> outboxes_;
   std::map<std::uint32_t, SinkFn> sinks_;
-  std::map<int, obs::Gauge> pending_gauges_;
+  /// Client side: every received frame decodes into this one, so a
+  /// steady stream of frames reuses its vectors.
+  NotifyFrame rx_frame_;
   std::uint32_t next_sub_id_ = 1;
   sim::SimTime started_at_ = 0;
 

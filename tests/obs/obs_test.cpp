@@ -146,6 +146,40 @@ TEST(Metrics, HistogramBucketsAndQuantiles) {
   EXPECT_EQ(again.count(), 5u);
 }
 
+TEST(Metrics, RecordingARunEqualsRecordingEachSample) {
+  // {value, repeat}: inside the first bucket, on a bound, between
+  // bounds, past the last bound, a zero-length run and a negative value.
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> runs = {
+      {3, 4}, {10, 2}, {42, 0}, {57, 7}, {100, 1}, {5'000, 3}, {-2, 2}, {250, 0}};
+  obs::MetricsRegistry reg;
+  obs::Histogram each = reg.histogram("each", {10, 100, 1'000});
+  obs::Histogram batched = reg.histogram("batched", {10, 100, 1'000});
+  for (const auto& [v, n] : runs) {
+    for (std::uint64_t i = 0; i < n; ++i) each.record(v);
+    batched.record(v, n);
+  }
+  const auto& cells = reg.histograms();
+  const obs::detail::HistogramCell& a = *cells.at("each");
+  const obs::detail::HistogramCell& b = *cells.at("batched");
+  EXPECT_EQ(batched.count(), each.count());
+  EXPECT_EQ(batched.sum(), each.sum());
+  EXPECT_EQ(b.min.load(), a.min.load());
+  EXPECT_EQ(b.max.load(), a.max.load());
+  ASSERT_EQ(b.counts.size(), a.counts.size());
+  for (std::size_t i = 0; i < a.counts.size(); ++i) {
+    EXPECT_EQ(b.counts[i].load(), a.counts[i].load()) << "bucket " << i;
+  }
+  EXPECT_EQ(a.counts.back().load(), 3u) << "values past the last bound land in +inf";
+  for (double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(batched.quantile(q), each.quantile(q)) << "q " << q;
+  }
+
+  obs::Histogram empty = reg.histogram("empty", {10});
+  empty.record(7, 0);
+  EXPECT_EQ(empty.count(), 0u) << "n = 0 records nothing";
+  EXPECT_EQ(cells.at("empty")->min.load(), INT64_MAX) << "not even the min";
+}
+
 // ---------------------------------------------------------------------
 // JSON writer + percentile
 // ---------------------------------------------------------------------

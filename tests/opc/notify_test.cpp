@@ -159,6 +159,9 @@ TEST(NotifyFrame, SeededGarbageNeverCrashesAndFailsClosed) {
 
 TEST(NotifyFrame, RandomizedBatchesRoundTrip) {
   sim::Rng rng(99);
+  // Decoded into again and again, as the plane does: each decode must
+  // equal a fresh one, whatever the previous frame held.
+  NotifyFrame reused;
   for (int round = 0; round < 100; ++round) {
     std::vector<SubBatch> in;
     int nbatches = static_cast<int>(rng.uniform(0, 4));
@@ -183,9 +186,12 @@ TEST(NotifyFrame, RandomizedBatchesRoundTrip) {
       }
       in.push_back(std::move(batch));
     }
+    const Buffer frame = encode_notify_frame(in);
     std::vector<SubBatch> out;
-    ASSERT_TRUE(decode_notify_frame(encode_notify_frame(in), &out));
+    ASSERT_TRUE(decode_notify_frame(frame, &out));
     EXPECT_EQ(out, in);
+    ASSERT_TRUE(NotifyFrame::decode(frame, reused));
+    EXPECT_EQ(reused.batches, in);
   }
 }
 

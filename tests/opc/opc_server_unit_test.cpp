@@ -168,6 +168,22 @@ TEST_F(OpcServerUnit, RemoveItemsStopsTheirUpdates) {
   }
 }
 
+TEST_F(OpcServerUnit, RemoveItemsBetweenAChangeAndTheNextTickWithdrawsTheItem) {
+  auto group = add_group("g");
+  auto sink = CollectingSink::create();
+  group->AddItems({"Sig", "Out"}, nullptr);
+  group->SetCallback(com::ComPtr<IOPCDataCallback>(sink.get()), nullptr);
+  sim_.run_for(sim::milliseconds(100));
+  sink->changes.clear();
+  plc_->set_faulted(true);  // every item turns BAD: both are pending now
+  group->RemoveItems({"Sig"}, nullptr);
+  sim_.run_for(sim::milliseconds(100));
+  ASSERT_FALSE(sink->changes.empty()) << "Out's BAD quality is announced";
+  for (const auto& i : sink->changes) {
+    EXPECT_NE(i.item_id, "Sig");
+  }
+}
+
 TEST_F(OpcServerUnit, WriteResultsPerItem) {
   auto group = add_group("g");
   std::vector<HRESULT> results;
