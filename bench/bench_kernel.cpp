@@ -1,7 +1,7 @@
 // Experiment E12 — the discrete-event kernel hot path itself: how many
 // events per second can `sim::Simulation` schedule, fire and cancel?
 // Every other experiment in EXPERIMENTS.md is bottlenecked by this
-// loop, so its cost is measured directly, on three workload shapes:
+// loop, so its cost is measured directly, on four workload shapes:
 //
 //  schedule_fire — self-rescheduling one-shot chains (the shape of
 //       datagram delivery and deadline events): each fired event
@@ -12,6 +12,10 @@
 //  timer_heavy — steady-state heartbeat traffic: hundreds of
 //       PeriodicTimers on process strands at engine-like periods, the
 //       event mix that dominates cluster runs at large N.
+//  fanout_burst — the SWIM death-certificate burst at N=512: every
+//       member sends to all 511 peers at 100-300 us delays, and each
+//       delivery schedules one reply. Hundreds of thousands of events
+//       pending inside a few milliseconds of sim time.
 //
 // Reported as events/sec and ns/event of *wall* time (sim time is free;
 // the wall cost of the kernel loop is exactly what this bench exists to
@@ -167,6 +171,54 @@ KernelResult run_timer_heavy(std::uint64_t seed, int timers, sim::SimTime durati
   return res;
 }
 
+// ---------------------------------------------------------------------
+// fanout_burst — 512 senders x 511 receivers, one reply per delivery.
+// ---------------------------------------------------------------------
+
+KernelResult run_fanout_burst(std::uint64_t seed, int bursts) {
+  sim::Simulation sim(seed);
+  KernelResult res;
+  constexpr std::uint64_t kMembers = 512;
+  // Deterministic 100-300 us delay per (from, to, round); no rng in the
+  // hot loop.
+  auto delay = [](std::uint64_t from, std::uint64_t to, std::uint64_t round) {
+    std::uint64_t h = (from * 0x9E3779B97F4A7C15ull) ^ (to * 0xC2B2AE3D27D4EB4Full) ^ round;
+    h ^= h >> 29;
+    h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 32;
+    return sim::microseconds(100) + static_cast<sim::SimTime>(h % 200'001);
+  };
+  auto fire = [&res, &sim] {
+    ++res.fired;
+    fold(res.history_hash, static_cast<std::uint64_t>(sim.now()));
+  };
+  auto send_all = [&](std::uint64_t from, std::uint64_t round) {
+    fire();
+    for (std::uint64_t to = 0; to < kMembers; ++to) {
+      if (to == from) continue;
+      ++res.scheduled;
+      sim.schedule_after(delay(from, to, round), [&, from, to, round] {
+        fire();
+        ++res.scheduled;
+        sim.schedule_after(delay(to, from, round + 1), fire);  // the reply
+      });
+    }
+  };
+  auto t0 = Clock::now();
+  // Bursts 50 ms apart; within one, senders learn of the death over
+  // ~50 us (100 ns apart), as the certificate spreads.
+  for (int b = 0; b < bursts; ++b) {
+    for (std::uint64_t from = 0; from < kMembers; ++from) {
+      ++res.scheduled;
+      sim.schedule_at(sim::milliseconds(50 * b) + static_cast<sim::SimTime>(from * 100),
+                      [&send_all, from, b] { send_all(from, static_cast<std::uint64_t>(b) * 2); });
+    }
+  }
+  sim.run();
+  res.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+  return res;
+}
+
 struct Workload {
   const char* name;
   KernelResult result;
@@ -183,15 +235,17 @@ int main() {
   const std::uint64_t kCancelOps = smoke ? 200'000 : 2'000'000;
   const int kTimers = smoke ? 100 : 250;
   const sim::SimTime kTimerDuration = smoke ? sim::seconds(20) : sim::minutes(2);
+  const int kBursts = smoke ? 2 : 4;
 
   title("E12: event-kernel hot path",
-        "wall-clock cost of the schedule/fire/cancel cycle on three workload shapes; "
+        "wall-clock cost of the schedule/fire/cancel cycle on four workload shapes; "
         "events/sec counts kernel operations (schedules + fires + cancels)");
 
   Workload workloads[] = {
       {"schedule_fire", run_schedule_fire(kSeed, kChainEvents), kFloorScheduleFire},
       {"cancel_heavy", run_cancel_heavy(kSeed, kCancelOps), kFloorCancelHeavy},
       {"timer_heavy", run_timer_heavy(kSeed, kTimers, kTimerDuration), kFloorTimerHeavy},
+      {"fanout_burst", run_fanout_burst(kSeed, kBursts), kFloorFanoutBurst},
   };
 
   row({"workload", "events/s", "ns/event", "fired", "cancelled", "wall s"});

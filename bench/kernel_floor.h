@@ -19,5 +19,9 @@ namespace oftt::bench {
 inline constexpr double kFloorScheduleFire = 10.0e6;
 inline constexpr double kFloorCancelHeavy = 25.0e6;
 inline constexpr double kFloorTimerHeavy = 12.0e6;
+// fanout_burst (E18): the sorted-run queue measured 1.9-2.8M events/sec
+// in smoke mode (RelWithDebInfo, 4-core Xeon VM); the floor sits at about
+// half the worst run. The wheel-pop queue before it measured 0.82-0.91M.
+inline constexpr double kFloorFanoutBurst = 1.0e6;
 
 }  // namespace oftt::bench

@@ -1175,10 +1175,14 @@ void Engine::send_peer(const Buffer& payload) {
   }
 }
 
-void Engine::send_to_member(int node, const Buffer& payload) {
-  for (int net : config_.networks) {
-    process_->send(net, node, kEnginePort, payload, kEnginePort);
+void Engine::send_to_member(int node, Buffer payload) {
+  // Copies for all networks but the last, which takes the buffer itself:
+  // a freshly encoded probe costs no copy on a single network.
+  const std::vector<int>& nets = config_.networks;
+  for (std::size_t i = 0; i + 1 < nets.size(); ++i) {
+    process_->send(nets[i], node, kEnginePort, payload, kEnginePort);
   }
+  if (!nets.empty()) process_->send(nets.back(), node, kEnginePort, std::move(payload), kEnginePort);
 }
 
 void Engine::send_status() {

@@ -207,7 +207,7 @@ class Engine {
 
   // messaging
   void send_peer(const Buffer& payload);
-  void send_to_member(int node, const Buffer& payload);
+  void send_to_member(int node, Buffer payload);
   void send_status();
   void announce_role();
   void send_set_active(const Component& c, bool active);

@@ -38,6 +38,7 @@ EventQueue::EventQueue() {
 }
 
 std::uint32_t EventQueue::alloc_slot() {
+  if (free_head_ == kNilSlot) maybe_sweep_wheel();
   if (free_head_ != kNilSlot) {
     std::uint32_t idx = free_head_;
     free_head_ = hot_[idx].next;
@@ -61,17 +62,16 @@ void EventQueue::free_slot(std::uint32_t idx) {
 }
 
 EventHandle EventQueue::schedule_on(SimTime at, LifeRef life, EventFn&& fn) {
-  return schedule_impl(at, next_seq_++, kNoTarget, std::move(life), std::move(fn),
-                       /*keyed=*/false);
+  return schedule_impl(at, next_seq_++, kNoTarget, std::move(life), std::move(fn));
 }
 
 EventHandle EventQueue::schedule_keyed(SimTime at, std::uint64_t key, std::uint32_t target,
                                        LifeRef life, EventFn&& fn) {
-  return schedule_impl(at, key, target, std::move(life), std::move(fn), /*keyed=*/true);
+  return schedule_impl(at, key, target, std::move(life), std::move(fn));
 }
 
 EventHandle EventQueue::schedule_impl(SimTime at, std::uint64_t seq, std::uint32_t target,
-                                      LifeRef life, EventFn&& fn, bool keyed) {
+                                      LifeRef life, EventFn&& fn) {
   std::uint32_t idx = alloc_slot();
   SlotHot& s = hot_[idx];
   s.at = at;
@@ -92,29 +92,19 @@ EventHandle EventQueue::schedule_impl(SimTime at, std::uint64_t seq, std::uint32
     heap_push(Ref{at, s.seq, idx, s.gen});
   }
   ++live_;
-  // The memoised peek stays valid: an event at or after the cached
-  // minimum cannot displace it (equal `at` loses on seq — except for a
-  // caller-supplied key, which may undercut the cached min's key, so
-  // keyed inserts also invalidate on an equal timestamp). Inserting
-  // into the cached min's own bucket would stale its recorded list
-  // predecessor, so that case invalidates too.
-  if (peek_.valid &&
-      (peek_.next_at == kNever || at < peek_.next_at || (keyed && at == peek_.next_at) ||
-       (s.lane == kLaneWheel && peek_.src == Peek::kWheel &&
-        static_cast<int>(tick & 255) == peek_.l0_slot))) {
-    peek_.valid = false;
-  }
   return EventHandle(this, idx, s.gen);
 }
 
 void EventQueue::cancel(EventHandle& h) {
   if (h.q_ == this && handle_live(h.idx_, h.gen_)) {
     SlotHot& s = hot_[h.idx_];
-    if (s.lane == kLaneHeap) {
-      // Heap refs are value copies: the slot can recycle immediately,
-      // the stale ref is dropped when it surfaces (or at compaction).
-      ++heap_dead_;
+    if (s.lane != kLaneWheel) {
+      // Heap and run refs are value copies: the slot can recycle
+      // immediately, the stale ref is dropped when it surfaces (or, in
+      // the heap, at compaction). The run only shrinks.
+      if (s.lane == kLaneHeap) ++heap_dead_;
       free_slot(h.idx_);
+      maybe_compact_heap();
     } else {
       // Wheel nodes are linked through the slot itself: release the
       // payload now, leave the link in place as a zombie until its
@@ -127,9 +117,6 @@ void EventQueue::cancel(EventHandle& h) {
     }
     assert(live_ > 0);
     --live_;
-    peek_.valid = false;
-    maybe_compact_heap();
-    maybe_sweep_wheel();
   }
   h = EventHandle{};
 }
@@ -177,41 +164,7 @@ void EventQueue::wheel_insert(std::uint32_t idx, std::uint64_t tick) {
   ++wheel_count_;
 }
 
-SimTime EventQueue::bucket_min_l0(int s, std::uint32_t& min_idx, std::uint32_t& min_prev) {
-  std::uint32_t* head = &l0_head_[static_cast<unsigned>(s)];
-  std::uint32_t prev = kNilSlot;
-  std::uint32_t cur = *head;
-  SimTime best_at = kNever;
-  std::uint64_t best_seq = 0;
-  min_idx = kNilSlot;
-  min_prev = kNilSlot;
-  while (cur != kNilSlot) {
-    SlotHot& sl = hot_[cur];
-    std::uint32_t nxt = sl.next;
-    if (!sl.in_use) {  // zombie: unlink and reclaim
-      (prev == kNilSlot ? *head : hot_[prev].next) = nxt;
-      sl.next = free_head_;
-      free_head_ = cur;
-      assert(wheel_count_ > 0 && wheel_dead_ > 0);
-      --wheel_count_;
-      --wheel_dead_;
-      cur = nxt;
-      continue;
-    }
-    if (sl.at < best_at || (sl.at == best_at && sl.seq < best_seq)) {
-      best_at = sl.at;
-      best_seq = sl.seq;
-      min_idx = cur;
-      min_prev = prev;
-    }
-    prev = cur;
-    cur = nxt;
-  }
-  if (*head == kNilSlot) l0_bits_.clear(static_cast<unsigned>(s));
-  return best_at;
-}
-
-void EventQueue::drain_l0(int s) {
+void EventQueue::take_bucket(int s) {
   std::uint32_t cur = l0_head_[static_cast<unsigned>(s)];
   while (cur != kNilSlot) {
     SlotHot& sl = hot_[cur];
@@ -219,8 +172,8 @@ void EventQueue::drain_l0(int s) {
     assert(wheel_count_ > 0);
     --wheel_count_;
     if (sl.in_use) {
-      sl.lane = kLaneHeap;
-      heap_push(Ref{sl.at, sl.seq, cur, sl.gen});
+      sl.lane = kLaneRun;
+      run_.push_back(Ref{sl.at, sl.seq, cur, sl.gen});
     } else {
       sl.next = free_head_;
       free_head_ = cur;
@@ -231,6 +184,9 @@ void EventQueue::drain_l0(int s) {
   }
   l0_head_[static_cast<unsigned>(s)] = kNilSlot;
   l0_bits_.clear(static_cast<unsigned>(s));
+  // Seqs are unique (a counter, or PDES keys carrying the node), so the
+  // order is total and an unstable sort is deterministic.
+  std::sort(run_.begin(), run_.end(), [](const Ref& x, const Ref& y) { return later(y, x); });
 }
 
 void EventQueue::cascade_l1(int j) {
@@ -277,101 +233,87 @@ void EventQueue::sweep_bucket(std::uint32_t& head, unsigned bit, Bits256& bits) 
 }
 
 void EventQueue::maybe_sweep_wheel() {
-  // Same bound as the heap: when cancelled nodes outnumber live ones,
-  // walk every bucket and unlink them, so a schedule/cancel loop whose
-  // delays land in the wheel cannot grow the slab without bound.
-  if (wheel_dead_ < 64 || wheel_dead_ * 2 < wheel_count_) return;
-  for (unsigned i = 0; i < kSlots; ++i) {
-    if (l0_bits_.test(i)) sweep_bucket(l0_head_[i], i, l0_bits_);
-    if (l1_bits_.test(i)) sweep_bucket(l1_head_[i], i, l1_bits_);
+  // Zombies cost memory only when they make the slab grow. Called when
+  // the freelist is empty: if zombies are at least half the slab, walk
+  // the occupied buckets and unlink them instead, so a schedule/cancel
+  // loop whose delays land in the wheel cannot grow the slab without
+  // bound, while zombies that sorting or cascading reclaims in time (a
+  // timeout cancelled well before it falls due) use free slab space
+  // instead of forcing walks.
+  if (wheel_dead_ < 64 || wheel_dead_ * 2 < hot_.size()) return;
+  for (int i = l0_bits_.first_from(0); i >= 0; i = l0_bits_.first_from(i + 1)) {
+    sweep_bucket(l0_head_[i], static_cast<unsigned>(i), l0_bits_);
+  }
+  for (int i = l1_bits_.first_from(0); i >= 0; i = l1_bits_.first_from(i + 1)) {
+    sweep_bucket(l1_head_[i], static_cast<unsigned>(i), l1_bits_);
   }
   ++wheel_sweeps_;
 }
 
-void EventQueue::ensure_peek() {
-  if (peek_.valid) return;
-  SimTime hm = live_heap_min();
-  // Find the earliest live wheel event, cascading windows only while
-  // they could still beat the heap. The L0 scan includes the cursor's
-  // own tick: a cascade lands events due exactly at the window start
-  // there, and a partially-popped bucket keeps its remaining events.
-  SimTime wn = kNever;
-  int wslot = -1;
-  std::uint32_t min_idx = kNilSlot;
-  std::uint32_t min_prev = kNilSlot;
-  while (wheel_count_ > 0) {
+void EventQueue::fill_run(SimTime heap_min) {
+  while (wheel_count_ > 0 && run_.empty()) {
+    // The L0 scan includes the cursor's own tick: a cascade lands
+    // events due exactly at the window start there.
     int s = l0_bits_.first_from(static_cast<int>(cur_tick_ & 255));
     if (s >= 0) {
-      SimTime m = bucket_min_l0(s, min_idx, min_prev);
-      if (m == kNever) continue;  // bucket was all zombies; rescan
-      // Keep the cursor on the earliest occupied tick so schedule()
-      // routes relative to the present.
-      cur_tick_ = (cur_tick_ & ~std::uint64_t{255}) | static_cast<unsigned>(s);
-      wn = m;
-      wslot = s;
-      break;
+      std::uint64_t tick = (cur_tick_ & ~std::uint64_t{255}) | static_cast<unsigned>(s);
+      // Every event in the bucket is at or after its tick start; if even
+      // that loses to the heap, the bucket is not due yet.
+      if (static_cast<SimTime>(tick << kTickShift) > heap_min) return;
+      cur_tick_ = tick;
+      take_bucket(s);  // empty when the bucket held only zombies; rescan
+      continue;
     }
     std::uint64_t cw = cur_tick_ >> 8;
     int j = l1_bits_.first_after_circular(static_cast<int>(cw & 255));
-    if (j < 0) break;  // defensive: counts say occupied but no bits set
+    if (j < 0) return;  // defensive: counts say occupied but no bits set
     std::uint64_t dist = (static_cast<std::uint64_t>(j) - cw) & 255;
     assert(dist != 0);  // a bucket at the cursor's own window index is unreachable
     std::uint64_t window_start = (cw + dist) << 8;
-    // Every event in that window is at or after its start; if even the
-    // lower bound loses to the heap, leave the window uncascaded.
-    if (static_cast<SimTime>(window_start << kTickShift) > hm) break;
+    if (static_cast<SimTime>(window_start << kTickShift) > heap_min) return;
     cur_tick_ = window_start;
     cascade_l1(j);
   }
+}
 
-  if (wn < hm && tick_of(wn) != tick_of(hm)) {
-    peek_.src = Peek::kWheel;
-    peek_.next_at = wn;
-    peek_.l0_slot = wslot;
-    peek_.min_idx = min_idx;
-    peek_.min_prev = min_prev;
-  } else {
-    if (wslot >= 0 && wn <= hm) {
-      // Same-tick overlap between lanes (or an exact tie): merge the
-      // bucket into the heap so the (at, seq) comparator orders it.
-      drain_l0(wslot);
-      hm = live_heap_min();
-    }
-    peek_.src = hm == kNever ? Peek::kEmpty : Peek::kHeap;
-    peek_.next_at = hm;
-    peek_.l0_slot = -1;
+bool EventQueue::settle() {
+  while (run_pos_ < run_.size() && !ref_live(run_[run_pos_])) ++run_pos_;
+  SimTime heap_min = live_heap_min();
+  if (run_pos_ == run_.size()) {
+    run_.clear();
+    run_pos_ = 0;
+    fill_run(heap_min);
+    if (run_.empty()) return false;
   }
-  peek_.valid = true;
+  return heap_.empty() || later(heap_.front(), run_[run_pos_]);
 }
 
 SimTime EventQueue::next_time() {
-  ensure_peek();
-  return peek_.next_at;
+  if (settle()) return run_[run_pos_].at;
+  return heap_.empty() ? kNever : heap_.front().at;
 }
 
 SimTime EventQueue::pop(EventFn& fn) {
-  ensure_peek();
-  assert(peek_.src != Peek::kEmpty);
   std::uint32_t idx;
-  if (peek_.src == Peek::kWheel) {
-    // Unlink the min node recorded by the peek (no mutation can have
-    // intervened: any schedule/cancel invalidates the memo).
-    idx = peek_.min_idx;
-    std::uint32_t* head = &l0_head_[static_cast<unsigned>(peek_.l0_slot)];
-    (peek_.min_prev == kNilSlot ? *head : hot_[peek_.min_prev].next) = hot_[idx].next;
-    if (*head == kNilSlot) l0_bits_.clear(static_cast<unsigned>(peek_.l0_slot));
-    assert(wheel_count_ > 0);
-    --wheel_count_;
+  if (settle()) {
+    idx = run_[run_pos_++].idx;
+    // The run's order is known ahead: warm the slot popped a few events
+    // from now, which in a large run is a cache miss otherwise.
+    if (run_pos_ + 4 < run_.size()) {
+      std::uint32_t ahead = run_[run_pos_ + 4].idx;
+      __builtin_prefetch(&hot_[ahead]);
+      __builtin_prefetch(&cold_[ahead]);
+    }
   } else {
+    assert(!heap_.empty());
     std::pop_heap(heap_.begin(), heap_.end(), later);
     idx = heap_.back().idx;
     heap_.pop_back();
   }
-  peek_.valid = false;
 
   SlotHot& s = hot_[idx];
   SlotCold& c = cold_[idx];
-  assert(s.in_use && s.at == peek_.next_at);
+  assert(s.in_use);
   SimTime at = s.at;
   last_target_ = s.target;
   // Liveness gate (was a wrapper lambda in the seed kernel): a dead or
@@ -384,8 +326,8 @@ SimTime EventQueue::pop(EventFn& fn) {
   assert(live_ > 0);
   --live_;
   // Re-centre an idle wheel on the present so that after a quiet spell
-  // (no short-horizon timers for a minute) new short delays still land
-  // in the wheel instead of overflowing to the heap. Only legal when
+  // (no short-horizon timers for a few seconds) new short delays land
+  // in the wheel again instead of overflowing to the heap. Only legal when
   // the wheel is empty — resident nodes pin the cursor's windows.
   if (wheel_count_ == 0 && tick_of(at) > cur_tick_) cur_tick_ = tick_of(at);
   return at;

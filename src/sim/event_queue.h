@@ -17,28 +17,32 @@
 //     at pop time, not a wrapper lambda.
 //
 // Ordering lanes. A comparison heap orders arbitrary timestamps in
-// O(log n), but most traffic is short-horizon timers (heartbeats,
-// RTOs, scan cycles) for which a timer wheel gives O(1) insert and
-// cancel. Events are routed by delay at schedule time:
+// O(log n), but most traffic is short-horizon (datagram deliveries,
+// heartbeats, RTOs, scan cycles). The wheel only buckets those events
+// by tick; each bucket is sorted once, when it falls due, and then pops
+// in O(1). Events are routed by delay at schedule time:
 //
 //   heap  — events due in the cursor's current tick or earlier, and
-//           events beyond the wheel horizon (~68 s), incl. kNever.
+//           events beyond the wheel horizon (~4.3 s), incl. kNever.
 //   L0    — events in the cursor's current 256-tick window
-//           (tick = 2^20 ns ≈ 1.05 ms, window ≈ 268 ms).
-//   L1    — events within the next 255 windows (≈ 68 s); cascaded
+//           (tick = 2^16 ns ≈ 65.5 µs, window ≈ 16.8 ms).
+//   L1    — events within the next 255 windows (≈ 4.3 s); cascaded
 //           into L0 when the cursor enters their window.
+//   run   — the bucket that fell due last: once the previous run is
+//           exhausted and the earliest occupied bucket starts at or
+//           before the live heap minimum, its live events are sorted by
+//           (at, seq) into a vector and the cursor moves to its tick.
 //
-// Wheel buckets are intrusive singly-linked lists threaded through the
-// slab (Slot::next doubles as the freelist link), so insert, cascade
-// and cancel never touch the allocator. When the earliest pending tick
-// lives in the wheel and the heap holds nothing due in that tick, the
-// event pops straight out of its bucket; only a genuine same-tick
-// overlap between lanes drains the bucket into the heap so the (at,
-// seq) comparator can settle the merge. The observable order is
-// therefore exactly the (at, seq) total order of a single heap: FIFO
-// at equal timestamps, bit-for-bit identical to the seed kernel.
-// Determinism is the contract; the wheel may only change what an event
-// costs, never when it fires.
+// pop takes the smaller of the run front and the heap top. Everything
+// still in the wheel lies in a later tick than the run, and inserts at
+// or before the cursor's tick go to the heap, so the run never grows
+// and the two-way merge is the whole (at, seq) order. Wheel buckets are
+// intrusive singly-linked lists threaded through the slab (Slot::next
+// doubles as the freelist link), so insert, cascade and cancel never
+// touch the allocator. The observable order is exactly the (at, seq)
+// total order of a single heap: FIFO at equal timestamps, bit-for-bit
+// identical to the seed kernel. Determinism is the contract; the lanes
+// may only change what an event costs, never when it fires.
 //
 // Handles must not outlive their EventQueue (in practice: the
 // Simulation). Processes and components are destroyed before the queue,
@@ -174,7 +178,8 @@ class EventQueue {
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
   /// Earliest pending event time, or kNever. May internally cascade due
-  /// wheel windows / reclaim tombstones (hence non-const).
+  /// wheel windows, sort a due bucket into the run and reclaim
+  /// tombstones (hence non-const).
   SimTime next_time();
 
   /// Pop the earliest live event into `fn` and return its time;
@@ -191,6 +196,7 @@ class EventQueue {
   // --- introspection for tests and benches ---------------------------
   std::size_t debug_heap_size() const { return heap_.size(); }
   std::size_t debug_wheel_size() const { return wheel_count_; }
+  std::size_t debug_run_size() const { return run_.size() - run_pos_; }
   std::size_t debug_slab_size() const { return hot_.size(); }
   std::uint64_t debug_compactions() const { return compactions_; }
   std::uint64_t debug_wheel_sweeps() const { return wheel_sweeps_; }
@@ -198,11 +204,11 @@ class EventQueue {
     return idx < hot_.size() && hot_[idx].in_use && hot_[idx].gen == gen;
   }
 
-  static constexpr int kTickShift = 20;         // 1 tick = 2^20 ns ≈ 1.05 ms
+  static constexpr int kTickShift = 16;         // 1 tick = 2^16 ns ≈ 65.5 µs
   static constexpr std::uint32_t kSlots = 256;  // per wheel level
 
  private:
-  enum Lane : std::uint8_t { kLaneHeap = 0, kLaneWheel = 1 };
+  enum Lane : std::uint8_t { kLaneHeap = 0, kLaneWheel = 1, kLaneRun = 2 };
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFF;
 
   /// A slot is split structure-of-arrays style: the ordering and link
@@ -231,7 +237,8 @@ class EventQueue {
     LifeRef life;
   };
 
-  /// What the comparison heap holds: 24 bytes, trivially copyable.
+  /// What the comparison heap and the run hold: 24 bytes, trivially
+  /// copyable.
   /// `gen` detects refs whose slot was cancelled (and possibly reused).
   struct Ref {
     SimTime at;
@@ -248,7 +255,6 @@ class EventQueue {
     std::uint64_t w[4] = {0, 0, 0, 0};
     void set(unsigned i) { w[i >> 6] |= 1ull << (i & 63); }
     void clear(unsigned i) { w[i >> 6] &= ~(1ull << (i & 63)); }
-    bool test(unsigned i) const { return (w[i >> 6] >> (i & 63)) & 1; }
     /// Smallest set index >= i (pass i-1 semantics via callers), or -1.
     int first_from(int i) const;
     /// Smallest set index in circular order starting after `i` (wraps;
@@ -270,24 +276,23 @@ class EventQueue {
   void maybe_compact_heap();
 
   void wheel_insert(std::uint32_t idx, std::uint64_t tick);
-  /// Walk bucket `s` of L0: reclaim zombies, find the min-(at, seq)
-  /// live node (recorded with its list predecessor for O(1) unlink).
-  /// Returns kNever and clears the bucket bit when nothing live remains.
-  SimTime bucket_min_l0(int s, std::uint32_t& min_idx, std::uint32_t& min_prev);
-  /// Move every live node of L0 bucket `s` into the comparison heap
-  /// (the same-tick merge path).
-  void drain_l0(int s);
+  /// Move the live nodes of L0 bucket `s` into the run, sorted by
+  /// (at, seq); zombies go back to the freelist.
+  void take_bucket(int s);
+  /// Refill an exhausted run from the earliest occupied bucket whose
+  /// tick starts at or before `heap_min`, cascading L1 windows on the
+  /// way. Leaves the run empty when the heap top comes first.
+  void fill_run(SimTime heap_min);
   /// Relink L1 bucket `j` (the window the cursor just entered) into L0.
   void cascade_l1(int j);
   void maybe_sweep_wheel();
   void sweep_bucket(std::uint32_t& head, unsigned bit, Bits256& bits);
 
-  /// The single ordering scan shared by next_time() and pop(),
-  /// memoised until the next mutation: establishes where the earliest
-  /// live event is (heap top, a wheel bucket node, or nowhere) after
-  /// cascading any wheel window that could matter and pre-draining a
-  /// same-tick lane overlap.
-  void ensure_peek();
+  /// The ordering step shared by next_time() and pop(): drop dead refs
+  /// off the run front and the heap top, refill an exhausted run, and
+  /// return true when the earliest live event is the run front (false:
+  /// the heap top, or nothing).
+  bool settle();
 
   // --- slab (parallel hot/cold arrays, same index space) --------------
   std::vector<SlotHot> hot_;
@@ -311,19 +316,12 @@ class EventQueue {
   std::size_t wheel_dead_ = 0;   // cancelled nodes awaiting unlink
   std::uint64_t wheel_sweeps_ = 0;
 
-  struct Peek {
-    enum Src : std::uint8_t { kEmpty, kHeap, kWheel };
-    bool valid = false;
-    Src src = kEmpty;
-    SimTime next_at = kNever;
-    int l0_slot = -1;                  // src == kWheel: bucket of the min node
-    std::uint32_t min_idx = kNilSlot;  // src == kWheel: the min node
-    std::uint32_t min_prev = kNilSlot;  // its list predecessor (kNilSlot = head)
-  };
-  Peek peek_;
+  // --- sorted run: the due bucket, popped from run_pos_ onward --------
+  std::vector<Ref> run_;
+  std::size_t run_pos_ = 0;
 
   EventHandle schedule_impl(SimTime at, std::uint64_t seq, std::uint32_t target, LifeRef life,
-                            EventFn&& fn, bool keyed);
+                            EventFn&& fn);
 
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;  // scheduled, not yet fired or cancelled
