@@ -2,16 +2,18 @@
 // generalizing the paper's node pair to N replicas cost, and what does
 // it buy?
 //
-//  E8a: steady-state message overhead. Every member heartbeats every
-//       other member (O(N^2) datagrams) and the primary gossips its
-//       membership view; measured as datagrams/s on the wire for
+//  E8a: steady-state message overhead. Every member sends one SWIM
+//       probe per period (acked; indirect probes only on a miss) and
+//       the primary refreshes one member's copy of its membership view
+//       per period; measured as datagrams/s on the wire for
 //       N in {2,3,5,9}, engine-only deployments so nothing else talks.
 //  E8b: failover latency. Kill the primary and time the rank-1 backup's
-//       quorum-gated promotion: detection (peer timeout), ack
-//       collection (PromoteRequest -> majority PromoteAck), negotiation
-//       and promotion, per N, p50/p99 across seeds. N=2 needs no acks
-//       (quorum 1) — the spread from N=2 to N=9 is the price of
-//       split-brain safety.
+//       quorum-gated promotion: detection (first missed probe plus the
+//       SWIM suspicion window), ack collection (PromoteRequest ->
+//       majority PromoteAck), negotiation and promotion, per N, p50/p99
+//       across seeds. N=2 needs no acks (quorum 1) — the spread from
+//       N=2 to N=9 is the price of split-brain safety plus the
+//       suspicion window's log N growth.
 //
 // Exports BENCH_cluster.json.
 #include <chrono>
@@ -34,7 +36,7 @@ namespace {
 constexpr int kReplicaCounts[] = {2, 3, 5, 9};
 
 // ---------------------------------------------------------------------
-// E8a — steady-state heartbeat/gossip overhead.
+// E8a — steady-state probe/gossip overhead.
 // ---------------------------------------------------------------------
 
 struct OverheadResult {
@@ -49,7 +51,7 @@ OverheadResult run_overhead(int replicas, std::uint64_t seed) {
   core::ClusterDeploymentOptions opts;
   opts.replicas = replicas;
   // Engine-only: no monitor, no MSMQ, no SCM, no app — every datagram
-  // on the wire is membership traffic (heartbeats, gossip, campaigns).
+  // on the wire is membership traffic (probes, gossip, campaigns).
   opts.with_monitor = false;
   opts.with_msmq = false;
   opts.with_scm = false;
@@ -172,8 +174,8 @@ int main() {
   w.begin_array();
 
   title("E8a: steady-state membership overhead",
-        "engine-only clusters; every datagram is heartbeat/gossip/campaign traffic; "
-        "all-to-all heartbeats make this O(N^2)");
+        "engine-only clusters; every datagram is probe/gossip/campaign traffic; "
+        "SWIM keeps it O(1) per member");
   row({"replicas", "quorum", "dgrams/s", "per member", "bytes/s", "B/s member"});
   rule(6);
   std::vector<OverheadResult> overhead;
@@ -275,8 +277,9 @@ int main() {
   }
 
   std::printf(
-      "\n(detection dominates and is configuration-bound — peer_timeout — so failover\n"
-      " latency is nearly flat in N; ack collection adds one LAN round trip once N > 2;\n"
-      " the steady-state cost of that safety grows quadratically with N)\n");
+      "\n(detection dominates and is configuration-bound — the SWIM suspicion window,\n"
+      " (2*ceil(log2 N)+6) heartbeat periods — so failover latency steps up with log N;\n"
+      " ack collection adds one LAN round trip once N > 2; the steady-state cost per\n"
+      " member stays O(1))\n");
   return 0;
 }

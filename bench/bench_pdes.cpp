@@ -78,7 +78,6 @@ PdesRun run_cluster(int replicas, std::uint64_t seed, const sim::EngineConfig* c
   opts.with_monitor = false;
   opts.with_msmq = false;
   opts.with_scm = false;
-  opts.engine.detection = core::DetectionMode::kSwim;
   core::ClusterDeployment dep(sim, opts);
 
   chaos::CoverageProbe probe(sim.telemetry());

@@ -1,16 +1,15 @@
 // Experiment E15 — SWIM-style failure detection at scale (src/swim/).
 //
-// E8 showed the price of the all-to-all heartbeat: O(N^2) datagrams on
-// the wire, which at N=512 would be ~2.6M sends per heartbeat period.
-// E15 measures what the swim detector buys back, on engine-only
-// clusters so every datagram is detection/membership traffic:
+// The all-to-all heartbeat cluster mode first shipped with (E8's
+// historical tables) cost O(N^2) datagrams on the wire, which at N=512
+// would be ~2.6M sends per heartbeat period. E15 measures the swim
+// detector that replaced it, on engine-only clusters so every datagram
+// is detection/membership traffic:
 //
 //  E15a: steady-state wire cost vs N — datagrams/s and bytes/s, total
-//        and per member, for swim at N in {9,32,128,512}; legacy gossip
-//        alongside at N in {9,32} (running it at 512 is the point of
-//        this experiment: you can't). Per-member cost should be flat
-//        (O(1) sends per protocol period), total traffic linear-ish
-//        (the per-update piggyback budget grows with log N).
+//        and per member, at N in {9,32,128,512}. Per-member cost should
+//        be flat (O(1) sends per protocol period), total traffic
+//        linear-ish (the per-update piggyback budget grows with log N).
 //  E15b: detection + failover latency vs N — crash the primary; time
 //        from crash to the first SwimDeadConfirm anywhere (detection)
 //        and to a promoted successor (failover), p50/p99 over seeds.
@@ -36,10 +35,8 @@ namespace {
 std::vector<int> swim_sizes() {
   return smoke_mode() ? std::vector<int>{9, 32} : std::vector<int>{9, 32, 128, 512};
 }
-constexpr int kLegacySizes[] = {9, 32};
 
-core::ClusterDeploymentOptions engine_only(int replicas, core::DetectionMode mode,
-                                           double loss) {
+core::ClusterDeploymentOptions engine_only(int replicas, double loss) {
   core::ClusterDeploymentOptions opts;
   opts.replicas = replicas;
   // Engine-only: no monitor, no MSMQ, no SCM, no app — every datagram
@@ -47,7 +44,6 @@ core::ClusterDeploymentOptions engine_only(int replicas, core::DetectionMode mod
   opts.with_monitor = false;
   opts.with_msmq = false;
   opts.with_scm = false;
-  opts.engine.detection = mode;
   opts.net_loss = loss;
   return opts;
 }
@@ -63,9 +59,9 @@ struct Overhead {
   std::int64_t bytes_per_member = 0;
 };
 
-Overhead run_overhead(int replicas, core::DetectionMode mode, std::uint64_t seed) {
+Overhead run_overhead(int replicas, std::uint64_t seed) {
   sim::Simulation sim(seed);
-  core::ClusterDeployment dep(sim, engine_only(replicas, mode, 0.0));
+  core::ClusterDeployment dep(sim, engine_only(replicas, 0.0));
   sim.run_for(sim::seconds(5));  // converge the startup election
 
   const sim::SimTime window = sim::seconds(10);
@@ -95,7 +91,7 @@ struct FailoverSample {
 FailoverSample run_failover_once(int replicas, std::uint64_t seed) {
   FailoverSample out;
   sim::Simulation sim(seed);
-  core::ClusterDeployment dep(sim, engine_only(replicas, core::DetectionMode::kSwim, 0.0));
+  core::ClusterDeployment dep(sim, engine_only(replicas, 0.0));
   sim.run_for(sim::seconds(5));
   int victim = dep.primary_node();
   if (victim < 0) return out;
@@ -129,8 +125,7 @@ struct FpResult {
 
 FpResult run_fp(int replicas, std::uint64_t seed) {
   sim::Simulation sim(seed);
-  core::ClusterDeployment dep(sim,
-                              engine_only(replicas, core::DetectionMode::kSwim, 0.01));
+  core::ClusterDeployment dep(sim, engine_only(replicas, 0.01));
   sim.run_for(sim::seconds(5));
   const sim::SimTime window = sim::seconds(20);
   std::uint64_t before = sim.telemetry().metrics().counter_value("oftt.swim_false_positive");
@@ -167,22 +162,14 @@ int main() {
   // E15a -----------------------------------------------------------------
   title("E15a: steady-state detection wire cost",
         "engine-only clusters; swim probes one member per period and piggybacks "
-        "updates, vs the legacy all-to-all heartbeat");
+        "updates");
   row({"detection / N", "dgrams/s", "per member", "bytes/s", "B/s member"});
   rule(5);
   std::vector<Overhead> swim_overhead;
   for (int n : sizes) {
-    Overhead r = run_overhead(n, core::DetectionMode::kSwim, 11);
+    Overhead r = run_overhead(n, 11);
     swim_overhead.push_back(r);
     row({"swim N=" + std::to_string(n), fmt_int(r.dgrams_per_sec),
-         fmt_int(r.dgrams_per_member), fmt_int(r.bytes_per_sec),
-         fmt_int(r.bytes_per_member)});
-  }
-  std::vector<Overhead> legacy_overhead;
-  for (int n : kLegacySizes) {
-    Overhead r = run_overhead(n, core::DetectionMode::kGossip, 11);
-    legacy_overhead.push_back(r);
-    row({"gossip N=" + std::to_string(n), fmt_int(r.dgrams_per_sec),
          fmt_int(r.dgrams_per_member), fmt_int(r.bytes_per_sec),
          fmt_int(r.bytes_per_member)});
   }
@@ -259,19 +246,6 @@ int main() {
     w.end_object();
   }
   w.end_array();
-  w.key("legacy_sizes");
-  w.begin_array();
-  for (std::size_t i = 0; i < std::size(kLegacySizes); ++i) {
-    w.begin_object();
-    w.kv("replicas", kLegacySizes[i]);
-    w.kv("detection", "gossip");
-    w.kv("steady_dgrams_per_sec", legacy_overhead[i].dgrams_per_sec);
-    w.kv("steady_dgrams_per_sec_per_member", legacy_overhead[i].dgrams_per_member);
-    w.kv("steady_bytes_per_sec", legacy_overhead[i].bytes_per_sec);
-    w.kv("steady_bytes_per_sec_per_member", legacy_overhead[i].bytes_per_member);
-    w.end_object();
-  }
-  w.end_array();
 
   // Acceptance ratio: failover p99 at the largest N vs the smallest.
   double ratio = 0.0;
@@ -286,8 +260,7 @@ int main() {
 
   std::printf(
       "\n(failover p99 at N=%d is %.2fx N=%d — the suspicion timeout grows with\n"
-      " log N while per-member wire cost stays O(1); the legacy gossip rows above\n"
-      " show the O(N^2) traffic swim exists to avoid)\n",
+      " log N while per-member wire cost stays O(1))\n",
       sizes.back(), ratio, sizes.front());
   return 0;
 }

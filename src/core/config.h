@@ -42,18 +42,13 @@ enum class ReplicationMode : std::uint8_t {
 const char* replication_mode_name(ReplicationMode m);
 constexpr bool wire_valid(ReplicationMode m) { return m <= ReplicationMode::kSemiActive; }
 
-/// How cluster mode learns liveness. Pair mode ignores this.
-enum class DetectionMode : std::uint8_t {
-  /// The original scheme: every member heartbeats every other member
-  /// each period (O(N^2) datagrams cluster-wide).
-  kGossip = 0,
-  /// SWIM-style: each period one random direct probe, k indirect probes
-  /// on miss, suspect-before-dead with incarnation-numbered refutation;
-  /// membership piggybacks on probe traffic (O(1) per node per period).
-  kSwim = 1,
-};
-
-const char* detection_mode_name(DetectionMode m);
+/// Cluster mode always detects failures with SWIM: each period one
+/// random direct probe, k indirect probes on miss, suspect-before-dead
+/// with incarnation-numbered refutation; membership piggybacks on probe
+/// traffic (O(1) per node per period). Nothing reads this type or
+/// OfttConfig::detection any more; both remain only because the
+/// perfbench harness still assigns the field, and go once it stops.
+enum class DetectionMode : std::uint8_t { kSwim };
 
 /// What a node does when startup probing finds no peer.
 enum class AloneStartupPolicy : std::uint8_t {
@@ -84,8 +79,8 @@ struct OfttConfig {
   /// Cluster mode (N-replica role management): node ids of every member
   /// of the execution unit, self included, in initial succession-rank
   /// order. Size >= 2 switches the engine from pair negotiation to
-  /// membership-view gossip with quorum-gated promotion; empty keeps
-  /// the paper's pair protocol.
+  /// SWIM failure detection, membership-view gossip and quorum-gated
+  /// promotion; empty keeps the paper's pair protocol.
   std::vector<int> cluster_nodes;
   /// Cluster mode: a primary that can no longer see a live majority of
   /// the configured membership steps down to backup (keeps a minority
@@ -102,12 +97,12 @@ struct OfttConfig {
   // Failure detection.
   sim::SimTime heartbeat_period = sim::milliseconds(100);
   sim::SimTime component_timeout = sim::milliseconds(400);
+  /// Pair mode: backup promotes once the peer's heartbeat is this stale
+  /// on every network. Cluster mode detects through the swim_* settings.
   sim::SimTime peer_timeout = sim::milliseconds(500);
 
-  /// Cluster mode only: liveness source. kGossip keeps the all-to-all
-  /// heartbeats byte-identical to previous releases; kSwim scales the
-  /// detection plane to hundreds of members.
-  DetectionMode detection = DetectionMode::kGossip;
+  /// Unused: see DetectionMode.
+  DetectionMode detection = DetectionMode::kSwim;
   /// Swim: direct-probe ack deadline before fanning out the indirect
   /// probes. Must leave room inside one heartbeat_period for the
   /// indirect round trip, so keep it well under the period.

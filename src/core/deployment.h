@@ -118,47 +118,6 @@ inline void validate_replication(const OfttConfig& engine, bool has_app) {
             "' configured but no app_factory — there is no application state to stream"));
   }
 }
-
-/// Detection-knob sanity. `clustered` says whether this deployment runs
-/// engines in cluster mode — swim detection has no meaning for the
-/// paper's pair protocol, which keeps its own heartbeat/probe exchange.
-inline void validate_detection(const OfttConfig& engine, bool clustered) {
-  const auto mode = static_cast<int>(engine.detection);
-  if (mode < 0 || mode > static_cast<int>(DetectionMode::kSwim)) {
-    throw std::invalid_argument(cat("deployment: unknown detection mode (", mode, ")"));
-  }
-  if (engine.detection != DetectionMode::kSwim) return;
-  if (!clustered) {
-    throw std::invalid_argument(
-        "deployment: detection = swim needs a cluster deployment — the pair "
-        "protocol keeps its own heartbeats");
-  }
-  if (engine.swim_probe_timeout <= 0 ||
-      engine.swim_probe_timeout >= engine.heartbeat_period) {
-    throw std::invalid_argument(
-        cat("deployment: swim_probe_timeout (", engine.swim_probe_timeout,
-            " ns) must be positive and below heartbeat_period (",
-            engine.heartbeat_period,
-            " ns) so the indirect round fits inside one protocol period"));
-  }
-  if (engine.swim_indirect_probes < 0) {
-    throw std::invalid_argument("deployment: swim_indirect_probes must be >= 0");
-  }
-  if (engine.swim_max_piggyback < 1 || engine.swim_max_piggyback > 255) {
-    throw std::invalid_argument(
-        "deployment: swim_max_piggyback must be in [1, 255]");
-  }
-  if (engine.swim_suspicion_timeout < 0) {
-    throw std::invalid_argument("deployment: swim_suspicion_timeout must be >= 0");
-  }
-  if (engine.swim_suspicion_timeout > 0 &&
-      engine.swim_suspicion_timeout < engine.heartbeat_period) {
-    throw std::invalid_argument(
-        cat("deployment: swim_suspicion_timeout (", engine.swim_suspicion_timeout,
-            " ns) below heartbeat_period leaves the accused no protocol period "
-            "in which to refute"));
-  }
-}
 }  // namespace detail
 
 class PairDeployment {
@@ -167,7 +126,6 @@ class PairDeployment {
       : sim_(&sim), options_(std::move(options)) {
     detail::validate_engine_timing(options_.engine, options_.net_loss);
     detail::validate_replication(options_.engine, options_.app_factory != nullptr);
-    detail::validate_detection(options_.engine, /*clustered=*/false);
     if (options_.node_b_boot_delay < 0) {
       throw std::invalid_argument("PairDeployment: node_b_boot_delay must be >= 0");
     }
@@ -332,7 +290,7 @@ class ClusterDeployment {
       : sim_(&sim), options_(std::move(options)) {
     detail::validate_engine_timing(options_.engine, options_.net_loss);
     detail::validate_replication(options_.engine, options_.app_factory != nullptr);
-    detail::validate_detection(options_.engine, /*clustered=*/true);
+    validate_swim_settings(options_.engine);
     if (options_.replicas < 2) {
       throw std::invalid_argument(
           cat("ClusterDeployment: replicas must be >= 2 (got ", options_.replicas, ")"));

@@ -88,30 +88,54 @@ Engine::Engine(sim::Process& process, OfttConfig config)
       d.payload.assign(payload.begin(), payload.end());
       dispatch(d);
     });
-    if (config_.detection == DetectionMode::kSwim) {
-      swim::DetectorConfig dc;
-      dc.self = process_->node().id();
-      dc.members = config_.cluster_nodes;
-      dc.probe_timeout = config_.swim_probe_timeout;
-      dc.suspicion_timeout = swim_suspicion_timeout();
-      dc.indirect_probes = config_.swim_indirect_probes;
-      dc.max_piggyback = config_.swim_max_piggyback;
-      // Per-node fork name: every detector draws from its own stream, so
-      // N detectors shuffle independently and adding one never perturbs
-      // another (or any non-swim module).
-      swim_ = std::make_unique<swim::Detector>(
-          dc, process_->sim().fork_rng(cat("swim.", process_->node().id())));
-      swim_->announce(process_->node().id());  // join: disseminate alive@0
-    }
+    swim::DetectorConfig dc;
+    dc.self = process_->node().id();
+    dc.members = config_.cluster_nodes;
+    dc.probe_timeout = config_.swim_probe_timeout;
+    dc.suspicion_timeout = swim_suspicion_timeout();
+    dc.indirect_probes = config_.swim_indirect_probes;
+    dc.max_piggyback = config_.swim_max_piggyback;
+    // Per-node fork name: every detector draws from its own stream, so
+    // N detectors shuffle independently and adding one never perturbs
+    // another (or any non-swim module).
+    swim_ = std::make_unique<swim::Detector>(
+        dc, process_->sim().fork_rng(cat("swim.", process_->node().id())));
+    swim_->announce(process_->node().id());  // join: disseminate alive@0
     OFTT_LOG_INFO("oftt/engine", process_->node().name(), ": engine up, unit '",
                   config_.unit_name, "', cluster of ", config_.cluster_nodes.size(),
-                  " (quorum ", view_.quorum(), ", detection ",
-                  detection_mode_name(config_.detection), ")");
+                  " (quorum ", view_.quorum(), ")");
     return;
   }
   OFTT_LOG_INFO("oftt/engine", process_->node().name(), ": engine up, unit '",
                 config_.unit_name, "', peer node ", config_.peer_node);
   probe_round();
+}
+
+void validate_swim_settings(const OfttConfig& config) {
+  if (config.swim_probe_timeout <= 0 || config.swim_probe_timeout >= config.heartbeat_period) {
+    throw std::invalid_argument(
+        cat("swim config: swim_probe_timeout (", config.swim_probe_timeout,
+            " ns) must be positive and below heartbeat_period (", config.heartbeat_period,
+            " ns) so the indirect round fits inside one protocol period"));
+  }
+  if (config.swim_indirect_probes < 0) {
+    throw std::invalid_argument("swim config: swim_indirect_probes must be >= 0");
+  }
+  if (config.swim_max_piggyback < 1 || config.swim_max_piggyback > 255) {
+    throw std::invalid_argument(
+        "swim config: swim_max_piggyback must be in [1, 255] (the frame carries a "
+        "one-byte update count)");
+  }
+  if (config.swim_suspicion_timeout < 0) {
+    throw std::invalid_argument("swim config: swim_suspicion_timeout must be >= 0");
+  }
+  if (config.swim_suspicion_timeout > 0 &&
+      config.swim_suspicion_timeout < config.heartbeat_period) {
+    throw std::invalid_argument(
+        cat("swim config: swim_suspicion_timeout (", config.swim_suspicion_timeout,
+            " ns) below heartbeat_period leaves the accused no protocol period in which "
+            "to refute"));
+  }
 }
 
 std::shared_ptr<sim::Process> Engine::install(sim::Node& node, OfttConfig config) {
@@ -137,30 +161,7 @@ std::shared_ptr<sim::Process> Engine::install(sim::Node& node, OfttConfig config
       throw std::invalid_argument(
           cat("Engine::install: cluster_nodes must include this node (", node.id(), ")"));
     }
-  }
-  if (config.detection == DetectionMode::kSwim) {
-    if (!config.cluster_mode()) {
-      throw std::invalid_argument(
-          "Engine::install: swim detection needs cluster_nodes — the pair "
-          "protocol keeps its own heartbeats");
-    }
-    if (config.swim_probe_timeout <= 0 ||
-        config.swim_probe_timeout >= config.heartbeat_period) {
-      throw std::invalid_argument(
-          "Engine::install: swim_probe_timeout must be positive and leave room "
-          "for the indirect round inside one heartbeat_period");
-    }
-    if (config.swim_indirect_probes < 0) {
-      throw std::invalid_argument("Engine::install: swim_indirect_probes < 0");
-    }
-    if (config.swim_max_piggyback < 1 || config.swim_max_piggyback > 255) {
-      throw std::invalid_argument(
-          "Engine::install: swim_max_piggyback must be in [1, 255] (the frame "
-          "carries a one-byte update count)");
-    }
-    if (config.swim_suspicion_timeout < 0) {
-      throw std::invalid_argument("Engine::install: swim_suspicion_timeout < 0");
-    }
+    validate_swim_settings(config);
   }
   return node.start_process(kEngineProcess, [config](sim::Process& proc) {
     proc.attachment<Engine>(proc, config);
@@ -183,20 +184,12 @@ bool Engine::node_replica_ready() const {
 }
 
 bool Engine::peer_visible() const {
-  sim::SimTime now = process_->sim().now();
   if (config_.cluster_mode()) {
-    for (int peer : peers_) {
-      // Swim mode: a peer is visible while the detector has not
-      // confirmed it dead — per-member heartbeat freshness no longer
-      // exists (each peer is contacted only ~once per N periods).
-      if (swim_) {
-        if (swim_->presumed_live(peer)) return true;
-        continue;
-      }
-      if (heard_within(peer, now, config_.peer_timeout)) return true;
-    }
-    return false;
+    // A peer is visible while the detector has not confirmed it dead.
+    return std::any_of(peers_.begin(), peers_.end(),
+                       [this](int peer) { return swim_->presumed_live(peer); });
   }
+  sim::SimTime now = process_->sim().now();
   for (const auto& [net, last] : peer_last_hb_) {
     if (now - last < config_.peer_timeout) return true;
   }
@@ -457,21 +450,14 @@ cluster::Member* Engine::self_in_view() {
   return &view_.members[self_pos_];
 }
 
-bool Engine::heard_within(int node, sim::SimTime now, sim::SimTime window) const {
-  const sim::SimTime last = last_heard(node);
-  return last != kNeverHeard && now - last < window;
-}
-
-cluster::MemberSet Engine::live_members(sim::SimTime now) const {
+cluster::MemberSet Engine::live_members() const {
   cluster::MemberSet live(slots_);
   live.insert(process_->node().id());
   for (int peer : peers_) {
-    // Swim: suspects count as live — a member is removed from quorum
-    // and succession math only once its suspicion timeout expired
-    // without refutation (never merely on a missed probe).
-    if (swim_ ? swim_->presumed_live(peer) : heard_within(peer, now, config_.peer_timeout)) {
-      live.insert(peer);
-    }
+    // Suspects count as live — a member is removed from quorum and
+    // succession math only once its suspicion timeout expired without
+    // refutation (never merely on a missed probe).
+    if (swim_->presumed_live(peer)) live.insert(peer);
   }
   return live;
 }
@@ -486,22 +472,9 @@ cluster::MemberSet Engine::ready_peers(cluster::MemberSet among) const {
 void Engine::cluster_tick(sim::SimTime now) {
   int self = process_->node().id();
 
-  if (swim_) {
-    // One direct probe (plus a scheduled indirect fan-out) instead of
-    // the all-to-all heartbeat: per-node send cost is O(1) per period
-    // regardless of cluster size.
-    swim_tick(now);
-  } else {
-    // Heartbeat every configured member on every configured network.
-    PeerHeartbeat hb;
-    hb.node = self;
-    hb.role = role_;
-    hb.incarnation = incarnation_;
-    hb.seq = ++hb_seq_;
-    hb.replica_ready = node_replica_ready();
-    Buffer hb_payload = hb.encode();
-    for (int peer : peers_) send_to_member(peer, hb_payload);
-  }
+  // One direct probe (plus a scheduled indirect fan-out): per-node send
+  // cost is O(1) per period regardless of cluster size.
+  swim_tick(now);
 
   member_slot(self).last_hb = now;
   if (cluster::Member* me = self_in_view()) me->last_heartbeat = now;
@@ -514,51 +487,46 @@ void Engine::cluster_tick(sim::SimTime now) {
       m.last_heartbeat = std::max(m.last_heartbeat, last_heard(m.node));
       if (m.role == cluster::MemberRole::kDead) dead.insert(m.node);
     }
-    // Readmit rebooted members: a dead member heartbeating again (or,
-    // under swim, refuting its death certificate with a bumped
-    // incarnation) rejoins as a backup at the back of the succession
-    // order. Rejoins happen in configured-peer order; a rejoin never
-    // changes another member's role, so `dead` stays current.
+    // Readmit rebooted members: a dead member refuting its death
+    // certificate with a bumped incarnation rejoins as a backup at the
+    // back of the succession order. Rejoins happen in configured-peer
+    // order; a rejoin never changes another member's role, so `dead`
+    // stays current.
     for (int peer : peers_) {
       if (!dead.contains(peer)) continue;
-      const bool back = swim_ ? swim_->state(peer) == swim::MemberState::kAlive
-                              : heard_within(peer, now, config_.peer_timeout);
-      if (back && cluster::SuccessionPlanner::rejoin(view_, peer)) {
+      if (swim_->state(peer) == swim::MemberState::kAlive &&
+          cluster::SuccessionPlanner::rejoin(view_, peer)) {
         obs::Event e;
         e.kind = obs::EventKind::kViewChange;
         e.detail = cat("member ", peer, " rejoined: ", view_.summary());
         e.a = view_.version;
         e.b = view_.incarnation;
         record(std::move(e));
-        // Swim refreshes the view round-robin (one member per tick), so
-        // a membership *change* broadcasts once to cut its staleness
+        // The view refreshes round-robin (one member per tick), so a
+        // membership *change* broadcasts once to cut its staleness
         // window from O(N) ticks to one.
-        if (swim_) gossip_view();
+        gossip_view();
       }
     }
     // Quorum stepdown: a primary that cannot see a live majority of the
     // configured membership must stop serving (it may be the minority
     // side of a partition while the majority elects a successor).
     if (config_.quorum_stepdown) {
-      const std::size_t live = live_members(now).size();
+      const std::size_t live = live_members().size();
       if (static_cast<int>(live) < view_.quorum()) {
         demote(cat("quorum lost: ", live, " live of ", view_.size(), ", need ",
                    view_.quorum()));
         return;
       }
     }
-    if (swim_) {
-      // O(1) view refresh: one member per tick, full traversal every N
-      // ticks. View *changes* still broadcast at the change site.
-      if (!peers_.empty()) {
-        ViewGossip g;
-        g.from_node = self;
-        g.unit = config_.unit_name;
-        g.view = view_;
-        ep_->send(peers_[swim_gossip_rr_++ % peers_.size()], g.encode());
-      }
-    } else {
-      gossip_view();
+    // O(1) view refresh: one member per tick, full traversal every N
+    // ticks. View *changes* broadcast at the change site.
+    if (!peers_.empty()) {
+      ViewGossip g;
+      g.from_node = self;
+      g.unit = config_.unit_name;
+      g.view = view_;
+      ep_->send(peers_[view_refresh_rr_++ % peers_.size()], g.encode());
     }
     return;
   }
@@ -567,19 +535,10 @@ void Engine::cluster_tick(sim::SimTime now) {
   // designated successor and the primary is provably stale.
   const cluster::Member* prim = view_.primary();
   if (prim != nullptr) {
-    bool primary_ok;
-    if (swim_) {
-      // Campaign only on a *confirmed* death — a mere suspect may still
-      // refute. This is what keeps the false-failover rate at the
-      // detector's false-positive rate, not its suspicion rate.
-      primary_ok = swim_->presumed_live(prim->node);
-    } else {
-      // Join grace: a freshly (re)booted engine has heard nothing yet —
-      // give the primary one full timeout from our own start.
-      const sim::SimTime seen = std::max(last_heard(prim->node), started_at_);
-      primary_ok = now - seen < config_.peer_timeout;
-    }
-    if (primary_ok) {
+    // Campaign only on a *confirmed* death — a mere suspect may still
+    // refute. This is what keeps the false-failover rate at the
+    // detector's false-positive rate, not its suspicion rate.
+    if (swim_->presumed_live(prim->node)) {
       if (campaign_.active) campaign_.clear();  // primary is back
       return;
     }
@@ -590,7 +549,7 @@ void Engine::cluster_tick(sim::SimTime now) {
     if (now - started_at_ < config_.startup_probe_timeout) return;
   }
 
-  const cluster::MemberSet live = live_members(now);
+  const cluster::MemberSet live = live_members();
   if (campaign_.active) {
     // Retransmit on a fixed cadence; give up after a few rounds so the
     // successor choice can be recomputed against fresh liveness.
@@ -618,21 +577,11 @@ void Engine::cluster_tick(sim::SimTime now) {
   }
 
   if (prim != nullptr) {
-    if (swim_) {
-      sim::SimTime evidence =
-          std::max(swim_->last_heard(prim->node), started_at_);
-      start_campaign(now,
-                     cat("primary node ", prim->node,
-                         " confirmed dead (swim, incarnation ",
-                         swim_->incarnation(prim->node), ")"),
-                     evidence, /*had_primary=*/true);
-    } else {
-      const sim::SimTime evidence = std::max(last_heard(prim->node), started_at_);
-      start_campaign(now,
-                     cat("primary node ", prim->node, " heartbeat timeout (",
-                         sim::to_millis(config_.peer_timeout), " ms)"),
-                     evidence, /*had_primary=*/true);
-    }
+    start_campaign(now,
+                   cat("primary node ", prim->node, " confirmed dead (swim, incarnation ",
+                       swim_->incarnation(prim->node), ")"),
+                   std::max(swim_->last_heard(prim->node), started_at_),
+                   /*had_primary=*/true);
   } else {
     start_campaign(now, "startup election", now, /*had_primary=*/false);
   }
@@ -643,7 +592,11 @@ void Engine::start_campaign(sim::SimTime now, const std::string& reason,
   campaign_.clear();
   campaign_.active = true;
   campaign_.votes = cluster::MemberSet(slots_);
-  campaign_.incarnation = std::max(incarnation_, view_.incarnation) + 1;
+  // Propose above every incarnation this engine has voted for: reusing
+  // one it granted a rival would count a self-vote it no longer has, and
+  // voters that granted the same rival would refuse every later round.
+  campaign_.incarnation =
+      std::max({incarnation_, view_.incarnation, votes_.granted_incarnation()}) + 1;
   campaign_.started = now;
   campaign_.reason = reason;
   campaign_.evidence = evidence;
@@ -683,7 +636,6 @@ void Engine::send_campaign_requests() {
 
 void Engine::maybe_promote_on_quorum() {
   if (!campaign_.active || campaign_.tally() < view_.quorum()) return;
-  sim::SimTime now = process_->sim().now();
   obs::Event e;
   e.kind = obs::EventKind::kPromotionQuorum;
   e.detail = cat("quorum for incarnation ", campaign_.incarnation, ": ", campaign_.tally(),
@@ -694,7 +646,7 @@ void Engine::maybe_promote_on_quorum() {
   std::string reason = campaign_.reason;
   std::uint32_t inc = campaign_.incarnation;
   campaign_.clear();
-  cluster::SuccessionPlanner::promote(view_, process_->node().id(), inc, live_members(now));
+  cluster::SuccessionPlanner::promote(view_, process_->node().id(), inc, live_members());
   incarnation_ = inc;
   negotiation_resolved_ = true;
   ++takeovers_;
@@ -706,7 +658,7 @@ void Engine::maybe_promote_on_quorum() {
 
 void Engine::cluster_handoff(const std::string& reason) {
   sim::SimTime now = process_->sim().now();
-  const cluster::MemberSet live = live_members(now);
+  const cluster::MemberSet live = live_members();
   cluster::MemberSet others = live;
   others.erase(process_->node().id());
   int succ = cluster::SuccessionPlanner::successor(view_, others, ready_peers(others));
@@ -794,24 +746,13 @@ void Engine::handle_promote_request(const sim::Datagram& d, const PromoteRequest
   member_slot(req.candidate).last_hb = now;
   bool granted = false;
   if (role_ != Role::kPrimary && req.incarnation > view_.incarnation) {
-    // Partition safety: refuse while the primary is demonstrably alive
-    // to us, even if it looks dead to the candidate.
+    // Partition safety: refuse while the primary is undisputed to us —
+    // we hold neither a suspicion nor a confirmation against it — even
+    // if it looks dead to the candidate. By the time a candidate has
+    // confirmed the death the suspicion has disseminated, so honest
+    // voters are at least suspecting and therefore grant.
     const cluster::Member* prim = view_.primary();
-    bool primary_fresh = false;
-    if (prim != nullptr) {
-      if (swim_) {
-        // In swim mode "fresh" means undisputed: we hold neither a
-        // suspicion nor a confirmation against the primary. Per-member
-        // heartbeat recency does not exist (a peer is contacted ~once
-        // per N periods), but by the time a candidate has confirmed the
-        // death the suspicion has disseminated — honest voters are at
-        // least suspecting and therefore grant.
-        primary_fresh = swim_->state(prim->node) == swim::MemberState::kAlive;
-      } else {
-        primary_fresh = heard_within(prim->node, now, 2 * config_.heartbeat_period);
-      }
-    }
-    if (!primary_fresh) {
+    if (prim == nullptr || swim_->state(prim->node) != swim::MemberState::kAlive) {
       granted = votes_.grant(req.incarnation, req.candidate);
     }
   }
@@ -855,21 +796,26 @@ sim::SimTime Engine::swim_suspicion_timeout() const {
   return (2 * log2n + 6) * config_.heartbeat_period;
 }
 
+template <class Frame>
+Frame Engine::swim_frame() const {
+  Frame f;
+  f.from = process_->node().id();
+  f.role = role_;
+  f.incarnation = incarnation_;
+  f.replica_ready = node_replica_ready();
+  return f;
+}
+
 void Engine::swim_tick(sim::SimTime now) {
-  int self = process_->node().id();
   std::vector<swim::Transition> trs;
   swim_->tick(now, trs);
-  swim_publish(trs, now);
+  swim_publish(trs);
 
   int target = swim_->next_target(now);
   if (target < 0) return;  // every peer confirmed dead
-  SwimProbe p;
-  p.from = self;
-  p.origin = self;
+  auto p = swim_frame<SwimProbe>();
+  p.origin = p.from;
   p.seq = swim_->probe_seq();
-  p.role = role_;
-  p.incarnation = incarnation_;
-  p.replica_ready = node_replica_ready();
   // piggyback_for: when we hold a suspicion/confirmation against the
   // target itself it leads the batch, so the accused can refute on this
   // very round trip.
@@ -881,15 +827,12 @@ void Engine::swim_tick(sim::SimTime now) {
   process_->main_strand().schedule_after(config_.swim_probe_timeout, [this, target, seq] {
     // Only escalate the round we armed for: an ack, a crash-restart or
     // a newer round all void this deadline.
-    if (!swim_ || !swim_->probe_outstanding()) return;
-    if (swim_->probe_target() != target || swim_->probe_seq() != seq) return;
-    SwimPingReq req;
-    req.from = process_->node().id();
+    const bool armed = swim_->probe_outstanding() && swim_->probe_target() == target &&
+                       swim_->probe_seq() == seq;
+    if (!armed) return;
+    auto req = swim_frame<SwimPingReq>();
     req.target = target;
     req.seq = seq;
-    req.role = role_;
-    req.incarnation = incarnation_;
-    req.replica_ready = node_replica_ready();
     for (int proxy : swim_->proxies(target, config_.swim_indirect_probes)) {
       req.updates = swim_->piggyback();
       send_to_member(proxy, req.encode());
@@ -898,9 +841,7 @@ void Engine::swim_tick(sim::SimTime now) {
   });
 }
 
-void Engine::swim_publish(const std::vector<swim::Transition>& transitions,
-                          sim::SimTime now) {
-  (void)now;
+void Engine::swim_publish(const std::vector<swim::Transition>& transitions) {
   int self = process_->node().id();
   for (const auto& tr : transitions) {
     switch (tr.to) {
@@ -958,14 +899,9 @@ void Engine::swim_publish(const std::vector<swim::Transition>& transitions,
 }
 
 void Engine::swim_burst(const swim::Update& u) {
-  int self = process_->node().id();
-  SwimProbe p;
-  p.from = self;
-  p.origin = self;
+  auto p = swim_frame<SwimProbe>();
+  p.origin = p.from;
   p.seq = 0;  // never matches a probe round (round seqs start at 1)
-  p.role = role_;
-  p.incarnation = incarnation_;
-  p.replica_ready = node_replica_ready();
   p.updates.push_back(u);
   Buffer payload = p.encode();
   for (int peer : peers_) send_to_member(peer, payload);
@@ -977,45 +913,30 @@ void Engine::swim_note_sender(int node, Role sender_role, std::uint32_t inc, boo
   m.last_hb = now;
   m.ready = ready;
   swim_->heard_from(node, now);
-  if (role_ == Role::kPrimary && sender_role == Role::kPrimary &&
-      node != process_->node().id()) {
-    // Dual primary after a healed partition: detection traffic carries
-    // the sender's engine role precisely so this arbitration still runs
-    // without all-to-all heartbeats — highest incarnation wins, ties go
-    // to the lower node id.
-    ctr_dual_primary_.inc();
-    obs::Event e;
-    e.kind = obs::EventKind::kDualPrimary;
-    e.detail = cat("dual primary with node ", node, " (peer inc ", inc, ", ours ",
-                   incarnation_, ")");
-    e.a = static_cast<std::uint64_t>(node);
-    e.b = inc;
-    record(std::move(e));
-    bool peer_wins =
-        inc > incarnation_ || (inc == incarnation_ && node < process_->node().id());
-    if (peer_wins) demote("dual-primary resolution");
-  }
+  // Swim frames carry the sender's engine role so dual-primary
+  // arbitration rides detection traffic.
+  arbitrate_dual_primary(node, sender_role, inc);
 }
 
 void Engine::swim_absorb(const std::vector<swim::Update>& updates, sim::SimTime now) {
   std::vector<swim::Transition> trs;
   for (const auto& u : updates) swim_->absorb(u, now, trs);
-  swim_publish(trs, now);
+  swim_publish(trs);
 }
 
 void Engine::handle_swim_probe(const sim::Datagram& d, const SwimProbe& p,
                                sim::SimTime now) {
   swim_note_sender(p.from, p.role, p.incarnation, p.replica_ready, now);
   swim_absorb(p.updates, now);
+  swim_ack(d, p.origin, p.seq);
+}
+
+void Engine::swim_ack(const sim::Datagram& d, int origin, std::uint64_t seq) {
   // Ack to whoever delivered the probe (the origin, or the relaying
   // proxy); the ack's origin field routes it the rest of the way back.
-  SwimAck ack;
-  ack.from = process_->node().id();
-  ack.origin = p.origin;
-  ack.seq = p.seq;
-  ack.role = role_;
-  ack.incarnation = incarnation_;
-  ack.replica_ready = node_replica_ready();
+  auto ack = swim_frame<SwimAck>();
+  ack.origin = origin;
+  ack.seq = seq;
   ack.updates = swim_->piggyback_for(d.src_node);
   process_->send(d.network_id, d.src_node, kEnginePort, ack.encode(), kEnginePort);
 }
@@ -1039,32 +960,37 @@ void Engine::handle_swim_ping_req(const sim::Datagram& d, const SwimPingReq& req
                                   sim::SimTime now) {
   swim_note_sender(req.from, req.role, req.incarnation, req.replica_ready, now);
   swim_absorb(req.updates, now);
-  int self = process_->node().id();
-  if (req.target == self) {
+  if (req.target == process_->node().id()) {
     // Degenerate (a confused origin asking us to probe ourselves):
     // answer the round directly.
-    SwimAck ack;
-    ack.from = self;
-    ack.origin = req.from;
-    ack.seq = req.seq;
-    ack.role = role_;
-    ack.incarnation = incarnation_;
-    ack.replica_ready = node_replica_ready();
-    ack.updates = swim_->piggyback_for(d.src_node);
-    process_->send(d.network_id, d.src_node, kEnginePort, ack.encode(), kEnginePort);
+    swim_ack(d, req.from, req.seq);
     return;
   }
   // Relay: probe the target on the origin's behalf, keeping the
   // origin's round identity so its detector can match the ack.
-  SwimProbe p;
-  p.from = self;
+  auto p = swim_frame<SwimProbe>();
   p.origin = req.from;
   p.seq = req.seq;
-  p.role = role_;
-  p.incarnation = incarnation_;
-  p.replica_ready = node_replica_ready();
   p.updates = swim_->piggyback_for(req.target);
   send_to_member(req.target, p.encode());
+}
+
+void Engine::arbitrate_dual_primary(int node, Role sender_role, std::uint32_t inc) {
+  const int self = process_->node().id();
+  if (role_ != Role::kPrimary || sender_role != Role::kPrimary || node == self) return;
+  // Dual primary after a healed partition: highest incarnation wins,
+  // ties go to the lower node id.
+  ctr_dual_primary_.inc();
+  obs::Event e;
+  e.kind = obs::EventKind::kDualPrimary;
+  e.detail = cat("dual primary with node ", node, " (peer inc ", inc, ", ours ", incarnation_,
+                 ")");
+  e.a = static_cast<std::uint64_t>(node);
+  e.b = inc;
+  record(std::move(e));
+  if (inc > incarnation_ || (inc == incarnation_ && node < self)) {
+    demote("dual-primary resolution");
+  }
 }
 
 void Engine::component_failed(Component& c, const std::string& why) {
@@ -1193,8 +1119,8 @@ void Engine::send_status() {
   sr.role = role_;
   sr.incarnation = incarnation_;
   sr.peer_visible = peer_visible();
-  if (config_.cluster_mode()) sr.view = view_;
-  if (swim_) {
+  if (config_.cluster_mode()) {
+    sr.view = view_;
     // Our per-member verdicts (self included) for the monitor's board.
     for (int n : config_.cluster_nodes) {
       sr.swim_members.push_back(swim::Update{n, swim_->incarnation(n), swim_->state(n)});
@@ -1235,12 +1161,17 @@ void Engine::on_datagram(const sim::Datagram& d) {
   dispatch(d);
 }
 
+bool Engine::from_pair_peer(const sim::Datagram& d, int node) const {
+  return !config_.cluster_mode() && d.src_node == config_.peer_node &&
+         node == config_.peer_node;
+}
+
 void Engine::dispatch(const sim::Datagram& d) {
   sim::SimTime now = process_->sim().now();
   switch (static_cast<MsgKind>(wire_kind(d.payload))) {
     case MsgKind::kProbe: {
       Probe p;
-      if (!Probe::decode(d.payload, p, false)) return;
+      if (!Probe::decode(d.payload, p, false) || !from_pair_peer(d, p.node)) return;
       Probe reply;
       reply.node = process_->node().id();
       reply.boot_count = process_->node().boot_count();
@@ -1252,67 +1183,27 @@ void Engine::dispatch(const sim::Datagram& d) {
     }
     case MsgKind::kProbeReply: {
       Probe p;
-      if (!Probe::decode(d.payload, p, true)) return;
+      if (!Probe::decode(d.payload, p, true) || !from_pair_peer(d, p.node)) return;
       if (role_ == Role::kNegotiating) resolve_with_peer(p.role, p.incarnation, p.node);
       break;
     }
     case MsgKind::kPeerHeartbeat: {
       PeerHeartbeat hb;
-      if (!PeerHeartbeat::decode(d.payload, hb)) return;
-      if (config_.cluster_mode()) {
-        if (!slots_.contains(hb.node)) return;  // not a configured member
-        MemberSlot& m = member_slot(hb.node);
-        m.last_hb = now;
-        m.ready = hb.replica_ready;
-        if (role_ == Role::kPrimary && hb.role == Role::kPrimary) {
-          // Dual primary after a healed partition: same arbitration as
-          // the pair protocol — highest incarnation wins, ties go to
-          // the lower node id.
-          ctr_dual_primary_.inc();
-          obs::Event e;
-          e.kind = obs::EventKind::kDualPrimary;
-          e.detail = cat("dual primary with node ", hb.node, " (peer inc ", hb.incarnation,
-                         ", ours ", incarnation_, ")");
-          e.a = static_cast<std::uint64_t>(hb.node);
-          e.b = hb.incarnation;
-          record(std::move(e));
-          bool peer_wins = hb.incarnation > incarnation_ ||
-                           (hb.incarnation == incarnation_ &&
-                            hb.node < process_->node().id());
-          if (peer_wins) demote("dual-primary resolution");
-        }
-        break;
-      }
+      if (!PeerHeartbeat::decode(d.payload, hb) || !from_pair_peer(d, hb.node)) return;
       peer_last_hb_[d.network_id] = now;
       peer_role_ = hb.role;
       peer_incarnation_ = hb.incarnation;
       if (role_ == Role::kNegotiating &&
           (hb.role == Role::kPrimary || hb.role == Role::kBackup)) {
         resolve_with_peer(hb.role, hb.incarnation, hb.node);
-      } else if (role_ == Role::kPrimary && hb.role == Role::kPrimary) {
-        // Dual primary (e.g. healed partition): highest incarnation
-        // wins; ties go to the lower node id.
-        ctr_dual_primary_.inc();
-        obs::Event e;
-        e.kind = obs::EventKind::kDualPrimary;
-        e.detail = cat("dual primary with node ", hb.node, " (peer inc ", hb.incarnation,
-                       ", ours ", incarnation_, ")");
-        e.a = static_cast<std::uint64_t>(hb.node);
-        e.b = hb.incarnation;
-        record(std::move(e));
-        bool peer_wins = hb.incarnation > incarnation_ ||
-                         (hb.incarnation == incarnation_ &&
-                          hb.node < process_->node().id());
-        if (peer_wins) {
-          demote("dual-primary resolution");
-        }
+      } else {
+        arbitrate_dual_primary(hb.node, hb.role, hb.incarnation);
       }
       break;
     }
     case MsgKind::kTakeover: {
       Takeover t;
-      if (!Takeover::decode(d.payload, t)) return;
-      if (config_.cluster_mode()) break;  // cluster handoff goes via view gossip
+      if (!Takeover::decode(d.payload, t) || !from_pair_peer(d, t.from_node)) return;
       peer_incarnation_ = t.incarnation;
       if (role_ != Role::kPrimary) {
         promote(cat("takeover handoff: ", t.reason));
@@ -1344,21 +1235,21 @@ void Engine::dispatch(const sim::Datagram& d) {
     case MsgKind::kSwimProbe: {
       SwimProbe p;
       if (!SwimProbe::decode(d.payload, p)) return;
-      if (!swim_ || !slots_.contains(p.from) || !slots_.contains(p.origin)) return;
+      if (!slots_.contains(p.from) || !slots_.contains(p.origin)) return;
       handle_swim_probe(d, p, now);
       break;
     }
     case MsgKind::kSwimAck: {
       SwimAck a;
       if (!SwimAck::decode(d.payload, a)) return;
-      if (!swim_ || !slots_.contains(a.from) || !slots_.contains(a.origin)) return;
+      if (!slots_.contains(a.from) || !slots_.contains(a.origin)) return;
       handle_swim_ack(d, a, now);
       break;
     }
     case MsgKind::kSwimPingReq: {
       SwimPingReq req;
       if (!SwimPingReq::decode(d.payload, req)) return;
-      if (!swim_ || !slots_.contains(req.from) || !slots_.contains(req.target)) return;
+      if (!slots_.contains(req.from) || !slots_.contains(req.target)) return;
       handle_swim_ping_req(d, req, now);
       break;
     }

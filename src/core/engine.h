@@ -6,7 +6,8 @@
 //    resolve dual-primary collisions after partitions.
 //  * Failure detection — per-component heartbeats from every FTIM on
 //    this node, reliable watchdog deadlines, and the peer engine's
-//    heartbeat over one or both Ethernet segments.
+//    heartbeat over one or both Ethernet segments (cluster mode: SWIM
+//    probes instead, the only liveness source there).
 //  * Recovery management — static rules: up to N local restarts for
 //    transient faults, then transfer of control to the backup node.
 //  * Status reporting — periodic StatusReports to the System Monitor
@@ -38,6 +39,11 @@
 #include "transport/session.h"
 
 namespace oftt::core {
+
+/// Throws std::invalid_argument for swim settings a cluster engine
+/// cannot run with. Engine::install and ClusterDeployment both call it,
+/// so a config passes or fails the same way through either.
+void validate_swim_settings(const OfttConfig& config);
 
 class Engine {
  public:
@@ -77,8 +83,8 @@ class Engine {
 
   /// Every OPC-client component on this node is promotion-ready per its
   /// replication policy (true when none registered — nothing to hold
-  /// back). Piggybacked on peer heartbeats so succession can prefer
-  /// nodes whose replicas are fresh.
+  /// back). Piggybacked on peer heartbeats and swim frames so
+  /// succession can prefer nodes whose replicas are fresh.
   bool node_replica_ready() const;
 
   /// Operator-initiated switchover (System Monitor / tests).
@@ -100,13 +106,13 @@ class Engine {
   /// membership view and whether a promotion campaign is in flight.
   const cluster::MembershipView& view() const { return view_; }
   bool campaigning() const { return campaign_.active; }
-  /// Members this engine presumes live at `now` (self included): fresh
-  /// heartbeats, or not confirmed dead under swim. The quorum and
-  /// succession input.
-  cluster::MemberSet live_members(sim::SimTime now) const;
+  /// Members this engine presumes live (self included): every member
+  /// its detector has not confirmed dead. The quorum and succession
+  /// input.
+  cluster::MemberSet live_members() const;
 
-  /// Swim detection (config().detection == kSwim, cluster mode): this
-  /// engine's failure detector; null under legacy gossip detection.
+  /// Cluster mode: this engine's SWIM failure detector; null in pair
+  /// mode, which keeps the paper's heartbeat exchange.
   const swim::Detector* swim_detector() const { return swim_.get(); }
 
   /// Bounded in-memory event history (role changes, failures,
@@ -118,12 +124,12 @@ class Engine {
 
  private:
   /// "Never heard from": below every real timestamp, so max() with it
-  /// is a no-op and freshness checks test for it explicitly.
+  /// is a no-op.
   static constexpr sim::SimTime kNeverHeard = std::numeric_limits<sim::SimTime>::min();
   struct MemberSlot {
     /// Freshest proof of life across networks.
     sim::SimTime last_hb = kNeverHeard;
-    /// Replica readiness from the member's heartbeats (succession
+    /// Replica readiness from the member's swim frames (succession
     /// prefers ready members; members not heard from yet count as ready).
     bool ready = true;
   };
@@ -159,7 +165,7 @@ class Engine {
 
   // cluster mode (N-replica role management)
   void cluster_tick(sim::SimTime now);
-  /// `among` minus the peers whose last heartbeat reported a replica not
+  /// `among` minus the peers whose last swim frame reported a replica not
   /// ready to promote (self is left to the caller).
   cluster::MemberSet ready_peers(cluster::MemberSet among) const;
   /// Freshest proof of life from a member (kNeverHeard if none, or if
@@ -175,7 +181,6 @@ class Engine {
   }
   /// This engine's own entry in view_ (null if the view lacks it).
   cluster::Member* self_in_view();
-  bool heard_within(int node, sim::SimTime now, sim::SimTime window) const;
   void start_campaign(sim::SimTime now, const std::string& reason, sim::SimTime evidence,
                       bool had_primary);
   void send_campaign_requests();
@@ -187,15 +192,20 @@ class Engine {
                               sim::SimTime now);
   void handle_promote_ack(const PromoteAck& ack);
 
-  // swim failure detection (cluster mode with detection = kSwim)
+  // swim failure detection (cluster mode)
   sim::SimTime swim_suspicion_timeout() const;
   void swim_tick(sim::SimTime now);
-  void swim_publish(const std::vector<swim::Transition>& transitions, sim::SimTime now);
+  void swim_publish(const std::vector<swim::Transition>& transitions);
   /// Shared prologue for every received swim frame: liveness + readiness
   /// bookkeeping and dual-primary arbitration riding detection traffic.
   void swim_note_sender(int node, Role role, std::uint32_t inc, bool ready,
                         sim::SimTime now);
   void swim_absorb(const std::vector<swim::Update>& updates, sim::SimTime now);
+  /// A swim frame (SwimProbe, SwimAck or SwimPingReq) stamped with this
+  /// engine's id, role, incarnation and replica readiness.
+  template <class Frame> Frame swim_frame() const;
+  /// Answer probe round (`origin`, `seq`) to whoever delivered `d`.
+  void swim_ack(const sim::Datagram& d, int origin, std::uint64_t seq);
   /// Immediate one-update broadcast for rare, failover-critical news
   /// (death confirmations, our own refutation) — collapses worst-case
   /// epidemic latency to one datagram hop.
@@ -204,6 +214,15 @@ class Engine {
   void handle_swim_ack(const sim::Datagram& d, const SwimAck& a, sim::SimTime now);
   void handle_swim_ping_req(const sim::Datagram& d, const SwimPingReq& req,
                             sim::SimTime now);
+
+  /// Both engines claim PRIMARY (e.g. after a healed partition): the
+  /// higher incarnation wins, ties go to the lower node id. A no-op
+  /// unless this engine and the sender both claim the role.
+  void arbitrate_dual_primary(int node, Role sender_role, std::uint32_t inc);
+  /// A pair-protocol frame (Probe, ProbeReply, PeerHeartbeat, Takeover)
+  /// counts only in pair mode, sent by the configured peer and naming it
+  /// (`node`). Cluster engines and pair engines drop everything else.
+  bool from_pair_peer(const sim::Datagram& d, int node) const;
 
   // messaging
   void send_peer(const Buffer& payload);
@@ -253,11 +272,11 @@ class Engine {
   cluster::Campaign campaign_;
   sim::SimTime started_at_ = 0;
 
-  /// Swim failure detection (null under legacy gossip detection).
+  /// The cluster's only liveness source (null in pair mode).
   std::unique_ptr<swim::Detector> swim_;
-  /// Round-robin cursor for the primary's O(1)-per-tick view refresh in
-  /// swim mode (the legacy broadcast would put the O(N) cost back).
-  std::size_t swim_gossip_rr_ = 0;
+  /// Round-robin cursor for the primary's O(1)-per-tick view refresh (a
+  /// full broadcast every tick would put the O(N) cost back).
+  std::size_t view_refresh_rr_ = 0;
 
   std::map<std::string, Component> components_;
   std::set<std::pair<int, std::string>> role_subscribers_;

@@ -53,10 +53,10 @@ class SystemMonitor {
   /// (highest (incarnation, version) across reporters). Null when no
   /// reporter carries one (pair mode).
   const cluster::MembershipView* membership_of(const std::string& unit) const;
-  /// Swim detection: per-member verdict tallies across every reporter of
-  /// a unit — how many reporters currently call the member alive /
+  /// Cluster mode: per-member swim verdict tallies across every reporter
+  /// of a unit — how many reporters currently call the member alive /
   /// suspect / dead, and the highest incarnation any of them holds.
-  /// Empty when no reporter runs swim (legacy gossip detection).
+  /// Empty when no reporter runs swim (pair mode).
   struct SwimTally {
     int alive = 0;
     int suspect = 0;

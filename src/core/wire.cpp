@@ -22,14 +22,6 @@ const char* replication_mode_name(ReplicationMode m) {
   return "?";
 }
 
-const char* detection_mode_name(DetectionMode m) {
-  switch (m) {
-    case DetectionMode::kGossip: return "gossip";
-    case DetectionMode::kSwim: return "swim";
-  }
-  return "?";
-}
-
 const char* component_state_name(ComponentState s) {
   switch (s) {
     case ComponentState::kUp: return "UP";

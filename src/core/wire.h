@@ -1,7 +1,8 @@
 // OFTT control-plane wire messages.
 //
 // Three conversations share the engine port, distinguished by kind:
-//   engine <-> engine  (peer probes, heartbeats, takeover handoff)
+//   engine <-> engine  (pair: probes, heartbeats, takeover handoff;
+//                       cluster: swim frames, view gossip, promotion votes)
 //   FTIM   <-> engine  (registration, component heartbeats, distress,
 //                       watchdog management; loopback only)
 //   diverter/monitor <-> engine (role subscription, status reports)
@@ -57,8 +58,8 @@ enum class MsgKind : std::uint8_t {
   kViewGossip = 50,
   kPromoteRequest = 51,
   kPromoteAck = 52,
-  // engine <-> engine, SWIM failure detection (cluster mode with
-  // detection = kSwim). Raw datagrams like the heartbeats they replace:
+  // engine <-> engine, SWIM failure detection (cluster mode). Raw
+  // datagrams like the pair heartbeats:
   // detection must feel loss (DESIGN §5.7), so none of these ride the
   // session layer. Values stay clear of transport's 0xD1/0xD2 frames.
   kSwimProbe = 60,
@@ -239,9 +240,9 @@ struct StatusReport : codec::Message<StatusReport> {
   /// Cluster mode only: the reporter's membership view (empty members
   /// list in pair mode — the monitor falls back to the pair rendering).
   cluster::MembershipView view;
-  /// Swim detection only: this reporter's per-member verdicts (alive /
-  /// suspect / dead with incarnation numbers) — what the monitor's swim
-  /// board renders. Empty under legacy gossip detection.
+  /// Cluster mode only: this reporter's per-member swim verdicts (alive
+  /// / suspect / dead with incarnation numbers) — what the monitor's
+  /// swim board renders. Empty in pair mode.
   std::vector<swim::Update> swim_members;
   template <class V> void fields(V& v) {
     v.tag(MsgKind::kStatusReport);
@@ -347,8 +348,8 @@ struct PolicySwitchMsg : codec::Message<PolicySwitchMsg> {
 /// origin). The target acks to whoever delivered the probe; the ack's
 /// `origin` routes it back to the member whose probe round it answers.
 /// Every swim frame carries the sender's engine role/incarnation
-/// (dual-primary arbitration rides detection traffic — there are no
-/// all-to-all heartbeats in swim mode to carry it) plus the bounded,
+/// (dual-primary arbitration rides detection traffic — cluster mode has
+/// no all-to-all heartbeats to carry it) plus the bounded,
 /// freshness-prioritized piggyback batch that disseminates membership.
 struct SwimProbe : codec::Message<SwimProbe> {
   int from = -1;    // sending member (prober, or the relaying proxy)

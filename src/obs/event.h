@@ -53,7 +53,7 @@ enum class EventKind : std::uint32_t {
   kSessionReset = 22,         // a = peer node id, b = new tx epoch
   // Replication: live policy switches (governor- or app-driven).
   kPolicySwitch = 23,         // a = new ReplicationMode, b = old
-  // Swim failure detection (cluster mode with detection = swim).
+  // Swim failure detection (cluster mode).
   kSwimSuspect = 24,          // a = suspected node, b = accused incarnation
   kSwimRefute = 25,           // a = refuting node, b = new incarnation
   kSwimDeadConfirm = 26,      // a = confirmed node, b = incarnation

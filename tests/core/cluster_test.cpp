@@ -13,6 +13,7 @@
 #include "cluster/succession.h"
 #include "core/deployment.h"
 #include "core/wire.h"
+#include "obs/event_bus.h"
 #include "obs/json.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
@@ -172,6 +173,8 @@ TEST(Cluster, StartupElectsRankZeroPrimaryWithQuorum) {
 TEST(Cluster, KillingPrimaryPromotesRankOneWithinOneDetectionCycle) {
   sim::Simulation sim(7002);
   ClusterDeploymentOptions opts = standard_options(5);
+  opts.engine.heartbeat_period = sim::milliseconds(100);
+  opts.engine.swim_suspicion_timeout = sim::milliseconds(800);
   ClusterDeployment dep(sim, opts);
   sim.run_for(sim::seconds(5));
   ASSERT_EQ(dep.primary_node(), dep.node(0).id());
@@ -179,9 +182,16 @@ TEST(Cluster, KillingPrimaryPromotesRankOneWithinOneDetectionCycle) {
   sim::SimTime injected = sim.now();
   dep.node(0).crash();
 
-  // One detection cycle (peer_timeout) + one negotiation cycle (a few
-  // heartbeat periods for the PromoteRequest/Ack round trip).
-  sim::SimTime bound = opts.engine.peer_timeout + 10 * opts.engine.heartbeat_period;
+  // One detection cycle: each survivor probes every peer once per
+  // shuffled round of N-1 periods, so some probe of the dead primary
+  // goes out and misses within two rounds; the suspicion window then
+  // expires on a tick. One negotiation cycle: the successor campaigns on
+  // its next tick and its PromoteRequest/Ack round trip fits in one more
+  // period.
+  const sim::SimTime period = opts.engine.heartbeat_period;
+  const sim::SimTime probe_rounds = 2 * (opts.replicas - 1) * period;
+  const sim::SimTime detection = probe_rounds + opts.engine.swim_suspicion_timeout + period;
+  const sim::SimTime bound = detection + 2 * period;
   while (sim.now() - injected < bound && dep.primary_node() < 0) {
     sim.run_for(sim::milliseconds(1));
   }
@@ -263,14 +273,28 @@ TEST(Cluster, CascadingDoubleFailureConvergesToSinglePrimary) {
   sim.run_for(sim::seconds(5));
   ASSERT_EQ(dep.primary_node(), dep.node(0).id());
 
-  sim::FaultPlan plan(sim);
-  plan.crash_node(sim.now() + sim::milliseconds(10), dep.node(0).id());
-  // Kill the successor right as its campaign should be in flight
-  // (detection at +510ms, promotion shortly after).
-  plan.crash_node(sim.now() + sim::milliseconds(560), dep.node(1).id());
-  plan.arm();
+  // Kill the successor the moment its campaign opens: its
+  // PromoteRequests are already on the wire, so the voters grant an
+  // incarnation nobody will ever claim, and node2 must still win the
+  // next round once node1's own death is confirmed.
+  const int successor = dep.node(1).id();
+  int campaigns = 0, successor_quorums = 0;
+  auto sub = sim.telemetry().bus().subscribe(
+      obs::mask_of(obs::EventKind::kPromotionRequested, obs::EventKind::kPromotionQuorum),
+      [&](const obs::Event& e) {
+        if (e.node != successor) return;
+        if (e.kind == obs::EventKind::kPromotionQuorum) {
+          ++successor_quorums;
+        } else if (campaigns++ == 0) {
+          sim.schedule_after(0, [&] { dep.node(1).crash(); });
+        }
+      });
+  dep.node(0).crash();
   sim.run_for(sim::seconds(5));
+  sim.telemetry().bus().unsubscribe(sub);
 
+  ASSERT_EQ(campaigns, 1) << "node1 must have opened its campaign before dying";
+  EXPECT_EQ(successor_quorums, 0) << "node1 died with its campaign in flight";
   EXPECT_EQ(dep.primary_node(), dep.node(2).id())
       << "survivors must converge on the next-ranked member";
   EXPECT_EQ(dep.primary_count(), 1);
@@ -434,6 +458,26 @@ TEST(ClusterValidation, RejectsNonsensicalConfigs) {
   }
 }
 
+// Engine::install and ClusterDeployment share one swim validator: a
+// suspicion window shorter than one protocol period leaves the accused
+// no round in which to refute, and both entry points refuse it.
+TEST(ClusterValidation, SwimSuspicionBelowHeartbeatPeriodIsRejectedEverywhere) {
+  sim::Simulation sim(7013);
+  sim::Node& lone = sim.add_node("lone");
+  lone.boot();
+  OfttConfig cfg;
+  cfg.cluster_nodes = {lone.id(), lone.id() + 1};
+  cfg.swim_suspicion_timeout = cfg.heartbeat_period / 2;
+  EXPECT_THROW(Engine::install(lone, cfg), std::invalid_argument);
+
+  ClusterDeploymentOptions opts;
+  opts.engine.swim_suspicion_timeout = opts.engine.heartbeat_period / 2;
+  EXPECT_THROW(ClusterDeployment(sim, opts), std::invalid_argument);
+
+  cfg.swim_suspicion_timeout = cfg.heartbeat_period;
+  EXPECT_NO_THROW(Engine::install(lone, cfg));
+}
+
 // ---------------------------------------------------------------------
 // Fail closed on wire node ids: frames naming anyone outside the
 // configured membership are dropped before they touch any state.
@@ -463,7 +507,7 @@ TEST(SlotIndex, ResolvesConfiguredIdsAndRejectsEverythingElse) {
 // fixed-latency network, whose rng stream nothing else draws from, so
 // an attacked run and a clean run must end in identical engine state,
 // rendered one line per engine plus one per oftt.* counter.
-std::vector<std::string> run_forged_ids(std::uint64_t seed, DetectionMode mode, bool attack) {
+std::vector<std::string> run_forged_ids(std::uint64_t seed, bool attack) {
   const std::vector<int> members = {0, 2, 5, 6};
   const int bad_ids[] = {-1, -2147483647 - 1, 1, 3, 4, 7, 8, 4096, 2147483647};
   sim::Simulation sim(seed);
@@ -479,11 +523,10 @@ std::vector<std::string> run_forged_ids(std::uint64_t seed, DetectionMode mode, 
   lan.set_loss(0.01);
   forged.set_latency(sim::milliseconds(1), sim::milliseconds(1));
   for (int id : members) {
-    nodes[static_cast<std::size_t>(id)]->set_boot_script([members, mode](sim::Node& node) {
+    nodes[static_cast<std::size_t>(id)]->set_boot_script([members](sim::Node& node) {
       OfttConfig cfg;
       cfg.cluster_nodes = members;
       cfg.networks = {0};
-      cfg.detection = mode;
       Engine::install(node, cfg);
     });
     nodes[static_cast<std::size_t>(id)]->boot();
@@ -553,16 +596,15 @@ std::vector<std::string> run_forged_ids(std::uint64_t seed, DetectionMode mode, 
     }
     line += cat(" role ", role_name(e->role()), " inc ", e->incarnation(), " view ",
                 e->view().summary(), " live");
-    const cluster::MemberSet live = e->live_members(sim.now());
+    const cluster::MemberSet live = e->live_members();
     for (int n = -2; n <= 9; ++n) {
       if (live.contains(n)) line += cat(" ", n);
     }
-    if (const swim::Detector* d = e->swim_detector()) {
-      line += cat(" self_inc ", d->self_incarnation(), " buffered ", d->update_buffer_size());
-      for (int n : members) {
-        line += cat(" | ", n, " ", swim::member_state_name(d->state(n)), "@", d->incarnation(n),
-                    " heard ", d->last_heard(n), " suspect ", d->suspect_since(n));
-      }
+    const swim::Detector* d = e->swim_detector();
+    line += cat(" self_inc ", d->self_incarnation(), " buffered ", d->update_buffer_size());
+    for (int n : members) {
+      line += cat(" | ", n, " ", swim::member_state_name(d->state(n)), "@", d->incarnation(n),
+                  " heard ", d->last_heard(n), " suspect ", d->suspect_since(n));
     }
     for (const cluster::Member& m : e->view().members) {
       line += cat(" hb", m.node, "=", m.last_heartbeat);
@@ -576,15 +618,148 @@ std::vector<std::string> run_forged_ids(std::uint64_t seed, DetectionMode mode, 
 }
 
 TEST(ClusterWire, UnconfiguredNodeIdsChangeNoEngineState) {
-  for (DetectionMode mode : {DetectionMode::kSwim, DetectionMode::kGossip}) {
-    for (std::uint64_t seed : {11u, 22u, 33u}) {
-      const std::vector<std::string> clean = run_forged_ids(seed, mode, /*attack=*/false);
-      const std::vector<std::string> attacked = run_forged_ids(seed, mode, /*attack=*/true);
-      ASSERT_EQ(clean.size(), attacked.size());
-      for (std::size_t i = 0; i < clean.size(); ++i) {
-        EXPECT_EQ(attacked[i], clean[i]) << detection_mode_name(mode) << " seed " << seed;
+  for (std::uint64_t seed : {11u, 22u, 33u}) {
+    const std::vector<std::string> clean = run_forged_ids(seed, /*attack=*/false);
+    const std::vector<std::string> attacked = run_forged_ids(seed, /*attack=*/true);
+    ASSERT_EQ(clean.size(), attacked.size());
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      EXPECT_EQ(attacked[i], clean[i]) << "seed " << seed;
+    }
+  }
+}
+
+// A cluster engine takes no part in the pair protocol: one forged pair
+// Probe or ProbeReply reaching a member still negotiating at startup
+// must not make it primary outside the quorum election.
+TEST(ClusterWire, ForgedPairProbeDuringStartupElectsNoOne) {
+  for (bool reply : {false, true}) {
+    sim::Simulation sim(7012);
+    ClusterDeployment dep(sim, standard_options(5));
+    std::vector<int> promoted;
+    auto sub = sim.telemetry().bus().subscribe(
+        obs::mask_of(obs::EventKind::kRoleChange), [&](const obs::Event& e) {
+          if (e.a == static_cast<std::uint64_t>(Role::kPrimary)) promoted.push_back(e.node);
+        });
+    std::shared_ptr<sim::Process> forger =
+        dep.monitor_node().start_process("forger", [](sim::Process&) {});
+    sim.run_until(sim::milliseconds(200));
+    ASSERT_EQ(dep.engine(3)->role(), Role::kNegotiating);
+    Probe p;
+    p.node = 999;
+    p.role = Role::kBackup;
+    p.incarnation = 99;
+    forger->send(0, dep.node(3).id(), kEnginePort, p.encode(reply), "forger");
+    sim.run_until(sim::seconds(5));
+    sim.telemetry().bus().unsubscribe(sub);
+
+    EXPECT_EQ(promoted, std::vector<int>{dep.node(0).id()})
+        << (reply ? "ProbeReply" : "Probe") << ": only the quorum-elected rank 0 may promote";
+    EXPECT_EQ(dep.primary_node(), dep.node(0).id());
+    EXPECT_EQ(dep.primary_count(), 1);
+    EXPECT_LT(dep.engine(3)->incarnation(), 99u);
+  }
+}
+
+// Pair-mode twin of UnconfiguredNodeIdsChangeNoEngineState: a pair
+// engine hears the pair protocol only from its configured peer. Forged
+// frames come from a third node naming the real peer (wrong sender)
+// and from the peer's own address naming someone else (wrong node
+// field); they ride their own lossless fixed-latency network, so an
+// attacked run must end exactly like a clean one — across a primary
+// crash that a forged heartbeat or Takeover would otherwise mask or
+// pre-empt.
+std::vector<std::string> run_forged_pair(std::uint64_t seed, bool attack) {
+  sim::Simulation sim(seed);
+  std::vector<sim::Node*> nodes;
+  for (int i = 0; i < 3; ++i) nodes.push_back(&sim.add_node(cat("n", i)));
+  sim::Network& lan = sim.add_network("lan0");
+  sim::Network& forged = sim.add_network("forged");
+  for (sim::Node* n : nodes) {
+    lan.attach(n->id());
+    forged.attach(n->id());
+  }
+  lan.set_latency(sim::milliseconds(1), sim::milliseconds(3));
+  lan.set_loss(0.01);
+  forged.set_latency(sim::milliseconds(1), sim::milliseconds(1));
+  for (int id : {0, 1}) {
+    nodes[static_cast<std::size_t>(id)]->set_boot_script([id](sim::Node& node) {
+      OfttConfig cfg;
+      cfg.peer_node = 1 - id;
+      cfg.networks = {0};
+      Engine::install(node, cfg);
+      node.start_process("forger", [](sim::Process&) {});
+    });
+  }
+  nodes[2]->set_boot_script(
+      [](sim::Node& node) { node.start_process("forger", [](sim::Process&) {}); });
+  for (sim::Node* n : nodes) n->boot();
+  std::vector<std::shared_ptr<sim::Process>> forgers;
+  for (sim::Node* n : nodes) forgers.push_back(n->find_process("forger"));
+
+  // Every frame a pair engine acts on, naming `node` and claiming a
+  // high incarnation.
+  auto frames = [](int node) {
+    Probe probe;
+    probe.node = node;
+    probe.role = Role::kBackup;
+    probe.incarnation = 99;
+    PeerHeartbeat hb;
+    hb.node = node;
+    hb.role = Role::kPrimary;
+    hb.incarnation = 99;
+    Takeover t;
+    t.from_node = node;
+    t.incarnation = 99;
+    t.reason = "forged";
+    return std::vector<Buffer>{probe.encode(false), probe.encode(true), hb.encode(), t.encode()};
+  };
+  sim::FaultPlan plan(sim);
+  plan.crash_node(sim::seconds(3), 0);
+  plan.arm();
+  sim.run_until(sim::seconds(1));
+  while (sim.now() < sim::seconds(5)) {
+    if (attack) {
+      for (int target : {0, 1}) {
+        const int peer = 1 - target;
+        for (const Buffer& f : frames(peer)) forgers[2]->send(1, target, kEnginePort, f, "forger");
+        for (int bad : {-1, 2, 7}) {
+          for (const Buffer& f : frames(bad)) {
+            forgers[static_cast<std::size_t>(peer)]->send(1, target, kEnginePort, f, "forger");
+          }
+        }
       }
     }
+    sim.run_for(sim::milliseconds(50));
+  }
+  sim.run_until(sim::seconds(6));
+
+  std::vector<std::string> snap;
+  for (int id : {0, 1}) {
+    Engine* e = Engine::find(*nodes[static_cast<std::size_t>(id)]);
+    if (e == nullptr) {
+      snap.push_back(cat("node ", id, " down"));
+      continue;
+    }
+    snap.push_back(cat("node ", id, " role ", role_name(e->role()), " inc ", e->incarnation(),
+                       " peer_visible ", e->peer_visible(), " takeovers ", e->takeovers(),
+                       " probe_rounds ", e->startup_probe_rounds()));
+  }
+  for (const auto& [name, cell] : sim.telemetry().metrics().counters()) {
+    if (name.rfind("oftt.", 0) == 0) snap.push_back(cat(name, " = ", cell->value.load()));
+  }
+  return snap;
+}
+
+TEST(PairWire, ForgedPairFramesChangeNoEngineState) {
+  for (std::uint64_t seed : {11u, 22u, 33u}) {
+    const std::vector<std::string> clean = run_forged_pair(seed, /*attack=*/false);
+    const std::vector<std::string> attacked = run_forged_pair(seed, /*attack=*/true);
+    ASSERT_EQ(clean.size(), attacked.size());
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      EXPECT_EQ(attacked[i], clean[i]) << "seed " << seed;
+    }
+    EXPECT_EQ(clean[1].rfind("node 1 role PRIMARY", 0), 0u)
+        << "the backup must take over from the crashed primary: " << clean[1];
   }
 }
 

@@ -164,7 +164,6 @@ inline std::uint64_t swim_cluster_hash(std::uint64_t seed, int replicas, SimTime
   opts.replicas = replicas;
   opts.with_msmq = false;
   opts.with_scm = false;
-  opts.engine.detection = core::DetectionMode::kSwim;
   core::ClusterDeployment dep(sim, opts);
 
   chaos::CoverageProbe probe(sim.telemetry());

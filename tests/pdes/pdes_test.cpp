@@ -406,7 +406,6 @@ TEST(ParallelEngine, MonitorPdesBoard) {
     opts.replicas = 3;
     opts.with_msmq = false;
     opts.with_scm = false;
-    opts.engine.detection = core::DetectionMode::kSwim;
     core::ClusterDeployment dep(sim, opts);
     sim.run_until(seconds(2));
     core::SystemMonitor* mon = dep.monitor();

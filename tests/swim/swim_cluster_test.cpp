@@ -27,7 +27,6 @@ ClusterDeploymentOptions swim_options(int replicas) {
   // and role management, not the application stack.
   opts.with_msmq = false;
   opts.with_scm = false;
-  opts.engine.detection = DetectionMode::kSwim;
   return opts;
 }
 
@@ -47,19 +46,6 @@ TEST(SwimCluster, StartupElectsRankZeroAndDetectorsConverge) {
           << "engine " << i << " about member " << j;
     }
   }
-}
-
-TEST(SwimCluster, LegacyConfigBuildsNoDetector) {
-  sim::Simulation sim(9002);
-  ClusterDeploymentOptions opts = swim_options(3);
-  opts.engine.detection = DetectionMode::kGossip;
-  ClusterDeployment dep(sim, opts);
-  sim.run_for(sim::seconds(3));
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_NE(dep.engine(i), nullptr);
-    EXPECT_EQ(dep.engine(i)->swim_detector(), nullptr);
-  }
-  EXPECT_EQ(dep.primary_node(), dep.node(0).id());
 }
 
 TEST(SwimCluster, KillingPrimaryConfirmsDeathAfterFullSuspicionWindowThenPromotes) {
