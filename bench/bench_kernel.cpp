@@ -1,7 +1,7 @@
 // Experiment E12 — the discrete-event kernel hot path itself: how many
 // events per second can `sim::Simulation` schedule, fire and cancel?
 // Every other experiment in EXPERIMENTS.md is bottlenecked by this
-// loop, so its cost is measured directly, on four workload shapes:
+// loop, so its cost is measured directly, on five workload shapes:
 //
 //  schedule_fire — self-rescheduling one-shot chains (the shape of
 //       datagram delivery and deadline events): each fired event
@@ -16,6 +16,9 @@
 //       member sends to all 511 peers at 100-300 us delays, and each
 //       delivery schedules one reply. Hundreds of thousands of events
 //       pending inside a few milliseconds of sim time.
+//  datagram_fanout — the same burst as datagrams through Process::send,
+//       Network::send and Node::deliver to a bound port: the per-datagram
+//       path (port ids, attachment table, delivery closure).
 //
 // Reported as events/sec and ns/event of *wall* time (sim time is free;
 // the wall cost of the kernel loop is exactly what this bench exists to
@@ -219,6 +222,60 @@ KernelResult run_fanout_burst(std::uint64_t seed, int bursts) {
   return res;
 }
 
+// ---------------------------------------------------------------------
+// datagram_fanout — the fanout_burst shape through the datagram stack.
+// ---------------------------------------------------------------------
+
+/// fanout_burst again, but every message is a datagram: Process::send ->
+/// Network::send -> Node::deliver -> the receiver's port handler, which
+/// replies once to the sender's source port. Counts each send as a
+/// schedule and each handler run as a fire. Gates the per-datagram
+/// path (port lookup, attachment test, delivery closure) that the bare
+/// kernel rows above never touch.
+KernelResult run_datagram_fanout(std::uint64_t seed, int bursts) {
+  sim::Simulation sim(seed);
+  KernelResult res;
+  constexpr int kMembers = 512;
+  sim::Network& net = sim.add_network("lan");
+  const sim::PortId port = sim.port("fanout");
+  std::vector<std::shared_ptr<sim::Process>> procs;
+  for (int n = 0; n < kMembers; ++n) {
+    sim::Node& node = sim.add_node(cat("n", n));
+    net.attach(node.id());
+    node.boot();
+    procs.push_back(node.start_process("p", nullptr));
+  }
+  for (const auto& proc : procs) {
+    sim::Process* p = proc.get();
+    p->bind(port, [&res, &sim, p, port](const sim::Datagram& d) {
+      ++res.fired;
+      fold(res.history_hash, static_cast<std::uint64_t>(sim.now()));
+      if (d.payload[0] != 0) return;  // a reply
+      ++res.scheduled;
+      p->send(d.network_id, d.src_node, d.src_port, Buffer{1}, port);
+    });
+  }
+  auto send_all = [&](int from) {
+    ++res.fired;
+    for (int to = 0; to < kMembers; ++to) {
+      if (to == from) continue;
+      ++res.scheduled;
+      procs[static_cast<std::size_t>(from)]->send(0, to, port, Buffer{0}, port);
+    }
+  };
+  auto t0 = Clock::now();
+  for (int b = 0; b < bursts; ++b) {
+    for (int from = 0; from < kMembers; ++from) {
+      ++res.scheduled;
+      sim.schedule_at(sim::milliseconds(50 * b) + static_cast<sim::SimTime>(from * 100),
+                      [&send_all, from] { send_all(from); });
+    }
+  }
+  sim.run();
+  res.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+  return res;
+}
+
 struct Workload {
   const char* name;
   KernelResult result;
@@ -238,7 +295,7 @@ int main() {
   const int kBursts = smoke ? 2 : 4;
 
   title("E12: event-kernel hot path",
-        "wall-clock cost of the schedule/fire/cancel cycle on four workload shapes; "
+        "wall-clock cost of the schedule/fire/cancel cycle on five workload shapes; "
         "events/sec counts kernel operations (schedules + fires + cancels)");
 
   Workload workloads[] = {
@@ -246,6 +303,7 @@ int main() {
       {"cancel_heavy", run_cancel_heavy(kSeed, kCancelOps), kFloorCancelHeavy},
       {"timer_heavy", run_timer_heavy(kSeed, kTimers, kTimerDuration), kFloorTimerHeavy},
       {"fanout_burst", run_fanout_burst(kSeed, kBursts), kFloorFanoutBurst},
+      {"datagram_fanout", run_datagram_fanout(kSeed, kBursts), kFloorDatagramFanout},
   };
 
   row({"workload", "events/s", "ns/event", "fired", "cancelled", "wall s"});

@@ -47,8 +47,9 @@ constexpr double kLossRates[] = {0.0, 0.01, 0.05};
 /// one datagram per frame, receiver dedups by frame id.
 class NaiveSender {
  public:
-  NaiveSender(sim::Process& p, int peer) : process_(&p), peer_(peer), timer_(p.main_strand()) {
-    p.bind(kPort, [this](const sim::Datagram& d) {
+  NaiveSender(sim::Process& p, int peer)
+      : process_(&p), port_(p.sim().port(kPort)), peer_(peer), timer_(p.main_strand()) {
+    p.bind(port_, [this](const sim::Datagram& d) {
       BinaryReader r(d.payload);
       if (r.u8() != 0xE2) return;
       std::uint64_t id = r.u64();
@@ -69,12 +70,13 @@ class NaiveSender {
       w.u8(0xE1);
       w.u64(id);
       w.blob(frame);
-      process_->send(0, peer_, kPort, std::move(w).take(), kPort);
+      process_->send(0, peer_, port_, std::move(w).take(), port_);
       ++sends_;
     }
   }
 
   sim::Process* process_;
+  sim::PortId port_;
   int peer_;
   std::map<std::uint64_t, Buffer> unacked_;
   std::uint64_t sends_ = 0;
@@ -83,8 +85,8 @@ class NaiveSender {
 
 class NaiveReceiver {
  public:
-  explicit NaiveReceiver(sim::Process& p) : process_(&p) {
-    p.bind(kPort, [this](const sim::Datagram& d) {
+  explicit NaiveReceiver(sim::Process& p) : process_(&p), port_(p.sim().port(kPort)) {
+    p.bind(port_, [this](const sim::Datagram& d) {
       BinaryReader r(d.payload);
       if (r.u8() != 0xE1) return;
       std::uint64_t id = r.u64();
@@ -94,13 +96,14 @@ class NaiveReceiver {
       BinaryWriter w;
       w.u8(0xE2);
       w.u64(id);
-      process_->send(d.network_id, d.src_node, kPort, std::move(w).take(), kPort);
+      process_->send(d.network_id, d.src_node, port_, std::move(w).take(), port_);
     });
   }
   std::size_t bytes() const { return bytes_; }
 
  private:
   sim::Process* process_;
+  sim::PortId port_;
   std::set<std::uint64_t> seen_;
   std::size_t bytes_ = 0;
 };
@@ -109,9 +112,9 @@ class NaiveReceiver {
 class SessionPeer {
  public:
   explicit SessionPeer(sim::Process& p) {
-    p.bind(kPort, [this](const sim::Datagram& d) { ep_->handle(d); });
-    ep_ = std::make_unique<transport::Endpoint>(p.main_strand(), kPort,
-                                                transport::SessionConfig{});
+    const sim::PortId port = p.sim().port(kPort);
+    p.bind(port, [this](const sim::Datagram& d) { ep_->handle(d); });
+    ep_ = std::make_unique<transport::Endpoint>(p.main_strand(), port, transport::SessionConfig{});
     ep_->on_deliver([this](int, int, ByteView b) { bytes_ += b.size(); });
   }
   transport::Endpoint& ep() { return *ep_; }

@@ -23,5 +23,10 @@ inline constexpr double kFloorTimerHeavy = 12.0e6;
 // in smoke mode (RelWithDebInfo, 4-core Xeon VM); the floor sits at about
 // half the worst run. The wheel-pop queue before it measured 0.82-0.91M.
 inline constexpr double kFloorFanoutBurst = 1.0e6;
+// datagram_fanout (E19): interned port ids and flat port/attachment
+// tables measured 1.65-2.37M events/sec in smoke mode (RelWithDebInfo,
+// 4-core Xeon VM; the string-port parent 1.43-2.02M); the floor sits at
+// about half the worst run.
+inline constexpr double kFloorDatagramFanout = 0.8e6;
 
 }  // namespace oftt::bench

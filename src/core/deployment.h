@@ -73,19 +73,12 @@ struct PairDeploymentOptions {
 
 namespace detail {
 /// Shared sanity checks for deployment options. A zero heartbeat
-/// period would spin the engine timer at the scheduler's resolution; a
-/// timeout below the period can never see a heartbeat before expiring.
+/// period would spin the engine timer at the scheduler's resolution.
 inline void validate_engine_timing(const OfttConfig& engine, double net_loss) {
   if (engine.heartbeat_period <= 0) {
     throw std::invalid_argument(
         cat("deployment: engine.heartbeat_period must be > 0 (got ",
             engine.heartbeat_period, " ns)"));
-  }
-  if (engine.peer_timeout < engine.heartbeat_period) {
-    throw std::invalid_argument(
-        cat("deployment: engine.peer_timeout (", engine.peer_timeout,
-            " ns) must be >= heartbeat_period (", engine.heartbeat_period,
-            " ns) — the backup would declare the primary dead between heartbeats"));
   }
   if (engine.component_timeout <= 0) {
     throw std::invalid_argument(
@@ -98,6 +91,19 @@ inline void validate_engine_timing(const OfttConfig& engine, double net_loss) {
   if (net_loss < 0.0 || net_loss > 1.0) {
     throw std::invalid_argument(
         cat("deployment: net_loss must be within [0, 1] (got ", net_loss, ")"));
+  }
+}
+
+/// Pair deployments only: the pair's heartbeat check is the one reader
+/// of peer_timeout, and a timeout below the period can never see a
+/// heartbeat before expiring. Cluster engines detect through SWIM and
+/// never read it.
+inline void validate_peer_timeout(const OfttConfig& engine) {
+  if (engine.peer_timeout < engine.heartbeat_period) {
+    throw std::invalid_argument(
+        cat("deployment: engine.peer_timeout (", engine.peer_timeout,
+            " ns) must be >= heartbeat_period (", engine.heartbeat_period,
+            " ns) — the backup would declare the primary dead between heartbeats"));
   }
 }
 
@@ -125,6 +131,7 @@ class PairDeployment {
   PairDeployment(sim::Simulation& sim, PairDeploymentOptions options)
       : sim_(&sim), options_(std::move(options)) {
     detail::validate_engine_timing(options_.engine, options_.net_loss);
+    detail::validate_peer_timeout(options_.engine);
     detail::validate_replication(options_.engine, options_.app_factory != nullptr);
     if (options_.node_b_boot_delay < 0) {
       throw std::invalid_argument("PairDeployment: node_b_boot_delay must be >= 0");

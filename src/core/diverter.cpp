@@ -9,7 +9,9 @@ namespace oftt::core {
 MessageDiverter::MessageDiverter(sim::Process& process, DiverterOptions options)
     : process_(&process),
       options_(std::move(options)),
-      port_(cat("oftt.divert.", process.name())),
+      port_name_(cat("oftt.divert.", process.name())),
+      port_(process.sim().port(port_name_)),
+      engine_port_(process.sim().port(kEnginePort)),
       resubscribe_timer_(process.main_strand()) {
   process_->bind(port_, [this](const sim::Datagram& d) { on_announce(d); });
   if (options_.durable_sends) {
@@ -53,7 +55,7 @@ void MessageDiverter::replay_journal() {
 void MessageDiverter::subscribe() {
   SubscribeRoles sub;
   sub.subscriber_node = process_->node().id();
-  sub.subscriber_port = port_;
+  sub.subscriber_port = port_name_;
   Buffer payload = sub.encode();
   std::vector<int> targets = options_.nodes;
   if (targets.empty()) targets = {options_.node_a, options_.node_b};
@@ -61,7 +63,7 @@ void MessageDiverter::subscribe() {
     if (node < 0) continue;
     int net = sim::pick_network(process_->sim(), process_->node().id(), node);
     if (net < 0) continue;
-    process_->send(net, node, kEnginePort, payload, port_);
+    process_->send(net, node, engine_port_, payload, port_);
   }
 }
 

@@ -63,7 +63,9 @@ class MessageDiverter {
 
   sim::Process* process_;
   DiverterOptions options_;
-  std::string port_;
+  std::string port_name_;  // announced in SubscribeRoles
+  sim::PortId port_;
+  sim::PortId engine_port_;
   int primary_node_ = -1;
   int last_primary_ = -1;  // survives transient "no primary" gaps
   std::uint32_t primary_incarnation_ = 0;

@@ -22,6 +22,8 @@ static_assert(static_cast<std::uint64_t>(Role::kPrimary) == obs::kRoleChangePrim
 
 Engine::Engine(sim::Process& process, OfttConfig config)
     : process_(&process),
+      port_(process.sim().port(kEnginePort)),
+      monitor_port_(process.sim().port(kMonitorPort)),
       config_(std::move(config)),
       event_log_(config_.event_history_cap),
       ctr_takeovers_(process.sim().telemetry().metrics().counter("oftt.takeovers")),
@@ -48,7 +50,7 @@ Engine::Engine(sim::Process& process, OfttConfig config)
           "oftt.swim_suspicion_ms", {50, 100, 250, 500, 1000, 2000, 4000, 8000})),
       hb_timer_(process.main_strand()),
       status_timer_(process.main_strand()) {
-  process_->bind(kEnginePort, [this](const sim::Datagram& d) { on_datagram(d); });
+  process_->bind(port_, [this](const sim::Datagram& d) { on_datagram(d); });
   hb_timer_.start(config_.heartbeat_period, [this] { tick(); });
   status_timer_.start(config_.status_report_period, [this] {
     send_status();
@@ -77,14 +79,14 @@ Engine::Engine(sim::Process& process, OfttConfig config)
     scfg.queue_policy = transport::QueuePolicy::kDropOldest;
     scfg.rto_initial = sim::milliseconds(50);
     scfg.rto_max = sim::milliseconds(400);
-    ep_ = std::make_unique<transport::Endpoint>(process.main_strand(), kEnginePort, scfg);
+    ep_ = std::make_unique<transport::Endpoint>(process.main_strand(), port_, scfg);
     ep_->on_deliver([this](int src_node, int network_id, ByteView payload) {
       sim::Datagram d;
       d.network_id = network_id;
       d.src_node = src_node;
-      d.src_port = kEnginePort;
+      d.src_port = port_;
       d.dst_node = process_->node().id();
-      d.dst_port = kEnginePort;
+      d.dst_port = port_;
       d.payload.assign(payload.begin(), payload.end());
       dispatch(d);
     });
@@ -360,7 +362,7 @@ void Engine::send_set_active(const Component& c, bool active) {
   msg.active = active;
   msg.incarnation = incarnation_;
   msg.role = role_;
-  process_->send(0, process_->node().id(), c.reg.ftim_port, msg.encode(), kEnginePort);
+  process_->send(0, process_->node().id(), c.ftim_port, msg.encode(), port_);
 }
 
 // ---------------------------------------------------------------------
@@ -797,8 +799,7 @@ sim::SimTime Engine::swim_suspicion_timeout() const {
 }
 
 template <class Frame>
-Frame Engine::swim_frame() const {
-  Frame f;
+Frame& Engine::swim_frame(Frame& f) const {
   f.from = process_->node().id();
   f.role = role_;
   f.incarnation = incarnation_;
@@ -813,13 +814,13 @@ void Engine::swim_tick(sim::SimTime now) {
 
   int target = swim_->next_target(now);
   if (target < 0) return;  // every peer confirmed dead
-  auto p = swim_frame<SwimProbe>();
+  SwimProbe& p = swim_frame(tx_probe_);
   p.origin = p.from;
   p.seq = swim_->probe_seq();
   // piggyback_for: when we hold a suspicion/confirmation against the
   // target itself it leads the batch, so the accused can refute on this
   // very round trip.
-  p.updates = swim_->piggyback_for(target);
+  swim_->piggyback_for(target, p.updates);
   send_to_member(target, p.encode());
   ctr_swim_probes_sent_.inc();
 
@@ -830,11 +831,11 @@ void Engine::swim_tick(sim::SimTime now) {
     const bool armed = swim_->probe_outstanding() && swim_->probe_target() == target &&
                        swim_->probe_seq() == seq;
     if (!armed) return;
-    auto req = swim_frame<SwimPingReq>();
+    SwimPingReq& req = swim_frame(tx_ping_req_);
     req.target = target;
     req.seq = seq;
     for (int proxy : swim_->proxies(target, config_.swim_indirect_probes)) {
-      req.updates = swim_->piggyback();
+      swim_->piggyback(req.updates);
       send_to_member(proxy, req.encode());
       ctr_swim_indirect_.inc();
     }
@@ -899,10 +900,10 @@ void Engine::swim_publish(const std::vector<swim::Transition>& transitions) {
 }
 
 void Engine::swim_burst(const swim::Update& u) {
-  auto p = swim_frame<SwimProbe>();
+  SwimProbe& p = swim_frame(tx_probe_);
   p.origin = p.from;
   p.seq = 0;  // never matches a probe round (round seqs start at 1)
-  p.updates.push_back(u);
+  p.updates.assign(1, u);
   Buffer payload = p.encode();
   for (int peer : peers_) send_to_member(peer, payload);
 }
@@ -934,11 +935,11 @@ void Engine::handle_swim_probe(const sim::Datagram& d, const SwimProbe& p,
 void Engine::swim_ack(const sim::Datagram& d, int origin, std::uint64_t seq) {
   // Ack to whoever delivered the probe (the origin, or the relaying
   // proxy); the ack's origin field routes it the rest of the way back.
-  auto ack = swim_frame<SwimAck>();
+  SwimAck& ack = swim_frame(tx_ack_);
   ack.origin = origin;
   ack.seq = seq;
-  ack.updates = swim_->piggyback_for(d.src_node);
-  process_->send(d.network_id, d.src_node, kEnginePort, ack.encode(), kEnginePort);
+  swim_->piggyback_for(d.src_node, ack.updates);
+  process_->send(d.network_id, d.src_node, port_, ack.encode(), port_);
 }
 
 void Engine::handle_swim_ack(const sim::Datagram& d, const SwimAck& a, sim::SimTime now) {
@@ -953,7 +954,7 @@ void Engine::handle_swim_ack(const sim::Datagram& d, const SwimAck& a, sim::SimT
   }
   // We proxied this round: forward the target's ack verbatim to the
   // origin whose probe it answers.
-  process_->send(d.network_id, a.origin, kEnginePort, d.payload, kEnginePort);
+  process_->send(d.network_id, a.origin, port_, d.payload, port_);
 }
 
 void Engine::handle_swim_ping_req(const sim::Datagram& d, const SwimPingReq& req,
@@ -968,10 +969,10 @@ void Engine::handle_swim_ping_req(const sim::Datagram& d, const SwimPingReq& req
   }
   // Relay: probe the target on the origin's behalf, keeping the
   // origin's round identity so its detector can match the ack.
-  auto p = swim_frame<SwimProbe>();
+  SwimProbe& p = swim_frame(tx_probe_);
   p.origin = req.from;
   p.seq = req.seq;
-  p.updates = swim_->piggyback_for(req.target);
+  swim_->piggyback_for(req.target, p.updates);
   send_to_member(req.target, p.encode());
 }
 
@@ -1097,7 +1098,7 @@ HRESULT Engine::request_switchover(const std::string& reason) {
 void Engine::send_peer(const Buffer& payload) {
   if (config_.peer_node < 0) return;
   for (int net : config_.networks) {
-    process_->send(net, config_.peer_node, kEnginePort, payload, kEnginePort);
+    process_->send(net, config_.peer_node, port_, payload, port_);
   }
 }
 
@@ -1106,9 +1107,9 @@ void Engine::send_to_member(int node, Buffer payload) {
   // a freshly encoded probe costs no copy on a single network.
   const std::vector<int>& nets = config_.networks;
   for (std::size_t i = 0; i + 1 < nets.size(); ++i) {
-    process_->send(nets[i], node, kEnginePort, payload, kEnginePort);
+    process_->send(nets[i], node, port_, payload, port_);
   }
-  if (!nets.empty()) process_->send(nets.back(), node, kEnginePort, std::move(payload), kEnginePort);
+  if (!nets.empty()) process_->send(nets.back(), node, port_, std::move(payload), port_);
 }
 
 void Engine::send_status() {
@@ -1132,7 +1133,7 @@ void Engine::send_status() {
   }
   int net = sim::pick_network(process_->sim(), process_->node().id(), config_.monitor_node);
   if (net < 0) return;
-  process_->send(net, config_.monitor_node, kMonitorPort, sr.encode(), kEnginePort);
+  process_->send(net, config_.monitor_node, monitor_port_, sr.encode(), port_);
 }
 
 void Engine::announce_role() {
@@ -1142,10 +1143,11 @@ void Engine::announce_role() {
   ra.role = role_;
   ra.incarnation = incarnation_;
   Buffer payload = ra.encode();
-  for (const auto& [node, port] : role_subscribers_) {
+  for (const auto& [sub, port] : role_subscribers_) {
+    const int node = sub.first;
     int net = sim::pick_network(process_->sim(), process_->node().id(), node);
     if (net < 0) continue;
-    process_->send(net, node, port, payload, kEnginePort);
+    process_->send(net, node, port, payload, port_);
   }
 }
 
@@ -1177,7 +1179,7 @@ void Engine::dispatch(const sim::Datagram& d) {
       reply.boot_count = process_->node().boot_count();
       reply.incarnation = incarnation_;
       reply.role = role_;
-      process_->send(d.network_id, d.src_node, kEnginePort, reply.encode(true), kEnginePort);
+      process_->send(d.network_id, d.src_node, port_, reply.encode(true), port_);
       if (role_ == Role::kNegotiating) resolve_with_peer(p.role, p.incarnation, p.node);
       break;
     }
@@ -1233,22 +1235,22 @@ void Engine::dispatch(const sim::Datagram& d) {
       break;
     }
     case MsgKind::kSwimProbe: {
-      SwimProbe p;
-      if (!SwimProbe::decode(d.payload, p)) return;
+      const SwimProbe& p = rx_probe_;
+      if (!SwimProbe::decode(d.payload, rx_probe_)) return;
       if (!slots_.contains(p.from) || !slots_.contains(p.origin)) return;
       handle_swim_probe(d, p, now);
       break;
     }
     case MsgKind::kSwimAck: {
-      SwimAck a;
-      if (!SwimAck::decode(d.payload, a)) return;
+      const SwimAck& a = rx_ack_;
+      if (!SwimAck::decode(d.payload, rx_ack_)) return;
       if (!slots_.contains(a.from) || !slots_.contains(a.origin)) return;
       handle_swim_ack(d, a, now);
       break;
     }
     case MsgKind::kSwimPingReq: {
-      SwimPingReq req;
-      if (!SwimPingReq::decode(d.payload, req)) return;
+      const SwimPingReq& req = rx_ping_req_;
+      if (!SwimPingReq::decode(d.payload, rx_ping_req_)) return;
       if (!slots_.contains(req.from) || !slots_.contains(req.target)) return;
       handle_swim_ping_req(d, req, now);
       break;
@@ -1260,6 +1262,7 @@ void Engine::dispatch(const sim::Datagram& d) {
       if (it == components_.end()) {
         Component c;
         c.reg = reg;
+        c.ftim_port = process_->sim().port(reg.ftim_port);
         c.last_hb = now;
         components_.emplace(reg.component, std::move(c));
         OFTT_LOG_INFO("oftt/engine", process_->node().name(), ": registered component '",
@@ -1270,6 +1273,7 @@ void Engine::dispatch(const sim::Datagram& d) {
           reg.max_local_restarts = it->second.reg.max_local_restarts;
           reg.switchover_on_permanent = it->second.reg.switchover_on_permanent;
         }
+        it->second.ftim_port = process_->sim().port(reg.ftim_port);
         it->second.reg = reg;
         it->second.last_hb = now;
         if (it->second.state != ComponentState::kUp) {
@@ -1354,7 +1358,12 @@ void Engine::dispatch(const sim::Datagram& d) {
     case MsgKind::kSubscribeRoles: {
       SubscribeRoles sub;
       if (!SubscribeRoles::decode(d.payload, sub)) return;
-      role_subscribers_.insert({sub.subscriber_node, sub.subscriber_port});
+      auto key = std::make_pair(sub.subscriber_node, sub.subscriber_port);
+      auto it = role_subscribers_.find(key);
+      if (it == role_subscribers_.end()) {
+        it = role_subscribers_.emplace(key, process_->sim().port(sub.subscriber_port)).first;
+      }
+      const sim::PortId port = it->second;
       // Answer immediately so the diverter learns the current role.
       RoleAnnounce ra;
       ra.unit = config_.unit_name;
@@ -1363,7 +1372,7 @@ void Engine::dispatch(const sim::Datagram& d) {
       ra.incarnation = incarnation_;
       int net = sim::pick_network(process_->sim(), process_->node().id(), sub.subscriber_node);
       if (net >= 0) {
-        process_->send(net, sub.subscriber_node, sub.subscriber_port, ra.encode(), kEnginePort);
+        process_->send(net, sub.subscriber_node, port, ra.encode(), port_);
       }
       break;
     }

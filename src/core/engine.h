@@ -66,6 +66,8 @@ class Engine {
   };
   struct Component {
     FtRegister reg;
+    /// reg.ftim_port, interned when the registration is stored.
+    sim::PortId ftim_port;
     /// Set by a run-time SetRule: the dynamic rule outlives component
     /// re-registration (which would otherwise reinstate the static one).
     bool rule_overridden = false;
@@ -201,9 +203,9 @@ class Engine {
   void swim_note_sender(int node, Role role, std::uint32_t inc, bool ready,
                         sim::SimTime now);
   void swim_absorb(const std::vector<swim::Update>& updates, sim::SimTime now);
-  /// A swim frame (SwimProbe, SwimAck or SwimPingReq) stamped with this
-  /// engine's id, role, incarnation and replica readiness.
-  template <class Frame> Frame swim_frame() const;
+  /// Stamp `f` (one of the engine's tx frames) with this engine's id,
+  /// role, incarnation and replica readiness.
+  template <class Frame> Frame& swim_frame(Frame& f) const;
   /// Answer probe round (`origin`, `seq`) to whoever delivered `d`.
   void swim_ack(const sim::Datagram& d, int origin, std::uint64_t seq);
   /// Immediate one-update broadcast for rare, failover-critical news
@@ -236,6 +238,8 @@ class Engine {
   void record(obs::Event e);
 
   sim::Process* process_;
+  sim::PortId port_;          // kEnginePort
+  sim::PortId monitor_port_;  // kMonitorPort
   OfttConfig config_;
   Role role_ = Role::kNegotiating;
   std::uint32_t incarnation_ = 0;
@@ -279,7 +283,16 @@ class Engine {
   std::size_t view_refresh_rr_ = 0;
 
   std::map<std::string, Component> components_;
-  std::set<std::pair<int, std::string>> role_subscribers_;
+  /// (node, port name) -> that port's id, resolved when the
+  /// subscription is stored; announce_role walks it in name order.
+  std::map<std::pair<int, std::string>, sim::PortId> role_subscribers_;
+  /// Swim frames reused for every datagram, so their update lists keep
+  /// their capacity: received frames decode in place, and each sent
+  /// frame is stamped, filled and encoded before the next is built (no
+  /// send delivers synchronously, so none of this re-enters).
+  SwimProbe rx_probe_, tx_probe_;
+  SwimAck rx_ack_, tx_ack_;
+  SwimPingReq rx_ping_req_, tx_ping_req_;
   obs::EventLog event_log_;
 
   // Pre-resolved metric handles (no string-keyed lookups at use sites).

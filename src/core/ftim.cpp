@@ -18,7 +18,9 @@ Ftim::Ftim(sim::Process& process, FtimOptions options)
       options_(std::move(options)),
       strand_(&process.create_strand("ftim")),
       rt_(&nt::NtRuntime::of(process)),
-      port_(ftim_port(process.name())),
+      port_name_(ftim_port(process.name())),
+      port_(process.sim().port(port_name_)),
+      engine_port_(process.sim().port(kEnginePort)),
       ctr_ckpt_sent_(process.sim().telemetry().metrics().counter("oftt.checkpoints_sent")),
       ctr_ckpt_received_(
           process.sim().telemetry().metrics().counter("oftt.checkpoints_received")),
@@ -160,7 +162,7 @@ void Ftim::register_with_engine() {
   FtRegister reg;
   reg.component = options_.component;
   reg.process_name = process_->name();
-  reg.ftim_port = port_;
+  reg.ftim_port = port_name_;
   reg.kind = options_.kind;
   reg.max_local_restarts = options_.max_local_restarts;
   reg.switchover_on_permanent = options_.switchover_on_permanent;
@@ -170,7 +172,7 @@ void Ftim::register_with_engine() {
 }
 
 void Ftim::send_engine(const Buffer& payload) {
-  process_->send(0, process_->node().id(), kEnginePort, payload, port_);
+  process_->send(0, process_->node().id(), engine_port_, payload, port_);
 }
 
 void Ftim::publish_event(obs::EventKind kind, std::string detail, std::uint64_t a,

@@ -246,7 +246,9 @@ class Ftim {
   FtimOptions options_;
   sim::Strand* strand_;  // the FTIM thread
   nt::NtRuntime* rt_;
-  std::string port_;
+  std::string port_name_;  // ftim_port(process name), as registered
+  sim::PortId port_;
+  sim::PortId engine_port_;
   Role role_ = Role::kUnknown;
   bool active_ = false;
   std::uint32_t incarnation_ = 0;

@@ -10,7 +10,7 @@
 namespace oftt::core {
 
 SystemMonitor::SystemMonitor(sim::Process& process) : process_(&process) {
-  process_->bind(kMonitorPort, [this](const sim::Datagram& d) { on_report(d); });
+  process_->bind(process_->sim().port(kMonitorPort), [this](const sim::Datagram& d) { on_report(d); });
   // Role transitions come from the typed bus, not from diffing lossy
   // StatusReports: subscribe to kRoleChange only, guarded by this
   // process's main-strand life so delivery stops the instant the

@@ -10,7 +10,9 @@ namespace oftt::dcom {
 
 OrpcClient::OrpcClient(sim::Process& process)
     : process_(&process),
-      reply_port_(cat("orpcc.", process.name())),
+      reply_port_name_(cat("orpcc.", process.name())),
+      reply_port_(process.sim().port(reply_port_name_)),
+      scm_port_(process.sim().port(kScmPort)),
       ctr_activate_timeout_(
           process.sim().telemetry().metrics().counter("orpc.activate_timeout")),
       ctr_bad_packet_(process.sim().telemetry().metrics().counter("orpc.bad_packet")),
@@ -25,14 +27,14 @@ OrpcClient::~OrpcClient() {
   for (ProxyBase* proxy : live_proxies_) proxy->client_ = nullptr;
 }
 
-bool OrpcClient::send_to(const ObjectRef& ref, Buffer payload) {
-  int net = sim::pick_network(process_->sim(), process_->node().id(), ref.node);
+bool OrpcClient::send_to(int node, sim::PortId port, Buffer payload) {
+  int net = sim::pick_network(process_->sim(), process_->node().id(), node);
   if (net < 0) return false;
-  return process_->send(net, ref.node, ref.port, std::move(payload), reply_port_);
+  return process_->send(net, node, port, std::move(payload), reply_port_);
 }
 
-void OrpcClient::invoke(const ObjectRef& ref, std::uint16_t method, Buffer args,
-                        ResultHandler handler, sim::SimTime timeout) {
+void OrpcClient::invoke(const ObjectRef& ref, sim::PortId port, std::uint16_t method,
+                        Buffer args, ResultHandler handler, sim::SimTime timeout) {
   if (!ref.valid()) {
     if (handler) {
       Buffer empty;
@@ -49,9 +51,9 @@ void OrpcClient::invoke(const ObjectRef& ref, std::uint16_t method, Buffer args,
   req.args = std::move(args);
   if (handler) {
     req.reply_node = process_->node().id();
-    req.reply_port = reply_port_;
+    req.reply_port = reply_port_name_;
   }
-  bool sent = send_to(ref, encode_request(req));
+  bool sent = send_to(ref.node, port, encode_request(req));
   if (!handler) return;
 
   if (!sent) {
@@ -77,13 +79,8 @@ void OrpcClient::activate(int node, const Clsid& clsid, const Iid& iid, Activate
   act.clsid = clsid;
   act.iid = iid;
   act.reply_node = process_->node().id();
-  act.reply_port = reply_port_;
-
-  ObjectRef scm_ref;
-  scm_ref.node = node;
-  scm_ref.port = kScmPort;
-  scm_ref.oid = 1;  // unused for activation routing
-  bool sent = send_to(scm_ref, encode_activate(act));
+  act.reply_port = reply_port_name_;
+  bool sent = send_to(node, scm_port_, encode_activate(act));
   if (!handler) return;
   if (!sent) {
     handler(RPC_E_DISCONNECTED, ObjectRef{});
@@ -154,29 +151,29 @@ void OrpcClient::fail_call(std::uint64_t call_id, HRESULT hr) {
   handler(hr, r);
 }
 
-void OrpcClient::add_ping_ref(const ObjectRef& ref) {
-  ping_refs_[{ref.node, ref.port}][ref.oid]++;
+sim::PortId OrpcClient::add_ping_ref(const ObjectRef& ref) {
+  auto [it, added] = ping_refs_.try_emplace({ref.node, ref.port});
+  if (added) it->second.port = process_->sim().port(ref.port);
+  it->second.oids[ref.oid]++;
+  return it->second.port;
 }
 
 void OrpcClient::release_ping_ref(const ObjectRef& ref) {
   auto it = ping_refs_.find({ref.node, ref.port});
   if (it == ping_refs_.end()) return;
-  auto oid_it = it->second.find(ref.oid);
-  if (oid_it == it->second.end()) return;
-  if (--oid_it->second <= 0) it->second.erase(oid_it);
-  if (it->second.empty()) ping_refs_.erase(it);
+  auto& oids = it->second.oids;
+  auto oid_it = oids.find(ref.oid);
+  if (oid_it == oids.end()) return;
+  if (--oid_it->second <= 0) oids.erase(oid_it);
+  if (oids.empty()) ping_refs_.erase(it);
 }
 
 void OrpcClient::ping_sweep() {
-  for (const auto& [dest, oids] : ping_refs_) {
+  for (const auto& [dest, pd] : ping_refs_) {
     PingPacket ping;
-    ping.oids.reserve(oids.size());
-    for (const auto& [oid, _] : oids) ping.oids.push_back(oid);
-    ObjectRef ref;
-    ref.node = dest.first;
-    ref.port = dest.second;
-    ref.oid = 1;
-    send_to(ref, encode_ping(ping));
+    ping.oids.reserve(pd.oids.size());
+    for (const auto& [oid, _] : pd.oids) ping.oids.push_back(oid);
+    send_to(dest.first, pd.port, encode_ping(ping));
   }
 }
 

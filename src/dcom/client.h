@@ -44,10 +44,11 @@ class OrpcClient {
   sim::Process& process() { return *process_; }
   OrpcClientConfig& config() { return config_; }
 
-  /// Invoke method on a remote object. `handler` may be null
-  /// (fire-and-forget: no response matching, no timeout reporting).
-  void invoke(const ObjectRef& ref, std::uint16_t method, Buffer args, ResultHandler handler,
-              sim::SimTime timeout = -1);
+  /// Invoke method on a remote object; `port` is ref.port as returned
+  /// by add_ping_ref. `handler` may be null (fire-and-forget: no
+  /// response matching, no timeout reporting).
+  void invoke(const ObjectRef& ref, sim::PortId port, std::uint16_t method, Buffer args,
+              ResultHandler handler, sim::SimTime timeout = -1);
 
   /// Remote CoCreateInstance: ask `node`'s SCM to activate clsid and
   /// hand back an ObjectRef for iid.
@@ -60,8 +61,9 @@ class OrpcClient {
 
   ~OrpcClient();
 
-  /// Pinger bookkeeping (ProxyBase calls these).
-  void add_ping_ref(const ObjectRef& ref);
+  /// Pinger bookkeeping (ProxyBase calls these). add_ping_ref returns
+  /// ref.port's id, resolved when the destination is first stored.
+  sim::PortId add_ping_ref(const ObjectRef& ref);
   void release_ping_ref(const ObjectRef& ref);
 
   // Proxy lifetime tracking: process teardown destroys attachments in
@@ -76,7 +78,7 @@ class OrpcClient {
   void on_datagram(const sim::Datagram& d);
   void ping_sweep();
   void fail_call(std::uint64_t call_id, HRESULT hr);
-  bool send_to(const ObjectRef& ref, Buffer payload);
+  bool send_to(int node, sim::PortId port, Buffer payload);
 
   struct PendingCall {
     ResultHandler handler;
@@ -88,13 +90,18 @@ class OrpcClient {
   };
 
   sim::Process* process_;
-  std::string reply_port_;
+  std::string reply_port_name_;  // carried in requests and activations
+  sim::PortId reply_port_;
+  sim::PortId scm_port_;
   OrpcClientConfig config_;
   std::uint64_t next_call_id_ = 1;
   std::map<std::uint64_t, PendingCall> calls_;
   std::map<std::uint64_t, PendingActivation> activations_;
-  // (node, port) -> oid -> refcount held by live proxies.
-  std::map<std::pair<int, std::string>, std::map<std::uint64_t, int>> ping_refs_;
+  struct PingDest {
+    sim::PortId port;
+    std::map<std::uint64_t, int> oids;  // oid -> refcount held by live proxies
+  };
+  std::map<std::pair<int, std::string>, PingDest> ping_refs_;  // by (node, port)
   std::set<ProxyBase*> live_proxies_;
   // Pre-resolved metric handles for the call completion paths.
   obs::Counter ctr_activate_timeout_;
@@ -113,8 +120,8 @@ class ProxyBase {
   const ObjectRef& ref() const { return ref_; }
 
  protected:
-  ProxyBase(OrpcClient& client, ObjectRef ref) : client_(&client), ref_(std::move(ref)) {
-    client_->add_ping_ref(ref_);
+  ProxyBase(OrpcClient& client, ObjectRef ref)
+      : client_(&client), ref_(std::move(ref)), port_(client_->add_ping_ref(ref_)) {
     client_->attach_proxy(this);
   }
   virtual ~ProxyBase() {
@@ -134,7 +141,7 @@ class ProxyBase {
       }
       return;
     }
-    client_->invoke(ref_, method, std::move(args), std::move(handler), timeout);
+    client_->invoke(ref_, port_, method, std::move(args), std::move(handler), timeout);
   }
 
   OrpcClient& client() { return *client_; }
@@ -143,6 +150,7 @@ class ProxyBase {
   friend class OrpcClient;
   OrpcClient* client_;
   ObjectRef ref_;
+  sim::PortId port_;  // ref_.port
 };
 
 }  // namespace oftt::dcom

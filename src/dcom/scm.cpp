@@ -10,8 +10,9 @@ namespace {
 /// The SCM service object living inside the "scm" process.
 class ScmService {
  public:
-  explicit ScmService(sim::Process& process) : process_(&process) {
-    process_->bind(kScmPort, [this](const sim::Datagram& d) { on_datagram(d); });
+  explicit ScmService(sim::Process& process)
+      : process_(&process), port_(process.sim().port(kScmPort)) {
+    process_->bind(port_, [this](const sim::Datagram& d) { on_datagram(d); });
   }
 
  private:
@@ -39,7 +40,7 @@ class ScmService {
     // to the original requester directly.
     int net = sim::pick_network(node.sim(), node.id(), node.id());
     if (net < 0) return;
-    process_->send(net, node.id(), entry->orpc_port, encode_activate(act), kScmPort);
+    process_->send(net, node.id(), entry->orpc_port, encode_activate(act), port_);
   }
 
   void respond(const ActivatePacket& act, HRESULT hr) {
@@ -49,10 +50,13 @@ class ScmService {
     resp.hr = hr;
     int net = sim::pick_network(process_->sim(), process_->node().id(), act.reply_node);
     if (net < 0) return;
-    process_->send(net, act.reply_node, act.reply_port, encode_response(resp), kScmPort);
+    // The reply port arrives in this packet, so it is resolved here.
+    process_->send(net, act.reply_node, process_->sim().port(act.reply_port),
+                   encode_response(resp), port_);
   }
 
   sim::Process* process_;
+  sim::PortId port_;
 };
 
 }  // namespace

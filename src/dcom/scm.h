@@ -23,7 +23,7 @@ class Directory {
  public:
   struct Entry {
     std::string process;    // local-server process name (for launch)
-    std::string orpc_port;  // its ORPC endpoint
+    sim::PortId orpc_port;  // its ORPC endpoint
     std::string name;       // debug name
   };
 

@@ -10,7 +10,8 @@ namespace oftt::dcom {
 
 OrpcServer::OrpcServer(sim::Process& process)
     : process_(&process),
-      port_(cat("orpc.", process.name())),
+      port_name_(cat("orpc.", process.name())),
+      port_(process.sim().port(port_name_)),
       ctr_bad_packet_(process.sim().telemetry().metrics().counter("orpc.bad_packet")),
       ctr_gc_reclaimed_(process.sim().telemetry().metrics().counter("orpc.gc_reclaimed")),
       gc_timer_(process.main_strand()) {
@@ -36,7 +37,7 @@ ObjectRef OrpcServer::export_with_dispatch(com::ComPtr<com::IUnknown> keepalive,
                          process_->sim().now(), pinned};
   ObjectRef ref;
   ref.node = process_->node().id();
-  ref.port = port_;
+  ref.port = port_name_;
   ref.oid = oid;
   ref.iid = iid;
   return ref;
@@ -134,7 +135,9 @@ void OrpcServer::send_response(int node, const std::string& reply_port, Response
   if (node < 0) return;
   int net = sim::pick_network(process_->sim(), process_->node().id(), node);
   if (net < 0) return;
-  process_->send(net, node, reply_port, encode_response(resp), port_);
+  // The reply port arrives in the request itself: it is resolved once,
+  // here, and only when a response is owed.
+  process_->send(net, node, process_->sim().port(reply_port), encode_response(resp), port_);
 }
 
 }  // namespace oftt::dcom

@@ -30,7 +30,6 @@ class OrpcServer {
   }
 
   sim::Process& process() { return *process_; }
-  const std::string& port() const { return port_; }
 
   /// Export a live object under `iid` using the registered stub factory.
   /// Returns an invalid ref if no proxy/stub is installed for the iid —
@@ -67,7 +66,8 @@ class OrpcServer {
   };
 
   sim::Process* process_;
-  std::string port_;
+  std::string port_name_;  // marshalled into every ObjectRef
+  sim::PortId port_;
   std::uint64_t next_oid_ = 1;
   std::map<std::uint64_t, Export> exports_;
   OrpcConfig config_;

@@ -21,6 +21,7 @@ Buffer encode_xfer(const Message& msg) {
 
 QueueManager::QueueManager(sim::Process& process)
     : process_(&process),
+      port_(process.sim().port(kMsmqPort)),
       ctr_bad_packet_(process.sim().telemetry().metrics().counter("msmq.bad_packet")),
       ctr_quota_rejected_(
           process.sim().telemetry().metrics().counter("msmq.quota_rejected")),
@@ -28,15 +29,14 @@ QueueManager::QueueManager(sim::Process& process)
       outgoing_depth_gauge_(process.sim().telemetry().metrics().gauge(
           cat("msmq.outgoing_depth.", process.node().name()))),
       redelivery_timer_(process.main_strand()) {
-  process_->bind(kMsmqPort, [this](const sim::Datagram& d) { on_datagram(d); });
+  process_->bind(port_, [this](const sim::Datagram& d) { on_datagram(d); });
   transport::SessionConfig sc;
   sc.networks = {config_.preferred_network};
   sc.rto_initial = sim::milliseconds(200);
   sc.rto_max = sim::milliseconds(500);
   sc.queue_cap = 1 << 20;  // store-and-forward: the disk is the limit
   sc.queue_policy = transport::QueuePolicy::kReject;
-  ep_ = std::make_unique<transport::Endpoint>(process.main_strand(), kMsmqPort,
-                                              std::move(sc));
+  ep_ = std::make_unique<transport::Endpoint>(process.main_strand(), port_, std::move(sc));
   ep_->on_deliver([this](int, int, ByteView payload) {
     BinaryReader r(payload);
     if (static_cast<MqPacket>(r.u8()) != MqPacket::kXfer) {
@@ -222,7 +222,7 @@ void QueueManager::handle_subscribe(BinaryReader& r) {
   std::string port = r.str();
   if (r.failed()) return;
   LocalQueue& q = queue_ref(queue);
-  q.subscriber = Subscriber{process_->node().id(), port, true};
+  q.subscriber = Subscriber{process_->node().id(), process_->sim().port(port), true};
   // A fresh subscriber (e.g. restarted app) inherits unacked messages:
   // push them back for redelivery immediately.
   for (auto it = q.unacked.begin(); it != q.unacked.end();) {
@@ -294,7 +294,7 @@ void QueueManager::pump_queue(const std::string& qname) {
     std::uint64_t id = msg.id;
     q.unacked.emplace(id,
                       InFlightDelivery{std::move(msg), process_->sim().now()});
-    process_->send(0, process_->node().id(), q.subscriber.port, std::move(w).take(), kMsmqPort);
+    process_->send(0, process_->node().id(), q.subscriber.port, std::move(w).take(), port_);
   }
 }
 
@@ -370,7 +370,10 @@ void QueueManager::restore_from_disk() {
 }
 
 MsmqApi::MsmqApi(sim::Process& process)
-    : process_(&process), recv_port_(cat("mqr.", process.name())) {
+    : process_(&process),
+      recv_port_name_(cat("mqr.", process.name())),
+      recv_port_(process.sim().port(recv_port_name_)),
+      qm_port_(process.sim().port(kMsmqPort)) {
   process_->bind(recv_port_, [this](const sim::Datagram& d) { on_deliver(d); });
 }
 
@@ -384,7 +387,7 @@ void MsmqApi::send(const std::string& queue, const std::string& label, Buffer bo
   BinaryWriter w;
   w.u8(static_cast<std::uint8_t>(MqPacket::kSend));
   m.marshal(w);
-  process_->send(0, process_->node().id(), kMsmqPort, std::move(w).take(), recv_port_);
+  process_->send(0, process_->node().id(), qm_port_, std::move(w).take(), recv_port_);
 }
 
 void MsmqApi::subscribe(const std::string& queue, std::function<void(const Message&)> handler) {
@@ -392,8 +395,8 @@ void MsmqApi::subscribe(const std::string& queue, std::function<void(const Messa
   BinaryWriter w;
   w.u8(static_cast<std::uint8_t>(MqPacket::kSubscribe));
   w.str(queue);
-  w.str(recv_port_);
-  process_->send(0, process_->node().id(), kMsmqPort, std::move(w).take(), recv_port_);
+  w.str(recv_port_name_);
+  process_->send(0, process_->node().id(), qm_port_, std::move(w).take(), recv_port_);
 }
 
 void MsmqApi::on_deliver(const sim::Datagram& d) {
@@ -411,7 +414,7 @@ void MsmqApi::on_deliver(const sim::Datagram& d) {
   w.u8(static_cast<std::uint8_t>(MqPacket::kRecvAck));
   w.u64(m.id);
   w.str(m.queue);
-  process_->send(0, process_->node().id(), kMsmqPort, std::move(w).take(), recv_port_);
+  process_->send(0, process_->node().id(), qm_port_, std::move(w).take(), recv_port_);
 }
 
 }  // namespace oftt::msmq

@@ -80,7 +80,7 @@ class QueueManager {
 
   struct Subscriber {
     int node = -1;          // always local node; kept for clarity
-    std::string port;       // app-side delivery port
+    sim::PortId port;       // app-side delivery port
     bool active = false;
   };
   struct InFlightDelivery {
@@ -122,6 +122,7 @@ class QueueManager {
   LocalQueue& queue_ref(const std::string& queue) { return queues_[queue]; }
 
   sim::Process* process_;
+  sim::PortId port_;  // kMsmqPort
   QueueManagerConfig config_;
   std::map<std::string, LocalQueue> queues_;
   std::map<std::uint64_t, OutgoingEntry> outgoing_;  // by message id
@@ -162,7 +163,9 @@ class MsmqApi {
   void on_deliver(const sim::Datagram& d);
 
   sim::Process* process_;
-  std::string recv_port_;
+  std::string recv_port_name_;  // sent in kSubscribe
+  sim::PortId recv_port_;
+  sim::PortId qm_port_;  // kMsmqPort
   std::map<std::string, std::function<void(const Message&)>> handlers_;
 };
 

@@ -51,12 +51,12 @@ NotifyPlane::NotifyPlane(sim::Process& process, transport::SessionConfig config)
           "oftt.opc.update_to_notify_ns",
           {100'000, 300'000, 1'000'000, 3'000'000, 10'000'000, 30'000'000, 100'000'000,
            300'000'000, 1'000'000'000})) {
-  process_->bind(kNotifyPort, [this](const sim::Datagram& d) {
+  const sim::PortId port = process.sim().port(kNotifyPort);
+  process_->bind(port, [this](const sim::Datagram& d) {
     if (ep_ && ep_->handle(d)) return;
     // Nothing but transport frames rides this port.
   });
-  ep_ = std::make_unique<transport::Endpoint>(process.main_strand(), kNotifyPort,
-                                              std::move(config));
+  ep_ = std::make_unique<transport::Endpoint>(process.main_strand(), port, std::move(config));
   ep_->on_deliver(
       [this](int src, int, ByteView payload) { on_frame(src, payload); });
 }

@@ -25,9 +25,19 @@ namespace oftt::sim {
 
 class InlineFn {
  public:
-  // Sized so a datagram-delivery closure (Network* + Datagram: two
-  // port-name strings, a payload Buffer, ids) stays inline.
+  // Sized for the kernel's common closures: a strand pointer, a few
+  // ids, a small string or a Buffer. A datagram-delivery closure
+  // (Network*, destination id, and a Datagram of ids, two interned
+  // PortIds and a payload Buffer) is 64 bytes; Network::send asserts at
+  // compile time that it stays inline.
   static constexpr std::size_t kInlineBytes = 120;
+
+  /// Whether a callable of type D is stored in place (no heap cell).
+  template <typename D>
+  static constexpr bool fits_inline() {
+    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
 
   InlineFn() = default;
   InlineFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -69,12 +79,6 @@ class InlineFn {
     // Move-construct the target into dst from src, then destroy src's.
     void (*relocate)(void* src, void* dst);
   };
-
-  template <typename D>
-  static constexpr bool fits_inline() {
-    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
 
   template <typename D>
   static constexpr VTable kInlineVt{

@@ -30,6 +30,20 @@ Network::Network(Simulation& sim, std::string name, int id)
       payload_bytes_(sim.telemetry().metrics().histogram(
           "net.payload_bytes", {64, 256, 1024, 4096, 16384, 65536, 262144, 1048576})) {}
 
+void Network::attach(int node_id) {
+  if (node_id < 0) {
+    throw std::invalid_argument(
+        cat("Network::attach('", name_, "'): negative node id ", node_id));
+  }
+  const auto i = static_cast<std::size_t>(node_id);
+  if (attached_.size() <= i) attached_.resize(i + 1, 0);
+  attached_[i] = 1;
+}
+
+void Network::detach(int node_id) {
+  if (attached(node_id)) attached_[static_cast<std::size_t>(node_id)] = 0;
+}
+
 void Network::set_latency(SimTime min, SimTime max) {
   if (max < min) {
     throw std::invalid_argument(cat("Network::set_latency('", name_, "'): max (", max,
@@ -107,7 +121,7 @@ void Network::heal() {
 
 bool Network::reachable(int a, int b) const {
   if (down_) return false;
-  if (!link_up(a, b)) return false;
+  if (!dead_links_.empty() && !link_up(a, b)) return false;
   if (!partition_group_.empty()) {
     auto ia = partition_group_.find(a);
     auto ib = partition_group_.find(b);
@@ -183,20 +197,19 @@ bool Network::send(Datagram d) {
     // The last (usually the only) delivery takes the datagram itself; a
     // duplicate gets its own copy.
     Datagram dgram = i + 1 < copies ? d : std::move(d);
+    auto deliver = [this, dst, dgram = std::move(dgram)] {
+      delivered_.fetch_add(1, std::memory_order_relaxed);
+      sim_.node(dst).deliver(dgram);
+    };
+    static_assert(InlineFn::fits_inline<decltype(deliver)>(),
+                  "a datagram delivery must not heap-allocate its event closure");
     if (parallel) {
       // Cross-shard delivery: keyed with the sender's counter at send
       // time, routed through the engine (mailbox if the destination
       // lives on another worker).
-      engine->post_send(src_node, dst, sim_.now() + latency,
-                        [this, dst, dgram = std::move(dgram)] {
-                          delivered_.fetch_add(1, std::memory_order_relaxed);
-                          sim_.node(dst).deliver(dgram);
-                        });
+      engine->post_send(src_node, dst, sim_.now() + latency, std::move(deliver));
     } else {
-      sim_.schedule_after(latency, [this, dst, dgram = std::move(dgram)] {
-        delivered_.fetch_add(1, std::memory_order_relaxed);
-        sim_.node(dst).deliver(dgram);
-      });
+      sim_.schedule_after(latency, std::move(deliver));
     }
   }
   return true;

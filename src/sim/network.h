@@ -30,9 +30,14 @@ class Network {
   const std::string& name() const { return name_; }
   int id() const { return id_; }
 
-  void attach(int node_id) { attached_.insert(node_id); }
-  void detach(int node_id) { attached_.erase(node_id); }
-  bool attached(int node_id) const { return attached_.count(node_id) != 0; }
+  /// Attach a node (id >= 0; a negative id throws). Idempotent.
+  void attach(int node_id);
+  /// Detach a node; a node that was never attached is a no-op.
+  void detach(int node_id);
+  bool attached(int node_id) const {
+    return node_id >= 0 && static_cast<std::size_t>(node_id) < attached_.size() &&
+           attached_[static_cast<std::size_t>(node_id)] != 0;
+  }
 
   /// Delivery delay is uniform in [min, max]. An inverted range throws
   /// (it used to clamp silently, hiding swapped-argument bugs); the
@@ -119,7 +124,9 @@ class Network {
   Simulation& sim_;
   std::string name_;
   int id_;
-  std::set<int> attached_;
+  // Attachment flag per node id: every send tests both ends, so it is
+  // an index, not a tree lookup.
+  std::vector<char> attached_;
   SimTime latency_min_ = microseconds(100);
   SimTime latency_max_ = microseconds(300);
   double bandwidth_ = 0.0;

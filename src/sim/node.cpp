@@ -106,31 +106,46 @@ std::vector<std::string> Node::process_names() const {
   return out;
 }
 
-void Node::bind_port(const std::string& port, LifeRef life, MessageHandler h) {
-  ports_[port] = PortEntry{std::move(life), std::move(h)};
+std::size_t Node::port_index(PortId port) const {
+  std::size_t i = 0;
+  while (i < ports_.size() && ports_[i].port != port) ++i;
+  return i;
 }
 
-void Node::unbind_port(const std::string& port) { ports_.erase(port); }
+void Node::bind_port(PortId port, LifeRef life, MessageHandler h) {
+  const std::size_t i = port_index(port);
+  if (i < ports_.size()) {
+    ports_[i].life = std::move(life);
+    ports_[i].handler = std::move(h);
+    return;
+  }
+  ports_.push_back(PortEntry{port, std::move(life), std::move(h)});
+}
 
-bool Node::port_bound(const std::string& port) const { return ports_.count(port) != 0; }
+void Node::unbind_port(PortId port) {
+  std::erase_if(ports_, [port](const PortEntry& e) { return e.port == port; });
+}
 
 void Node::deliver(const Datagram& d) {
   if (!up_) {
     ctr_deliver_down_.inc();
     return;
   }
-  auto it = ports_.find(d.dst_port);
-  if (it == ports_.end()) {
+  const std::size_t i = port_index(d.dst_port);
+  if (i == ports_.size()) {
     ctr_deliver_no_port_.inc();
-    OFTT_LOG_TRACE("sim/node", name_, ": no listener on port '", d.dst_port, "'");
+    if (Logger::instance().enabled(LogLevel::kTrace)) {  // port_name() takes a lock
+      OFTT_LOG_TRACE("sim/node", name_, ": no listener on port '", sim_.port_name(d.dst_port),
+                     "'");
+    }
     return;
   }
-  if (!it->second.life->runnable()) {
+  if (!ports_[i].life->runnable()) {
     ctr_deliver_dead_strand_.inc();
     return;
   }
   // Copy the handler: it may unbind (erase) itself during execution.
-  auto handler = it->second.handler;
+  auto handler = ports_[i].handler;
   handler(d);
 }
 

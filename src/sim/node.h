@@ -60,9 +60,10 @@ class Node {
   std::vector<std::string> process_names() const;
 
   // --- datagram plumbing (used by Strand/Network, not applications) ---
-  void bind_port(const std::string& port, LifeRef life, MessageHandler h);
-  void unbind_port(const std::string& port);
-  bool port_bound(const std::string& port) const;
+  /// Binding a bound port replaces its handler.
+  void bind_port(PortId port, LifeRef life, MessageHandler h);
+  void unbind_port(PortId port);
+  bool port_bound(PortId port) const { return port_index(port) < ports_.size(); }
   void deliver(const Datagram& d);
 
   /// Deterministic per-node counters for the parallel engine: event
@@ -80,6 +81,13 @@ class Node {
   PdesCounters& pdes() { return pdes_; }
 
  private:
+  struct PortEntry {
+    PortId port;
+    LifeRef life;
+    MessageHandler handler;
+  };
+  /// Index of `port`'s entry, or ports_.size() when it is unbound.
+  std::size_t port_index(PortId port) const;
   void kill_all_processes(const std::string& reason);
   void publish_down(const char* why);
 
@@ -92,12 +100,10 @@ class Node {
   BootScript boot_script_;
   int next_pid_ = 1;
 
-  struct PortEntry {
-    LifeRef life;
-    MessageHandler handler;
-  };
   PdesCounters pdes_;
-  std::map<std::string, PortEntry> ports_;
+  // A node binds a handful of ports: a flat table scanned by id beats
+  // any tree or hash here.
+  std::vector<PortEntry> ports_;
   std::map<std::string, std::shared_ptr<Process>> processes_;
   std::map<std::string, Process::Factory> factories_;
   // Pre-resolved delivery-path metric handles (shared names across all

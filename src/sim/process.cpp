@@ -18,12 +18,12 @@ EventHandle Strand::schedule_at(SimTime at, EventFn fn) {
   return process_.sim().schedule_on(at, life_, std::move(fn), process_.node().id());
 }
 
-void Strand::bind(const std::string& port, MessageHandler handler) {
+void Strand::bind(PortId port, MessageHandler handler) {
   process_.node().bind_port(port, life_, std::move(handler));
   bound_ports_.push_back(port);
 }
 
-void Strand::unbind(const std::string& port) {
+void Strand::unbind(PortId port) {
   process_.node().unbind_port(port);
   std::erase(bound_ports_, port);
 }
@@ -54,8 +54,8 @@ Strand* Process::find_strand(const std::string& name) {
   return nullptr;
 }
 
-bool Process::send(int network_id, int dst_node, const std::string& dst_port, Buffer payload,
-                   const std::string& src_port) {
+bool Process::send(int network_id, int dst_node, PortId dst_port, Buffer payload,
+                   PortId src_port) {
   if (!alive() || !node_.up()) return false;
   Datagram d;
   d.network_id = network_id;
@@ -79,7 +79,7 @@ void Process::kill(const std::string& reason) {
   OFTT_LOG_DEBUG("sim/process", node_.name(), "/", name_, " killed: ", reason);
   auto dead = [this](Strand& s) {
     s.life_->alive = false;
-    for (const auto& port : s.bound_ports_) node_.unbind_port(port);
+    for (PortId port : s.bound_ports_) node_.unbind_port(port);
     s.bound_ports_.clear();
   };
   dead(*main_);

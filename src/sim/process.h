@@ -42,8 +42,8 @@ class Strand {
   EventHandle schedule_at(SimTime at, EventFn fn);
 
   /// Bind a datagram port; the handler executes on this strand.
-  void bind(const std::string& port, MessageHandler handler);
-  void unbind(const std::string& port);
+  void bind(PortId port, MessageHandler handler);
+  void unbind(PortId port);
 
   void hang() { life_->hung = true; }
   void unhang() { life_->hung = false; }
@@ -55,7 +55,7 @@ class Strand {
   Process& process_;
   std::string name_;
   LifeRef life_;
-  std::vector<std::string> bound_ports_;
+  std::vector<PortId> bound_ports_;
 };
 
 class Process {
@@ -87,15 +87,15 @@ class Process {
   EventHandle schedule_after(SimTime delay, EventFn fn) {
     return main_->schedule_after(delay, std::move(fn));
   }
-  void bind(const std::string& port, MessageHandler handler) {
+  void bind(PortId port, MessageHandler handler) {
     main_->bind(port, std::move(handler));
   }
 
   /// Send a datagram from this process over the given network.
   /// Returns false if the network refused immediately (node detached or
   /// local node down); in-flight loss is invisible to the sender.
-  bool send(int network_id, int dst_node, const std::string& dst_port, Buffer payload,
-            const std::string& src_port = "");
+  bool send(int network_id, int dst_node, PortId dst_port, Buffer payload,
+            PortId src_port = {});
 
   /// Terminate the process now: all strands die, pending events are
   /// tombstoned, ports unbound, components destroyed (reverse order).

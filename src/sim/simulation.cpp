@@ -100,6 +100,21 @@ Node* Simulation::find_node(const std::string& name) {
   return nullptr;
 }
 
+PortId Simulation::port(std::string_view name) {
+  if (name.empty()) return PortId{};
+  std::lock_guard<std::mutex> lock(ports_mu_);
+  if (auto it = port_ids_.find(name); it != port_ids_.end()) return it->second;
+  const PortId id(static_cast<std::uint32_t>(port_names_.size()));
+  port_names_.emplace_back(name);
+  port_ids_.emplace(port_names_.back(), id);
+  return id;
+}
+
+std::string Simulation::port_name(PortId id) const {
+  std::lock_guard<std::mutex> lock(ports_mu_);
+  return id.value() < port_names_.size() ? port_names_[id.value()] : std::string("?");
+}
+
 Network& Simulation::add_network(const std::string& name) {
   networks_.push_back(
       std::make_unique<Network>(*this, name, static_cast<int>(networks_.size())));

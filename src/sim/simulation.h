@@ -13,7 +13,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <typeindex>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/telemetry.h"
@@ -101,6 +103,14 @@ class Simulation {
   Node& node(int id) { return *nodes_.at(static_cast<std::size_t>(id)); }
   std::size_t node_count() const { return nodes_.size(); }
 
+  /// Intern a datagram port name: one name, one id, for the life of
+  /// this simulation; "" is PortId{}. Thread-safe, because the parallel
+  /// engine boots nodes (and so binds ports) on its workers. Resolve a
+  /// name once, where it is bound or stored, never per datagram.
+  PortId port(std::string_view name);
+  /// The name `id` was interned from (log lines, obs events).
+  std::string port_name(PortId id) const;
+
   Network& add_network(const std::string& name);
   Network& network(int id) { return *networks_.at(static_cast<std::size_t>(id)); }
   std::size_t network_count() const { return networks_.size(); }
@@ -158,6 +168,13 @@ class Simulation {
   Rng rng_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Network>> networks_;
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+  mutable std::mutex ports_mu_;
+  std::unordered_map<std::string, PortId, NameHash, std::equal_to<>> port_ids_;
+  std::vector<std::string> port_names_{""};  // index = PortId::value()
   std::mutex attachments_mu_;
   std::map<std::type_index, std::shared_ptr<void>> attachments_;
   EngineConfig engine_cfg_;

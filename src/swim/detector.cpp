@@ -193,15 +193,23 @@ void Detector::enqueue(const Update& u) {
   buffer_.push_back(Buffered{u, 0});
 }
 
-std::vector<Update> Detector::piggyback() {
+void Detector::piggyback(std::vector<Update>& out) {
   // Freshness-prioritized: least-travelled updates first (they have the
   // most members left to infect), node id as the deterministic
-  // tie-break. stable_sort keeps equal entries in insertion order.
-  std::stable_sort(buffer_.begin(), buffer_.end(), [](const Buffered& a, const Buffered& b) {
+  // tie-break. An insertion sort is stable, like std::stable_sort, but
+  // needs no scratch buffer; the buffer stays nearly sorted between
+  // calls, since only the entries just sent move.
+  auto before = [](const Buffered& a, const Buffered& b) {
     if (a.sends != b.sends) return a.sends < b.sends;
     return a.update.node < b.update.node;
-  });
-  std::vector<Update> out;
+  };
+  for (std::size_t i = 1; i < buffer_.size(); ++i) {
+    const Buffered x = buffer_[i];
+    std::size_t j = i;
+    for (; j > 0 && before(x, buffer_[j - 1]); --j) buffer_[j] = buffer_[j - 1];
+    buffer_[j] = x;
+  }
+  out.clear();
   for (auto& b : buffer_) {
     if (out.size() >= config_.max_piggyback) break;
     out.push_back(b.update);
@@ -210,20 +218,18 @@ std::vector<Update> Detector::piggyback() {
   buffer_.erase(std::remove_if(buffer_.begin(), buffer_.end(),
                                [this](const Buffered& b) { return b.sends >= budget_; }),
                 buffer_.end());
-  return out;
 }
 
-std::vector<Update> Detector::piggyback_for(int peer) {
-  std::vector<Update> out = piggyback();
+void Detector::piggyback_for(int peer, std::vector<Update>& out) {
+  piggyback(out);
   const MemberInfo* m = find(peer);
-  if (m == nullptr || m->state == MemberState::kAlive) return out;
+  if (m == nullptr || m->state == MemberState::kAlive) return;
   Update accusation{peer, m->incarnation, m->state};
   for (const Update& u : out) {
-    if (u.node == peer) return out;  // already riding this frame
+    if (u.node == peer) return;  // already riding this frame
   }
   if (out.size() >= config_.max_piggyback && !out.empty()) out.pop_back();
   out.insert(out.begin(), accusation);
-  return out;
 }
 
 void Detector::announce(int node) {

@@ -108,15 +108,16 @@ class Detector {
 
   // -- outputs ---------------------------------------------------------
 
-  /// Up to max_piggyback updates, freshest (least-sent) first; charges
-  /// one send to each returned update and drops exhausted ones.
-  std::vector<Update> piggyback();
+  /// Up to max_piggyback updates into `out` (cleared first, so a frame
+  /// reused across sends keeps its capacity), freshest (least-sent)
+  /// first; charges one send to each and drops exhausted ones.
+  void piggyback(std::vector<Update>& out);
 
   /// piggyback() plus a guarantee: when we hold a suspect/dead verdict
   /// about `peer` itself, that accusation leads the batch (budget-free)
   /// — the accused must hear it on first contact so refutation happens
   /// in one round trip instead of waiting on epidemic luck.
-  std::vector<Update> piggyback_for(int peer);
+  void piggyback_for(int peer, std::vector<Update>& out);
 
   /// Queue an update about `node`'s current local state (joins at
   /// startup, or a caller-forced re-announcement).

@@ -19,13 +19,13 @@ constexpr std::uint64_t kSackBits = 64;
 constexpr std::uint8_t kFlagVoid = 0x01;
 }  // namespace
 
-Endpoint::Endpoint(sim::Strand& strand, std::string port, SessionConfig config)
+Endpoint::Endpoint(sim::Strand& strand, sim::PortId port, SessionConfig config)
     : strand_(&strand),
       process_(&strand.process()),
-      port_(std::move(port)),
+      port_(port),
       config_(std::move(config)),
       rng_(strand.process().sim().fork_rng(
-          cat("transport:", strand.process().name(), ":", port_))),
+          cat("transport:", strand.process().name(), ":", process_->sim().port_name(port_)))),
       instance_(strand.process().sim().next_epoch()) {
   if (config_.networks.empty()) config_.networks.push_back(0);
   auto& m = process_->sim().telemetry().metrics();
@@ -249,8 +249,7 @@ void Endpoint::send_ack(const sim::Datagram& d, const RxSession& rx) {
   }
   w.u64(sack);
   int net = d.network_id >= 0 ? d.network_id : config_.networks.front();
-  process_->send(net, d.src_node, d.src_port.empty() ? port_ : d.src_port,
-                 std::move(w).take(), port_);
+  process_->send(net, d.src_node, d.src_port ? d.src_port : port_, std::move(w).take(), port_);
 }
 
 void Endpoint::handle_ack(const sim::Datagram& d, BinaryReader& r) {
@@ -337,7 +336,7 @@ void Endpoint::reset_session(int peer, TxSession& ts, std::uint64_t new_peer_ins
   e.kind = obs::EventKind::kSessionReset;
   e.node = process_->node().id();
   e.component = process_->name();
-  e.unit = port_;
+  e.unit = process_->sim().port_name(port_);
   e.detail = "peer incarnation changed; re-dispatching unacked frames";
   e.a = static_cast<std::uint64_t>(peer);
   e.b = ts.epoch;

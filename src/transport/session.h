@@ -113,7 +113,7 @@ class Endpoint {
   /// frame. `tag` is the caller's opaque id from send().
   using AckFn = std::function<void(std::uint64_t tag)>;
 
-  Endpoint(sim::Strand& strand, std::string port, SessionConfig config);
+  Endpoint(sim::Strand& strand, sim::PortId port, SessionConfig config);
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -230,7 +230,7 @@ class Endpoint {
 
   sim::Strand* strand_;
   sim::Process* process_;
-  std::string port_;
+  sim::PortId port_;
   SessionConfig config_;
   sim::Rng rng_;
   /// This endpoint's lifetime id, stamped into every ack we emit.

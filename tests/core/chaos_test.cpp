@@ -100,11 +100,11 @@ TEST(Bandwidth, LargePayloadsPaySerializationDelay) {
   auto pa = a.start_process("p", nullptr);
   sim::SimTime small_arrival = -1, big_arrival = -1;
   auto pb = b.start_process("p", nullptr);
-  pb->bind("small", [&](const sim::Datagram&) { small_arrival = sim.now(); });
-  pb->bind("big", [&](const sim::Datagram&) { big_arrival = sim.now(); });
+  pb->bind(sim.port("small"), [&](const sim::Datagram&) { small_arrival = sim.now(); });
+  pb->bind(sim.port("big"), [&](const sim::Datagram&) { big_arrival = sim.now(); });
 
-  pa->send(0, b.id(), "small", Buffer(100, 0));
-  pa->send(0, b.id(), "big", Buffer(1 << 20, 0));  // 1 MiB ~ 839 ms at 10 Mbit
+  pa->send(0, b.id(), sim.port("small"), Buffer(100, 0));
+  pa->send(0, b.id(), sim.port("big"), Buffer(1 << 20, 0));  // 1 MiB ~ 839 ms at 10 Mbit
   sim.run();
   ASSERT_GE(small_arrival, 0);
   ASSERT_GE(big_arrival, 0);

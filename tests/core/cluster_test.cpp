@@ -151,6 +151,28 @@ TEST(VoteLedger, OneCandidatePerIncarnation) {
 // Deployment-level behaviour.
 // ---------------------------------------------------------------------
 
+// peer_timeout is the pair heartbeat's knob: a cluster with one below
+// its heartbeat period builds and elects, while a pair rejects the
+// same engine config.
+TEST(ClusterValidation, PeerTimeoutBelowHeartbeatPeriodIsPairOnly) {
+  OfttConfig engine;
+  engine.heartbeat_period = sim::milliseconds(100);
+  engine.peer_timeout = sim::milliseconds(50);
+  {
+    sim::Simulation sim(7003);
+    ClusterDeploymentOptions opts = standard_options(3);
+    opts.engine = engine;
+    ClusterDeployment dep(sim, opts);
+    sim.run_for(sim::seconds(5));
+    EXPECT_EQ(dep.primary_count(), 1);
+    EXPECT_EQ(dep.primary_node(), dep.node(0).id());
+  }
+  sim::Simulation sim(7003);
+  PairDeploymentOptions pair;
+  pair.engine = engine;
+  EXPECT_THROW(PairDeployment(sim, pair), std::invalid_argument);
+}
+
 TEST(Cluster, StartupElectsRankZeroPrimaryWithQuorum) {
   sim::Simulation sim(7001);
   ClusterDeployment dep(sim, standard_options(3));
@@ -579,7 +601,7 @@ std::vector<std::string> run_forged_ids(std::uint64_t seed, bool attack) {
       for (const Buffer& frame :
            {hb.encode(), probe.encode(), relayed.encode(), ack.encode(), misrouted.encode(),
             req.encode(), aimless.encode()}) {
-        forger->send(1, member(), kEnginePort, frame, "forger");
+        forger->send(1, member(), sim.port(kEnginePort), frame, sim.port("forger"));
       }
     }
     sim.run_for(sim::milliseconds(50));
@@ -648,7 +670,7 @@ TEST(ClusterWire, ForgedPairProbeDuringStartupElectsNoOne) {
     p.node = 999;
     p.role = Role::kBackup;
     p.incarnation = 99;
-    forger->send(0, dep.node(3).id(), kEnginePort, p.encode(reply), "forger");
+    forger->send(0, dep.node(3).id(), sim.port(kEnginePort), p.encode(reply), sim.port("forger"));
     sim.run_until(sim::seconds(5));
     sim.telemetry().bus().unsubscribe(sub);
 
@@ -721,10 +743,10 @@ std::vector<std::string> run_forged_pair(std::uint64_t seed, bool attack) {
     if (attack) {
       for (int target : {0, 1}) {
         const int peer = 1 - target;
-        for (const Buffer& f : frames(peer)) forgers[2]->send(1, target, kEnginePort, f, "forger");
+        for (const Buffer& f : frames(peer)) forgers[2]->send(1, target, sim.port(kEnginePort), f, sim.port("forger"));
         for (int bad : {-1, 2, 7}) {
           for (const Buffer& f : frames(bad)) {
-            forgers[static_cast<std::size_t>(peer)]->send(1, target, kEnginePort, f, "forger");
+            forgers[static_cast<std::size_t>(peer)]->send(1, target, sim.port(kEnginePort), f, sim.port("forger"));
           }
         }
       }

@@ -139,7 +139,7 @@ TEST(Engine, TakeoverMessageWhileAlreadyPrimaryIsIgnored) {
   t.incarnation = 0;
   t.reason = "stale duplicate";
   auto proc = dep.node_b().find_process("oftt_engine");
-  proc->send(0, dep.node_a().id(), kEnginePort, t.encode(), kEnginePort);
+  proc->send(0, dep.node_a().id(), sim.port(kEnginePort), t.encode(), sim.port(kEnginePort));
   sim.run_for(sim::seconds(1));
   EXPECT_EQ(dep.engine_a()->role(), Role::kPrimary);
   EXPECT_EQ(dep.engine_a()->incarnation(), inc_before);
@@ -150,8 +150,8 @@ TEST(Engine, GarbagePacketsAreCounted) {
   PairDeployment dep(sim, app_options(false));
   sim.run_for(sim::seconds(1));
   auto proc = dep.node_b().find_process("oftt_engine");
-  proc->send(0, dep.node_a().id(), kEnginePort, Buffer{0xFF, 0x00, 0x01}, kEnginePort);
-  proc->send(0, dep.node_a().id(), kEnginePort, Buffer{}, kEnginePort);
+  proc->send(0, dep.node_a().id(), sim.port(kEnginePort), Buffer{0xFF, 0x00, 0x01}, sim.port(kEnginePort));
+  proc->send(0, dep.node_a().id(), sim.port(kEnginePort), Buffer{}, sim.port(kEnginePort));
   sim.run_for(sim::seconds(1));
   EXPECT_GT(sim.counter_value("oftt.engine_bad_packet"), 0u);
   EXPECT_EQ(dep.primary_node(), dep.node_a().id()) << "garbage must not disturb roles";

@@ -95,14 +95,15 @@ inline std::uint64_t ring_hash(std::uint64_t seed, int nodes, bool lossy,
       const int dst = (id + 1) % nodes;
       self.start_process("app", [&sim, digest, id, dst](Process& p) {
         auto app = std::make_shared<RingApp>(p);
-        p.bind("x", [&sim, digest, id](const Datagram& d) {
+        const PortId x = p.sim().port("x");
+        p.bind(x, [&sim, digest, id](const Datagram& d) {
           fold(digest->cell(id), static_cast<std::uint64_t>(sim.now()) * 3 + d.payload.size());
         });
         app->ticker.start(
             milliseconds(10),
-            [&sim, digest, id, dst, &p] {
+            [&sim, digest, id, dst, x, &p] {
               fold(digest->cell(id), static_cast<std::uint64_t>(sim.now()));
-              p.send(0, dst, "x", Buffer{1, 2, 3}, "x");
+              p.send(0, dst, x, Buffer{1, 2, 3}, x);
             },
             /*initial_delay=*/microseconds(100 + 37 * id));
         p.add_component(std::move(app));
@@ -225,9 +226,10 @@ inline std::uint64_t opc_farm_hash(std::uint64_t seed, int producers, int tags_p
       self.start_process("app", [&sim, digest, id, tags_per_node, collector](Process& p) {
         auto app = std::make_shared<TagFarmApp>(p, tags_per_node);
         TagFarmApp* a = app.get();
+        const PortId tags = p.sim().port("tags");
         app->ticker.start(
             milliseconds(20),
-            [&sim, digest, id, tags_per_node, collector, a, &p] {
+            [&sim, digest, id, tags_per_node, collector, a, tags, &p] {
               ++a->tick_count;
               const SimTime now = sim.now();
               const int window = 64;
@@ -247,7 +249,7 @@ inline std::uint64_t opc_farm_hash(std::uint64_t seed, int producers, int tags_p
                 report[static_cast<std::size_t>(b)] =
                     static_cast<std::uint8_t>(checksum >> (b * 8));
               }
-              p.send(0, collector, "tags", std::move(report), "tags");
+              p.send(0, collector, tags, std::move(report), tags);
             },
             /*initial_delay=*/microseconds(200 + 53 * id));
         p.add_component(std::move(app));
@@ -260,7 +262,7 @@ inline std::uint64_t opc_farm_hash(std::uint64_t seed, int producers, int tags_p
   net.attach(sink.id());
   sink.set_boot_script([&sim, digest, collector](Node& self) {
     self.start_process("collector", [&sim, digest, collector](Process& p) {
-      p.bind("tags", [&sim, digest, collector](const Datagram& d) {
+      p.bind(p.sim().port("tags"), [&sim, digest, collector](const Datagram& d) {
         std::uint64_t word = 0;
         for (std::size_t b = 0; b < d.payload.size() && b < 8; ++b) {
           word |= static_cast<std::uint64_t>(d.payload[b]) << (b * 8);

@@ -203,12 +203,13 @@ TEST(ParallelEngine, SmokeTimersAndCrossNodeSends) {
       const int dst = (id + 1) % 4;
       self.start_process("app", [&sim, ticks, recvs, id, dst](Process& p) {
         auto app = std::make_shared<pdestest::RingApp>(p);
-        p.bind("x", [recvs](const Datagram&) { ++*recvs; });
+        const PortId x = p.sim().port("x");
+        p.bind(x, [recvs](const Datagram&) { ++*recvs; });
         app->ticker.start(
             milliseconds(10),
-            [ticks, dst, &p] {
+            [ticks, dst, x, &p] {
               ++*ticks;
-              p.send(0, dst, "x", Buffer{1}, "x");
+              p.send(0, dst, x, Buffer{1}, x);
             },
             microseconds(100 + 37 * id));
         p.add_component(std::move(app));
@@ -320,14 +321,15 @@ std::vector<std::string> logged_ring_lines(const EngineConfig* engine) {
         const int dst = (id + 1) % kNodes;
         self.start_process("app", [&sim, id, dst](Process& p) {
           auto app = std::make_shared<pdestest::RingApp>(p);
-          p.bind("x", [&sim, id](const Datagram& d) {
+          const PortId x = p.sim().port("x");
+          p.bind(x, [&sim, id](const Datagram& d) {
             OFTT_LOG_INFO("ring", "n", id, " got ", d.payload.size(), "B");
           });
           app->ticker.start(
               milliseconds(10),
-              [id, dst, &p] {
+              [id, dst, x, &p] {
                 OFTT_LOG_INFO("ring", "n", id, " tick -> n", dst);
-                p.send(0, dst, "x", Buffer{1, 2, 3}, "x");
+                p.send(0, dst, x, Buffer{1, 2, 3}, x);
               },
               microseconds(100 + 37 * id));
           p.add_component(std::move(app));
@@ -370,9 +372,10 @@ TEST(ParallelEngine, PdesMetricsPopulated) {
       const int dst = (id + 1) % 4;
       self.start_process("app", [&sim, id, dst](Process& p) {
         auto app = std::make_shared<pdestest::RingApp>(p);
-        p.bind("x", [](const Datagram&) {});
+        const PortId x = p.sim().port("x");
+        p.bind(x, [](const Datagram&) {});
         app->ticker.start(
-            milliseconds(10), [dst, &p] { p.send(0, dst, "x", Buffer{1}, "x"); },
+            milliseconds(10), [dst, x, &p] { p.send(0, dst, x, Buffer{1}, x); },
             microseconds(100 + 37 * id));
         p.add_component(std::move(app));
       });

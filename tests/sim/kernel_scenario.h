@@ -52,12 +52,13 @@ inline std::uint64_t kernel_scenario_hash(std::uint64_t seed) {
       const int dst = (self.id() + 1) % kNodes;
       self.start_process("app", [&sim, &h, dst](Process& p) {
         auto app = std::make_shared<App>(p);
-        p.bind("x", [&h, &sim](const Datagram& d) {
+        const PortId x = sim.port("x");
+        p.bind(x, [&h, &sim](const Datagram& d) {
           fold(h, static_cast<std::uint64_t>(sim.now()) * 3 + d.payload.size());
         });
-        app->ticker.start(milliseconds(10), [&h, &sim, &p, dst] {
+        app->ticker.start(milliseconds(10), [&h, &sim, &p, dst, x] {
           fold(h, static_cast<std::uint64_t>(sim.now()));
-          p.send(0, dst, "x", Buffer{1, 2, 3}, "x");
+          p.send(0, dst, x, Buffer{1, 2, 3}, x);
         });
         Strand& aux_strand = p.create_strand("aux");
         app->aux = std::make_unique<PeriodicTimer>(aux_strand);

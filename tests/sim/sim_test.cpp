@@ -2,6 +2,11 @@
 // lifecycle, timers, and determinism.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <set>
+#include <thread>
+
 #include "sim/disk.h"
 #include "sim/fault_plan.h"
 #include "sim/simulation.h"
@@ -137,7 +142,7 @@ TEST(Node, CrashKillsEverythingAndBlocksDelivery) {
   node.boot();
   auto proc = node.start_process("p", nullptr);
   int received = 0;
-  proc->bind("port", [&](const Datagram&) { ++received; });
+  proc->bind(sim.port("port"), [&](const Datagram&) { ++received; });
   node.crash();
   EXPECT_FALSE(node.up());
   EXPECT_FALSE(proc->alive());
@@ -145,7 +150,7 @@ TEST(Node, CrashKillsEverythingAndBlocksDelivery) {
 
   Datagram d;
   d.dst_node = node.id();
-  d.dst_port = "port";
+  d.dst_port = sim.port("port");
   node.deliver(d);
   EXPECT_EQ(received, 0);
 }
@@ -192,11 +197,11 @@ TEST(Network, DeliversWithLatencyInRange) {
   auto pa = a.start_process("p", nullptr);
   auto pb = b.start_process("p", nullptr);
   SimTime arrival = -1;
-  pb->bind("x", [&](const Datagram& d) {
+  pb->bind(sim.port("x"), [&](const Datagram& d) {
     arrival = sim.now();
     EXPECT_EQ(d.src_node, a.id());
   });
-  pa->send(0, b.id(), "x", Buffer{1});
+  pa->send(0, b.id(), sim.port("x"), Buffer{1});
   sim.run();
   ASSERT_GE(arrival, milliseconds(1));
   ASSERT_LE(arrival, milliseconds(2));
@@ -216,8 +221,8 @@ TEST(Network, LossDropsApproximatelyTheConfiguredFraction) {
   auto pa = a.start_process("p", nullptr);
   auto pb = b.start_process("p", nullptr);
   int received = 0;
-  pb->bind("x", [&](const Datagram&) { ++received; });
-  for (int i = 0; i < 1000; ++i) pa->send(0, b.id(), "x", Buffer{});
+  pb->bind(sim.port("x"), [&](const Datagram&) { ++received; });
+  for (int i = 0; i < 1000; ++i) pa->send(0, b.id(), sim.port("x"), Buffer{});
   sim.run();
   EXPECT_NEAR(received, 700, 60);
   EXPECT_EQ(net.dropped() + static_cast<std::uint64_t>(received), 1000u);
@@ -235,18 +240,18 @@ TEST(Network, PartitionBlocksCrossGroupTraffic) {
   }
   auto pa = a.start_process("p", nullptr);
   int b_got = 0, c_got = 0;
-  b.start_process("p", nullptr)->bind("x", [&](const Datagram&) { ++b_got; });
-  c.start_process("p", nullptr)->bind("x", [&](const Datagram&) { ++c_got; });
+  b.start_process("p", nullptr)->bind(sim.port("x"), [&](const Datagram&) { ++b_got; });
+  c.start_process("p", nullptr)->bind(sim.port("x"), [&](const Datagram&) { ++c_got; });
 
   net.partition({{a.id(), b.id()}, {c.id()}});
-  pa->send(0, b.id(), "x", Buffer{});
-  pa->send(0, c.id(), "x", Buffer{});
+  pa->send(0, b.id(), sim.port("x"), Buffer{});
+  pa->send(0, c.id(), sim.port("x"), Buffer{});
   sim.run();
   EXPECT_EQ(b_got, 1);
   EXPECT_EQ(c_got, 0);
 
   net.heal();
-  pa->send(0, c.id(), "x", Buffer{});
+  pa->send(0, c.id(), sim.port("x"), Buffer{});
   sim.run();
   EXPECT_EQ(c_got, 1);
 }
@@ -262,13 +267,13 @@ TEST(Network, PerLinkFailure) {
   b.boot();
   auto pa = a.start_process("p", nullptr);
   int got = 0;
-  b.start_process("p", nullptr)->bind("x", [&](const Datagram&) { ++got; });
+  b.start_process("p", nullptr)->bind(sim.port("x"), [&](const Datagram&) { ++got; });
   net.set_link(a.id(), b.id(), false);
-  pa->send(0, b.id(), "x", Buffer{});
+  pa->send(0, b.id(), sim.port("x"), Buffer{});
   sim.run();
   EXPECT_EQ(got, 0);
   net.set_link(a.id(), b.id(), true);
-  pa->send(0, b.id(), "x", Buffer{});
+  pa->send(0, b.id(), sim.port("x"), Buffer{});
   sim.run();
   EXPECT_EQ(got, 1);
 }
@@ -284,7 +289,7 @@ TEST(Network, GilbertElliottBurstLossDropsInBursts) {
   b.boot();
   auto pa = a.start_process("p", nullptr);
   int received = 0;
-  b.start_process("p", nullptr)->bind("x", [&](const Datagram&) { ++received; });
+  b.start_process("p", nullptr)->bind(sim.port("x"), [&](const Datagram&) { ++received; });
 
   // Good state lossless, Bad state a blackout. Stationary Bad fraction
   // = p_enter / (p_enter + p_exit) = 0.2.
@@ -292,7 +297,7 @@ TEST(Network, GilbertElliottBurstLossDropsInBursts) {
                      /*loss_bad=*/1.0);
   EXPECT_TRUE(net.burst_loss_enabled());
   const int kSends = 4000;
-  for (int i = 0; i < kSends; ++i) pa->send(0, b.id(), "x", Buffer{});
+  for (int i = 0; i < kSends; ++i) pa->send(0, b.id(), sim.port("x"), Buffer{});
   sim.run();
   EXPECT_EQ(net.burst_dropped() + static_cast<std::uint64_t>(received),
             static_cast<std::uint64_t>(kSends));
@@ -304,7 +309,7 @@ TEST(Network, GilbertElliottBurstLossDropsInBursts) {
   EXPECT_FALSE(net.burst_loss_enabled());
   std::uint64_t dropped_before = net.burst_dropped();
   received = 0;
-  for (int i = 0; i < 100; ++i) pa->send(0, b.id(), "x", Buffer{});
+  for (int i = 0; i < 100; ++i) pa->send(0, b.id(), sim.port("x"), Buffer{});
   sim.run();
   EXPECT_EQ(received, 100) << "a cleared burst channel must not drop";
   EXPECT_EQ(net.burst_dropped(), dropped_before);
@@ -323,12 +328,12 @@ TEST(Network, GilbertElliottMeanBurstLengthTracksExitProbability) {
   b.boot();
   auto pa = a.start_process("p", nullptr);
   std::vector<int> outcomes;  // 1 = delivered, in send order
-  b.start_process("p", nullptr)->bind("x", [&](const Datagram&) { outcomes.back() = 1; });
+  b.start_process("p", nullptr)->bind(sim.port("x"), [&](const Datagram&) { outcomes.back() = 1; });
   net.set_burst_loss(/*p_enter=*/0.02, /*p_exit=*/0.25, /*loss_good=*/0.0,
                      /*loss_bad=*/1.0);
   for (int i = 0; i < 6000; ++i) {
     outcomes.push_back(0);
-    pa->send(0, b.id(), "x", Buffer{});
+    pa->send(0, b.id(), sim.port("x"), Buffer{});
     sim.run();  // deliver before the next send so outcome order is exact
   }
   int bursts = 0;
@@ -365,8 +370,8 @@ TEST(Network, DisabledBurstChannelLeavesUniformLossHistoryUnchanged) {
     b.boot();
     auto pa = a.start_process("p", nullptr);
     int received = 0;
-    b.start_process("p", nullptr)->bind("x", [&](const Datagram&) { ++received; });
-    for (int i = 0; i < 1000; ++i) pa->send(0, b.id(), "x", Buffer{});
+    b.start_process("p", nullptr)->bind(sim.port("x"), [&](const Datagram&) { ++received; });
+    for (int i = 0; i < 1000; ++i) pa->send(0, b.id(), sim.port("x"), Buffer{});
     sim.run();
     return received;
   };
@@ -382,10 +387,232 @@ TEST(Network, LoopbackBypassesNetworkFaults) {
   a.boot();
   auto p = a.start_process("p", nullptr);
   int got = 0;
-  p->bind("x", [&](const Datagram&) { ++got; });
-  p->send(0, a.id(), "x", Buffer{});
+  p->bind(sim.port("x"), [&](const Datagram&) { ++got; });
+  p->send(0, a.id(), sim.port("x"), Buffer{});
   sim.run();
   EXPECT_EQ(got, 1) << "local IPC must not traverse the dead LAN";
+}
+
+TEST(Ports, InterningIsStableNamedAndThreadSafe) {
+  Simulation sim;
+  EXPECT_EQ(sim.port(""), PortId{});
+  EXPECT_FALSE(sim.port(""));
+  const PortId x = sim.port("x");
+  EXPECT_TRUE(x);
+  EXPECT_EQ(sim.port("x"), x);
+  EXPECT_NE(sim.port("y"), x);
+  EXPECT_EQ(sim.port_name(x), "x");
+  EXPECT_EQ(sim.port_name(PortId{}), "");
+  // Workers of the parallel engine bind ports concurrently: every
+  // thread must see one id per name.
+  constexpr int kThreads = 4, kNames = 200;
+  std::vector<std::vector<PortId>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sim, &seen, t] {
+      for (int i = 0; i < kNames; ++i) {
+        seen[static_cast<std::size_t>(t)].push_back(
+            sim.port("p" + std::to_string((i * (t + 1)) % kNames)));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kNames; ++i) {
+      const std::string name = "p" + std::to_string((i * (t + 1)) % kNames);
+      EXPECT_EQ(seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)], sim.port(name));
+      EXPECT_EQ(sim.port_name(sim.port(name)), name);
+    }
+  }
+}
+
+struct PortRig {
+  PortRig() : a(sim.add_node("a")), b(sim.add_node("b")), net(sim.add_network("lan")) {
+    net.attach(a.id());
+    net.attach(b.id());
+    a.boot();
+    b.boot();
+    pa = a.start_process("p", nullptr);
+    pb = b.start_process("p", nullptr);
+  }
+  std::uint64_t no_port() const { return sim.counter_value("node.deliver_no_port"); }
+  Simulation sim;
+  Node& a;
+  Node& b;
+  Network& net;
+  std::shared_ptr<Process> pa, pb;
+};
+
+TEST(Ports, RebindReplacesTheHandlerAndUnbindStopsDelivery) {
+  PortRig r;
+  const PortId x = r.sim.port("x"), y = r.sim.port("y");
+  std::vector<std::string> got;
+  r.pb->bind(x, [&](const Datagram&) { got.push_back("x1"); });
+  r.pb->bind(y, [&](const Datagram&) { got.push_back("y"); });
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.sim.run();
+  r.pb->bind(x, [&](const Datagram&) { got.push_back("x2"); });
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.pa->send(0, r.b.id(), y, Buffer{});
+  r.sim.run();
+  EXPECT_EQ(got, (std::vector<std::string>{"x1", "x2", "y"}));
+  EXPECT_TRUE(r.b.port_bound(x));
+
+  r.pb->main_strand().unbind(x);
+  EXPECT_FALSE(r.b.port_bound(x));
+  EXPECT_TRUE(r.b.port_bound(y));
+  const std::uint64_t no_port = r.no_port();
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.sim.run();
+  EXPECT_EQ(got.size(), 3u);
+  EXPECT_EQ(r.no_port(), no_port + 1);
+}
+
+TEST(Ports, UnbindFromInsideTheHandler) {
+  PortRig r;
+  const PortId x = r.sim.port("x");
+  auto calls = std::make_shared<int>(0);
+  r.pb->bind(x, [&r, x, calls](const Datagram& d) {
+    r.pb->main_strand().unbind(x);
+    // The running handler's captures must outlive its own unbinding.
+    *calls += static_cast<int>(d.payload.size());
+  });
+  r.pa->send(0, r.b.id(), x, Buffer{7});
+  r.pa->send(0, r.b.id(), x, Buffer{7});
+  const std::uint64_t no_port = r.no_port();
+  r.sim.run();
+  EXPECT_EQ(*calls, 1);
+  EXPECT_FALSE(r.b.port_bound(x));
+  EXPECT_EQ(r.no_port(), no_port + 1);
+}
+
+TEST(Ports, OnePortIdBoundOnTwoNodes) {
+  PortRig r;
+  const PortId x = r.sim.port("x");
+  int a_got = 0, b_got = 0;
+  r.pa->bind(x, [&](const Datagram& d) {
+    EXPECT_EQ(d.src_node, r.b.id());
+    EXPECT_EQ(d.src_port, x);
+    ++a_got;
+  });
+  r.pb->bind(x, [&](const Datagram& d) {
+    EXPECT_EQ(d.src_node, r.a.id());
+    EXPECT_EQ(d.dst_port, x);
+    ++b_got;
+  });
+  r.pa->send(0, r.b.id(), x, Buffer{}, x);
+  r.pb->send(0, r.a.id(), x, Buffer{}, x);
+  r.pb->send(0, r.a.id(), x, Buffer{}, x);
+  r.sim.run();
+  EXPECT_EQ(a_got, 2);
+  EXPECT_EQ(b_got, 1);
+}
+
+TEST(Ports, DeliveryToAnUnboundPortIsCounted) {
+  PortRig r;
+  const std::uint64_t no_port = r.no_port();
+  r.pa->send(0, r.b.id(), r.sim.port("nobody"), Buffer{1});
+  r.pa->send(0, r.b.id(), PortId{}, Buffer{1});
+  r.sim.run();
+  EXPECT_EQ(r.net.delivered(), 2u);
+  EXPECT_EQ(r.no_port(), no_port + 2);
+}
+
+// Network attachment, links and partitions against a std::set model:
+// random operations, then every ordered pair of real nodes sends one
+// datagram and must arrive exactly when the model says it can.
+TEST(Network, ReachabilityMatchesASetModel) {
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    constexpr int kNodes = 6;    // nodes that exist and can receive
+    constexpr int kIds = 24;     // attach ids range past the node count
+    Simulation sim(seed);
+    Network& net = sim.add_network("lan");
+    const PortId x = sim.port("x");
+    std::vector<std::shared_ptr<Process>> procs;
+    std::vector<int> got(kNodes, 0);
+    for (int n = 0; n < kNodes; ++n) {
+      Node& node = sim.add_node("n" + std::to_string(n));
+      node.boot();
+      procs.push_back(node.start_process("p", nullptr));
+      procs.back()->bind(x, [&got, n](const Datagram&) { ++got[static_cast<std::size_t>(n)]; });
+    }
+    std::set<int> attached;
+    std::set<std::pair<int, int>> dead;
+    std::map<int, int> group;  // empty = healed
+    std::mt19937 rng(seed);
+    auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<std::uint32_t>(n)); };
+    EXPECT_FALSE(net.attached(-1));
+    EXPECT_THROW(net.attach(-1), std::invalid_argument);
+    net.detach(kIds + 5);  // never attached, beyond the table
+    EXPECT_FALSE(net.attached(kIds + 5));
+
+    for (int op = 0; op < 300; ++op) {
+      switch (pick(6)) {
+        case 0:
+        case 1: {
+          // Grow from the top so ids land beyond the table's size.
+          const int id = op < 20 ? kIds - 1 - pick(4) : pick(kIds);
+          net.attach(id);
+          attached.insert(id);
+          break;
+        }
+        case 2: {
+          const int id = pick(kIds + 8);
+          net.detach(id);
+          attached.erase(id);
+          break;
+        }
+        case 3: {
+          const int a = pick(kNodes), b = pick(kNodes);
+          const bool up = pick(2) == 0;
+          net.set_link(a, b, up);
+          if (up) dead.erase(std::minmax(a, b));
+          else dead.insert(std::minmax(a, b));
+          break;
+        }
+        case 4: {
+          std::vector<std::vector<int>> groups(2);
+          group.clear();
+          for (int n = 0; n < kNodes; ++n) {
+            const int g = pick(3);  // 2 = left out of the partition spec
+            if (g < 2) {
+              groups[static_cast<std::size_t>(g)].push_back(n);
+              group[n] = g;
+            }
+          }
+          net.partition(groups);
+          break;
+        }
+        default:
+          if (pick(4) == 0) {
+            net.heal();
+            dead.clear();
+            group.clear();
+          }
+          break;
+      }
+      for (int id = -1; id < kIds + 8; ++id) {
+        ASSERT_EQ(net.attached(id), attached.count(id) != 0) << "id " << id << " op " << op;
+      }
+      if (op % 10 != 9) continue;
+      for (int a = 0; a < kNodes; ++a) {
+        for (int b = 0; b < kNodes; ++b) {
+          if (a == b) continue;
+          const bool same_group = group.empty() || (group.count(a) != 0 && group.count(b) != 0 &&
+                                                    group.at(a) == group.at(b));
+          const bool reach = attached.count(a) != 0 && attached.count(b) != 0 &&
+                             dead.count(std::minmax(a, b)) == 0 && same_group;
+          const int before = got[static_cast<std::size_t>(b)];
+          EXPECT_EQ(procs[static_cast<std::size_t>(a)]->send(0, b, x, Buffer{}),
+                    attached.count(a) != 0);
+          sim.run();
+          EXPECT_EQ(got[static_cast<std::size_t>(b)] - before, reach ? 1 : 0)
+              << a << " -> " << b << " op " << op;
+        }
+      }
+    }
+  }
 }
 
 TEST(PeriodicTimer, FiresAtPeriodUntilStopped) {
@@ -479,10 +706,10 @@ TEST(Simulation, IdenticalSeedsGiveIdenticalHistories) {
     b.boot();
     auto pa = a.start_process("p", nullptr);
     std::vector<SimTime> arrivals;
-    b.start_process("p", nullptr)->bind("x", [&](const Datagram&) {
+    b.start_process("p", nullptr)->bind(sim.port("x"), [&](const Datagram&) {
       arrivals.push_back(sim.now());
     });
-    for (int i = 0; i < 50; ++i) pa->send(0, b.id(), "x", Buffer{});
+    for (int i = 0; i < 50; ++i) pa->send(0, b.id(), sim.port("x"), Buffer{});
     sim.run();
     return arrivals;
   };

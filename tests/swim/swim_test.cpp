@@ -181,7 +181,8 @@ TEST(SwimDetector, AccusationAgainstSelfBumpsIncarnationAndEnqueuesRefutation) {
   EXPECT_EQ(d.self_incarnation(), 1u) << "self-defense bumps past the accusation";
 
   // The refutation must ride the very next frame out.
-  std::vector<Update> batch = d.piggyback();
+  std::vector<Update> batch;
+  d.piggyback(batch);
   bool found = false;
   for (const Update& u : batch) {
     if (u.node == 1) {
@@ -202,17 +203,19 @@ TEST(SwimDetector, PiggybackIsBoundedAndRetransmitBudgeted) {
   for (int n : {1, 2, 3, 4, 5}) d.announce(n);
   ASSERT_GT(d.budget(), 0);
 
-  std::vector<Update> first = d.piggyback();
-  EXPECT_LE(first.size(), d.config().max_piggyback);
+  std::vector<Update> batch;
+  d.piggyback(batch);
+  EXPECT_LE(batch.size(), d.config().max_piggyback);
 
   // Each buffered update rides exactly budget() frames, then drops out.
   int drains = 0;
   while (d.update_buffer_size() > 0 && drains < 1000) {
-    d.piggyback();
+    d.piggyback(batch);
     ++drains;
   }
   EXPECT_LT(drains, 1000) << "budget must bound dissemination, not loop forever";
-  EXPECT_TRUE(d.piggyback().empty());
+  d.piggyback(batch);
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(SwimDetector, PiggybackForAccusedPeerLeadsWithTheAccusation) {
@@ -220,9 +223,10 @@ TEST(SwimDetector, PiggybackForAccusedPeerLeadsWithTheAccusation) {
   std::vector<Transition> out;
   d.absorb(Update{3, 0, MemberState::kSuspect}, kPeriod, out);
   // Exhaust the shared buffer so the guarantee cannot come from luck.
-  while (d.update_buffer_size() > 0) d.piggyback();
+  std::vector<Update> batch;
+  while (d.update_buffer_size() > 0) d.piggyback(batch);
 
-  std::vector<Update> batch = d.piggyback_for(3);
+  d.piggyback_for(3, batch);
   ASSERT_FALSE(batch.empty());
   EXPECT_EQ(batch.front().node, 3);
   EXPECT_EQ(batch.front().state, MemberState::kSuspect)

@@ -29,8 +29,9 @@ Buffer numbered(std::uint64_t v) {
 class TestPeer {
  public:
   TestPeer(sim::Process& p, std::vector<std::uint64_t>* log, SessionConfig config) {
-    p.bind(kPort, [this](const sim::Datagram& d) { ep_->handle(d); });
-    ep_ = std::make_unique<Endpoint>(p.main_strand(), kPort, std::move(config));
+    const sim::PortId port = p.sim().port(kPort);
+    p.bind(port, [this](const sim::Datagram& d) { ep_->handle(d); });
+    ep_ = std::make_unique<Endpoint>(p.main_strand(), port, std::move(config));
     ep_->on_deliver([log](int, int, ByteView b) {
       BinaryReader r(b);
       log->push_back(r.u64());
@@ -274,11 +275,49 @@ TEST(Transport, MalformedTransportFramesCountedNotCrashed) {
   TestPeer& rx = h.install(*h.b, &got);
   auto proc = h.a->start_process("raw", nullptr);
   // A truncated data frame and a garbage ack, straight onto the port.
-  proc->send(0, h.b->id(), kPort, Buffer{kDataFrame, 1, 2}, kPort);
-  proc->send(0, h.b->id(), kPort, Buffer{kAckFrame, 0xFF}, kPort);
+  const sim::PortId port = h.sim.port(kPort);
+  proc->send(0, h.b->id(), port, Buffer{kDataFrame, 1, 2}, port);
+  proc->send(0, h.b->id(), port, Buffer{kAckFrame, 0xFF}, port);
   h.sim.run_for(sim::milliseconds(50));
   EXPECT_EQ(rx.ep().malformed_frames(), 2u);
   EXPECT_TRUE(got.empty());
+}
+
+// The ack goes back to the port the data frame came from; a frame with
+// no source port is acked to the endpoint's own port.
+TEST(Transport, AckReturnsToTheSendersSourcePort) {
+  Harness h(46);
+  std::vector<std::uint64_t> got;
+  h.install(*h.b, &got);
+  auto raw = h.a->start_process("raw", nullptr);
+  const sim::PortId port = h.sim.port(kPort);
+  const sim::PortId reply = h.sim.port("raw.reply");
+  int acks_on_reply = 0, acks_on_port = 0;
+  auto count_acks = [](int* n) {
+    return [n](const sim::Datagram& d) {
+      if (!d.payload.empty() && d.payload[0] == kAckFrame) ++*n;
+    };
+  };
+  raw->bind(reply, count_acks(&acks_on_reply));
+  raw->bind(port, count_acks(&acks_on_port));
+  auto data_frame = [](std::uint64_t seq) {
+    BinaryWriter w;
+    w.u8(kDataFrame);
+    w.u64(/*epoch=*/1);
+    w.u64(seq);
+    w.u8(0);
+    w.blob(numbered(seq));
+    return std::move(w).take();
+  };
+  raw->send(0, h.b->id(), port, data_frame(1), reply);
+  h.sim.run_for(sim::milliseconds(50));
+  EXPECT_EQ(acks_on_reply, 1);
+  EXPECT_EQ(acks_on_port, 0);
+  raw->send(0, h.b->id(), port, data_frame(2));
+  h.sim.run_for(sim::milliseconds(50));
+  EXPECT_EQ(acks_on_reply, 1);
+  EXPECT_EQ(acks_on_port, 1);
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(Transport, DeterministicAcrossIdenticalSeeds) {
