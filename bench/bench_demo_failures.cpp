@@ -76,11 +76,8 @@ DemoResult run_demo(int failure_class, std::uint64_t seed) {
   tcfg.mean_think_s = 3.0;
   tcfg.mean_hold_s = 4.0;
   auto tel = std::make_shared<opc::TelephoneSystem>(tcfg);
-  tel->set_event_listener([diverter](const opc::CallEvent& e) {
-    BinaryWriter w;
-    e.marshal(w);
-    diverter->send("call", std::move(w).take());
-  });
+  tel->set_event_listener(
+      [diverter](const opc::CallEvent& e) { diverter->send("call", e.encode()); });
   tel->start(telsim->main_strand(), sim.fork_rng("tel"));
   telsim->add_component(tel);
 

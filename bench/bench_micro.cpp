@@ -115,10 +115,9 @@ void BM_MsmqMessageMarshal(benchmark::State& state) {
   m.body = Buffer(static_cast<std::size_t>(state.range(0)), 7);
   m.mode = msmq::DeliveryMode::kRecoverable;
   for (auto _ : state) {
-    BinaryWriter w;
-    m.marshal(w);
-    BinaryReader r(w.data());
-    benchmark::DoNotOptimize(msmq::Message::unmarshal(r));
+    const Buffer b = codec::encode(m);
+    msmq::Message out;
+    benchmark::DoNotOptimize(codec::decode(b, out));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }

@@ -98,9 +98,8 @@ class CallTrackApp {
 
  private:
   void on_event(const msmq::Message& m) {
-    BinaryReader r(m.body);
-    opc::CallEvent e = opc::CallEvent::unmarshal(r);
-    if (r.failed()) return;
+    opc::CallEvent e;
+    if (!opc::CallEvent::decode(m.body, e)) return;
     if (e.kind == opc::CallEvent::Kind::kStart) {
       busy_.set(std::min<std::int64_t>(busy_.get() + 1, kLines));
     } else if (e.kind == opc::CallEvent::Kind::kEnd) {
@@ -151,11 +150,8 @@ TestPcSoftware install_test_pc(core::PairDeployment& dep) {
   tcfg.mean_hold_s = 5.0;
   sw.telephone = std::make_shared<opc::TelephoneSystem>(tcfg);
   auto diverter = sw.diverter;
-  sw.telephone->set_event_listener([diverter](const opc::CallEvent& e) {
-    BinaryWriter w;
-    e.marshal(w);
-    diverter->send("call", std::move(w).take());
-  });
+  sw.telephone->set_event_listener(
+      [diverter](const opc::CallEvent& e) { diverter->send("call", e.encode()); });
   sw.telephone->start(telsim->main_strand(), telsim->sim().fork_rng("telsim"));
   telsim->add_component(sw.telephone);
 
@@ -170,9 +166,7 @@ TestPcSoftware install_test_pc(core::PairDeployment& dep) {
     opc::CallEvent e;  // a no-op history marker record
     e.kind = opc::CallEvent::Kind::kBlocked;
     e.caller = -1;
-    BinaryWriter w;
-    e.marshal(w);
-    hist_diverter->send("history", std::move(w).take());
+    hist_diverter->send("history", e.encode());
   });
   histgen->add_component(timer);
   return sw;

@@ -29,15 +29,30 @@
 // ByteView (a Buffer's encoding, decoded in place: the view points into
 // the frame, which must outlive it),
 // std::vector<T> (u32 count; `list<Count>` picks another width),
-// std::variant (u8 index + alternative), std::pair, and any type with
-// its own fields(). Layouts are append-only: a field is never reordered
-// or removed, since that changes the bytes every peer and pinned hash
-// depends on.
+// std::map<K, V> (u32 count + key/value pairs, bounded like a vector;
+// a repeated key keeps its last value), std::variant (u8 index +
+// alternative), std::pair, and any type with its own fields(). Layouts
+// are append-only: a field is never reordered or removed, since that
+// changes the bytes every peer and pinned hash depends on.
+//
+// Layouts described this way: the control plane in core/wire.h, the
+// swim::Update and MembershipView it embeds, the OPC notify frame and
+// OpcValue/ItemState, the ORPC packets and dcom::InterfaceRef, the OPC
+// and engine COM argument lists, the MSMQ packets and msmq::Message
+// (wire and persisted queues), the transport DataFrame and AckFrame,
+// CheckpointImage, nt::TaskContext, the diverter's JournaledSend, the
+// FTIM policy record, the engine's role hint and opc::CallEvent.
+// Two pieces stay hand-framed because neither is a field of the layout
+// around it: the journal's record header (store/journal.cpp), built on
+// the stack and gathered with the payload view so an image is never
+// copied into a frame, and the checkpoint image's CRC-32C trailer,
+// which covers the encoded fields and so is appended after them.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -53,6 +68,8 @@ namespace oftt::codec {
 namespace detail {
 template <class T> struct is_vector : std::false_type {};
 template <class T> struct is_vector<std::vector<T>> : std::true_type {};
+template <class T> struct is_map : std::false_type {};
+template <class K, class V> struct is_map<std::map<K, V>> : std::true_type {};
 template <class T> struct is_variant : std::false_type {};
 template <class... A> struct is_variant<std::variant<A...>> : std::true_type {};
 template <class T> struct is_pair : std::false_type {};
@@ -129,6 +146,12 @@ class BasicWriter {
       w_.guid(x);
     } else if constexpr (detail::is_vector<T>::value) {
       list<std::uint32_t>(x);
+    } else if constexpr (detail::is_map<T>::value) {
+      (*this)(static_cast<std::uint32_t>(x.size()));
+      for (const auto& [k, val] : x) {
+        (*this)(k);
+        (*this)(val);
+      }
     } else if constexpr (detail::is_variant<T>::value) {
       tag(x.index());
       std::visit([this](const auto& alt) { (*this)(alt); }, x);
@@ -215,6 +238,8 @@ class Reader {
       x = r_.guid();
     } else if constexpr (detail::is_vector<T>::value) {
       list<std::uint32_t>(x);
+    } else if constexpr (detail::is_map<T>::value) {
+      read_map(x);
     } else if constexpr (detail::is_variant<T>::value) {
       read_variant(x, std::make_index_sequence<std::variant_size_v<T>>{});
     } else if constexpr (detail::is_pair<T>::value) {
@@ -226,6 +251,27 @@ class Reader {
   }
 
  private:
+  template <class K, class V> void read_map(std::map<K, V>& m) {
+    m.clear();
+    std::uint32_t n = 0;
+    (*this)(n);
+    if (r_.failed()) return;
+    if (n > r_.remaining() / std::max<std::size_t>(1, min_size<K>() + min_size<V>())) {
+      r_.fail();
+      return;
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      K k{};
+      V val{};
+      (*this)(k);
+      (*this)(val);
+      if (r_.failed()) return;
+      // Keys arrive sorted from an encoded map, so the end hint makes
+      // each insert constant time.
+      m.insert_or_assign(m.end(), std::move(k), std::move(val));
+    }
+  }
+
   template <class V, std::size_t... I> void read_variant(V& v, std::index_sequence<I...>) {
     const std::uint8_t index = r_.u8();
     if (index >= sizeof...(I)) {
@@ -254,7 +300,7 @@ class MinSize {
     } else if constexpr (detail::is_scalar_v<T>) {
       bytes += sizeof(T);
     } else if constexpr (std::is_same_v<T, std::string> || std::is_same_v<T, ByteView> ||
-                         detail::is_vector<T>::value) {
+                         detail::is_vector<T>::value || detail::is_map<T>::value) {
       bytes += 4;  // Buffer is a vector too: u32 length
     } else if constexpr (std::is_same_v<T, Guid>) {
       bytes += 16;

@@ -15,16 +15,6 @@ std::size_t CheckpointImage::payload_bytes() const {
   return n;
 }
 
-std::size_t CheckpointImage::marshalled_size() const {
-  // seq, base_seq, decision_seq, incarnation, mode, taken_at, three
-  // counts and the trailer; each entry adds its u32 length prefixes.
-  std::size_t n = 8 + 8 + 8 + 4 + 1 + 8 + 3 * 4 + 8;
-  for (const auto& [name, bytes] : regions) n += 8 + name.size() + bytes.size();
-  for (const auto& c : cells) n += 12 + c.region.size() + c.bytes.size();
-  for (const auto& [name, ctx] : task_contexts) n += 8 + name.size() + ctx.size();
-  return n;
-}
-
 Buffer CheckpointImage::marshal() const {
   BinaryWriter w;
   w.reserve(marshalled_size());
@@ -34,83 +24,31 @@ Buffer CheckpointImage::marshal() const {
 
 void CheckpointImage::marshal(BinaryWriter& w) const {
   const std::size_t start = w.size();
-  w.u64(seq);
-  w.u64(base_seq);
-  w.u64(decision_seq);
-  w.u32(incarnation);
-  w.u8(static_cast<std::uint8_t>(mode));
-  w.i64(taken_at);
-  w.u32(static_cast<std::uint32_t>(regions.size()));
-  for (const auto& [name, bytes] : regions) {
-    w.str(name);
-    w.blob(bytes);
-  }
-  w.u32(static_cast<std::uint32_t>(cells.size()));
-  for (const auto& c : cells) {
-    w.str(c.region);
-    w.u32(c.offset);
-    w.blob(c.bytes);
-  }
-  w.u32(static_cast<std::uint32_t>(task_contexts.size()));
-  for (const auto& [name, ctx] : task_contexts) {
-    w.str(name);
-    w.blob(ctx);
-  }
+  codec::write(w, *this);
   // CRC-32C over the image serialized so far, zero-extended to the
   // 8-byte trailer.
   w.u64(crc32c(w.data().data() + start, w.size() - start));
 }
 
 bool CheckpointImage::unmarshal(ByteView buf, CheckpointImage& out) {
-  if (buf.size() < 8) return false;
+  if (buf.size() < kTrailerBytes) return false;
   // Validate the trailing checksum first. The trailer is a CRC-32C
   // zero-extended to 8 bytes; nonzero high bits mean a foreign or
   // damaged trailer, never a valid one.
-  const std::size_t body = buf.size() - 8;
-  const std::uint64_t stored = BinaryReader(buf.data() + body, 8).u64();
-  if (stored > 0xFFFFFFFFu || crc32c(buf.data(), body) != stored) return false;
-
-  BinaryReader r(buf.data(), body);
-  out = CheckpointImage{};
-  out.seq = r.u64();
-  out.base_seq = r.u64();
-  out.decision_seq = r.u64();
-  out.incarnation = r.u32();
-  out.mode = static_cast<CheckpointMode>(r.u8());
-  out.taken_at = r.i64();
-  // Each declared count is validated against the bytes actually left in
-  // the buffer (at the minimum size an entry can serialize to) BEFORE
-  // any loop allocates: a garbage count in an otherwise checksum-valid
-  // buffer must be rejected, not fed to push_back a billion times.
-  std::uint32_t nregions = r.u32();
-  if (nregions > r.remaining() / 8) return false;  // name len + blob len
-  for (std::uint32_t i = 0; i < nregions && !r.failed(); ++i) {
-    std::string name = r.str();
-    out.regions[name] = r.blob();
-  }
-  std::uint32_t ncells = r.u32();
-  if (ncells > r.remaining() / 12) return false;  // name len + offset + blob len
-  for (std::uint32_t i = 0; i < ncells && !r.failed(); ++i) {
-    SelectiveCell c;
-    c.region = r.str();
-    c.offset = r.u32();
-    c.bytes = r.blob();
-    out.cells.push_back(std::move(c));
-  }
-  std::uint32_t nctx = r.u32();
-  if (nctx > r.remaining() / 8) return false;  // name len + blob len
-  for (std::uint32_t i = 0; i < nctx && !r.failed(); ++i) {
-    std::string name = r.str();
-    out.task_contexts[name] = r.blob();
-  }
+  const ByteView body = buf.first(buf.size() - kTrailerBytes);
+  const std::uint64_t stored = BinaryReader(buf.last(kTrailerBytes)).u64();
+  if (stored > 0xFFFFFFFFu || crc32c(body) != stored) return false;
+  // A checksum-valid body still decodes fail-closed: every count is
+  // bounded by the bytes behind it before anything is allocated.
+  if (!codec::decode(body, out)) return false;
   out.checksum = stored;
-  return !r.failed();
+  return true;
 }
 
 std::uint32_t CheckpointImage::crc32c_of_marshalled(ByteView buf) {
-  const std::size_t body = buf.size() - 8;
-  const auto body_crc = static_cast<std::uint32_t>(BinaryReader(buf.data() + body, 8).u64());
-  return crc32c_combine(body_crc, crc32c(buf.data() + body, 8), 8);
+  const ByteView trailer = buf.last(kTrailerBytes);
+  const auto body_crc = static_cast<std::uint32_t>(BinaryReader(trailer).u64());
+  return crc32c_combine(body_crc, crc32c(trailer), kTrailerBytes);
 }
 
 CheckpointImage capture_checkpoint(nt::NtRuntime& rt, CheckpointMode mode,
@@ -140,7 +78,7 @@ CheckpointImage capture_checkpoint(nt::NtRuntime& rt, CheckpointMode mode,
     }
   }
   for (nt::Task* task : discoverable_tasks) {
-    img.task_contexts[task->name()] = task->capture_context().serialize();
+    img.task_contexts[task->name()] = task->capture_context().encode();
   }
   return img;
 }
@@ -173,7 +111,7 @@ CheckpointImage capture_delta_checkpoint(nt::NtRuntime& rt, std::uint64_t seq,
     }
   }
   for (nt::Task* task : discoverable_tasks) {
-    img.task_contexts[task->name()] = task->capture_context().serialize();
+    img.task_contexts[task->name()] = task->capture_context().encode();
   }
   return img;
 }
@@ -239,9 +177,8 @@ int restore_checkpoint(nt::NtRuntime& rt, const CheckpointImage& image) {
       ++anomalies;
       continue;
     }
-    BinaryReader r(ctx_bytes);
-    nt::TaskContext ctx = nt::TaskContext::deserialize(r);
-    if (r.failed()) {
+    nt::TaskContext ctx;
+    if (!nt::TaskContext::decode(ctx_bytes, ctx)) {
       ++anomalies;
       continue;
     }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "nt/runtime.h"
 #include "sim/time.h"
 
@@ -29,11 +30,13 @@ enum class CheckpointMode : std::uint8_t {
   /// full resync.
   kDelta = 2,
 };
+constexpr bool wire_valid(CheckpointMode m) { return m <= CheckpointMode::kDelta; }
 
 struct SelectiveCell {
   std::string region;
   std::uint32_t offset = 0;
   Buffer bytes;
+  template <class V> void fields(V& v) { v(region); v(offset); v(bytes); }
 };
 
 struct CheckpointImage {
@@ -49,8 +52,17 @@ struct CheckpointImage {
   sim::SimTime taken_at = 0;
   std::map<std::string, Buffer> regions;           // full mode
   std::vector<SelectiveCell> cells;                // selective mode
-  std::map<std::string, Buffer> task_contexts;     // serialized TaskContext by task name
+  std::map<std::string, Buffer> task_contexts;     // encoded TaskContext by task name
   std::uint64_t checksum = 0;                      // CRC-32C trailer, zero-extended to u64
+
+  /// The image's layout. The CRC-32C trailer is not a field: it covers
+  /// the encoded fields, so marshal() appends it after them.
+  template <class V> void fields(V& v) {
+    v(seq); v(base_seq); v(decision_seq); v(incarnation); v(mode); v(taken_at);
+    v(regions); v(cells); v(task_contexts);
+  }
+
+  static constexpr std::size_t kTrailerBytes = 8;
 
   std::size_t payload_bytes() const;
 
@@ -59,9 +71,11 @@ struct CheckpointImage {
   /// built around it); the trailer covers only the image's own bytes.
   void marshal(BinaryWriter& w) const;
   /// Exact size marshal() produces, so a writer can be sized once.
-  std::size_t marshalled_size() const;
-  /// Returns false on truncation, checksum mismatch or a trailer whose
-  /// high 32 bits are set.
+  std::size_t marshalled_size() const { return codec::encoded_size(*this) + kTrailerBytes; }
+  /// Returns false on a checksum mismatch, a trailer whose high 32 bits
+  /// are set, or a body that does not decode whole (truncation, an
+  /// unknown mode, a count larger than the bytes behind it, trailing
+  /// bytes).
   static bool unmarshal(ByteView buf, CheckpointImage& out);
   /// crc32c() of a whole marshalled image, trailer included, derived
   /// from the trailer without reading the body. Only meaningful for

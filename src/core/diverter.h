@@ -40,6 +40,17 @@ struct DiverterOptions {
   std::size_t send_journal_max_segments = 4;
 };
 
+/// The send journal's record (store::RecordType::kMessage): one
+/// recoverable send, replayed through the local QM after a restart. The
+/// body is a view into the caller's buffer when encoding and into the
+/// record when decoding.
+struct JournaledSend : codec::Message<JournaledSend> {
+  std::string label;
+  ByteView body;
+  msmq::DeliveryMode mode = msmq::DeliveryMode::kRecoverable;
+  template <class V> void fields(V& v) { v(label); v(body); v(mode); }
+};
+
 class MessageDiverter {
  public:
   MessageDiverter(sim::Process& process, DiverterOptions options);

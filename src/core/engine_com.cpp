@@ -73,20 +73,20 @@ dcom::StubDispatch make_engine_stub(ComPtr<IUnknown> obj, dcom::OrpcServer&) {
       case kGetStatus:
         target->GetStatus([&](HRESULT hr, const StatusReport& sr) {
           out = hr;
-          if (SUCCEEDED(hr)) result.blob(sr.encode());
+          if (SUCCEEDED(hr)) codec::write(result, sr.encode());
         });
         return out;
       case kRequestSwitchover: {
-        std::string reason = args.str();
-        if (args.failed()) return E_INVALIDARG;
+        std::string reason;
+        if (!codec::read(args, reason)) return E_INVALIDARG;
         target->RequestSwitchover(reason, [&](HRESULT hr) { out = hr; });
         return out;
       }
       case kSetRecoveryRule: {
-        std::string component = args.str();
-        int restarts = args.i32();
-        int switchover = args.i32();
-        if (args.failed()) return E_INVALIDARG;
+        std::string component;
+        int restarts = 0;
+        int switchover = 0;
+        if (!codec::read(args, component, restarts, switchover)) return E_INVALIDARG;
         target->SetRecoveryRule(component, restarts, switchover,
                                 [&](HRESULT hr) { out = hr; });
         return out;
@@ -105,31 +105,26 @@ class EngineProxy final : public com::Object<EngineProxy, IOFTTEngine>,
   void GetStatus(StatusFn done) override {
     invoke(kGetStatus, {}, [done](HRESULT hr, BinaryReader& r) {
       StatusReport sr;
-      if (SUCCEEDED(hr)) {
-        Buffer blob = r.blob();
-        if (r.failed() || !StatusReport::decode(blob, sr)) hr = E_UNEXPECTED;
+      ByteView blob;
+      if (SUCCEEDED(hr) && !(codec::read(r, blob) && StatusReport::decode(blob, sr))) {
+        hr = E_UNEXPECTED;
       }
       if (done) done(hr, sr);
     });
   }
 
   void RequestSwitchover(const std::string& reason, AckFn done) override {
-    BinaryWriter w;
-    w.str(reason);
-    invoke(kRequestSwitchover, std::move(w).take(), [done](HRESULT hr, BinaryReader&) {
+    invoke(kRequestSwitchover, codec::encode(reason), [done](HRESULT hr, BinaryReader&) {
       if (done) done(hr);
     });
   }
 
   void SetRecoveryRule(const std::string& component, int max_local_restarts,
                        int switchover_on_permanent, AckFn done) override {
-    BinaryWriter w;
-    w.str(component);
-    w.i32(max_local_restarts);
-    w.i32(switchover_on_permanent);
-    invoke(kSetRecoveryRule, std::move(w).take(), [done](HRESULT hr, BinaryReader&) {
-      if (done) done(hr);
-    });
+    invoke(kSetRecoveryRule, codec::encode(component, max_local_restarts, switchover_on_permanent),
+           [done](HRESULT hr, BinaryReader&) {
+             if (done) done(hr);
+           });
   }
 };
 

@@ -53,9 +53,6 @@ struct FtimOptions {
   /// checkpointable (§3.1). Turning this off reproduces the paper's
   /// "dynamic threads invisible to documented APIs" problem.
   bool install_iat_hook = true;
-  /// Restart a dead engine (checked every engine_check_period).
-  bool restart_engine_if_dead = true;
-  sim::SimTime engine_check_period = sim::milliseconds(500);
   /// Journal every checkpoint taken or received to the node-local
   /// durable store, so a cold restart recovers from its own disk and
   /// only pulls the missing suffix from the primary.
@@ -65,7 +62,6 @@ struct FtimOptions {
   /// deltas (every checkpoint full). Selective mode always ships its
   /// (already small) designated cells.
   std::uint32_t full_checkpoint_interval = 8;
-  std::size_t journal_segment_bytes = 64 * 1024;
   /// Replication policy for this component. kColdPassive reproduces the
   /// paper's scheme byte-identically; FTIMs left at the default inherit
   /// the engine's configured mode through OFTTInitialize.

@@ -1,44 +1,41 @@
 // Interface-pointer marshaling helpers used by hand-written proxy/stub
 // code: an interface argument or result crosses the wire as an
-// ObjectRef (exported on the sending side, proxied on the receiving
+// InterfaceRef (exported on the sending side, proxied on the receiving
 // side). Works symmetrically — a client marshaling a callback sink
 // exports it on its own OrpcServer, exactly like DCOM.
 #pragma once
 
+#include "common/codec.h"
 #include "dcom/client.h"
 #include "dcom/server.h"
 
 namespace oftt::dcom {
 
+/// An interface pointer on the wire: a presence byte, then the
+/// ObjectRef when present. A null pointer travels as absent.
+struct InterfaceRef {
+  ObjectRef ref;
+  template <class V> void fields(V& v) { v.optional(ref, ref.valid()); }
+};
+
+/// The wire form of `obj`, exported on `server` when it is a local
+/// object. A proxy re-marshals its original reference instead of
+/// proxying a proxy; an object with no proxy/stub installed degrades to
+/// null (logged by the server).
 template <typename I>
-void marshal_interface(OrpcServer& server, BinaryWriter& w, const com::ComPtr<I>& obj) {
-  if (!obj) {
-    w.u8(0);
-    return;
-  }
-  // If the object is itself a proxy, re-marshal its original reference
-  // instead of proxying a proxy.
-  if (auto* proxy = dynamic_cast<ProxyBase*>(obj.get())) {
-    w.u8(1);
-    codec::write(w, proxy->ref());
-    return;
-  }
-  com::ComPtr<com::IUnknown> unk = obj.template as<com::IUnknown>();
-  ObjectRef ref = server.export_object(unk, I::iid());
-  if (!ref.valid()) {
-    w.u8(0);  // no proxy/stub installed; degrade to null (logged by server)
-    return;
-  }
-  w.u8(1);
-  codec::write(w, ref);
+InterfaceRef marshal_interface(OrpcServer& server, const com::ComPtr<I>& obj) {
+  if (!obj) return {};
+  if (auto* proxy = dynamic_cast<ProxyBase*>(obj.get())) return {proxy->ref()};
+  return {server.export_object(obj.template as<com::IUnknown>(), I::iid())};
 }
 
+/// Read an InterfaceRef and proxy it; null when absent, unreadable or
+/// not an I.
 template <typename I>
 com::ComPtr<I> unmarshal_interface(OrpcClient& client, BinaryReader& r) {
-  if (r.u8() == 0) return {};
-  ObjectRef ref;
-  if (!codec::read(r, ref)) return {};
-  com::ComPtr<com::IUnknown> unk = client.unmarshal(ref);
+  InterfaceRef in;
+  if (!codec::read(r, in)) return {};
+  com::ComPtr<com::IUnknown> unk = client.unmarshal(in.ref);
   if (!unk) return {};
   return unk.template as<I>();
 }

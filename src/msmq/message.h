@@ -13,13 +13,16 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "sim/time.h"
 
 namespace oftt::msmq {
 
 enum class DeliveryMode : std::uint8_t { kExpress = 0, kRecoverable = 1 };
+constexpr bool wire_valid(DeliveryMode m) { return m <= DeliveryMode::kRecoverable; }
 
 struct Message {
   std::uint64_t id = 0;  // globally unique: (src_node << 48) | seq
@@ -30,25 +33,8 @@ struct Message {
   DeliveryMode mode = DeliveryMode::kExpress;
   sim::SimTime enqueued_at = 0;
 
-  void marshal(BinaryWriter& w) const {
-    w.u64(id);
-    w.i32(src_node);
-    w.str(queue);
-    w.str(label);
-    w.blob(body);
-    w.u8(static_cast<std::uint8_t>(mode));
-    w.i64(enqueued_at);
-  }
-  static Message unmarshal(BinaryReader& r) {
-    Message m;
-    m.id = r.u64();
-    m.src_node = r.i32();
-    m.queue = r.str();
-    m.label = r.str();
-    m.body = r.blob();
-    m.mode = static_cast<DeliveryMode>(r.u8());
-    m.enqueued_at = r.i64();
-    return m;
+  template <class V> void fields(V& v) {
+    v(id); v(src_node); v(queue); v(label); v(body); v(mode); v(enqueued_at);
   }
 };
 
@@ -63,6 +49,74 @@ enum class MqPacket : std::uint8_t {
   /// the transport kind-byte pin keep their meaning.
   kXferAck = 6,
 };
+
+// Each packet lists its layout once (common/codec.h): the kind byte,
+// then its fields. Decoding is whole-frame and fail-closed.
+
+/// kSend, kDeliver and kXfer carry one whole message under their own
+/// kind byte.
+template <MqPacket K>
+struct MessagePacket : codec::Message<MessagePacket<K>> {
+  msmq::Message msg;
+  template <class V> void fields(V& v) { v.tag(K); v(msg); }
+};
+using SendPacket = MessagePacket<MqPacket::kSend>;
+using DeliverPacket = MessagePacket<MqPacket::kDeliver>;
+using XferPacket = MessagePacket<MqPacket::kXfer>;
+
+struct SubscribePacket : codec::Message<SubscribePacket> {
+  std::string queue;
+  std::string port;  // the subscriber's receive port on the same node
+  template <class V> void fields(V& v) { v.tag(MqPacket::kSubscribe); v(queue); v(port); }
+};
+
+struct RecvAckPacket : codec::Message<RecvAckPacket> {
+  std::uint64_t id = 0;
+  std::string queue;
+  template <class V> void fields(V& v) { v.tag(MqPacket::kRecvAck); v(id); v(queue); }
+};
+
+/// Encode `msg` as a K packet. The message moves through the packet and
+/// back, so its body is not copied.
+template <MqPacket K>
+Buffer encode_packet(Message& msg) {
+  MessagePacket<K> p;
+  p.msg = std::move(msg);
+  Buffer frame = p.encode();
+  msg = std::move(p.msg);
+  return frame;
+}
+
+/// A persisted queue (the disk blob behind every recoverable queue and
+/// the outgoing transfers): a u32 count, then each recoverable message.
+/// `each(visit)` calls visit(msg) for every message of the live
+/// containers, so nothing is copied into a vector first.
+template <class Each>
+Buffer encode_queue_blob(Each each) {
+  std::uint32_t count = 0;
+  each([&](const Message& m) { count += m.mode == DeliveryMode::kRecoverable ? 1 : 0; });
+  BinaryWriter w;
+  codec::write(w, count);
+  each([&](const Message& m) {
+    if (m.mode == DeliveryMode::kRecoverable) codec::write(w, m);
+  });
+  return std::move(w).take();
+}
+
+/// Calls restore(msg) for each message of a queue blob. It reads message
+/// by message, so a damaged blob still restores the messages in front
+/// of the damage.
+template <class Restore>
+void decode_queue_blob(ByteView blob, Restore restore) {
+  BinaryReader r(blob);
+  std::uint32_t count = 0;
+  if (!codec::read(r, count)) return;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    Message m;
+    if (!codec::read(r, m)) return;
+    restore(std::move(m));
+  }
+}
 
 /// Well-known queue-manager port on every node.
 inline constexpr const char* kMsmqPort = "msmq";

@@ -102,10 +102,10 @@ class QueueManager {
   };
 
   void on_datagram(const sim::Datagram& d);
-  void handle_send(BinaryReader& r);
-  void handle_subscribe(BinaryReader& r);
-  void handle_recv_ack(BinaryReader& r);
-  void handle_xfer(BinaryReader& r);
+  void handle_send(Message msg);
+  void handle_subscribe(const SubscribePacket& sub);
+  void handle_recv_ack(const RecvAckPacket& ack);
+  void handle_xfer(Message msg);
 
   void accept_local(Message msg);
   void pump_queue(const std::string& queue);

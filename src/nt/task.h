@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "sim/process.h"
 
 namespace oftt::nt {
@@ -21,27 +22,14 @@ namespace oftt::nt {
 /// Win32 thread start routine; the paper's §3.1 complaint is that for
 /// dynamically created threads this is not recoverable via documented
 /// APIs (the performance counter shows an NTDLL stub instead).
-struct TaskContext {
+struct TaskContext : codec::Message<TaskContext> {
   std::uint64_t start_address = 0;
   std::uint64_t instruction_pointer = 0;
   std::uint64_t stack_pointer = 0;
   Buffer stack;  // serialized task-local execution state
 
-  Buffer serialize() const {
-    BinaryWriter w;
-    w.u64(start_address);
-    w.u64(instruction_pointer);
-    w.u64(stack_pointer);
-    w.blob(stack);
-    return std::move(w).take();
-  }
-  static TaskContext deserialize(BinaryReader& r) {
-    TaskContext c;
-    c.start_address = r.u64();
-    c.instruction_pointer = r.u64();
-    c.stack_pointer = r.u64();
-    c.stack = r.blob();
-    return c;
+  template <class V> void fields(V& v) {
+    v(start_address); v(instruction_pointer); v(stack_pointer); v(stack);
   }
 };
 

@@ -13,31 +13,22 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "opc/device.h"
 
 namespace oftt::opc {
 
-struct CallEvent {
+/// One call record: the message body the event feed sends through the
+/// Message Diverter (`e.encode()`, `CallEvent::decode(body, e)`).
+struct CallEvent : codec::Message<CallEvent> {
   enum class Kind : std::uint8_t { kStart = 1, kEnd = 2, kBlocked = 3 };
+  friend constexpr bool wire_valid(Kind k) { return k >= Kind::kStart && k <= Kind::kBlocked; }
   Kind kind = Kind::kStart;
   int caller = 0;
   int line = -1;  // -1 for blocked calls
   sim::SimTime at = 0;
 
-  void marshal(BinaryWriter& w) const {
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.i32(caller);
-    w.i32(line);
-    w.i64(at);
-  }
-  static CallEvent unmarshal(BinaryReader& r) {
-    CallEvent e;
-    e.kind = static_cast<Kind>(r.u8());
-    e.caller = r.i32();
-    e.line = r.i32();
-    e.at = r.i64();
-    return e;
-  }
+  template <class V> void fields(V& v) { v(kind); v(caller); v(line); v(at); }
 };
 
 struct TelephoneConfig {

@@ -100,10 +100,7 @@ void NotifyPlane::flush(int client_node) {
   std::uint64_t items = 0;
   for (const SubBatch& b : batches) items += b.items.size();
   const std::size_t nbatches = batches.size();
-  BinaryWriter w;
-  w.reserve(codec::encoded_size(box.frame));
-  codec::write(w, box.frame);
-  Buffer frame = std::move(w).take();
+  Buffer frame = codec::encode(box.frame);
   batches.clear();
   box.pending_gauge.set(0);
   std::size_t frame_bytes = frame.size();

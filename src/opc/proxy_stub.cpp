@@ -1,8 +1,11 @@
 // Hand-written proxy/stub pairs for the OPC interfaces — the simulated
 // equivalent of the MIDL-generated proxy/stub DLLs whose "generation and
 // installation ... increase extra development and configuration
-// management effort" (paper §3.3). Every marshalable interface needs
-// exactly this kind of translation unit.
+// management effort" (paper §3.3). Every marshalable interface still
+// needs this kind of translation unit, written per interface, but its
+// argument layouts are field lists (common/codec.h): the proxy's
+// codec::encode(a, b) and the stub's codec::read(args, a, b) name the
+// same fields, and a malformed argument list fails with E_INVALIDARG.
 #include "com/object.h"
 #include "common/codec.h"
 #include "common/logging.h"
@@ -38,24 +41,20 @@ class OpcServerProxy final : public com::Object<OpcServerProxy, IOPCServer>,
   }
 
   void AddGroup(const std::string& name, sim::SimTime update_rate, GroupHandler done) override {
-    BinaryWriter w;
-    w.str(name);
-    w.i64(update_rate);
     OrpcClient* cl = &client();
-    invoke(methods::kAddGroup, std::move(w).take(), [cl, done](HRESULT hr, BinaryReader& r) {
-      ComPtr<IOPCGroup> group;
-      if (SUCCEEDED(hr)) {
-        group = dcom::unmarshal_interface<IOPCGroup>(*cl, r);
-        if (!group) hr = E_UNEXPECTED;
-      }
-      if (done) done(hr, std::move(group));
-    });
+    invoke(methods::kAddGroup, codec::encode(name, update_rate),
+           [cl, done](HRESULT hr, BinaryReader& r) {
+             ComPtr<IOPCGroup> group;
+             if (SUCCEEDED(hr)) {
+               group = dcom::unmarshal_interface<IOPCGroup>(*cl, r);
+               if (!group) hr = E_UNEXPECTED;
+             }
+             if (done) done(hr, std::move(group));
+           });
   }
 
   void RemoveGroup(const std::string& name, AckHandler done) override {
-    BinaryWriter w;
-    w.str(name);
-    invoke(methods::kRemoveGroup, std::move(w).take(),
+    invoke(methods::kRemoveGroup, codec::encode(name),
            [done](HRESULT hr, BinaryReader&) {
              if (done) done(hr);
            });
@@ -77,18 +76,18 @@ StubDispatch make_opc_server_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
         });
         return out;
       case methods::kAddGroup: {
-        std::string name = args.str();
-        sim::SimTime rate = args.i64();
-        if (args.failed()) return E_INVALIDARG;
+        std::string name;
+        sim::SimTime rate = 0;
+        if (!codec::read(args, name, rate)) return E_INVALIDARG;
         target->AddGroup(name, rate, [&](HRESULT hr, ComPtr<IOPCGroup> group) {
           out = hr;
-          if (SUCCEEDED(hr)) dcom::marshal_interface(*srv, result, group);
+          if (SUCCEEDED(hr)) codec::write(result, dcom::marshal_interface(*srv, group));
         });
         return out;
       }
       case methods::kRemoveGroup: {
-        std::string name = args.str();
-        if (args.failed()) return E_INVALIDARG;
+        std::string name;
+        if (!codec::read(args, name)) return E_INVALIDARG;
         target->RemoveGroup(name, [&](HRESULT hr) { out = hr; });
         return out;
       }
@@ -111,9 +110,7 @@ class OpcGroupProxy final : public com::Object<OpcGroupProxy, IOPCGroup>,
   }
 
   void SetDeadband(double percent, AckHandler done) override {
-    BinaryWriter w;
-    w.f64(percent);
-    invoke(methods::kSetDeadband, std::move(w).take(), ack_handler(std::move(done)));
+    invoke(methods::kSetDeadband, codec::encode(percent), ack_handler(std::move(done)));
   }
 
   void RemoveItems(const std::vector<std::string>& item_ids, AckHandler done) override {
@@ -129,9 +126,7 @@ class OpcGroupProxy final : public com::Object<OpcGroupProxy, IOPCGroup>,
   }
 
   void AsyncRead(std::uint32_t transaction, AckHandler done) override {
-    BinaryWriter w;
-    w.u32(transaction);
-    invoke(methods::kAsyncRead, std::move(w).take(), ack_handler(std::move(done)));
+    invoke(methods::kAsyncRead, codec::encode(transaction), ack_handler(std::move(done)));
   }
 
   void Write(const std::vector<std::pair<std::string, OpcValue>>& values,
@@ -140,17 +135,15 @@ class OpcGroupProxy final : public com::Object<OpcGroupProxy, IOPCGroup>,
   }
 
   void SetCallback(ComPtr<IOPCDataCallback> callback, AckHandler done) override {
-    BinaryWriter w;
     // The callback lives in *this* (client) process: export it here so
     // the server can call back.
-    dcom::marshal_interface(OrpcServer::of(client().process()), w, callback);
-    invoke(methods::kSetCallback, std::move(w).take(), ack_handler(std::move(done)));
+    invoke(methods::kSetCallback,
+           codec::encode(dcom::marshal_interface(OrpcServer::of(client().process()), callback)),
+           ack_handler(std::move(done)));
   }
 
   void SetActive(bool active, AckHandler done) override {
-    BinaryWriter w;
-    w.boolean(active);
-    invoke(methods::kSetActive, std::move(w).take(), ack_handler(std::move(done)));
+    invoke(methods::kSetActive, codec::encode(active), ack_handler(std::move(done)));
   }
 
   void EnableBatchedNotify(const std::vector<std::string>& item_ids, int sink_node,
@@ -196,8 +189,8 @@ StubDispatch make_opc_group_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
         return out;
       }
       case methods::kSetDeadband: {
-        double percent = args.f64();
-        if (args.failed()) return E_INVALIDARG;
+        double percent = 0;
+        if (!codec::read(args, percent)) return E_INVALIDARG;
         target->SetDeadband(percent, [&](HRESULT hr) { out = hr; });
         return out;
       }
@@ -217,8 +210,8 @@ StubDispatch make_opc_group_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
         return out;
       }
       case methods::kAsyncRead: {
-        std::uint32_t transaction = args.u32();
-        if (args.failed()) return E_INVALIDARG;
+        std::uint32_t transaction = 0;
+        if (!codec::read(args, transaction)) return E_INVALIDARG;
         target->AsyncRead(transaction, [&](HRESULT hr) { out = hr; });
         return out;
       }
@@ -239,8 +232,8 @@ StubDispatch make_opc_group_stub(ComPtr<IUnknown> obj, OrpcServer& server) {
         return out;
       }
       case methods::kSetActive: {
-        bool active = args.boolean();
-        if (args.failed()) return E_INVALIDARG;
+        bool active = false;
+        if (!codec::read(args, active)) return E_INVALIDARG;
         target->SetActive(active, [&](HRESULT hr) { out = hr; });
         return out;
       }
@@ -315,9 +308,7 @@ class OpcBrowseProxy final : public com::Object<OpcBrowseProxy, IOPCBrowse>,
   OpcBrowseProxy(OrpcClient& client, ObjectRef ref) : ProxyBase(client, std::move(ref)) {}
 
   void BrowseItemIds(const std::string& filter, BrowseHandler done) override {
-    BinaryWriter w;
-    w.str(filter);
-    invoke(methods::kBrowseItemIds, std::move(w).take(), [done](HRESULT hr, BinaryReader& r) {
+    invoke(methods::kBrowseItemIds, codec::encode(filter), [done](HRESULT hr, BinaryReader& r) {
       std::vector<std::string> ids;
       if (SUCCEEDED(hr) && !codec::read(r, ids)) hr = E_UNEXPECTED;
       if (done) done(hr, ids);
@@ -330,8 +321,8 @@ StubDispatch make_opc_browse_stub(ComPtr<IUnknown> obj, OrpcServer&) {
   return [target](std::uint16_t method, BinaryReader& args, BinaryWriter& result) -> HRESULT {
     if (!target) return E_NOINTERFACE;
     if (method != methods::kBrowseItemIds) return E_NOTIMPL;
-    std::string filter = args.str();
-    if (args.failed()) return E_INVALIDARG;
+    std::string filter;
+    if (!codec::read(args, filter)) return E_INVALIDARG;
     HRESULT out = E_UNEXPECTED;
     target->BrowseItemIds(filter, [&](HRESULT hr, const std::vector<std::string>& ids) {
       out = hr;

@@ -127,15 +127,9 @@ void Endpoint::transmit(int peer, TxSession& ts, std::uint64_t seq) {
   auto it = ts.inflight.find(seq);
   if (it == ts.inflight.end()) return;
   InflightFrame& f = it->second;
-  BinaryWriter w;
-  w.reserve(1 + 8 + 8 + 1 + 4 + f.payload.size());
-  w.u8(kDataFrame);
-  w.u64(ts.epoch);
-  w.u64(seq);
-  w.u8(f.voided ? kFlagVoid : 0);
-  w.blob(f.payload);
+  const DataFrame frame{{}, ts.epoch, seq, f.voided ? kFlagVoid : std::uint8_t{0}, f.payload};
   int net = config_.networks[static_cast<std::size_t>(f.attempts) % config_.networks.size()];
-  process_->send(net, peer, port_, std::move(w).take(), port_);
+  process_->send(net, peer, port_, frame.encode(), port_);
   if (f.attempts == 0) {
     ++data_sent_;
     ctr_data_sent_.inc();
@@ -170,28 +164,26 @@ void Endpoint::on_rto(int peer, std::uint64_t epoch, std::uint64_t seq) {
 
 bool Endpoint::handle(const sim::Datagram& d) {
   if (!is_transport_frame(d.payload)) return false;
-  BinaryReader r(d.payload);
-  std::uint8_t kind = r.u8();
-  if (kind == kDataFrame) {
-    handle_data(d, r);
+  if (d.payload[0] == kDataFrame) {
+    handle_data(d);
   } else {
-    handle_ack(d, r);
+    handle_ack(d);
   }
   return true;
 }
 
-void Endpoint::handle_data(const sim::Datagram& d, BinaryReader& r) {
-  std::uint64_t epoch = r.u64();
-  std::uint64_t seq = r.u64();
-  std::uint8_t flags = r.u8();
+void Endpoint::handle_data(const sim::Datagram& d) {
   // Delivered in place: the payload stays inside the datagram, and only
   // a frame parked in the reorder buffer is copied out.
-  const ByteView payload = r.blob_view();
-  if (r.failed() || !r.at_end() || seq == 0 || epoch == 0) {
+  DataFrame frame;
+  if (!DataFrame::decode(d.payload, frame) || frame.seq == 0 || frame.epoch == 0) {
     ++malformed_frames_;
     return;
   }
-  bool voided = (flags & kFlagVoid) != 0;
+  const std::uint64_t epoch = frame.epoch;
+  const std::uint64_t seq = frame.seq;
+  const ByteView payload = frame.payload;
+  const bool voided = (frame.flags & kFlagVoid) != 0;
   RxSession& rx = rx_[d.src_node];
   if (epoch < rx.epoch) {
     // A frame from a session incarnation we have moved past: the sender
@@ -237,46 +229,37 @@ void Endpoint::handle_data(const sim::Datagram& d, BinaryReader& r) {
 }
 
 void Endpoint::send_ack(const sim::Datagram& d, const RxSession& rx) {
-  BinaryWriter w;
-  w.u8(kAckFrame);
-  w.u64(instance_);
-  w.u64(rx.epoch);
-  w.u64(rx.cum);
-  std::uint64_t sack = 0;
+  AckFrame ack{{}, instance_, rx.epoch, rx.cum, 0};
   for (const auto& [seq, entry] : rx.reorder) {
     std::uint64_t off = seq - rx.cum;
-    if (off >= 2 && off <= kSackBits + 1) sack |= std::uint64_t{1} << (off - 2);
+    if (off >= 2 && off <= kSackBits + 1) ack.sack |= std::uint64_t{1} << (off - 2);
   }
-  w.u64(sack);
   int net = d.network_id >= 0 ? d.network_id : config_.networks.front();
-  process_->send(net, d.src_node, d.src_port ? d.src_port : port_, std::move(w).take(), port_);
+  process_->send(net, d.src_node, d.src_port ? d.src_port : port_, ack.encode(), port_);
 }
 
-void Endpoint::handle_ack(const sim::Datagram& d, BinaryReader& r) {
-  std::uint64_t rx_instance = r.u64();
-  std::uint64_t tx_epoch = r.u64();
-  std::uint64_t cum = r.u64();
-  std::uint64_t sack = r.u64();
-  if (r.failed() || !r.at_end() || rx_instance == 0) {
+void Endpoint::handle_ack(const sim::Datagram& d) {
+  AckFrame ack;
+  if (!AckFrame::decode(d.payload, ack) || ack.rx_instance == 0) {
     ++malformed_frames_;
     return;
   }
   auto t = tx_.find(d.src_node);
   if (t == tx_.end()) return;
   TxSession& ts = t->second;
-  if (tx_epoch != ts.epoch) {
+  if (ack.tx_epoch != ts.epoch) {
     // Ack for an epoch we have already abandoned — a straggler.
     ++stale_frames_;
     ctr_stale_frames_.inc();
     return;
   }
   if (ts.peer_instance == 0) {
-    ts.peer_instance = rx_instance;
-  } else if (rx_instance != ts.peer_instance) {
+    ts.peer_instance = ack.rx_instance;
+  } else if (ack.rx_instance != ts.peer_instance) {
     // The peer endpoint was reborn: whatever it acked in a past life is
     // gone from its memory. Renumber and re-dispatch everything
     // unacknowledged under a fresh epoch so it sees a clean stream.
-    reset_session(d.src_node, ts, rx_instance);
+    reset_session(d.src_node, ts, ack.rx_instance);
     return;
   }
   // Only cumulatively covered frames retire — a sack bit means "parked
@@ -285,15 +268,15 @@ void Endpoint::handle_ack(const sim::Datagram& d, BinaryReader& r) {
   // retransmission; the cum+1 hole is never sacked and keeps probing,
   // so a lost final ack cannot stall the session.
   for (std::uint64_t i = 0; i < kSackBits; ++i) {
-    if ((sack & (std::uint64_t{1} << i)) == 0) continue;
-    auto it = ts.inflight.find(cum + 2 + i);
+    if ((ack.sack & (std::uint64_t{1} << i)) == 0) continue;
+    auto it = ts.inflight.find(ack.cum + 2 + i);
     if (it != ts.inflight.end()) it->second.sacked = true;
   }
   // Collect first, retire second: an on_acked callback may re-enter
   // send()/cancel() and disturb the map mid-iteration.
   std::vector<std::uint64_t> done;
   for (const auto& [seq, f] : ts.inflight) {
-    if (seq > cum) break;
+    if (seq > ack.cum) break;
     done.push_back(seq);
   }
   for (std::uint64_t seq : done) {

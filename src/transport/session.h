@@ -15,8 +15,9 @@
 // retransmitted until it gets through would mask the very silence the
 // detector exists to observe. See DESIGN.md §transport.
 //
-// Wire format (first payload byte discriminates; values chosen outside
-// every MsgKind/MqPacket range so handle() can cheaply reject app frames):
+// Wire format (DataFrame and AckFrame below; the first payload byte
+// discriminates, with values chosen outside every MsgKind/MqPacket range
+// so handle() can cheaply reject app frames):
 //   data  [u8 0xD1][u64 epoch][u64 seq][u8 flags][blob payload]
 //   ack   [u8 0xD2][u64 rx_instance][u64 tx_epoch][u64 cum][u64 sack]
 // flags bit 0 marks a *void* frame: a cancelled payload whose sequence
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "obs/metrics.h"
 #include "sim/message.h"
 #include "sim/process.h"
@@ -50,6 +52,31 @@ namespace oftt::transport {
 /// below 0x10; wire_test pins the non-collision.
 inline constexpr std::uint8_t kDataFrame = 0xD1;
 inline constexpr std::uint8_t kAckFrame = 0xD2;
+
+/// Data frame: one payload in a session's sequence space. The payload
+/// decodes as a view into the arriving datagram, so delivery stays in
+/// place.
+struct DataFrame : codec::Message<DataFrame> {
+  std::uint64_t epoch = 0;
+  std::uint64_t seq = 0;
+  std::uint8_t flags = 0;  // bit 0: void frame
+  ByteView payload;
+  template <class V> void fields(V& v) {
+    v.tag(kDataFrame); v(epoch); v(seq); v(flags); v(payload);
+  }
+};
+
+/// Ack frame: the receiver's lifetime id, the sender epoch it acks, the
+/// cumulative watermark and the selective-ack bits above it.
+struct AckFrame : codec::Message<AckFrame> {
+  std::uint64_t rx_instance = 0;
+  std::uint64_t tx_epoch = 0;
+  std::uint64_t cum = 0;
+  std::uint64_t sack = 0;
+  template <class V> void fields(V& v) {
+    v.tag(kAckFrame); v(rx_instance); v(tx_epoch); v(cum); v(sack);
+  }
+};
 
 /// Cheap pre-parse test: does this payload claim to be a transport frame?
 inline bool is_transport_frame(ByteView payload) {
@@ -223,8 +250,8 @@ class Endpoint {
   void transmit(int peer, TxSession& ts, std::uint64_t seq);
   void on_rto(int peer, std::uint64_t epoch, std::uint64_t seq);
   void reset_session(int peer, TxSession& ts, std::uint64_t new_peer_instance);
-  void handle_data(const sim::Datagram& d, BinaryReader& r);
-  void handle_ack(const sim::Datagram& d, BinaryReader& r);
+  void handle_data(const sim::Datagram& d);
+  void handle_ack(const sim::Datagram& d);
   void send_ack(const sim::Datagram& d, const RxSession& rx);
   void retire(TxSession& ts, std::map<std::uint64_t, InflightFrame>::iterator it);
 

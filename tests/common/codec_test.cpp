@@ -12,14 +12,21 @@
 #include <gtest/gtest.h>
 
 #include "common/codec.h"
+#include "core/checkpoint.h"
+#include "core/diverter.h"
 #include "core/wire.h"
+#include "dcom/marshal.h"
 #include "dcom/orpc.h"
 #include "dcom/registry.h"
 #include "dcom/server.h"
+#include "msmq/message.h"
+#include "nt/task.h"
+#include "opc/devices/telephone.h"
 #include "opc/interfaces.h"
 #include "opc/notify.h"
 #include "sim/simulation.h"
 #include "support/alloc_counter.h"
+#include "transport/session.h"
 
 namespace oftt {
 namespace {
@@ -52,11 +59,20 @@ class Layout {
   template <class T> void operator()(T& x) {
     if constexpr (std::is_enum_v<T>) {
       tag(x);
-    } else if constexpr (std::is_same_v<T, std::string> || std::is_same_v<T, Buffer>) {
+    } else if constexpr (std::is_same_v<T, std::string> || std::is_same_v<T, Buffer> ||
+                         std::is_same_v<T, ByteView>) {
       counts.emplace_back(w.size(), 4);
       codec::write(w, x);
     } else if constexpr (codec::detail::is_vector<T>::value) {
       list<std::uint32_t>(x);
+    } else if constexpr (codec::detail::is_map<T>::value) {
+      counts.emplace_back(w.size(), 4);
+      codec::write(w, static_cast<std::uint32_t>(x.size()));
+      for (auto& [k, val] : x) {
+        auto key = k;
+        (*this)(key);
+        (*this)(val);
+      }
     } else if constexpr (codec::detail::is_variant<T>::value) {
       tag(x.index());
       std::visit([this](auto& alt) { (*this)(alt); }, x);
@@ -195,6 +211,51 @@ TEST(CodecFuzz, EveryOpcAndOrpcCodecFailsClosed) {
   expect_fails_closed(dcom::ObjectRef{1, "port", 2, iid}, "ObjectRef");
 }
 
+TEST(CodecFuzz, EveryMsmqTransportCheckpointAndComCodecFailsClosed) {
+  msmq::Message msg{7, 1, "inbox", "call", Buffer{1, 2}, msmq::DeliveryMode::kRecoverable, 9};
+  expect_fails_closed(msg, "msmq::Message");
+  expect_fails_closed(msmq::SendPacket{{}, msg}, "SendPacket");
+  expect_fails_closed(msmq::DeliverPacket{{}, msg}, "DeliverPacket");
+  expect_fails_closed(msmq::XferPacket{{}, msg}, "XferPacket");
+  expect_fails_closed(msmq::SubscribePacket{{}, "inbox", "mqr.app"}, "SubscribePacket");
+  expect_fails_closed(msmq::RecvAckPacket{{}, 7, "inbox"}, "RecvAckPacket");
+
+  const Buffer payload{5, 6, 7};
+  expect_fails_closed(transport::DataFrame{{}, 1, 2, 0, payload}, "DataFrame");
+  expect_fails_closed(transport::AckFrame{{}, 1, 2, 3, 4}, "AckFrame");
+
+  expect_fails_closed(core::JournaledSend{{}, "call", payload, msmq::DeliveryMode::kExpress},
+                      "JournaledSend");
+  expect_fails_closed(opc::CallEvent{{}, opc::CallEvent::Kind::kBlocked, 3, -1, 40},
+                      "CallEvent");
+
+  nt::TaskContext ctx;
+  ctx.start_address = 0x401000;
+  ctx.stack = {1, 2, 3};
+  expect_fails_closed(ctx, "TaskContext");
+  core::CheckpointImage img;
+  img.seq = 4;
+  img.mode = core::CheckpointMode::kDelta;
+  img.regions = {{"globals", Buffer{1, 2}}, {"tags", Buffer{}}};
+  img.cells = {{"globals", 1, Buffer{3}}};
+  img.task_contexts = {{"main", ctx.encode()}};
+  expect_fails_closed(img, "CheckpointImage fields");
+  expect_fails_closed(core::SelectiveCell{"globals", 1, Buffer{3}}, "SelectiveCell");
+
+  expect_fails_closed(dcom::InterfaceRef{{1, "port", 2, Guid::from_name("IID_X")}},
+                      "InterfaceRef");
+  expect_fails_closed(dcom::InterfaceRef{}, "null InterfaceRef");
+}
+
+TEST(CodecFuzz, MapDecodesLastValueForARepeatedKey) {
+  BinaryWriter w;
+  codec::write(w, std::uint32_t{2}, std::string("k"), std::uint8_t{1}, std::string("k"),
+               std::uint8_t{2});
+  std::map<std::string, std::uint8_t> m{{"stale", 0}};
+  ASSERT_TRUE(codec::decode(w.data(), m));
+  EXPECT_EQ(m, (std::map<std::string, std::uint8_t>{{"k", 2}}));
+}
+
 // Counts are bounded by each element's smallest encoding; these are the
 // sizes the hand-written guards used to hard-code.
 TEST(CodecFuzz, MinSizeMatchesTheWireLayouts) {
@@ -205,6 +266,11 @@ TEST(CodecFuzz, MinSizeMatchesTheWireLayouts) {
   EXPECT_EQ(codec::min_size<opc::SubBatch>(), 8u);
   EXPECT_EQ(codec::min_size<opc::OpcValue>(), 1u);
   EXPECT_EQ(codec::min_size<std::uint64_t>(), 8u);
+  // The checkpoint image's old hand-coded count guards: name + blob per
+  // region or task context, name + offset + blob per cell.
+  EXPECT_EQ((codec::min_size<std::string>() + codec::min_size<Buffer>()), 8u);
+  EXPECT_EQ(codec::min_size<core::SelectiveCell>(), 12u);
+  EXPECT_EQ(codec::min_size<core::CheckpointImage>(), 8u + 8 + 8 + 4 + 1 + 8 + 3 * 4);
 }
 
 // ---------------------------------------------------------------------

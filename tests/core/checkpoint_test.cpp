@@ -289,6 +289,37 @@ TEST_F(CheckpointTest, UnmarshalSurvivesTruncationSweep) {
   EXPECT_TRUE(CheckpointImage::unmarshal(blob, out));
 }
 
+/// A marshalled image's body put through `damage`, then re-sealed with
+/// a valid CRC-32C trailer: only the body decoder can refuse it.
+template <class Damage>
+Buffer resealed(const CheckpointImage& img, Damage damage) {
+  Buffer body = img.marshal();
+  body.resize(body.size() - CheckpointImage::kTrailerBytes);
+  damage(body);
+  BinaryWriter w;
+  w.raw(body.data(), body.size());
+  w.u64(crc32c(body));
+  return std::move(w).take();
+}
+
+TEST_F(CheckpointTest, UnmarshalRejectsAChecksumValidImageWithAnUnknownMode) {
+  src_->memory().alloc("g", 16).write<std::uint32_t>(0, 0xAB);
+  const CheckpointImage img = capture_checkpoint(*src_, CheckpointMode::kFull, {}, 1, 1, {});
+  CheckpointImage out;
+  ASSERT_TRUE(CheckpointImage::unmarshal(resealed(img, [](Buffer&) {}), out));
+  // seq, base_seq, decision_seq, incarnation, then the mode byte.
+  constexpr std::size_t kModeAt = 8 + 8 + 8 + 4;
+  ASSERT_EQ(resealed(img, [](Buffer&) {})[kModeAt], static_cast<std::uint8_t>(CheckpointMode::kFull));
+  EXPECT_FALSE(CheckpointImage::unmarshal(resealed(img, [](Buffer& b) { b[kModeAt] = 3; }), out));
+}
+
+TEST_F(CheckpointTest, UnmarshalRejectsAChecksumValidImageWithATrailingBodyByte) {
+  src_->memory().alloc("g", 16).write<std::uint32_t>(0, 0xAB);
+  const CheckpointImage img = capture_checkpoint(*src_, CheckpointMode::kFull, {}, 1, 1, {});
+  CheckpointImage out;
+  EXPECT_FALSE(CheckpointImage::unmarshal(resealed(img, [](Buffer& b) { b.push_back(0); }), out));
+}
+
 TEST_F(CheckpointTest, UnmarshalSurvivesRandomGarbage) {
   sim::Rng rng(0xC0FFEE);
   for (int round = 0; round < 200; ++round) {

@@ -63,7 +63,7 @@ TEST_F(EdgeTest, RemarshalingAProxyForwardsTheOriginalReference) {
   ASSERT_NE(proxy, nullptr);
 
   BinaryWriter w;
-  marshal_interface(OrpcServer::of(*hmi_), w, server_iface);
+  codec::write(w, marshal_interface(OrpcServer::of(*hmi_), server_iface));
   BinaryReader r(w.data());
   ASSERT_EQ(r.u8(), 1);
   ObjectRef round;
@@ -74,7 +74,7 @@ TEST_F(EdgeTest, RemarshalingAProxyForwardsTheOriginalReference) {
 
 TEST_F(EdgeTest, MarshalNullInterfaceIsNullOnTheOtherSide) {
   BinaryWriter w;
-  marshal_interface(OrpcServer::of(*hmi_), w, com::ComPtr<opc::IOPCServer>{});
+  codec::write(w, marshal_interface(OrpcServer::of(*hmi_), com::ComPtr<opc::IOPCServer>{}));
   BinaryReader r(w.data());
   auto back = unmarshal_interface<opc::IOPCServer>(OrpcClient::of(*hmi_), r);
   EXPECT_FALSE(back);

@@ -67,7 +67,7 @@ class CalcProxy final : public com::Object<CalcProxy, ICalc>, public ProxyBase {
     BinaryWriter w;
     w.i32(a);
     w.i32(b);
-    marshal_interface(OrpcServer::of(client().process()), w, sink);
+    codec::write(w, marshal_interface(OrpcServer::of(client().process()), sink));
     invoke(kAddVia, std::move(w).take(), nullptr);
   }
 };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "msmq/queue_manager.h"
+#include "sim/disk.h"
 #include "sim/simulation.h"
 
 namespace oftt::msmq {
@@ -236,6 +237,41 @@ TEST_F(MsmqTest, MessageIdsUniqueAcrossReboot) {
   EXPECT_EQ(got, 2) << "post-reboot message must not be treated as a duplicate";
 }
 
+TEST_F(MsmqTest, SendWithAnUnknownDeliveryModeIsCountedAndDropped) {
+  auto app = a_->start_process("app", nullptr);
+  SendPacket p;
+  p.msg.queue = "inbox";
+  p.msg.label = "bogus";
+  Buffer frame = p.encode();
+  // The mode byte sits just before the trailing i64 enqueued_at.
+  ASSERT_EQ(frame[frame.size() - 9], static_cast<std::uint8_t>(DeliveryMode::kExpress));
+  frame[frame.size() - 9] = 2;
+  const std::uint64_t bad_before = sim_.counter_value("msmq.bad_packet");
+  app->send(0, a_->id(), sim_.port(kMsmqPort), std::move(frame), sim_.port("mqr.app"));
+  sim_.run_for(sim::milliseconds(50));
+  EXPECT_EQ(sim_.counter_value("msmq.bad_packet"), bad_before + 1);
+  EXPECT_EQ(qm(*a_)->local_depth("inbox"), 0u) << "nothing enqueued";
+}
+
+TEST_F(MsmqTest, DamagedQueueBlobRestoresTheMessagesBeforeTheDamage) {
+  auto app = a_->start_process("app", nullptr);
+  for (int i = 0; i < 3; ++i) {
+    MsmqApi::of(*app).send("inbox", "durable", Buffer{1, 2, 3}, DeliveryMode::kRecoverable);
+  }
+  sim_.run_for(sim::milliseconds(50));
+  ASSERT_EQ(qm(*a_)->local_depth("inbox"), 3u);
+
+  // Power-cycle with the tail of the third message cut off the blob.
+  a_->crash();
+  auto& disk = sim::DiskStore::of(sim_);
+  auto blob = disk.read(a_->id(), "mq.q.inbox");
+  ASSERT_TRUE(blob.has_value());
+  blob->resize(blob->size() - 3);
+  disk.write(a_->id(), "mq.q.inbox", *blob);
+  a_->boot();
+  EXPECT_EQ(qm(*a_)->local_depth("inbox"), 2u) << "the two intact messages come back";
+}
+
 TEST_F(MsmqTest, MessageMarshalRoundTrip) {
   Message m;
   m.id = 0x00010000000000ABull;
@@ -245,11 +281,9 @@ TEST_F(MsmqTest, MessageMarshalRoundTrip) {
   m.body = {1, 2, 3};
   m.mode = DeliveryMode::kRecoverable;
   m.enqueued_at = sim::seconds(5);
-  BinaryWriter w;
-  m.marshal(w);
-  Buffer b = std::move(w).take();
-  BinaryReader r(b);
-  Message out = Message::unmarshal(r);
+  Buffer b = codec::encode(m);
+  Message out;
+  ASSERT_TRUE(codec::decode(b, out));
   EXPECT_EQ(out.id, m.id);
   EXPECT_EQ(out.queue, "inbox");
   EXPECT_EQ(out.body, m.body);

@@ -121,9 +121,9 @@ TEST_F(NtTest, TaskContextSerializationRoundTrip) {
   c.instruction_pointer = 0x1274;
   c.stack_pointer = 0x7ff0;
   c.stack = {9, 8, 7};
-  Buffer b = c.serialize();
-  BinaryReader r(b);
-  TaskContext d = TaskContext::deserialize(r);
+  Buffer b = c.encode();
+  TaskContext d;
+  ASSERT_TRUE(TaskContext::decode(b, d));
   EXPECT_EQ(d.start_address, c.start_address);
   EXPECT_EQ(d.stack, c.stack);
 }

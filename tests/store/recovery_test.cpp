@@ -221,6 +221,33 @@ TEST_F(RecoveryTest, DiverterReplaysJournaledSendsAfterRestart) {
   EXPECT_EQ(diverter2->journaled_sends(), 4u);
 }
 
+// A journaled send whose delivery-mode byte is unknown is skipped on
+// replay instead of being re-driven with a mode no queue manager knows.
+TEST_F(RecoveryTest, DiverterSkipsJournaledSendsWithAnUnknownMode) {
+  sim::Node& node = sim.add_node("src");
+  node.boot();
+  {
+    store::JournalOptions jopts;
+    jopts.auto_compact = false;
+    store::Journal journal(sim, node.id(), "oftt.dvrt.calltrack", jopts);
+    const Buffer body{1, 2};
+    Buffer good = JournaledSend{{}, "ok", body, msmq::DeliveryMode::kRecoverable}.encode();
+    Buffer bad = good;
+    ASSERT_EQ(bad.back(), static_cast<std::uint8_t>(msmq::DeliveryMode::kRecoverable));
+    bad.back() = 2;  // the mode is the record's last byte
+    ASSERT_TRUE(journal.append(store::RecordType::kMessage, 1, 0, good));
+    ASSERT_TRUE(journal.append(store::RecordType::kMessage, 2, 0, bad));
+  }
+  DiverterOptions dopts;
+  dopts.unit = "calltrack";
+  dopts.queue = "calltrack.events";
+  auto source = node.start_process("telsim", nullptr);
+  auto diverter = std::make_shared<MessageDiverter>(*source, dopts);
+  source->add_component(diverter);
+  EXPECT_EQ(diverter->replayed_sends(), 1u);
+  EXPECT_EQ(diverter->journaled_sends(), 1u) << "only the valid send is journaled again";
+}
+
 // The engine's durable role hint: a rebooted engine seeds its
 // incarnation clock from disk and rejoins without fighting the
 // survivor for primary.
