@@ -21,6 +21,7 @@
 #include <set>
 
 #include "bench_util.h"
+#include "common/codec.h"
 #include "core/deployment.h"
 #include "obs/json.h"
 #include "sim/simulation.h"
@@ -42,6 +43,18 @@ constexpr double kLossRates[] = {0.0, 0.01, 0.05};
 // E11a — goodput: naive fixed-period retry vs session transport.
 // ---------------------------------------------------------------------
 
+/// The naive pattern's two frames: one frame's payload under its id,
+/// and the ack for that id.
+struct NaiveData : codec::Message<NaiveData> {
+  std::uint64_t id = 0;
+  ByteView frame;
+  template <class V> void fields(V& v) { v.tag(std::uint8_t{0xE1}); v(id); v(frame); }
+};
+struct NaiveAck : codec::Message<NaiveAck> {
+  std::uint64_t id = 0;
+  template <class V> void fields(V& v) { v.tag(std::uint8_t{0xE2}); v(id); }
+};
+
 /// The deleted reliability pattern, reconstructed for comparison: every
 /// unacked frame is re-sent wholesale by a fixed 200 ms sweep, acks are
 /// one datagram per frame, receiver dedups by frame id.
@@ -50,10 +63,8 @@ class NaiveSender {
   NaiveSender(sim::Process& p, int peer)
       : process_(&p), port_(p.sim().port(kPort)), peer_(peer), timer_(p.main_strand()) {
     p.bind(port_, [this](const sim::Datagram& d) {
-      BinaryReader r(d.payload);
-      if (r.u8() != 0xE2) return;
-      std::uint64_t id = r.u64();
-      if (!r.failed()) unacked_.erase(id);
+      NaiveAck ack;
+      if (NaiveAck::decode(d.payload, ack)) unacked_.erase(ack.id);
     });
     timer_.start(sim::milliseconds(200), [this] { sweep(); });
   }
@@ -66,11 +77,7 @@ class NaiveSender {
  private:
   void sweep() {
     for (const auto& [id, frame] : unacked_) {
-      BinaryWriter w;
-      w.u8(0xE1);
-      w.u64(id);
-      w.blob(frame);
-      process_->send(0, peer_, port_, std::move(w).take(), port_);
+      process_->send(0, peer_, port_, NaiveData{{}, id, frame}.encode(), port_);
       ++sends_;
     }
   }
@@ -87,16 +94,10 @@ class NaiveReceiver {
  public:
   explicit NaiveReceiver(sim::Process& p) : process_(&p), port_(p.sim().port(kPort)) {
     p.bind(port_, [this](const sim::Datagram& d) {
-      BinaryReader r(d.payload);
-      if (r.u8() != 0xE1) return;
-      std::uint64_t id = r.u64();
-      Buffer frame = r.blob();
-      if (r.failed()) return;
-      if (seen_.insert(id).second) bytes_ += frame.size();
-      BinaryWriter w;
-      w.u8(0xE2);
-      w.u64(id);
-      process_->send(d.network_id, d.src_node, port_, std::move(w).take(), port_);
+      NaiveData data;
+      if (!NaiveData::decode(d.payload, data)) return;
+      if (seen_.insert(data.id).second) bytes_ += data.frame.size();
+      process_->send(d.network_id, d.src_node, port_, NaiveAck{{}, data.id}.encode(), port_);
     });
   }
   std::size_t bytes() const { return bytes_; }

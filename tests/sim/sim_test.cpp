@@ -7,6 +7,7 @@
 #include <set>
 #include <thread>
 
+#include "common/strings.h"
 #include "sim/disk.h"
 #include "sim/fault_plan.h"
 #include "sim/simulation.h"
@@ -412,14 +413,14 @@ TEST(Ports, InterningIsStableNamedAndThreadSafe) {
     threads.emplace_back([&sim, &seen, t] {
       for (int i = 0; i < kNames; ++i) {
         seen[static_cast<std::size_t>(t)].push_back(
-            sim.port("p" + std::to_string((i * (t + 1)) % kNames)));
+            sim.port(cat("p", (i * (t + 1)) % kNames)));
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kNames; ++i) {
-      const std::string name = "p" + std::to_string((i * (t + 1)) % kNames);
+      const std::string name = cat("p", (i * (t + 1)) % kNames);
       EXPECT_EQ(seen[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)], sim.port(name));
       EXPECT_EQ(sim.port_name(sim.port(name)), name);
     }
