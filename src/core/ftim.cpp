@@ -25,6 +25,7 @@ Ftim::Ftim(sim::Process& process, FtimOptions options)
       port_name_(ftim_port(process.name())),
       port_(process.sim().port(port_name_)),
       engine_port_(process.sim().port(kEnginePort)),
+      mode_(options_.replication),
       ctr_ckpt_sent_(process.sim().telemetry().metrics().counter("oftt.checkpoints_sent")),
       ctr_ckpt_received_(
           process.sim().telemetry().metrics().counter("oftt.checkpoints_received")),
@@ -56,19 +57,6 @@ Ftim::Ftim(sim::Process& process, FtimOptions options)
   ckpt_peers_ = options_.peer_nodes;
   if (ckpt_peers_.empty() && options_.peer_node >= 0) ckpt_peers_ = {options_.peer_node};
 
-  // Resolve the replication tuning once; the policy object answers every
-  // cadence/shape/discipline question against this config.
-  rcfg_.checkpoint_period = options_.checkpoint_period;
-  rcfg_.full_checkpoint_interval = options_.full_checkpoint_interval;
-  rcfg_.deltas_enabled = options_.checkpoint_mode == CheckpointMode::kFull &&
-                         options_.full_checkpoint_interval > 1 && options_.track_dirty_ranges;
-  rcfg_.delta_stream_period =
-      options_.delta_stream_period > 0
-          ? options_.delta_stream_period
-          : std::max<sim::SimTime>(sim::milliseconds(1), options_.checkpoint_period / 4);
-  rcfg_.promotion_staleness_bound = options_.promotion_staleness_bound;
-  policy_ = make_policy(options_.replication);
-
   // The FTIM thread owns the control/checkpoint port.
   strand_->bind(port_, [this](const sim::Datagram& d) { on_port(d); });
 
@@ -76,7 +64,8 @@ Ftim::Ftim(sim::Process& process, FtimOptions options)
   // nacks) rides a reliable ordered session per peer. Checkpoint frames
   // are tagged with their seq so the session's acked-tag watermark is
   // the replication watermark. Engine control (SetActive) stays raw: it
-  // is loopback-only and idempotent.
+  // is loopback-only and idempotent, and on_port accepts nothing else
+  // outside the session.
   transport::SessionConfig scfg;
   scfg.networks = options_.networks;
   scfg.window_bytes = 1024 * 1024;
@@ -85,9 +74,8 @@ Ftim::Ftim(sim::Process& process, FtimOptions options)
   scfg.rto_initial = sim::milliseconds(50);
   scfg.rto_max = sim::milliseconds(500);
   ep_ = std::make_unique<transport::Endpoint>(*strand_, port_, scfg);
-  ep_->on_deliver([this](int src_node, int network_id, ByteView payload) {
-    on_frame(src_node, network_id, payload);
-  });
+  ep_->on_deliver(
+      [this](int src_node, int /*network_id*/, ByteView payload) { on_frame(src_node, payload); });
 
   if (options_.install_iat_hook) {
     // Intercept CreateThread so dynamically created threads become
@@ -121,6 +109,7 @@ Ftim::Ftim(sim::Process& process, FtimOptions options)
     popts.max_segments = 2;
     policy_journal_ = std::make_unique<store::Journal>(
         process.sim(), process.node().id(), "oftt.plcy." + options_.component, popts);
+    ReplicationMode journaled = mode_;
     for (const store::Record& r : policy_journal_->recover()) {
       if (r.type != store::RecordType::kPolicy || r.payload.empty()) continue;
       if (r.id < policy_record_seq_) continue;
@@ -132,12 +121,9 @@ Ftim::Ftim(sim::Process& process, FtimOptions options)
                       static_cast<int>(r.payload[0]));
         continue;
       }
-      if (mode != policy_->mode()) {
-        policy_ = make_policy(mode);
-        OFTT_LOG_INFO("oftt/ftim", process.node().name(), "/", process.name(),
-                      ": restored replication policy ", policy_->name(), " from journal");
-      }
+      journaled = mode;
     }
+    if (journaled != mode_) adopt_policy(journaled, "restored from journal", /*replayed=*/true);
 
     recover_from_journal();
   }
@@ -193,7 +179,7 @@ void Ftim::heartbeat_tick() {
   FtHeartbeat hb;
   hb.component = options_.component;
   hb.seq = ++hb_seq_;
-  hb.policy = policy_->mode();
+  hb.policy = mode_;
   // Readiness judged against "now": the primary is (presumably) alive
   // while heartbeats flow, so now IS the freshest failure-evidence time
   // the engine could ever hold. The engine keeps the last reported
@@ -211,8 +197,8 @@ void Ftim::heartbeat_tick() {
 
 void Ftim::take_checkpoint() {
   if (!active_ || options_.kind != FtimKind::kOpcClient) return;
-  const ReplicationPolicy::CaptureState cap{force_full_, ckpt_seq_, ckpts_since_full_};
-  const bool delta = policy_->capture_as_delta(rcfg_, cap);
+  const bool delta =
+      capture_as_delta(mode_, options_, force_full_, ckpt_seq_, ckpts_since_full_);
   const std::uint64_t base = ckpt_seq_;
   CheckpointImage img =
       delta ? capture_delta_checkpoint(*rt_, ++ckpt_seq_, base, incarnation_,
@@ -426,30 +412,19 @@ void Ftim::handle_set_active(const SetActive& msg) {
     // Warm/semi replicas folded images into the live runtime as they
     // arrived (runtime_current_), so they skip the bulk restore —
     // that is the whole point of paying for streaming.
-    const bool need_restore =
-        latest_ && (policy_->restore_on_activate() || !runtime_current_);
-    int anomalies = 0;
-    if (need_restore) {
-      if (options_.restore_rate_bytes_per_s > 0) {
-        // Model the restore as taking payload/rate seconds so benches
-        // can see the switchover cost the policy is meant to hide.
-        const auto delay = static_cast<sim::SimTime>(
-            static_cast<double>(latest_->payload_bytes()) * 1e9 /
-            static_cast<double>(options_.restore_rate_bytes_per_s));
-        strand_->schedule_after(delay, [this] {
-          if (!active_ || !latest_) return;
-          const int a = restore_checkpoint(*rt_, *latest_);
-          runtime_current_ = true;
-          replay_pending_decisions();
-          finish_activation(/*restored=*/true, a);
-        });
-        return;
-      }
-      anomalies = restore_checkpoint(*rt_, *latest_);
+    const bool need_restore = latest_ && (!folds_on_receipt(mode_) || !runtime_current_);
+    if (need_restore && options_.restore_rate_bytes_per_s > 0) {
+      // Model the restore as taking payload/rate seconds so benches can
+      // see the switchover cost the policy is meant to hide.
+      const auto delay = static_cast<sim::SimTime>(
+          static_cast<double>(latest_->payload_bytes()) * 1e9 /
+          static_cast<double>(options_.restore_rate_bytes_per_s));
+      strand_->schedule_after(delay, [this] {
+        if (active_ && latest_) activate(/*restored=*/true);
+      });
+      return;
     }
-    runtime_current_ = true;  // the active side defines the state
-    replay_pending_decisions();
-    finish_activation(need_restore, anomalies);
+    activate(need_restore);
   } else {
     ckpt_timer_.stop();
     OFTT_LOG_INFO("oftt/ftim", process_->node().name(), "/", process_->name(), ": DEACTIVATED");
@@ -458,9 +433,12 @@ void Ftim::handle_set_active(const SetActive& msg) {
   }
 }
 
-void Ftim::finish_activation(bool restored, int anomalies) {
+void Ftim::activate(bool restored) {
+  const int anomalies = restored ? restore_checkpoint(*rt_, *latest_) : 0;
+  runtime_current_ = true;  // the active side defines the state
+  replay_pending_decisions();
   resync_pending_ = false;
-  if (restored && latest_) {
+  if (restored) {
     OFTT_LOG_INFO("oftt/ftim", process_->node().name(), "/", process_->name(),
                   ": ACTIVATED with checkpoint seq ", latest_->seq,
                   anomalies ? " (anomalies)" : "");
@@ -478,8 +456,8 @@ void Ftim::finish_activation(bool restored, int anomalies) {
                          : (latest_ ? "promoted in place" : "activated cold"),
                 latest_ ? latest_->seq : 0, incarnation_);
   if (options_.kind == FtimKind::kOpcClient) {
-    ckpt_timer_.start(policy_->capture_period(rcfg_), [this] { take_checkpoint(); });
-    if (policy_->mode() == ReplicationMode::kSemiActive) {
+    start_capture_timer();
+    if (followers_execute(mode_)) {
       // A promoted follower keeps proposing from where it applied; its
       // followers need a fresh base image before the log means anything.
       decision_seq_ = std::max(decision_seq_, decisions_applied_);
@@ -489,21 +467,29 @@ void Ftim::finish_activation(bool restored, int anomalies) {
   if (on_activate_) on_activate_(restored);
 }
 
+void Ftim::start_capture_timer() {
+  ckpt_timer_.start(capture_period(mode_, options_), [this] { take_checkpoint(); });
+}
+
 void Ftim::on_port(const sim::Datagram& d) {
   // Session frames first: the endpoint consumes transport data/acks and
   // re-delivers application payloads through on_frame in order.
-  if (ep_ && ep_->handle(d)) return;
-  on_frame(d.src_node, d.network_id, d.payload);
+  if (ep_->handle(d)) return;
+  // Outside the session only the local engine speaks, and only to hand
+  // out the role. Fail closed on everything else: a raw checkpoint,
+  // pull, decision or policy switch from any node would bypass the
+  // session's ordering, and a SetActive from another node would
+  // activate this replica behind its engine's back.
+  if (d.src_node != process_->node().id() ||
+      static_cast<MsgKind>(wire_kind(d.payload)) != MsgKind::kSetActive) {
+    return;
+  }
+  SetActive msg;
+  if (SetActive::decode(d.payload, msg)) handle_set_active(msg);
 }
 
-void Ftim::on_frame(int src_node, int network_id, ByteView payload) {
-  (void)network_id;
+void Ftim::on_frame(int src_node, ByteView payload) {
   switch (static_cast<MsgKind>(wire_kind(payload))) {
-    case MsgKind::kSetActive: {
-      SetActive msg;
-      if (SetActive::decode(payload, msg)) handle_set_active(msg);
-      break;
-    }
     case MsgKind::kCheckpoint: {
       handle_checkpoint(src_node, payload);
       break;
@@ -518,7 +504,7 @@ void Ftim::on_frame(int src_node, int network_id, ByteView payload) {
       // Semi-active followers stall until they hold a base image, so
       // answer resync nacks immediately instead of at the (long)
       // safety-net cadence.
-      if (active_ && policy_->followers_execute()) take_checkpoint();
+      if (active_ && followers_execute(mode_)) take_checkpoint();
       break;
     }
     case MsgKind::kCheckpointPull: {
@@ -600,41 +586,25 @@ void Ftim::handle_checkpoint(int src_node, ByteView payload) {
   // runtime. A delta keeps a copy of its own cells so it folds only
   // what changed, not the whole accumulated base; a full image folds
   // from latest_, which it becomes.
-  const bool fold = policy_->apply_on_receipt() && !active_;
+  const bool folding = folds_on_receipt(mode_) && !active_;
   CheckpointImage fold_delta;
-  if (fold && is_delta) fold_delta = img;
+  if (folding && is_delta) fold_delta = img;
   switch (accept_image(std::move(img), blob)) {
     case Accept::kApplied:
       applied_at_ = process_->sim().now();
-      if (fold && latest_) {
+      if (folding && latest_) {
         const CheckpointImage& fold_img = is_delta ? fold_delta : *latest_;
         if (!runtime_current_) {
           // First contact (or post-gap resync): adopt the whole
           // accumulated base, not just this frame's cells.
-          const int anomalies = restore_checkpoint(*rt_, *latest_);
-          runtime_current_ = true;
           resync_pending_ = false;
-          publish_event(obs::EventKind::kCheckpointApplied, "folded full state on receipt",
-                        latest_->seq, static_cast<std::uint64_t>(anomalies));
-          if (policy_->followers_execute()) {
-            decisions_applied_ = std::max(decisions_applied_, latest_->decision_seq);
-            decision_seq_ = std::max(decision_seq_, decisions_applied_);
-          }
-          replay_pending_decisions();
-        } else if (policy_->followers_execute() && fold_img.decision_seq > 0 &&
-                   decisions_applied_ >= fold_img.decision_seq) {
-          // Semi-active follower already executed past this image via
-          // the decision log: keep the journal copy (cold-restart base)
-          // but leave the live runtime alone.
-        } else {
-          const int anomalies = restore_checkpoint(*rt_, fold_img);
-          publish_event(obs::EventKind::kCheckpointApplied, "folded on receipt",
-                        fold_img.seq, static_cast<std::uint64_t>(anomalies));
-          if (policy_->followers_execute()) {
-            decisions_applied_ = std::max(decisions_applied_, fold_img.decision_seq);
-            decision_seq_ = std::max(decision_seq_, decisions_applied_);
-          }
-          replay_pending_decisions();
+          fold(*latest_, "folded full state on receipt");
+        } else if (!followers_execute(mode_) || fold_img.decision_seq == 0 ||
+                   decisions_applied_ < fold_img.decision_seq) {
+          // (A semi-active follower that already executed past this
+          // image via the decision log keeps the journal copy as its
+          // cold-restart base but leaves the live runtime alone.)
+          fold(fold_img, "folded on receipt");
         }
       }
       break;
@@ -709,7 +679,7 @@ void Ftim::handle_checkpoint_pull(const CheckpointPull& msg) {
 
 HRESULT Ftim::propose(const Buffer& decision) {
   if (!active_) return OFTT_E_NOT_PRIMARY;
-  if (!policy_->followers_execute()) {
+  if (!followers_execute(mode_)) {
     // Passive policies replicate through checkpoints: apply locally and
     // let the next capture carry the effect. S_FALSE tells the caller
     // nothing was shipped.
@@ -762,43 +732,15 @@ void Ftim::handle_decision(int src_node, const DecisionMsg& msg) {
 }
 
 void Ftim::handle_policy_switch(const PolicySwitchMsg& msg) {
-  if (msg.component != options_.component) return;
-  if (msg.to == policy_->mode()) return;
-  const ReplicationMode from = policy_->mode();
-  policy_ = make_policy(msg.to);
-  persist_policy(msg.to);
-  ++policy_switches_;
-  OFTT_LOG_INFO("oftt/ftim", process_->node().name(), "/", process_->name(),
-                ": replication policy ", replication_mode_name(from), " -> ",
-                replication_mode_name(msg.to), " (", msg.reason, ")");
-  publish_event(obs::EventKind::kPolicySwitch, msg.reason,
-                static_cast<std::uint64_t>(msg.to), static_cast<std::uint64_t>(from));
-  if (active_) {
-    // Announcements normally flow active -> passive; if one reaches an
-    // active side (crossed switchover), just re-cadence the timer.
-    if (options_.kind == FtimKind::kOpcClient) {
-      ckpt_timer_.start(policy_->capture_period(rcfg_), [this] { take_checkpoint(); });
-    }
-    return;
-  }
-  if (policy_->apply_on_receipt() && latest_ && !runtime_current_) {
-    // Entering a fold-on-receipt policy: bring the runtime up to the
-    // held image now so promotion can skip the bulk restore.
-    const int anomalies = restore_checkpoint(*rt_, *latest_);
-    runtime_current_ = true;
-    applied_at_ = process_->sim().now();
-    publish_event(obs::EventKind::kCheckpointApplied, "folded held state on policy switch",
-                  latest_->seq, static_cast<std::uint64_t>(anomalies));
-    if (policy_->followers_execute()) {
-      decisions_applied_ = std::max(decisions_applied_, latest_->decision_seq);
-      decision_seq_ = std::max(decision_seq_, decisions_applied_);
-    }
-    replay_pending_decisions();
-  }
+  if (msg.component != options_.component || msg.to == mode_) return;
+  adopt_policy(msg.to, msg.reason);
+  // Announcements normally flow active -> passive; if one reaches an
+  // active side (crossed switchover), just re-cadence the timer.
+  if (active_ && options_.kind == FtimKind::kOpcClient) start_capture_timer();
 }
 
 HRESULT Ftim::switch_policy(ReplicationMode to, const std::string& reason) {
-  if (to == policy_->mode()) return S_FALSE;
+  if (to == mode_) return S_FALSE;
   if (to != ReplicationMode::kColdPassive && ckpt_peers_.empty()) return OFTT_E_NO_PEER;
   if (to == ReplicationMode::kSemiActive && options_.kind != FtimKind::kOpcClient) {
     return E_INVALIDARG;
@@ -806,52 +748,62 @@ HRESULT Ftim::switch_policy(ReplicationMode to, const std::string& reason) {
   if (to == ReplicationMode::kWarmPassive && !options_.track_dirty_ranges) {
     return E_INVALIDARG;
   }
-  const ReplicationMode from = policy_->mode();
-  policy_ = make_policy(to);
-  persist_policy(to);
-  ++policy_switches_;
-  OFTT_LOG_INFO("oftt/ftim", process_->node().name(), "/", process_->name(),
-                ": replication policy ", replication_mode_name(from), " -> ",
-                replication_mode_name(to), " (", reason, ")");
-  publish_event(obs::EventKind::kPolicySwitch, reason, static_cast<std::uint64_t>(to),
-                static_cast<std::uint64_t>(from));
-  if (active_) {
-    // Announce, then pin the stream: the next frame every replica sees
-    // after the announcement is a self-contained image, so both sides
-    // change discipline at the same point in the checkpoint stream.
-    PolicySwitchMsg msg;
-    msg.component = options_.component;
-    msg.to = to;
-    msg.incarnation = incarnation_;
-    msg.at_seq = ckpt_seq_;
-    msg.decision_seq = decision_seq_;
-    msg.reason = reason;
-    const Buffer frame = msg.encode();
-    for (int peer : ckpt_peers_) ep_->send(peer, frame);
-    if (options_.kind == FtimKind::kOpcClient) {
-      ckpt_timer_.start(policy_->capture_period(rcfg_), [this] { take_checkpoint(); });
-      force_full_ = true;
-      take_checkpoint();
-    }
-  } else if (policy_->apply_on_receipt() && latest_ && !runtime_current_) {
-    const int anomalies = restore_checkpoint(*rt_, *latest_);
-    runtime_current_ = true;
-    applied_at_ = process_->sim().now();
-    publish_event(obs::EventKind::kCheckpointApplied, "folded held state on policy switch",
-                  latest_->seq, static_cast<std::uint64_t>(anomalies));
-    if (policy_->followers_execute()) {
-      decisions_applied_ = std::max(decisions_applied_, latest_->decision_seq);
-      decision_seq_ = std::max(decision_seq_, decisions_applied_);
-    }
-    replay_pending_decisions();
+  adopt_policy(to, reason);
+  if (!active_) return S_OK;
+  // Announce, then pin the stream: the next frame every replica sees
+  // after the announcement is a self-contained image, so both sides
+  // change discipline at the same point in the checkpoint stream.
+  PolicySwitchMsg msg;
+  msg.component = options_.component;
+  msg.to = to;
+  msg.incarnation = incarnation_;
+  msg.at_seq = ckpt_seq_;
+  msg.decision_seq = decision_seq_;
+  msg.reason = reason;
+  const Buffer frame = msg.encode();
+  for (int peer : ckpt_peers_) ep_->send(peer, frame);
+  if (options_.kind == FtimKind::kOpcClient) {
+    start_capture_timer();
+    force_full_ = true;
+    take_checkpoint();
   }
   return S_OK;
 }
 
-void Ftim::persist_policy(ReplicationMode mode) {
-  if (!policy_journal_) return;
-  policy_journal_->append(store::RecordType::kPolicy, ++policy_record_seq_, 0,
-                          codec::encode(mode));
+void Ftim::adopt_policy(ReplicationMode to, const std::string& reason, bool replayed) {
+  const ReplicationMode from = mode_;
+  mode_ = to;
+  OFTT_LOG_INFO("oftt/ftim", process_->node().name(), "/", process_->name(),
+                ": replication policy ", replication_mode_name(from), " -> ",
+                replication_mode_name(to), " (", reason, ")");
+  if (replayed) return;
+  // The policy journal keeps the newest mode so a cold restart resumes
+  // under the switched policy.
+  if (policy_journal_) {
+    policy_journal_->append(store::RecordType::kPolicy, ++policy_record_seq_, 0,
+                            codec::encode(to));
+  }
+  ++policy_switches_;
+  publish_event(obs::EventKind::kPolicySwitch, reason, static_cast<std::uint64_t>(to),
+                static_cast<std::uint64_t>(from));
+  if (!active_ && folds_on_receipt(mode_) && latest_ && !runtime_current_) {
+    // Entering a fold-on-receipt policy: bring the runtime up to the
+    // held image now so promotion can skip the bulk restore.
+    fold(*latest_, "folded held state on policy switch");
+  }
+}
+
+void Ftim::fold(const CheckpointImage& img, const char* detail) {
+  const int anomalies = restore_checkpoint(*rt_, img);
+  runtime_current_ = true;
+  applied_at_ = process_->sim().now();
+  publish_event(obs::EventKind::kCheckpointApplied, detail, img.seq,
+                static_cast<std::uint64_t>(anomalies));
+  if (followers_execute(mode_)) {
+    decisions_applied_ = std::max(decisions_applied_, img.decision_seq);
+    decision_seq_ = std::max(decision_seq_, decisions_applied_);
+  }
+  replay_pending_decisions();
 }
 
 void Ftim::replay_pending_decisions() {
@@ -894,8 +846,8 @@ void Ftim::governor_tick() {
                           ? 0.0
                           : static_cast<double>(d_retx) / static_cast<double>(d_data + d_retx);
   if (!active_) return;  // only the primary steers the pair's policy
-  const ReplicationMode want = governor_->evaluate(policy_->mode(), ckpt_rate, loss);
-  if (want != policy_->mode()) switch_policy(want, "governor");
+  const ReplicationMode want = governor_->evaluate(mode_, ckpt_rate, loss);
+  if (want != mode_) switch_policy(want, "governor");
 }
 
 void Ftim::check_engine() {

@@ -170,9 +170,7 @@ class Ftim {
   std::uint64_t pulls_served_full() const { return pulls_served_full_; }
   const store::Journal* journal() const { return journal_.get(); }
   // Replication-policy introspection.
-  ReplicationMode replication_mode() const { return policy_->mode(); }
-  const ReplicationPolicy& policy() const { return *policy_; }
-  const ReplicationConfig& replication_config() const { return rcfg_; }
+  ReplicationMode replication_mode() const { return mode_; }
   std::uint64_t policy_switches() const { return policy_switches_; }
   std::uint64_t decisions_proposed() const { return decisions_proposed_; }
   std::uint64_t decisions_applied() const { return decisions_applied_; }
@@ -187,7 +185,7 @@ class Ftim {
   /// Would this replica be promoted without a fresh pull, judged
   /// against `evidence` (last moment the primary was provably alive)?
   bool promotion_ready_at(sim::SimTime evidence) const {
-    return active_ || promotion_ready(*policy_, rcfg_, applied_at_, evidence);
+    return active_ || promotion_ready(mode_, options_, applied_at_, evidence);
   }
   bool has_checkpoint() const { return latest_.has_value(); }
   const CheckpointImage* latest_checkpoint() const {
@@ -207,21 +205,36 @@ class Ftim {
   ///              a need-full nack.
   enum class Accept { kApplied, kStale, kGap };
 
+  /// Raw ingress: transport frames go to the session; outside it only
+  /// the local engine's SetActive is accepted.
   void on_port(const sim::Datagram& d);
-  /// Dispatch one application frame (session-delivered or raw local).
-  void on_frame(int src_node, int network_id, ByteView payload);
+  /// Dispatch one session-delivered frame from a peer FTIM.
+  void on_frame(int src_node, ByteView payload);
   void register_with_engine();
   void heartbeat_tick();
   void take_checkpoint();
   void handle_set_active(const SetActive& msg);
-  /// The restore (if any) is done; start the reign: checkpoint timer,
-  /// activation event, application callback.
-  void finish_activation(bool restored, int anomalies);
+  /// Start the reign: bulk-restore the held image first when `restored`,
+  /// then the checkpoint timer, activation event and application callback.
+  void activate(bool restored);
+  void start_capture_timer();
   void handle_checkpoint(int src_node, ByteView payload);
   void handle_checkpoint_pull(const CheckpointPull& msg);
   void handle_decision(int src_node, const DecisionMsg& msg);
   void handle_policy_switch(const PolicySwitchMsg& msg);
   Accept accept_image(CheckpointImage&& img, ByteView blob);
+  /// Fold `img` into the live runtime: restore it, mark the runtime
+  /// current, publish kCheckpointApplied(`detail`, seq, anomalies), catch
+  /// the decision log up to the image when followers execute, and replay
+  /// the journal-recovered decisions that now chain on it.
+  void fold(const CheckpointImage& img, const char* detail);
+  /// Enter replication mode `to`: the only place the mode changes after
+  /// construction. A live switch is persisted to the policy journal,
+  /// counted, logged and published, and a passive replica entering a
+  /// fold-on-receipt mode folds its held image. A mode `replayed` from
+  /// the policy journal at construction is only set and logged: the
+  /// instance that switched already did the rest.
+  void adopt_policy(ReplicationMode to, const std::string& reason, bool replayed = false);
   void check_engine();
   void send_engine(const Buffer& payload);
   void publish_event(obs::EventKind kind, std::string detail, std::uint64_t a,
@@ -230,9 +243,6 @@ class Ftim {
   /// then ask the peers for whatever suffix this node missed.
   void recover_from_journal();
   void journal_checkpoint(const CheckpointImage& img, ByteView blob);
-  /// Record the active policy in the (tiny, snapshot-free) policy
-  /// journal so a cold restart resumes under the switched policy.
-  void persist_policy(ReplicationMode mode);
   /// Apply journal-recovered decisions that chain on decisions_applied_
   /// (runs after the runtime has been restored to the base image).
   void replay_pending_decisions();
@@ -283,8 +293,7 @@ class Ftim {
   std::uint64_t pulls_served_delta_ = 0;
   std::uint64_t pulls_served_full_ = 0;
   // --- replication policy state ---
-  ReplicationConfig rcfg_;
-  std::unique_ptr<ReplicationPolicy> policy_;
+  ReplicationMode mode_;
   /// Tiny snapshot-free journal (own prefix, max 2 segments) holding the
   /// newest kPolicy record. Separate from the checkpoint journal so the
   /// checkpoint compaction cycle can never retire the policy record.

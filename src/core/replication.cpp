@@ -9,95 +9,57 @@
 namespace oftt::core {
 namespace {
 
-// The paper's scheme, verbatim: periodic captures at the configured
-// period, every Nth self-contained, backup holds the serialized image
-// and restores it in bulk when activated. Any change to these answers
-// shows up as a changed event history in the determinism tests.
-class ColdPassivePolicy final : public ReplicationPolicy {
- public:
-  ReplicationMode mode() const override { return ReplicationMode::kColdPassive; }
-  sim::SimTime capture_period(const ReplicationConfig& c) const override {
-    return c.checkpoint_period;
-  }
-  bool capture_as_delta(const ReplicationConfig& c, const CaptureState& s) const override {
-    if (!c.deltas_enabled || s.force_full || s.seq == 0) return false;
-    return s.since_full + 1 < c.full_checkpoint_interval;
-  }
-  bool apply_on_receipt() const override { return false; }
-  bool restore_on_activate() const override { return true; }
-  bool followers_execute() const override { return false; }
-  sim::SimTime staleness_bound(const ReplicationConfig&) const override {
-    // A cold backup restores the whole image at activation; a stale one
-    // is merely further behind, never unfit.
-    return 0;
-  }
-};
-
-// Continuous dirty-range streaming: captures run at the (much faster)
-// delta cadence and the backup folds each one into its live runtime on
-// receipt, so its image is near-current and activation skips the bulk
-// restore. The Nth-full rhythm is kept — a periodic self-contained
-// image is what lets the journal compact and a lost delta resync.
-class WarmPassivePolicy final : public ReplicationPolicy {
- public:
-  ReplicationMode mode() const override { return ReplicationMode::kWarmPassive; }
-  sim::SimTime capture_period(const ReplicationConfig& c) const override {
-    return c.delta_stream_period;
-  }
-  bool capture_as_delta(const ReplicationConfig& c, const CaptureState& s) const override {
-    if (!c.deltas_enabled || s.force_full || s.seq == 0) return false;
-    return s.since_full + 1 < c.full_checkpoint_interval;
-  }
-  bool apply_on_receipt() const override { return true; }
-  bool restore_on_activate() const override { return false; }
-  bool followers_execute() const override { return false; }
-  sim::SimTime staleness_bound(const ReplicationConfig& c) const override {
-    if (c.promotion_staleness_bound > 0) return c.promotion_staleness_bound;
-    return 8 * c.delta_stream_period;
-  }
-};
-
-// Leader-follower: followers execute the workload from the leader's
-// decision log, so their state is as fresh as the last applied decision
-// and switchover is promotion-only. Checkpoints degrade to a sparse
-// safety net (bootstrap for joining followers, resync after a gap) —
-// always self-contained, at the slow cadence.
-class SemiActivePolicy final : public ReplicationPolicy {
- public:
-  ReplicationMode mode() const override { return ReplicationMode::kSemiActive; }
-  sim::SimTime capture_period(const ReplicationConfig& c) const override {
-    return std::max<sim::SimTime>(
-        c.checkpoint_period,
-        c.checkpoint_period * static_cast<sim::SimTime>(c.full_checkpoint_interval));
-  }
-  bool capture_as_delta(const ReplicationConfig&, const CaptureState&) const override {
-    return false;
-  }
-  bool apply_on_receipt() const override { return true; }
-  bool restore_on_activate() const override { return false; }
-  bool followers_execute() const override { return true; }
-  sim::SimTime staleness_bound(const ReplicationConfig& c) const override {
-    if (c.promotion_staleness_bound > 0) return c.promotion_staleness_bound;
-    return 8 * c.checkpoint_period;
-  }
-};
+/// Warm-passive capture cadence: the configured period, or a quarter of
+/// the checkpoint period (min 1 ms).
+sim::SimTime delta_stream_period(const FtimOptions& o) {
+  if (o.delta_stream_period > 0) return o.delta_stream_period;
+  return std::max<sim::SimTime>(sim::milliseconds(1), o.checkpoint_period / 4);
+}
 
 }  // namespace
 
-bool promotion_ready(const ReplicationPolicy& policy, const ReplicationConfig& c,
-                     sim::SimTime applied_at, sim::SimTime evidence) {
-  sim::SimTime bound = policy.staleness_bound(c);
-  if (bound <= 0) return true;
-  return applied_at + bound >= evidence;
+// Cold passive is the paper's scheme: captures at the configured
+// period. Warm passive streams at the (much faster) delta cadence so the
+// backup's folded image stays near-current. Semi-active followers
+// execute the decision log, so checkpoints degrade to a sparse safety
+// net (bootstrap for joining followers, resync after a gap).
+sim::SimTime capture_period(ReplicationMode mode, const FtimOptions& o) {
+  if (mode == ReplicationMode::kWarmPassive) return delta_stream_period(o);
+  if (mode == ReplicationMode::kSemiActive) {
+    return std::max<sim::SimTime>(
+        o.checkpoint_period,
+        o.checkpoint_period * static_cast<sim::SimTime>(o.full_checkpoint_interval));
+  }
+  return o.checkpoint_period;
 }
 
-std::unique_ptr<ReplicationPolicy> make_policy(ReplicationMode mode) {
-  switch (mode) {
-    case ReplicationMode::kColdPassive: return std::make_unique<ColdPassivePolicy>();
-    case ReplicationMode::kWarmPassive: return std::make_unique<WarmPassivePolicy>();
-    case ReplicationMode::kSemiActive: return std::make_unique<SemiActivePolicy>();
+// Both passive modes keep the Nth-full rhythm — a periodic
+// self-contained image is what lets the journal compact and a lost delta
+// resync. Semi-active safety-net images are always self-contained.
+bool capture_as_delta(ReplicationMode mode, const FtimOptions& o, bool force_full,
+                      std::uint64_t seq, std::uint32_t since_full) {
+  const bool deltas_enabled = o.checkpoint_mode == CheckpointMode::kFull &&
+                              o.full_checkpoint_interval > 1 && o.track_dirty_ranges;
+  if (mode == ReplicationMode::kSemiActive || !deltas_enabled || force_full || seq == 0) {
+    return false;
   }
-  return std::make_unique<ColdPassivePolicy>();
+  return since_full + 1 < o.full_checkpoint_interval;
+}
+
+sim::SimTime staleness_bound(ReplicationMode mode, const FtimOptions& o) {
+  // A cold backup restores the whole image at activation; a stale one
+  // is merely further behind, never unfit.
+  if (mode == ReplicationMode::kColdPassive) return 0;
+  if (o.promotion_staleness_bound > 0) return o.promotion_staleness_bound;
+  return 8 * (mode == ReplicationMode::kWarmPassive ? delta_stream_period(o)
+                                                    : o.checkpoint_period);
+}
+
+bool promotion_ready(ReplicationMode mode, const FtimOptions& o, sim::SimTime applied_at,
+                     sim::SimTime evidence) {
+  const sim::SimTime bound = staleness_bound(mode, o);
+  if (bound <= 0) return true;
+  return applied_at + bound >= evidence;
 }
 
 ReplicationMode PolicyGovernor::evaluate(ReplicationMode current, double ckpt_bytes_per_s,

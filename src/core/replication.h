@@ -1,31 +1,32 @@
-// ReplicationPolicy: the replication mechanism behind the engine/FTIM
-// pair, extracted into a swappable strategy object.
+// Replication modes: the replication mechanism behind the engine/FTIM
+// pair, as a few predicates over the configured ReplicationMode.
 //
 // The paper hardcodes cold-passive primary/backup: periodic checkpoints
 // that the backup keeps serialized until a switchover restores them in
 // bulk. Component-based adaptive-FT work (Stoicescu/Fabre) treats that
 // mechanism as a design dimension, and LLFT shows the other end of the
 // recovery-time spectrum — leader-follower replicas that execute the
-// workload and promote without any state transfer. A policy object
-// decides four things:
+// workload and promote without any state transfer. The FTIM asks four
+// questions at its decision points, and one function answers each:
 //
-//   * capture cadence  — how often the active side captures state
-//   * transfer shape   — self-contained image or dirty-range delta
-//   * apply discipline — does the backup fold images into its live
-//                        runtime on receipt, or hold them serialized?
-//   * switchover hand- — does activation need the bulk restore, and is
-//     off              a stale replica even fit to take over?
+//   * capture cadence  — capture_period()
+//   * transfer shape   — capture_as_delta(): self-contained image or
+//                        dirty-range delta
+//   * apply discipline — folds_on_receipt(): does the backup fold images
+//                        into its live runtime on receipt, or hold them
+//                        serialized until activation restores them?
+//   * switchover hand- — promotion_ready() (via staleness_bound()): is a
+//     off                stale replica even fit to take over?
 //
-// The FTIM owns one policy instance and consults it at every decision
-// point; ColdPassivePolicy reproduces the pre-refactor behavior
+// followers_execute() marks semi-active, where replicas execute the
+// leader's decision log. Cold-passive reproduces the paper's scheme
 // byte-for-byte. PolicyGovernor adds the adaptive layer: it watches the
-// checkpoint byte rate and the transport session's observed loss and
-// proposes live switches between cold and warm (never into semi-active,
+// checkpoint byte rate and the transport session's retransmission share
+// and proposes live switches between cold and warm (never into semi-active,
 // which needs the application to drive the decision log).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/config.h"
 #include "sim/time.h"
@@ -34,63 +35,37 @@ namespace oftt::core {
 
 struct FtimOptions;
 
-/// Tuning the policies consult, resolved once by the FTIM from its
-/// options (defaults filled in, mode-dependent fallbacks applied).
-struct ReplicationConfig {
-  sim::SimTime checkpoint_period = 0;
-  /// Warm-passive capture cadence (resolved: never 0 once derived).
-  sim::SimTime delta_stream_period = 0;
-  std::uint32_t full_checkpoint_interval = 8;
-  /// kFull mode with dirty tracking and an interval > 1 — the
-  /// precondition for shipping deltas at all.
-  bool deltas_enabled = true;
-  /// Max staleness of a replica's applied state for it to be promoted
-  /// without a fresh state pull; 0 = use the policy default.
-  sim::SimTime promotion_staleness_bound = 0;
-};
-
-class ReplicationPolicy {
- public:
-  virtual ~ReplicationPolicy() = default;
-
-  virtual ReplicationMode mode() const = 0;
-  const char* name() const { return replication_mode_name(mode()); }
-
-  /// Where the active side is in its capture cycle when the policy is
-  /// asked about the next transfer's shape.
-  struct CaptureState {
-    bool force_full = false;     // nack / activation / switch demanded a full
-    std::uint64_t seq = 0;       // checkpoints taken so far
-    std::uint32_t since_full = 0;
-  };
-
-  /// State-capture cadence for the active side's checkpoint timer.
-  virtual sim::SimTime capture_period(const ReplicationConfig& c) const = 0;
-  /// Transfer shape: ship the next capture as a dirty-range delta?
-  virtual bool capture_as_delta(const ReplicationConfig& c, const CaptureState& s) const = 0;
-  /// Backup apply discipline: fold images into the live runtime as they
-  /// arrive (true) or hold them serialized until activation (false).
-  virtual bool apply_on_receipt() const = 0;
-  /// Switchover handoff: does activation still need the bulk restore?
-  virtual bool restore_on_activate() const = 0;
-  /// Semi-active only: replicas execute the workload, driven by the
-  /// leader's decision log.
-  virtual bool followers_execute() const = 0;
-  /// Promotion-readiness rule: max staleness of a replica's applied
-  /// state before succession should skip it (0 = always ready — cold
-  /// backups restore in bulk, so staleness never disqualifies them).
-  virtual sim::SimTime staleness_bound(const ReplicationConfig& c) const = 0;
-};
+/// State-capture cadence for the active side's checkpoint timer.
+sim::SimTime capture_period(ReplicationMode mode, const FtimOptions& o);
+/// Transfer shape: ship the next capture as a dirty-range delta?
+/// `force_full` is set when a nack, an activation or a switch demanded
+/// a self-contained image; `seq` counts the checkpoints taken so far and
+/// `since_full` the deltas since the last full one.
+bool capture_as_delta(ReplicationMode mode, const FtimOptions& o, bool force_full,
+                      std::uint64_t seq, std::uint32_t since_full);
+/// Backup apply discipline: fold images into the live runtime as they
+/// arrive (true) or hold them serialized until activation restores them
+/// in bulk (false).
+constexpr bool folds_on_receipt(ReplicationMode mode) {
+  return mode != ReplicationMode::kColdPassive;
+}
+/// Semi-active only: replicas execute the workload, driven by the
+/// leader's decision log.
+constexpr bool followers_execute(ReplicationMode mode) {
+  return mode == ReplicationMode::kSemiActive;
+}
+/// Promotion-readiness rule: max staleness of a replica's applied state
+/// before succession should skip it (0 = always ready — cold backups
+/// restore in bulk, so staleness never disqualifies them).
+sim::SimTime staleness_bound(ReplicationMode mode, const FtimOptions& o);
 
 /// True when a replica whose newest applied state dates from
 /// `applied_at` may take over, given `evidence` — the last moment the
 /// primary was provably alive. Readiness is measured against the
 /// failure, not against "now": after the primary dies nobody's state
 /// advances, and waiting would never make a survivor readier.
-bool promotion_ready(const ReplicationPolicy& policy, const ReplicationConfig& c,
-                     sim::SimTime applied_at, sim::SimTime evidence);
-
-std::unique_ptr<ReplicationPolicy> make_policy(ReplicationMode mode);
+bool promotion_ready(ReplicationMode mode, const FtimOptions& o, sim::SimTime applied_at,
+                     sim::SimTime evidence);
 
 // ---------------------------------------------------------------------
 // Adaptive switching

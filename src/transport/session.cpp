@@ -17,6 +17,13 @@ namespace {
 /// by definition the missing frame, so it never needs a bit).
 constexpr std::uint64_t kSackBits = 64;
 constexpr std::uint8_t kFlagVoid = 0x01;
+/// The retransmission timeout doubles per attempt (up to rto_max) and is
+/// stretched by up to this fraction, so synchronized senders decorrelate.
+constexpr double kRtoBackoff = 2.0;
+constexpr double kRtoJitter = 0.1;
+/// Max out-of-order frames buffered per peer; beyond this, gapped frames
+/// are dropped and retransmission fills the hole.
+constexpr std::size_t kReorderCap = 64;
 }  // namespace
 
 Endpoint::Endpoint(sim::Strand& strand, sim::PortId port, SessionConfig config)
@@ -58,11 +65,6 @@ std::size_t Endpoint::queued_frames() const {
   std::size_t total = 0;
   for (const auto& [peer, ts] : tx_) total += ts.queue.size();
   return total;
-}
-
-std::uint64_t Endpoint::acked_tag(int peer) const {
-  auto it = tx_.find(peer);
-  return it == tx_.end() ? 0 : it->second.max_acked_tag;
 }
 
 std::uint64_t Endpoint::acked_tag(int peer, std::uint8_t cls) const {
@@ -141,12 +143,12 @@ void Endpoint::transmit(int peer, TxSession& ts, std::uint64_t seq) {
   for (int i = 0; i < f.attempts && scale * static_cast<double>(config_.rto_initial) <
                                         static_cast<double>(config_.rto_max);
        ++i) {
-    scale *= config_.rto_backoff;
+    scale *= kRtoBackoff;
   }
   double rto_ns = std::min(static_cast<double>(config_.rto_initial) * scale,
                            static_cast<double>(config_.rto_max));
   hist_rto_ms_.record(static_cast<std::int64_t>(rto_ns / 1e6));
-  if (config_.rto_jitter > 0.0) rto_ns *= 1.0 + config_.rto_jitter * rng_.next_double();
+  rto_ns *= 1.0 + kRtoJitter * rng_.next_double();
   std::uint64_t epoch = ts.epoch;
   strand_->schedule_after(static_cast<sim::SimTime>(rto_ns),
                           [this, peer, epoch, seq] { on_rto(peer, epoch, seq); });
@@ -220,7 +222,7 @@ void Endpoint::handle_data(const sim::Datagram& d) {
   } else if (rx.reorder.count(seq) != 0) {
     ++duplicate_frames_;
     ctr_dup_frames_.inc();
-  } else if (rx.reorder.size() < config_.reorder_cap) {
+  } else if (rx.reorder.size() < kReorderCap) {
     rx.reorder.emplace(seq, ReorderEntry{Buffer(payload.begin(), payload.end()), voided});
     hist_reorder_depth_.record(static_cast<std::int64_t>(rx.reorder.size()));
   }
@@ -290,7 +292,6 @@ void Endpoint::retire(TxSession& ts, std::map<std::uint64_t, InflightFrame>::ite
   InflightFrame& f = it->second;
   ts.inflight_bytes -= f.payload.size();
   gauge_inflight_bytes_.add(-static_cast<std::int64_t>(f.payload.size()));
-  if (f.tag > ts.max_acked_tag && !f.voided) ts.max_acked_tag = f.tag;
   if (f.tag > ts.max_acked_by_cls[f.cls] && !f.voided) ts.max_acked_by_cls[f.cls] = f.tag;
   AckFn fn = std::move(f.on_acked);
   std::uint64_t tag = f.tag;

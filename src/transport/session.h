@@ -115,15 +115,11 @@ struct SessionConfig {
   /// Max frames queued behind the window per peer.
   std::size_t queue_cap = 1024;
   QueuePolicy queue_policy = QueuePolicy::kReject;
+  /// Retransmission timeout: doubles per attempt from rto_initial up
+  /// to rto_max, then is stretched by up to 10% (uniform) so
+  /// synchronized senders decorrelate.
   sim::SimTime rto_initial = sim::milliseconds(50);
   sim::SimTime rto_max = sim::milliseconds(500);
-  double rto_backoff = 2.0;
-  /// Each retransmission timer is stretched by up to this fraction
-  /// (uniform), so synchronized senders decorrelate.
-  double rto_jitter = 0.1;
-  /// Max out-of-order frames buffered per peer; beyond this, gapped
-  /// frames are dropped and retransmission fills the hole.
-  std::size_t reorder_cap = 64;
 };
 
 /// One reliable endpoint bound to (strand, port). The owner keeps the
@@ -168,26 +164,16 @@ class Endpoint {
   /// Frames already delivered are beyond recall.
   std::size_t cancel(int peer, std::uint64_t tag);
 
-  /// Highest tag the peer has acknowledged (its rx has delivered it to
-  /// the application). 0 until the first tagged ack. Watermark survives
-  /// session resets — it reflects what the peer *processed*, which a
-  /// reboot does not un-process. The one-argument form spans every
-  /// traffic class (the pre-class behavior); the two-argument form reads
-  /// one class's lane.
-  std::uint64_t acked_tag(int peer) const;
+  /// Highest tag of traffic class `cls` the peer has acknowledged (its
+  /// rx has delivered it to the application). 0 until the first tagged
+  /// ack. Watermark survives session resets — it reflects what the peer
+  /// *processed*, which a reboot does not un-process.
   std::uint64_t acked_tag(int peer, std::uint8_t cls) const;
 
   /// Payload bytes admitted per traffic class (first transmissions only,
   /// not retransmits) — the governor's checkpoint/decision byte meters.
   std::uint64_t class_bytes_sent(std::uint8_t cls) const {
     return cls < kTrafficClasses ? class_bytes_[cls] : 0;
-  }
-
-  /// Fraction of data transmissions that were retransmissions — the
-  /// governor's loss signal. 0 when nothing was sent.
-  double observed_loss() const {
-    std::uint64_t total = data_sent_ + retransmits_;
-    return total == 0 ? 0.0 : static_cast<double>(retransmits_) / static_cast<double>(total);
   }
 
   // Introspection for callers, tests and benches.
@@ -231,7 +217,6 @@ class Endpoint {
     std::map<std::uint64_t, InflightFrame> inflight;  // seq-ordered
     std::deque<QueuedFrame> queue;
     std::size_t inflight_bytes = 0;
-    std::uint64_t max_acked_tag = 0;
     std::array<std::uint64_t, kTrafficClasses> max_acked_by_cls{};
   };
   struct ReorderEntry {

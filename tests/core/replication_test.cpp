@@ -1,4 +1,4 @@
-// Pluggable replication policies: policy-object unit coverage, governor
+// Replication modes: mode-predicate unit coverage, governor
 // hysteresis, succession eligibility, knob validation, delta-frame
 // hardening, and full-deployment scenarios for warm-passive streaming,
 // semi-active decision logs, live policy switches (including under
@@ -9,6 +9,7 @@
 #include "cluster/succession.h"
 #include "core/checkpoint.h"
 #include "core/deployment.h"
+#include "core/ftim.h"
 #include "core/replication.h"
 #include "obs/json.h"
 #include "obs/telemetry.h"
@@ -23,71 +24,85 @@ namespace {
 using testsupport::CounterApp;
 
 // ---------------------------------------------------------------------
-// Policy objects: the four decision points, per mode.
+// Mode predicates: the four decision points, per mode.
 // ---------------------------------------------------------------------
 
-ReplicationConfig standard_rcfg() {
-  ReplicationConfig c;
-  c.checkpoint_period = sim::milliseconds(500);
-  c.delta_stream_period = sim::milliseconds(125);
-  c.full_checkpoint_interval = 8;
-  c.deltas_enabled = true;
-  return c;
+FtimOptions standard_options() {
+  FtimOptions o;
+  o.checkpoint_period = sim::milliseconds(500);
+  o.delta_stream_period = sim::milliseconds(125);
+  o.full_checkpoint_interval = 8;
+  return o;
 }
 
 TEST(ReplicationPolicy, ColdPassiveReproducesThePaperScheme) {
-  auto p = make_policy(ReplicationMode::kColdPassive);
-  ReplicationConfig c = standard_rcfg();
-  EXPECT_EQ(p->mode(), ReplicationMode::kColdPassive);
-  EXPECT_EQ(p->capture_period(c), c.checkpoint_period);
-  EXPECT_FALSE(p->apply_on_receipt());
-  EXPECT_TRUE(p->restore_on_activate());
-  EXPECT_FALSE(p->followers_execute());
-  EXPECT_EQ(p->staleness_bound(c), 0) << "cold backups are never disqualified";
+  const ReplicationMode m = ReplicationMode::kColdPassive;
+  FtimOptions o = standard_options();
+  EXPECT_EQ(capture_period(m, o), o.checkpoint_period);
+  EXPECT_FALSE(folds_on_receipt(m)) << "backup holds images; activation restores in bulk";
+  EXPECT_FALSE(followers_execute(m));
+  EXPECT_EQ(staleness_bound(m, o), 0) << "cold backups are never disqualified";
   // The Nth-full rhythm: first capture full, then interval-1 deltas.
-  EXPECT_FALSE(p->capture_as_delta(c, {false, 0, 0})) << "first capture is full";
-  EXPECT_TRUE(p->capture_as_delta(c, {false, 1, 0}));
-  EXPECT_TRUE(p->capture_as_delta(c, {false, 7, 6}));
-  EXPECT_FALSE(p->capture_as_delta(c, {false, 8, 7})) << "every Nth is self-contained";
-  EXPECT_FALSE(p->capture_as_delta(c, {true, 5, 2})) << "force_full wins";
-  c.deltas_enabled = false;
-  EXPECT_FALSE(p->capture_as_delta(c, {false, 3, 1}));
+  EXPECT_FALSE(capture_as_delta(m, o, false, 0, 0)) << "first capture is full";
+  EXPECT_TRUE(capture_as_delta(m, o, false, 1, 0));
+  EXPECT_TRUE(capture_as_delta(m, o, false, 7, 6));
+  EXPECT_FALSE(capture_as_delta(m, o, false, 8, 7)) << "every Nth is self-contained";
+  EXPECT_FALSE(capture_as_delta(m, o, true, 5, 2)) << "force_full wins";
+  // Deltas need full-image mode, an interval above 1 and dirty tracking.
+  o.track_dirty_ranges = false;
+  EXPECT_FALSE(capture_as_delta(m, o, false, 3, 1));
+  o = standard_options();
+  o.full_checkpoint_interval = 1;
+  EXPECT_FALSE(capture_as_delta(m, o, false, 3, 1));
+  o = standard_options();
+  o.checkpoint_mode = CheckpointMode::kSelective;
+  EXPECT_FALSE(capture_as_delta(m, o, false, 3, 1));
 }
 
 TEST(ReplicationPolicy, WarmPassiveStreamsAtDeltaCadenceAndSkipsRestore) {
-  auto p = make_policy(ReplicationMode::kWarmPassive);
-  ReplicationConfig c = standard_rcfg();
-  EXPECT_EQ(p->capture_period(c), c.delta_stream_period);
-  EXPECT_TRUE(p->apply_on_receipt());
-  EXPECT_FALSE(p->restore_on_activate());
-  EXPECT_FALSE(p->followers_execute());
-  EXPECT_EQ(p->staleness_bound(c), 8 * c.delta_stream_period);
-  c.promotion_staleness_bound = sim::seconds(2);
-  EXPECT_EQ(p->staleness_bound(c), sim::seconds(2)) << "explicit bound overrides";
+  const ReplicationMode m = ReplicationMode::kWarmPassive;
+  FtimOptions o = standard_options();
+  EXPECT_EQ(capture_period(m, o), o.delta_stream_period);
+  EXPECT_TRUE(folds_on_receipt(m)) << "backup folds on receipt; activation skips the restore";
+  EXPECT_FALSE(followers_execute(m));
+  EXPECT_EQ(staleness_bound(m, o), 8 * o.delta_stream_period);
+  o.promotion_staleness_bound = sim::seconds(2);
+  EXPECT_EQ(staleness_bound(m, o), sim::seconds(2)) << "explicit bound overrides";
 }
 
 TEST(ReplicationPolicy, SemiActiveIsPromotionOnlyWithSafetyNetFulls) {
-  auto p = make_policy(ReplicationMode::kSemiActive);
-  ReplicationConfig c = standard_rcfg();
-  EXPECT_EQ(p->capture_period(c), c.checkpoint_period * 8) << "sparse safety net";
-  EXPECT_FALSE(p->capture_as_delta(c, {false, 5, 3})) << "semi never ships deltas";
-  EXPECT_TRUE(p->apply_on_receipt());
-  EXPECT_FALSE(p->restore_on_activate());
-  EXPECT_TRUE(p->followers_execute());
-  EXPECT_EQ(p->staleness_bound(c), 8 * c.checkpoint_period);
+  const ReplicationMode m = ReplicationMode::kSemiActive;
+  FtimOptions o = standard_options();
+  EXPECT_EQ(capture_period(m, o), o.checkpoint_period * 8) << "sparse safety net";
+  EXPECT_FALSE(capture_as_delta(m, o, false, 5, 3)) << "semi never ships deltas";
+  EXPECT_TRUE(folds_on_receipt(m)) << "backup folds on receipt; activation skips the restore";
+  EXPECT_TRUE(followers_execute(m));
+  EXPECT_EQ(staleness_bound(m, o), 8 * o.checkpoint_period);
 }
 
 TEST(ReplicationPolicy, PromotionReadinessIsJudgedAgainstTheFailureEvidence) {
-  ReplicationConfig c = standard_rcfg();
-  auto cold = make_policy(ReplicationMode::kColdPassive);
-  auto warm = make_policy(ReplicationMode::kWarmPassive);
+  const FtimOptions o = standard_options();
+  const ReplicationMode cold = ReplicationMode::kColdPassive;
+  const ReplicationMode warm = ReplicationMode::kWarmPassive;
   const sim::SimTime evidence = sim::seconds(100);
   // Cold: always ready, even having applied nothing ever.
-  EXPECT_TRUE(promotion_ready(*cold, c, 0, evidence));
+  EXPECT_TRUE(promotion_ready(cold, o, 0, evidence));
   // Warm bound is 8 * 125 ms = 1 s around the evidence time.
-  EXPECT_TRUE(promotion_ready(*warm, c, evidence - sim::milliseconds(900), evidence));
-  EXPECT_FALSE(promotion_ready(*warm, c, evidence - sim::milliseconds(1100), evidence));
-  EXPECT_TRUE(promotion_ready(*warm, c, evidence, evidence));
+  EXPECT_TRUE(promotion_ready(warm, o, evidence - sim::milliseconds(900), evidence));
+  EXPECT_FALSE(promotion_ready(warm, o, evidence - sim::milliseconds(1100), evidence));
+  EXPECT_TRUE(promotion_ready(warm, o, evidence, evidence));
+}
+
+// A derived delta cadence (delta_stream_period left at 0) is a quarter
+// of the checkpoint period, and the warm staleness bound follows it.
+TEST(ReplicationPolicy, WarmCadenceDefaultsToAQuarterOfTheCheckpointPeriod) {
+  FtimOptions o = standard_options();
+  o.delta_stream_period = 0;
+  EXPECT_EQ(capture_period(ReplicationMode::kWarmPassive, o), sim::milliseconds(125));
+  EXPECT_EQ(staleness_bound(ReplicationMode::kWarmPassive, o), sim::seconds(1));
+  o.checkpoint_period = sim::microseconds(2000);
+  EXPECT_EQ(capture_period(ReplicationMode::kWarmPassive, o), sim::milliseconds(1))
+      << "never below 1 ms";
 }
 
 // ---------------------------------------------------------------------
@@ -514,6 +529,31 @@ TEST(PolicySwitch, SwitchedPolicySurvivesOsCrashViaTheJournal) {
       << "policy must be restored from the journal on cold restart";
 }
 
+// A switch made on a passive replica takes effect there at once: a cold
+// backup entering warm-passive folds the image it holds, so a promotion
+// right after the switch already skips the bulk restore.
+TEST(PolicySwitch, LocalSwitchOnABackupFoldsTheHeldImage) {
+  sim::Simulation sim(9007);
+  PairDeployment dep(sim, policy_pair_options(ReplicationMode::kColdPassive));
+  sim.run_for(sim::seconds(3));
+
+  int primary = dep.primary_node();
+  ASSERT_NE(primary, -1);
+  sim::Node& backup_node = primary == dep.node_a().id() ? dep.node_b() : dep.node_a();
+  Ftim* backup = dep.ftim_on(backup_node);
+  ASSERT_NE(backup, nullptr);
+  ASSERT_TRUE(backup->has_checkpoint());
+  ASSERT_FALSE(backup->runtime_current()) << "a cold backup holds its image serialized";
+
+  EXPECT_EQ(backup->switch_policy(ReplicationMode::kWarmPassive, "operator on the backup"),
+            S_OK);
+  EXPECT_EQ(backup->replication_mode(), ReplicationMode::kWarmPassive);
+  EXPECT_EQ(backup->policy_switches(), 1u);
+  EXPECT_TRUE(backup->runtime_current()) << "held image folded at the switch";
+  std::string trace = obs::export_json(sim.telemetry(), /*include_history=*/true);
+  EXPECT_NE(trace.find("folded held state on policy switch"), std::string::npos);
+}
+
 // A policy record whose mode byte names no ReplicationMode (a forged or
 // bit-rotted record with a valid frame CRC) is skipped on replay: the
 // last valid record still wins, rather than the unknown mode quietly
@@ -545,6 +585,61 @@ TEST(PolicySwitch, ForgedPolicyRecordIsSkippedOnReplay) {
   Ftim* restarted = dep.ftim_on(backup_node);
   ASSERT_NE(restarted, nullptr);
   EXPECT_EQ(restarted->replication_mode(), ReplicationMode::kWarmPassive);
+}
+
+// FTIM ingress fails closed: outside the transport session only the
+// local engine's SetActive is accepted. A third node sending each FTIM
+// frame kind raw to the backup's port changes none of its role, activity,
+// held image, decision log or mode.
+TEST(FtimIngress, RawFramesFromAThirdNodeLeaveTheBackupUntouched) {
+  sim::Simulation sim(9006);
+  PairDeployment dep(sim, policy_pair_options(ReplicationMode::kWarmPassive));
+  sim.run_for(sim::seconds(3));
+
+  int primary = dep.primary_node();
+  ASSERT_NE(primary, -1);
+  sim::Node& backup_node = primary == dep.node_a().id() ? dep.node_b() : dep.node_a();
+  Ftim* backup = dep.ftim_on(backup_node);
+  ASSERT_NE(backup, nullptr);
+  ASSERT_NE(backup->latest_checkpoint(), nullptr);
+  ASSERT_TRUE(backup->runtime_current());
+  const Role role = backup->role();
+  const std::uint64_t decisions = backup->decisions_applied();
+  const std::uint32_t held_incarnation = backup->latest_checkpoint()->incarnation;
+
+  // Each frame well formed, from a reign that does not exist.
+  CheckpointImage forged = *backup->latest_checkpoint();
+  forged.incarnation += 100;
+  forged.seq += 1'000'000;
+  DecisionMsg decision;
+  decision.component = "app";
+  decision.seq = decisions + 1;
+  decision.payload = Buffer{1};
+  PolicySwitchMsg policy_switch;
+  policy_switch.component = "app";
+  policy_switch.to = ReplicationMode::kColdPassive;
+  policy_switch.incarnation = held_incarnation + 100;
+  policy_switch.reason = "forged";
+  CheckpointPull pull;
+  pull.component = "app";
+  pull.from_node = dep.monitor_node().id();
+  const SetActive set_active{{}, true, held_incarnation + 100, Role::kPrimary};
+
+  auto intruder = dep.monitor_node().start_process("intruder", [](sim::Process&) {});
+  const sim::PortId port = sim.port(ftim_port("app"));
+  for (Buffer frame : {encode_checkpoint("app", forged.marshal()), decision.encode(),
+                       policy_switch.encode(), pull.encode(), set_active.encode()}) {
+    ASSERT_TRUE(intruder->send(0, backup_node.id(), port, std::move(frame), port));
+  }
+  sim.run_for(sim::milliseconds(50));
+
+  EXPECT_EQ(backup->role(), role);
+  EXPECT_FALSE(backup->active());
+  EXPECT_EQ(backup->replication_mode(), ReplicationMode::kWarmPassive);
+  EXPECT_EQ(backup->decisions_applied(), decisions);
+  ASSERT_NE(backup->latest_checkpoint(), nullptr);
+  EXPECT_EQ(backup->latest_checkpoint()->incarnation, held_incarnation);
+  EXPECT_LT(backup->latest_checkpoint()->seq, forged.seq);
 }
 
 TEST(PolicyGovernorScenario, DegradesToColdUnderSustainedLossAndRecoversWarm) {

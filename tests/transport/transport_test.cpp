@@ -212,7 +212,7 @@ TEST(Transport, CancelVoidsInflightWithoutStallingSuccessors) {
   // The voided slot completes empty: 3 is not stalled behind it, and 2
   // is never delivered.
   EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 3}));
-  EXPECT_EQ(tx.ep().acked_tag(h.b->id()), 3u);
+  EXPECT_EQ(tx.ep().acked_tag(h.b->id(), kClassControl), 3u);
 }
 
 TEST(Transport, AckCallbackAndTagWatermark) {
@@ -227,8 +227,8 @@ TEST(Transport, AckCallbackAndTagWatermark) {
   }
   h.sim.run_for(sim::seconds(1));
   EXPECT_EQ(acked, (std::vector<std::uint64_t>{10, 20, 30, 40, 50}));
-  EXPECT_EQ(tx.ep().acked_tag(h.b->id()), 50u);
-  EXPECT_EQ(tx.ep().acked_tag(999), 0u) << "unknown peer has no watermark";
+  EXPECT_EQ(tx.ep().acked_tag(h.b->id(), kClassControl), 50u);
+  EXPECT_EQ(tx.ep().acked_tag(999, kClassControl), 0u) << "unknown peer has no watermark";
 }
 
 TEST(Transport, RejectPolicyRefusesWhenQueueFullDropOldestSheds) {
