@@ -254,5 +254,9 @@ int main() {
   if (auto* monitor = dep.monitor()) {
     std::printf("\nSystem Monitor board:\n%s", monitor->render().c_str());
   }
+  if (dep.primary_node() < 0) {
+    std::printf("FAILED: the unit ended without a primary\n");
+    return 1;
+  }
   return 0;
 }

@@ -5,7 +5,8 @@
 // primary/backup role management, periodic checkpointing to the peer
 // node, failure detection, and automatic switchover.
 //
-// Run:  ./quickstart
+// Run:  ./quickstart   (exits 1 if the switchover did not happen, or the
+//                       new primary did not continue from the checkpoint)
 #include <cstdio>
 
 #include "core/api.h"
@@ -31,6 +32,7 @@ class TotalizerApp {
     core::OFTTInitialize(process, {});  // <-- the one line
 
     core::Ftim::find(process)->on_activate([this](bool restored) {
+      restored_ = restored;
       std::printf("          app activated (%s)\n",
                   restored ? "state restored from checkpoint" : "cold start");
       timer_.start(sim::milliseconds(100), [this] { total_.set(total_.get() + 1); });
@@ -39,17 +41,22 @@ class TotalizerApp {
   }
 
   std::int64_t total() const { return total_.get(); }
+  bool restored() const { return restored_; }
 
  private:
+  bool restored_ = false;
   nt::Region* region_ = nullptr;
   nt::Cell<std::int64_t> total_;
   sim::PeriodicTimer timer_;
 };
 
-std::int64_t total_on(sim::Node& node) {
+TotalizerApp* app_on(sim::Node& node) {
   auto proc = node.find_process("app");
-  if (!proc || !proc->alive()) return -1;
-  auto* app = proc->find_attachment<TotalizerApp>();
+  return proc && proc->alive() ? proc->find_attachment<TotalizerApp>() : nullptr;
+}
+
+std::int64_t total_on(sim::Node& node) {
+  TotalizerApp* app = app_on(node);
   return app ? app->total() : -1;
 }
 
@@ -76,15 +83,26 @@ int main() {
   note(sim, "nodeA power failure injected");
   sim.run_for(sim::seconds(2));
   note(sim, "after detection + switchover: " + role_line(dep));
-  note(sim, "new primary total = " + std::to_string(total_on(dep.node_b())) +
+  const std::int64_t switched_total = total_on(dep.node_b());
+  note(sim, "new primary total = " + std::to_string(switched_total) +
                " (restored from last checkpoint, then continued)");
 
   sim.run_for(sim::seconds(3));
-  note(sim, "3 s later, total = " + std::to_string(total_on(dep.node_b())) +
+  const std::int64_t final_total = total_on(dep.node_b());
+  note(sim, "3 s later, total = " + std::to_string(final_total) +
                " — the unit never stopped counting");
 
+  const std::uint64_t takeovers = sim.counter_value("oftt.takeovers");
   std::printf("\nDone. Checkpoints sent: %llu, takeovers: %llu\n",
               static_cast<unsigned long long>(sim.counter_value("oftt.checkpoints_sent")),
-              static_cast<unsigned long long>(sim.counter_value("oftt.takeovers")));
+              static_cast<unsigned long long>(takeovers));
+  const TotalizerApp* survivor = app_on(dep.node_b());
+  const bool continued = dep.primary_node() == dep.node_b().id() && survivor != nullptr &&
+                         survivor->restored() && switched_total > 0 &&
+                         final_total > switched_total;
+  if (takeovers == 0 || !continued) {
+    std::printf("FAILED: no switchover that continued from the checkpoint\n");
+    return 1;
+  }
   return 0;
 }

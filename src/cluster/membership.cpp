@@ -1,7 +1,5 @@
 #include "cluster/membership.h"
 
-#include <algorithm>
-
 namespace oftt::cluster {
 
 const char* member_role_name(MemberRole r) {
@@ -13,38 +11,6 @@ const char* member_role_name(MemberRole r) {
   }
   return "?";
 }
-
-namespace {
-
-// Raise each of `into`'s heartbeat observations to `from`'s for the same
-// node. Views of one unit list the same members, mostly in the same rank
-// order, so members pair up by position; only a reordered stretch (a
-// promotion or rejoin moved ranks) pays for a node-sorted copy of
-// `from`, built once. O(N) in the common case, O(N log N) at worst —
-// never the pairwise O(N^2) lookup.
-void keep_freshest(std::vector<Member>& into, const std::vector<Member>& from) {
-  std::vector<const Member*> by_node;
-  for (std::size_t i = 0; i < into.size(); ++i) {
-    Member& m = into[i];
-    const Member* match = nullptr;
-    if (i < from.size() && from[i].node == m.node) {
-      match = &from[i];
-    } else {
-      if (by_node.empty()) {
-        by_node.reserve(from.size());
-        for (const Member& f : from) by_node.push_back(&f);
-        std::stable_sort(by_node.begin(), by_node.end(),
-                         [](const Member* a, const Member* b) { return a->node < b->node; });
-      }
-      auto it = std::lower_bound(by_node.begin(), by_node.end(), m.node,
-                                 [](const Member* f, int node) { return f->node < node; });
-      if (it != by_node.end() && (*it)->node == m.node) match = *it;
-    }
-    if (match != nullptr) m.last_heartbeat = std::max(m.last_heartbeat, match->last_heartbeat);
-  }
-}
-
-}  // namespace
 
 int quorum_required(std::size_t view_size) {
   if (view_size <= 2) return 1;
@@ -91,30 +57,10 @@ bool MembershipView::superseded_by(const MembershipView& other) const {
 }
 
 bool MembershipView::merge(const MembershipView& other) {
-  if (superseded_by(other)) {
-    // Adopt the newer view wholesale, but never lose a fresher local
-    // heartbeat observation: the owner's view of a member may be staler
-    // than what we heard ourselves.
-    MembershipView adopted = other;
-    keep_freshest(adopted.members, members);
-    bool structural = adopted.members.size() != members.size();
-    if (!structural) {
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (members[i].node != adopted.members[i].node ||
-            members[i].rank != adopted.members[i].rank ||
-            members[i].role != adopted.members[i].role) {
-          structural = true;
-          break;
-        }
-      }
-    }
-    *this = std::move(adopted);
-    return structural;
-  }
-  if (other.incarnation == incarnation && other.version == version) {
-    keep_freshest(members, other.members);
-  }
-  return false;
+  if (!superseded_by(other)) return false;
+  const bool structural = other.members != members;
+  *this = other;
+  return structural;
 }
 
 std::string MembershipView::summary() const {

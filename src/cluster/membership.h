@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.h"
-
 namespace oftt::cluster {
 
 enum class MemberRole : std::uint8_t {
@@ -42,12 +40,9 @@ struct Member {
   /// successor, and so on. Survivors re-rank after every promotion.
   int rank = 0;
   MemberRole role = MemberRole::kUnknown;
-  std::uint32_t incarnation = 0;
-  /// Freshest proof of life the view's owner has for this member.
-  sim::SimTime last_heartbeat = 0;
 
   template <class V> void fields(V& v) {
-    v(node); v(rank); v(role); v(incarnation); v(last_heartbeat);
+    v(node); v(rank); v(role);
   }
   bool operator==(const Member&) const = default;
 };
@@ -81,9 +76,9 @@ struct MembershipView {
 
   /// True when `other` strictly supersedes this view.
   bool superseded_by(const MembershipView& other) const;
-  /// Adopt `other` if it supersedes this view; on an identical
-  /// (incarnation, version) pair, only freshen per-member heartbeat
-  /// observations. Returns true when the member list itself changed.
+  /// Adopt `other` if it supersedes this view. Returns true when the
+  /// member list itself (node, rank or role of any member) changed.
+  /// Member liveness is not part of the view: the swim detector owns it.
   bool merge(const MembershipView& other);
 
   /// Wire layout (embedded in core's ViewGossip / StatusReport).

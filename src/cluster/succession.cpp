@@ -37,7 +37,6 @@ void SuccessionPlanner::promote(MembershipView& view, int new_primary,
   for (Member& m : view.members) {
     if (m.node == new_primary) {
       m.role = MemberRole::kPrimary;
-      m.incarnation = incarnation;
       survivors.insert(survivors.begin(), m);
     } else if (live.contains(m.node) && m.role != MemberRole::kDead) {
       m.role = MemberRole::kBackup;

@@ -66,8 +66,7 @@ Engine::Engine(sim::Process& process, OfttConfig config)
     view_ = cluster::MembershipView::initial(config_.cluster_nodes);
     slots_ = cluster::SlotIndex(config_.cluster_nodes);
     peers_ = config_.cluster_peers(process_->node().id());
-    member_slots_.assign(slots_.size(), MemberSlot{});
-    member_slot(process_->node().id()).last_hb = started_at_;
+    not_ready_ = cluster::MemberSet(slots_);
     // View gossip and promotion rounds ride reliable sessions so a
     // single lost datagram never stalls a view change or an election.
     // Small window + drop-oldest queue: only the newest view matters,
@@ -226,7 +225,6 @@ void Engine::probe_round() {
 void Engine::resolve_with_peer(Role peer_role, std::uint32_t peer_inc, int peer_node) {
   if (role_ != Role::kNegotiating || negotiation_resolved_) return;
   negotiation_resolved_ = true;
-  peer_role_ = peer_role;
   peer_incarnation_ = peer_inc;
   // We just heard from the peer; prime liveness so a backup does not
   // promote spuriously before the first heartbeat lands.
@@ -436,22 +434,6 @@ void Engine::check_components(sim::SimTime now) {
 // promotion
 // ---------------------------------------------------------------------
 
-sim::SimTime Engine::last_heard(int node) const {
-  const int s = slots_.slot(node);
-  return s == cluster::SlotIndex::kNoSlot ? kNeverHeard
-                                          : member_slots_[static_cast<std::size_t>(s)].last_hb;
-}
-
-cluster::Member* Engine::self_in_view() {
-  const int self = process_->node().id();
-  if (self_pos_ >= view_.members.size() || view_.members[self_pos_].node != self) {
-    cluster::Member* me = view_.find(self);
-    if (me == nullptr) return nullptr;
-    self_pos_ = static_cast<std::size_t>(me - view_.members.data());
-  }
-  return &view_.members[self_pos_];
-}
-
 cluster::MemberSet Engine::live_members() const {
   cluster::MemberSet live(slots_);
   live.insert(process_->node().id());
@@ -466,7 +448,7 @@ cluster::MemberSet Engine::live_members() const {
 
 cluster::MemberSet Engine::ready_peers(cluster::MemberSet among) const {
   for (int peer : peers_) {
-    if (!member_slot(peer).ready) among.erase(peer);
+    if (not_ready_.contains(peer)) among.erase(peer);
   }
   return among;
 }
@@ -478,15 +460,9 @@ void Engine::cluster_tick(sim::SimTime now) {
   // cost is O(1) per period regardless of cluster size.
   swim_tick(now);
 
-  member_slot(self).last_hb = now;
-  if (cluster::Member* me = self_in_view()) me->last_heartbeat = now;
-
   if (role_ == Role::kPrimary) {
-    // Fold our liveness observations into the view we own, noting the
-    // dead members on the same pass.
     cluster::MemberSet dead(slots_);
-    for (auto& m : view_.members) {
-      m.last_heartbeat = std::max(m.last_heartbeat, last_heard(m.node));
+    for (const auto& m : view_.members) {
       if (m.role == cluster::MemberRole::kDead) dead.insert(m.node);
     }
     // Readmit rebooted members: a dead member refuting its death
@@ -696,8 +672,7 @@ void Engine::gossip_view() {
   for (int peer : peers_) ep_->send(peer, payload);
 }
 
-void Engine::handle_view_gossip(const ViewGossip& g, sim::SimTime now) {
-  member_slot(g.from_node).last_hb = now;
+void Engine::handle_view_gossip(const ViewGossip& g) {
   bool changed = view_.merge(g.view);
   if (changed) {
     obs::Event e;
@@ -743,9 +718,7 @@ void Engine::handle_view_gossip(const ViewGossip& g, sim::SimTime now) {
   }
 }
 
-void Engine::handle_promote_request(const sim::Datagram& d, const PromoteRequest& req,
-                                    sim::SimTime now) {
-  member_slot(req.candidate).last_hb = now;
+void Engine::handle_promote_request(const sim::Datagram& d, const PromoteRequest& req) {
   bool granted = false;
   if (role_ != Role::kPrimary && req.incarnation > view_.incarnation) {
     // Partition safety: refuse while the primary is undisputed to us —
@@ -910,9 +883,11 @@ void Engine::swim_burst(const swim::Update& u) {
 
 void Engine::swim_note_sender(int node, Role sender_role, std::uint32_t inc, bool ready,
                               sim::SimTime now) {
-  MemberSlot& m = member_slot(node);
-  m.last_hb = now;
-  m.ready = ready;
+  if (ready) {
+    not_ready_.erase(node);
+  } else {
+    not_ready_.insert(node);
+  }
   swim_->heard_from(node, now);
   // Swim frames carry the sender's engine role so dual-primary
   // arbitration rides detection traffic.
@@ -1170,7 +1145,15 @@ bool Engine::from_pair_peer(const sim::Datagram& d, int node) const {
 
 void Engine::dispatch(const sim::Datagram& d) {
   sim::SimTime now = process_->sim().now();
-  switch (static_cast<MsgKind>(wire_kind(d.payload))) {
+  const auto kind = static_cast<MsgKind>(wire_kind(d.payload));
+  // FTIM -> engine kinds are loopback only (Ftim::send_engine). From any
+  // other node, raw or re-delivered by the cluster session, they would
+  // plant phantom components or force a switchover.
+  if (kind >= MsgKind::kFtRegister && kind <= MsgKind::kSetRule &&
+      d.src_node != process_->node().id()) {
+    return;
+  }
+  switch (kind) {
     case MsgKind::kProbe: {
       Probe p;
       if (!Probe::decode(d.payload, p, false) || !from_pair_peer(d, p.node)) return;
@@ -1193,7 +1176,6 @@ void Engine::dispatch(const sim::Datagram& d) {
       PeerHeartbeat hb;
       if (!PeerHeartbeat::decode(d.payload, hb) || !from_pair_peer(d, hb.node)) return;
       peer_last_hb_[d.network_id] = now;
-      peer_role_ = hb.role;
       peer_incarnation_ = hb.incarnation;
       if (role_ == Role::kNegotiating &&
           (hb.role == Role::kPrimary || hb.role == Role::kBackup)) {
@@ -1216,21 +1198,20 @@ void Engine::dispatch(const sim::Datagram& d) {
       ViewGossip g;
       if (!ViewGossip::decode(d.payload, g)) return;
       if (!slots_.contains(g.from_node)) return;
-      handle_view_gossip(g, now);
+      handle_view_gossip(g);
       break;
     }
     case MsgKind::kPromoteRequest: {
       PromoteRequest req;
       if (!PromoteRequest::decode(d.payload, req)) return;
       if (!slots_.contains(req.candidate)) return;
-      handle_promote_request(d, req, now);
+      handle_promote_request(d, req);
       break;
     }
     case MsgKind::kPromoteAck: {
       PromoteAck ack;
       if (!PromoteAck::decode(d.payload, ack)) return;
       if (!slots_.contains(ack.voter)) return;
-      member_slot(ack.voter).last_hb = now;
       handle_promote_ack(ack);
       break;
     }

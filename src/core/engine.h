@@ -17,7 +17,6 @@
 // which is also who restarts it if it dies (failure class d).
 #pragma once
 
-#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -125,17 +124,6 @@ class Engine {
   const obs::EventLog& event_log() const { return event_log_; }
 
  private:
-  /// "Never heard from": below every real timestamp, so max() with it
-  /// is a no-op.
-  static constexpr sim::SimTime kNeverHeard = std::numeric_limits<sim::SimTime>::min();
-  struct MemberSlot {
-    /// Freshest proof of life across networks.
-    sim::SimTime last_hb = kNeverHeard;
-    /// Replica readiness from the member's swim frames (succession
-    /// prefers ready members; members not heard from yet count as ready).
-    bool ready = true;
-  };
-
   void on_datagram(const sim::Datagram& d);
   /// The shared message switch: raw datagrams land here after the
   /// session endpoint declines them; session-delivered payloads arrive
@@ -170,28 +158,14 @@ class Engine {
   /// `among` minus the peers whose last swim frame reported a replica not
   /// ready to promote (self is left to the caller).
   cluster::MemberSet ready_peers(cluster::MemberSet among) const;
-  /// Freshest proof of life from a member (kNeverHeard if none, or if
-  /// `node` is not configured).
-  sim::SimTime last_heard(int node) const;
-  /// `node` must be configured: dispatch() drops frames naming anyone
-  /// else before they reach the bookkeeping.
-  MemberSlot& member_slot(int node) {
-    return member_slots_[static_cast<std::size_t>(slots_.slot(node))];
-  }
-  const MemberSlot& member_slot(int node) const {
-    return member_slots_[static_cast<std::size_t>(slots_.slot(node))];
-  }
-  /// This engine's own entry in view_ (null if the view lacks it).
-  cluster::Member* self_in_view();
   void start_campaign(sim::SimTime now, const std::string& reason, sim::SimTime evidence,
                       bool had_primary);
   void send_campaign_requests();
   void maybe_promote_on_quorum();
   void cluster_handoff(const std::string& reason);
   void gossip_view();
-  void handle_view_gossip(const ViewGossip& g, sim::SimTime now);
-  void handle_promote_request(const sim::Datagram& d, const PromoteRequest& req,
-                              sim::SimTime now);
+  void handle_view_gossip(const ViewGossip& g);
+  void handle_promote_request(const sim::Datagram& d, const PromoteRequest& req);
   void handle_promote_ack(const PromoteAck& ack);
 
   // swim failure detection (cluster mode)
@@ -251,7 +225,6 @@ class Engine {
 
   std::map<int, sim::SimTime> peer_last_hb_;  // by network id
   std::uint32_t peer_incarnation_ = 0;
-  Role peer_role_ = Role::kUnknown;
 
   // Cluster mode (empty / inert when config_.cluster_mode() is false).
   /// Reliable sessions for view gossip and promotion rounds: a single
@@ -267,11 +240,10 @@ class Engine {
   /// cluster_peers(self) in configured order — the order every fan-out
   /// and readmission scan walks.
   std::vector<int> peers_;
-  /// Indexed by slots_: one cache line per datagram's bookkeeping.
-  std::vector<MemberSlot> member_slots_;
-  /// Where self sat in view_.members when last looked up; re-found only
-  /// after a view change moved it.
-  std::size_t self_pos_ = 0;
+  /// Peers whose last swim frame reported a replica not ready to
+  /// promote (succession prefers ready members; members not heard from
+  /// yet count as ready).
+  cluster::MemberSet not_ready_;
   cluster::VoteLedger votes_;
   cluster::Campaign campaign_;
   sim::SimTime started_at_ = 0;

@@ -472,6 +472,13 @@ void Ftim::start_capture_timer() {
 }
 
 void Ftim::on_port(const sim::Datagram& d) {
+  // Only this node and its replication peers may speak here: a session
+  // opened by any other node could switch this replica's policy or pull
+  // its checkpoints.
+  if (d.src_node != process_->node().id() &&
+      std::find(ckpt_peers_.begin(), ckpt_peers_.end(), d.src_node) == ckpt_peers_.end()) {
+    return;
+  }
   // Session frames first: the endpoint consumes transport data/acks and
   // re-delivers application payloads through on_frame in order.
   if (ep_->handle(d)) return;

@@ -27,7 +27,7 @@ enum class MsgKind : std::uint8_t {
   kProbeReply = 2,
   kPeerHeartbeat = 3,
   kTakeover = 4,
-  // FTIM -> engine (loopback)
+  // FTIM -> engine (loopback: the engine drops these from any other node)
   kFtRegister = 10,
   kFtHeartbeat = 11,
   kFtDistress = 12,
@@ -35,9 +35,8 @@ enum class MsgKind : std::uint8_t {
   kWatchdogReset = 14,
   kWatchdogDelete = 15,
   kSetRule = 16,
-  // engine -> FTIM (loopback)
+  // engine -> FTIM (loopback; 21 was kEngineHello, which was never sent)
   kSetActive = 20,
-  kEngineHello = 21,
   // engine -> monitor / diverter
   kStatusReport = 30,
   kRoleAnnounce = 31,
@@ -70,7 +69,7 @@ enum class MsgKind : std::uint8_t {
 /// Version tag carried by the cluster messages so mixed-version
 /// clusters fail closed: a decoder that sees an unknown version rejects
 /// the frame instead of misparsing it.
-inline constexpr std::uint8_t kClusterWireVersion = 1;
+inline constexpr std::uint8_t kClusterWireVersion = 2;
 
 std::uint8_t wire_kind(ByteView payload);
 
@@ -198,14 +197,6 @@ struct SetActive : codec::Message<SetActive> {
   template <class V> void fields(V& v) {
     v.tag(MsgKind::kSetActive);
     v(active); v(incarnation); v(role);
-  }
-};
-
-struct EngineHello : codec::Message<EngineHello> {
-  int node = -1;
-  template <class V> void fields(V& v) {
-    v.tag(MsgKind::kEngineHello);
-    v(node);
   }
 };
 

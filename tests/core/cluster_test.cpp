@@ -20,11 +20,13 @@
 #include "sim/fault_plan.h"
 #include "sim/rng.h"
 #include "support/counter_app.h"
+#include "support/session_speaker.h"
 
 namespace oftt::core {
 namespace {
 
 using testsupport::CounterApp;
+using testsupport::SessionSpeaker;
 
 ClusterDeploymentOptions standard_options(int replicas) {
   ClusterDeploymentOptions opts;
@@ -44,69 +46,59 @@ TEST(Membership, QuorumIsMajorityOfFullViewAndPairDegradesToOne) {
   EXPECT_EQ(cluster::quorum_required(9), 5);
 }
 
-TEST(Membership, MergeAdoptsOnlyNewerViewsAndKeepsFresherHeartbeats) {
+TEST(Membership, MergeAdoptsOnlyNewerViews) {
   cluster::MembershipView a = cluster::MembershipView::initial({10, 11, 12});
   a.incarnation = 1;
   a.version = 3;
-  a.find(11)->last_heartbeat = 900;
 
   cluster::MembershipView b = a;
   b.version = 4;
   b.find(10)->role = cluster::MemberRole::kDead;
-  b.find(11)->last_heartbeat = 500;  // staler observation than ours
 
   cluster::MembershipView mine = a;
   EXPECT_TRUE(mine.merge(b));
   EXPECT_EQ(mine.version, 4u);
   EXPECT_EQ(mine.find(10)->role, cluster::MemberRole::kDead);
-  EXPECT_EQ(mine.find(11)->last_heartbeat, 900) << "merge must not lose fresher local obs";
 
   // Older view: no adoption.
   cluster::MembershipView old = a;
   old.version = 2;
   EXPECT_FALSE(mine.merge(old));
   EXPECT_EQ(mine.version, 4u);
+  EXPECT_EQ(mine.find(10)->role, cluster::MemberRole::kDead);
+
+  // A newer version with the same member list is adopted but reports
+  // no change.
+  cluster::MembershipView bumped = mine;
+  bumped.version = 5;
+  EXPECT_FALSE(mine.merge(bumped));
+  EXPECT_EQ(mine.version, 5u);
 }
 
 // The adopted view lists members in a different rank order than ours
 // (a promotion moved the primary to the front and the dead to the
-// back): every node must still keep its freshest heartbeat, whichever
-// side observed it.
-TEST(Membership, MergeKeepsFreshestHeartbeatAcrossRankReorders) {
+// back): the adopted order is the newer view's.
+TEST(Membership, MergeAdoptsRankReordersAndSameVersionNeverMovesMembers) {
   cluster::MembershipView mine = cluster::MembershipView::initial({1, 2, 3, 4, 5});
-  const sim::SimTime my_hb[] = {100, 500, 300, 50, 0};
-  for (int i = 0; i < 5; ++i) mine.members[static_cast<std::size_t>(i)].last_heartbeat = my_hb[i];
 
   cluster::MembershipView newer = cluster::MembershipView::initial({3, 2, 5, 1, 4});
   newer.version = 1;
-  const sim::SimTime their_hb[] = {900, 100, 70, 200, 10};  // for 3, 2, 5, 1, 4
-  for (int i = 0; i < 5; ++i) newer.members[static_cast<std::size_t>(i)].last_heartbeat = their_hb[i];
 
   cluster::MembershipView adopted = mine;
   EXPECT_TRUE(adopted.merge(newer));
   ASSERT_EQ(adopted.size(), 5u);
   const int order[] = {3, 2, 5, 1, 4};
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(adopted.members[static_cast<std::size_t>(i)].node, order[i]);
-  EXPECT_EQ(adopted.find(1)->last_heartbeat, 200);
-  EXPECT_EQ(adopted.find(2)->last_heartbeat, 500);
-  EXPECT_EQ(adopted.find(3)->last_heartbeat, 900);
-  EXPECT_EQ(adopted.find(4)->last_heartbeat, 50);
-  EXPECT_EQ(adopted.find(5)->last_heartbeat, 70);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(adopted.members[static_cast<std::size_t>(i)].node, order[i]);
+    EXPECT_EQ(adopted.members[static_cast<std::size_t>(i)].rank, i);
+  }
 
   // Same (incarnation, version) in another order, plus an unknown node
-  // and a missing one: only heartbeats move, never the member list.
+  // and a missing one: the member list never moves.
   cluster::MembershipView same = mine;
   cluster::MembershipView reordered = cluster::MembershipView::initial({5, 9, 3, 1});
-  const sim::SimTime reordered_hb[] = {40, 7777, 800, 90};  // for 5, 9, 3, 1
-  for (int i = 0; i < 4; ++i) {
-    reordered.members[static_cast<std::size_t>(i)].last_heartbeat = reordered_hb[i];
-  }
   EXPECT_FALSE(same.merge(reordered));
-  const sim::SimTime want[] = {100, 500, 800, 50, 40};  // for 1..5
-  for (int n = 1; n <= 5; ++n) {
-    EXPECT_EQ(same.members[static_cast<std::size_t>(n - 1)].node, n);
-    EXPECT_EQ(same.find(n)->last_heartbeat, want[n - 1]) << "node " << n;
-  }
+  EXPECT_EQ(same, mine);
   EXPECT_EQ(same.find(9), nullptr);
 }
 
@@ -404,6 +396,100 @@ TEST(Cluster, OperatorSwitchoverHandsOffToRankOne) {
   EXPECT_EQ(dep.engine(0)->role(), Role::kBackup);
 }
 
+/// Reports one OPC-client component to its node's engine over loopback,
+/// ready or not as `ready` says at each heartbeat.
+class ReadinessReporter {
+ public:
+  ReadinessReporter(sim::Process& p, std::shared_ptr<bool> ready)
+      : process_(&p), engine_port_(p.sim().port(kEnginePort)), timer_(p.main_strand()) {
+    FtRegister reg;
+    reg.component = "replica";
+    reg.process_name = p.name();
+    reg.ftim_port = ftim_port(p.name());
+    reg.kind = FtimKind::kOpcClient;
+    send(reg.encode());
+    timer_.start(sim::milliseconds(50), [this, ready] {
+      FtHeartbeat hb;
+      hb.component = "replica";
+      hb.ready = *ready;
+      send(hb.encode());
+    });
+  }
+
+ private:
+  void send(Buffer frame) {
+    process_->send(0, process_->node().id(), engine_port_, std::move(frame), engine_port_);
+  }
+  sim::Process* process_;
+  sim::PortId engine_port_;
+  sim::PeriodicTimer timer_;
+};
+
+// Succession skips a member whose engine reports a replica not ready to
+// promote, and takes it back once the replica reports ready again.
+TEST(Cluster, NotReadyReplicaIsSkippedUntilItReportsReady) {
+  sim::Simulation sim(7013);
+  ClusterDeployment dep(sim, standard_options(3));
+  sim.run_for(sim::seconds(5));
+  ASSERT_EQ(dep.primary_node(), dep.node(0).id());
+
+  auto ready = std::make_shared<bool>(false);
+  dep.node(1).start_process("reporter", [ready](sim::Process& p) {
+    p.attachment<ReadinessReporter>(p, ready);
+  });
+  sim.run_for(sim::seconds(1));
+  ASSERT_FALSE(dep.engine(1)->node_replica_ready());
+
+  dep.node(0).crash();
+  sim.run_for(sim::seconds(4));
+  EXPECT_EQ(dep.primary_node(), dep.node(2).id()) << "rank 1 is not ready: rank 2 is elected";
+  EXPECT_EQ(dep.primary_count(), 1);
+
+  // Bring the crashed member back (it rejoins at the back of the line),
+  // let rank 1 report ready, then fail the primary again: rank 1 is
+  // eligible again and wins over the rejoined member.
+  dep.node(0).boot();
+  *ready = true;
+  sim.run_for(sim::seconds(3));
+  ASSERT_EQ(dep.engine(2)->view().find(dep.node(1).id())->rank, 1);
+  ASSERT_EQ(dep.engine(2)->view().find(dep.node(0).id())->rank, 2);
+  ASSERT_TRUE(dep.engine(1)->node_replica_ready());
+  dep.node(2).crash();
+  sim.run_for(sim::seconds(4));
+  EXPECT_EQ(dep.primary_node(), dep.node(1).id()) << "ready again: rank 1 is elected";
+  EXPECT_EQ(dep.primary_count(), 1);
+}
+
+// FTIM -> engine kinds are loopback only, also when they arrive through
+// the cluster's reliable session: the test PC opening a session to the
+// primary's engine port can neither force a handoff nor plant a
+// component.
+TEST(ClusterWire, FtimKindsOverASessionFromAnotherNodeAreDropped) {
+  sim::Simulation sim(7014);
+  ClusterDeployment dep(sim, standard_options(3));
+  sim.run_for(sim::seconds(5));
+  ASSERT_EQ(dep.primary_node(), dep.node(0).id());
+  const std::size_t components = dep.engine(0)->components().size();
+
+  const sim::PortId port = sim.port(kEnginePort);
+  auto test_pc = dep.monitor_node().start_process("test_pc", [port](sim::Process& p) {
+    p.attachment<SessionSpeaker>(p, port);
+  });
+  transport::Endpoint& ep = *test_pc->find_attachment<SessionSpeaker>()->ep;
+  FtRegister phantom;
+  phantom.component = "phantom";
+  phantom.process_name = "app";
+  phantom.ftim_port = ftim_port("phantom");
+  ep.send(dep.node(0).id(), phantom.encode());
+  ep.send(dep.node(0).id(), FtDistress{{}, "app", "forged"}.encode());
+  sim.run_for(sim::seconds(2));
+
+  EXPECT_EQ(dep.primary_node(), dep.node(0).id());
+  EXPECT_EQ(sim.counter_value("oftt.distress"), 0u);
+  EXPECT_EQ(dep.engine(0)->components().size(), components);
+  EXPECT_EQ(dep.engine(0)->components().count("phantom"), 0u);
+}
+
 TEST(Cluster, MonitorRendersMembershipView) {
   sim::Simulation sim(7010);
   ClusterDeployment dep(sim, standard_options(3));
@@ -627,9 +713,6 @@ std::vector<std::string> run_forged_ids(std::uint64_t seed, bool attack) {
     for (int n : members) {
       line += cat(" | ", n, " ", swim::member_state_name(d->state(n)), "@", d->incarnation(n),
                   " heard ", d->last_heard(n), " suspect ", d->suspect_since(n));
-    }
-    for (const cluster::Member& m : e->view().members) {
-      line += cat(" hb", m.node, "=", m.last_heartbeat);
     }
     snap.push_back(line);
   }

@@ -157,6 +157,65 @@ TEST(Engine, GarbagePacketsAreCounted) {
   EXPECT_EQ(dep.primary_node(), dep.node_a().id()) << "garbage must not disturb roles";
 }
 
+// What an operator would see of the engine's components: names, state,
+// restarts, recovery rule and armed watchdogs (not the heartbeat count,
+// which moves on its own).
+std::string component_board(const Engine& e) {
+  std::string s;
+  for (const auto& [name, c] : e.components()) {
+    s += cat(name, " ", component_state_name(c.state), " restarts ", c.restarts, " rule ",
+             c.reg.max_local_restarts, "/", c.reg.switchover_on_permanent, " watchdogs");
+    for (const auto& [wd, state] : c.watchdogs) s += cat(" ", wd);
+    s += "\n";
+  }
+  return s;
+}
+
+// FTIM -> engine kinds are loopback only. The test PC sending each of
+// them raw to the primary's engine port plants no component, arms no
+// watchdog, rewrites no rule and forces no switchover.
+TEST(EngineIngress, FtimKindsFromAnotherNodeAreDropped) {
+  sim::Simulation sim(81);
+  PairDeployment dep(sim, app_options(false));
+  sim.run_for(sim::seconds(3));
+  ASSERT_EQ(dep.primary_node(), dep.node_a().id());
+  const std::string board = component_board(*dep.engine_a());
+  ASSERT_NE(board.find("app UP"), std::string::npos) << board;
+
+  FtRegister phantom;
+  phantom.component = "phantom";
+  phantom.process_name = "app";
+  phantom.ftim_port = ftim_port("phantom");
+  FtHeartbeat hb;
+  hb.component = "app";
+  hb.policy = ReplicationMode::kSemiActive;
+  hb.ready = false;
+  FtDistress distress;
+  distress.component = "app";
+  distress.reason = "forged";
+  SetRule rule;
+  rule.component = "app";
+  rule.max_local_restarts = 0;
+  rule.switchover_on_permanent = 1;
+  std::vector<Buffer> frames = {phantom.encode(), hb.encode(), distress.encode(), rule.encode()};
+  for (MsgKind op : {MsgKind::kWatchdogCreate, MsgKind::kWatchdogReset, MsgKind::kWatchdogDelete}) {
+    frames.push_back(WatchdogMsg{{}, op, "app", "forged", sim::milliseconds(100)}.encode());
+  }
+
+  auto test_pc = dep.monitor_node().start_process("test_pc", [](sim::Process&) {});
+  const sim::PortId port = sim.port(kEnginePort);
+  for (Buffer& frame : frames) {
+    ASSERT_TRUE(test_pc->send(0, dep.node_a().id(), port, std::move(frame), port));
+  }
+  sim.run_for(sim::seconds(2));
+
+  EXPECT_EQ(dep.primary_node(), dep.node_a().id());
+  EXPECT_EQ(sim.counter_value("oftt.takeovers"), 0u);
+  EXPECT_EQ(sim.counter_value("oftt.distress"), 0u);
+  ASSERT_NE(dep.engine_a(), nullptr);
+  EXPECT_EQ(component_board(*dep.engine_a()), board);
+}
+
 TEST(Engine, RebootedBackupCatchesUpThroughCheckpoints) {
   sim::Simulation sim(80);
   PairDeployment dep(sim, app_options(false));

@@ -17,11 +17,13 @@
 #include "sim/rng.h"
 #include "store/journal.h"
 #include "support/counter_app.h"
+#include "support/session_speaker.h"
 
 namespace oftt::core {
 namespace {
 
 using testsupport::CounterApp;
+using testsupport::SessionSpeaker;
 
 // ---------------------------------------------------------------------
 // Mode predicates: the four decision points, per mode.
@@ -640,6 +642,51 @@ TEST(FtimIngress, RawFramesFromAThirdNodeLeaveTheBackupUntouched) {
   ASSERT_NE(backup->latest_checkpoint(), nullptr);
   EXPECT_EQ(backup->latest_checkpoint()->incarnation, held_incarnation);
   EXPECT_LT(backup->latest_checkpoint()->seq, forged.seq);
+}
+
+// Sessions open only for replication peers: a third node that speaks the
+// session protocol on the FTIM port can neither switch the backup's
+// policy nor pull checkpoints from either side of the pair.
+TEST(FtimIngress, SessionsFromANonPeerAreRefused) {
+  sim::Simulation sim(9007);
+  PairDeployment dep(sim, policy_pair_options(ReplicationMode::kWarmPassive));
+  sim.run_for(sim::seconds(3));
+
+  int primary = dep.primary_node();
+  ASSERT_NE(primary, -1);
+  sim::Node& backup_node = primary == dep.node_a().id() ? dep.node_b() : dep.node_a();
+  Ftim* backup = dep.ftim_on(backup_node);
+  Ftim* active = dep.ftim_on(*dep.node_by_id(primary));
+  ASSERT_NE(backup, nullptr);
+  ASSERT_NE(active, nullptr);
+  const std::uint64_t switches = backup->policy_switches();
+  auto pulls_served = [&] {
+    return backup->pulls_served_full() + backup->pulls_served_delta() +
+           active->pulls_served_full() + active->pulls_served_delta();
+  };
+  const std::uint64_t served = pulls_served();
+
+  PolicySwitchMsg policy_switch;
+  policy_switch.component = "app";
+  policy_switch.to = ReplicationMode::kColdPassive;
+  policy_switch.reason = "forged";
+  CheckpointPull pull;
+  pull.component = "app";
+  pull.from_node = dep.monitor_node().id();
+
+  const sim::PortId port = sim.port(ftim_port("app"));
+  auto intruder = dep.monitor_node().start_process("intruder", [port](sim::Process& proc) {
+    proc.attachment<SessionSpeaker>(proc, port);
+  });
+  transport::Endpoint& ep = *intruder->find_attachment<SessionSpeaker>()->ep;
+  ep.send(backup_node.id(), policy_switch.encode());
+  ep.send(backup_node.id(), pull.encode());
+  ep.send(primary, pull.encode());
+  sim.run_for(sim::seconds(1));
+
+  EXPECT_EQ(backup->policy_switches(), switches);
+  EXPECT_EQ(backup->replication_mode(), ReplicationMode::kWarmPassive);
+  EXPECT_EQ(pulls_served(), served);
 }
 
 TEST(PolicyGovernorScenario, DegradesToColdUnderSustainedLossAndRecoversWarm) {

@@ -39,9 +39,9 @@ cluster::MembershipView sample_view() {
   cluster::MembershipView v;
   v.version = 12;
   v.incarnation = 3;
-  v.members = {cluster::Member{2, 0, cluster::MemberRole::kPrimary, 3, 1'500'000},
-               cluster::Member{0, 1, cluster::MemberRole::kBackup, 1, 1'400'000},
-               cluster::Member{1, 2, cluster::MemberRole::kDead, 2, 0}};
+  v.members = {cluster::Member{2, 0, cluster::MemberRole::kPrimary},
+               cluster::Member{0, 1, cluster::MemberRole::kBackup},
+               cluster::Member{1, 2, cluster::MemberRole::kDead}};
   return v;
 }
 
@@ -163,10 +163,6 @@ std::vector<std::pair<std::string, Buffer>> golden_frames() {
   act.incarnation = 4;
   act.role = Role::kPrimary;
   f.emplace_back("SetActive", act.encode());
-
-  EngineHello hello;
-  hello.node = 6;
-  f.emplace_back("EngineHello", hello.encode());
 
   StatusReport sr;
   sr.unit = "calltrack";
@@ -373,8 +369,7 @@ constexpr Pin kPins[] = {
     {"Watchdog15", 24, 0x15082757u},
     {"SetRule", 16, 0x64c42007u},
     {"SetActive", 7, 0x6ccbf044u},
-    {"EngineHello", 5, 0xd641d488u},
-    {"StatusReport", 181, 0x5df08ed9u},
+    {"StatusReport", 145, 0xfaf7a087u},
     {"StatusReportPair", 28, 0x0013ea76u},
     {"RoleAnnounce", 23, 0x67dd85f9u},
     {"SubscribeRoles", 27, 0x8e587cbeu},
@@ -383,12 +378,12 @@ constexpr Pin kPins[] = {
     {"CheckpointPull", 30, 0x6106204bu},
     {"Decision", 38, 0x58b0bfacu},
     {"PolicySwitch", 47, 0xcbcf1be4u},
-    {"ViewGossip", 96, 0x88bb6dedu},
-    {"PromoteRequest", 49, 0x7c9ab6bdu},
-    {"PromoteAck", 15, 0xd745c202u},
-    {"SwimProbe", 52, 0x0dcc1044u},
-    {"SwimAck", 52, 0x63fd0e2fu},
-    {"SwimPingReq", 52, 0x0e1bfdd4u},
+    {"ViewGossip", 60, 0x5d240adcu},
+    {"PromoteRequest", 49, 0x58e191b1u},
+    {"PromoteAck", 15, 0x2b4c3dc8u},
+    {"SwimProbe", 52, 0x46b45fceu},
+    {"SwimAck", 52, 0x288541a5u},
+    {"SwimPingReq", 52, 0x4563b25eu},
     {"NotifyFrame", 119, 0x08cb418fu},
     {"OrpcRequest", 59, 0x90c60cb0u},
     {"OrpcResponse", 19, 0xee449b8au},
@@ -447,11 +442,11 @@ TEST(WireGolden, EveryMsgKindHasAPinnedSample) {
       MsgKind::kTakeover,       MsgKind::kFtRegister,     MsgKind::kFtHeartbeat,
       MsgKind::kFtDistress,     MsgKind::kWatchdogCreate, MsgKind::kWatchdogReset,
       MsgKind::kWatchdogDelete, MsgKind::kSetRule,        MsgKind::kSetActive,
-      MsgKind::kEngineHello,    MsgKind::kStatusReport,   MsgKind::kRoleAnnounce,
-      MsgKind::kSubscribeRoles, MsgKind::kCheckpoint,     MsgKind::kCheckpointNack,
-      MsgKind::kCheckpointPull, MsgKind::kDecision,       MsgKind::kPolicySwitch,
-      MsgKind::kViewGossip,     MsgKind::kPromoteRequest, MsgKind::kPromoteAck,
-      MsgKind::kSwimProbe,      MsgKind::kSwimAck,        MsgKind::kSwimPingReq};
+      MsgKind::kStatusReport,   MsgKind::kRoleAnnounce,   MsgKind::kSubscribeRoles,
+      MsgKind::kCheckpoint,     MsgKind::kCheckpointNack, MsgKind::kCheckpointPull,
+      MsgKind::kDecision,       MsgKind::kPolicySwitch,   MsgKind::kViewGossip,
+      MsgKind::kPromoteRequest, MsgKind::kPromoteAck,     MsgKind::kSwimProbe,
+      MsgKind::kSwimAck,        MsgKind::kSwimPingReq};
   for (MsgKind k : kinds) EXPECT_TRUE(seen[static_cast<std::uint8_t>(k)]) << int(k);
 }
 

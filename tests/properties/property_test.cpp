@@ -260,8 +260,6 @@ cluster::MembershipView random_view(sim::Rng& rng) {
     m.node = static_cast<int>(rng.uniform(0, 1'000));
     m.rank = static_cast<int>(i);
     m.role = static_cast<cluster::MemberRole>(rng.uniform(0, 3));
-    m.incarnation = static_cast<std::uint32_t>(rng.uniform(0, 100'000));
-    m.last_heartbeat = rng.uniform(0, 1'000'000'000'000);
     v.members.push_back(m);
   }
   return v;
