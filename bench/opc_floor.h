@@ -5,9 +5,10 @@
 //
 //  - kFloorNotifyPerSec and kFloorBatchedNotifyPerSec are wall-clock
 //    (host) throughput of the change-driven group tick path, delivered
-//    by callback and through the notification plane. Both follow the
-//    kernel_floor.h
-//    philosophy: set far below dev-machine numbers so shared CI
+//    by callback and through the notification plane, and
+//    kFloorTagBuildPerSec the wall-clock rate of building a store. All
+//    follow the kernel_floor.h philosophy: set far below dev-machine
+//    numbers so shared CI
 //    runners pass, tight enough that a wholesale O(changed) -> O(tags)
 //    regression (the seed's poll-and-diff cost creeping back) cannot.
 //  - kFloorCoalesceRatio and kFloorSwitchoverP99Ns are *sim-domain*
@@ -41,6 +42,15 @@ inline constexpr double kFloorNotifyPerSec = 500e3;
 // former per-item tree lookups and byte-at-a-time encoder. The floor
 // sits well below the slowest run, like kFloorNotifyPerSec.
 inline constexpr double kFloorBatchedNotifyPerSec = 750e3;
+
+// E16g: building a store (intern + first set + bind_regions of fresh
+// "p<i>" names over 32 shards), wall-clock tags/sec. Release, 4-core
+// Xeon VM, median of five runs: 16.3M/s at N = 10^4, 10.3M/s at 10^5
+// and 7.4M/s at 10^6 with the name arena and 24-byte cells; 6.8M,
+// 6.1M and 3.1M/s with the former per-tag strings and variant columns.
+// The floor sits well below every run, like kFloorNotifyPerSec; the
+// std::map store the TagStore replaced built at about 1M/s.
+inline constexpr double kFloorTagBuildPerSec = 2.5e6;
 
 // E16b: with >= 2 groups per client node, batches per frame must show
 // real coalescing (one frame per (client, tick), not per group).

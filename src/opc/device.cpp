@@ -14,7 +14,7 @@ ItemState Device::read(const std::string& tag, sim::SimTime now) const {
   if (id == kInvalidTagId) {
     return ItemState{tag, OpcValue(), Quality::kBad, now};
   }
-  return ItemState{store_.name(id), store_.value(id),
+  return ItemState{tag, store_.value(id),
                    faulted_ ? Quality::kBad : store_.quality(id), store_.timestamp(id)};
 }
 

@@ -182,7 +182,7 @@ void OpcGroupObject::update_tick() {
   if (batched) batch.reserve(scratch_.size());
   std::uint64_t suppressed = 0;
   for (const SubscriptionHub::Pending& p : scratch_) {
-    const OpcValue& value = store.value(p.tag);
+    const OpcValue value = store.value(p.tag);
     const Quality quality = faulted ? Quality::kBad : store.quality(p.tag);
     Watch& w = watch_[p.slot];
     // Track the observed range for percent-deadband evaluation. The
@@ -220,7 +220,8 @@ void OpcGroupObject::update_tick() {
       if (batched) {
         batch.emplace_back(p.tag, quality, value, store.timestamp(p.tag));
       } else {
-        changed.push_back(ItemState{store.name(p.tag), value, quality, store.timestamp(p.tag)});
+        changed.push_back(
+            ItemState{std::string(store.name(p.tag)), value, quality, store.timestamp(p.tag)});
       }
     }
   }

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
 #include <functional>
-#include <type_traits>
 #include <utility>
 
 #include "common/strings.h"
@@ -23,18 +21,21 @@ int log2_of(int v) {
   return b;
 }
 
-/// The on-region image of one tag (see TagStore::kSlotBytes). Written
-/// through nt::Region::write so each store goes into the dirty tracker
-/// as one precise slot-sized range.
-struct Slot {
-  std::uint8_t type = 0;
-  std::uint8_t quality = 0;
-  std::uint8_t pad[6] = {};
-  std::uint64_t payload = 0;
-  std::int64_t ts = 0;
-};
-static_assert(sizeof(Slot) == TagStore::kSlotBytes);
-static_assert(std::is_trivially_copyable_v<Slot>);
+constexpr std::uint64_t kLanes = 0x0101010101010101ull;  // 1 in every byte
+constexpr std::uint64_t kHighBits = 0x8080808080808080ull;
+constexpr std::uint64_t kCtrlEmpty = 0x80;
+
+/// The lanes (high bit of each byte) of a control word whose byte
+/// equals `h7`. A lane just above a true match may be set too, so
+/// callers verify every candidate.
+std::uint64_t match_lanes(std::uint64_t word, std::uint64_t h7) {
+  const std::uint64_t x = word ^ (kLanes * h7);
+  return (x - kLanes) & ~x & kHighBits;
+}
+
+std::size_t lane_of(std::uint64_t lanes) {
+  return static_cast<std::size_t>(std::countr_zero(lanes)) / 8;
+}
 
 }  // namespace
 
@@ -51,73 +52,121 @@ std::uint32_t TagStore::hash_name(std::string_view name) {
 }
 
 std::size_t TagStore::probe(std::string_view name, std::uint32_t hash) const {
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const IndexEntry& e = index_[i];
-    if (e.id == kInvalidTagId || (e.hash == hash && names_[e.id] == name)) return i;
+  const std::size_t group_mask = ctrl_.size() - 1;
+  for (std::size_t g = (hash >> 7) & group_mask;; g = (g + 1) & group_mask) {
+    const std::uint64_t word = ctrl_[g];
+    for (std::uint64_t m = match_lanes(word, hash & 0x7F); m != 0; m &= m - 1) {
+      const std::size_t i = g * 8 + lane_of(m);
+      const TagId id = slots_[i];
+      if (hashes_[id] == hash && this->name(id) == name) return i;
+    }
+    if ((word & kHighBits) != 0) return g * 8 + lane_of(word & kHighBits);
   }
 }
 
+void TagStore::occupy(std::size_t i, TagId id, std::uint32_t hash) {
+  const unsigned shift = static_cast<unsigned>(i % 8) * 8;
+  std::uint64_t& word = ctrl_[i / 8];
+  word = (word & ~(std::uint64_t{0xFF} << shift)) | (std::uint64_t{hash & 0x7F} << shift);
+  slots_[i] = id;
+}
+
 void TagStore::grow_index() {
-  std::vector<IndexEntry> old = std::move(index_);
-  index_.assign(old.empty() ? 16 : old.size() * 2, IndexEntry{});
-  const std::size_t mask = index_.size() - 1;
-  for (const IndexEntry& e : old) {
-    if (e.id == kInvalidTagId) continue;
-    std::size_t i = e.hash & mask;
-    while (index_[i].id != kInvalidTagId) i = (i + 1) & mask;
-    index_[i] = e;
+  const std::size_t slots = slots_.empty() ? 64 : slots_.size() * 2;
+  ctrl_.assign(slots / 8, kLanes * kCtrlEmpty);
+  slots_.assign(slots, kInvalidTagId);
+  for (TagId id = 0; id < hashes_.size(); ++id) {
+    occupy(probe(name(id), hashes_[id]), id, hashes_[id]);
   }
 }
 
 TagId TagStore::intern(std::string_view name) {
-  if (2 * (names_.size() + 1) > index_.size()) grow_index();
+  if (2 * (size() + 1) > slots_.size()) grow_index();
   const std::uint32_t hash = hash_name(name);
-  IndexEntry& e = index_[probe(name, hash)];
-  if (e.id != kInvalidTagId) return e.id;
-  TagId id = static_cast<TagId>(names_.size());
-  e = IndexEntry{id, hash};
-  names_.emplace_back(name);
-  Shard& sh = shards_[static_cast<std::size_t>(shard_of(id))];
-  std::size_t slot = slot_of(id);
-  if (sh.values.size() <= slot) {
-    sh.values.resize(slot + 1);
-    sh.quality.resize(slot + 1, Quality::kBad);
-    sh.stamps.resize(slot + 1, 0);
-    sh.dirty.resize(slot + 1, 0);
-  }
+  const std::size_t i = probe(name, hash);
+  if (slots_[i] != kInvalidTagId) return slots_[i];
+  const TagId id = static_cast<TagId>(size());
+  occupy(i, id, hash);
+  hashes_.push_back(hash);
+  assert(arena_.size() + name.size() <= 0xFFFFFFFFu);
+  arena_.append(name);
+  name_at_.push_back(static_cast<std::uint32_t>(arena_.size()));
+  // Ids are dense and round-robin over the shards, so the new tag's
+  // slot is always its shard's next cell.
+  shard(id).cells.push_back();
   return id;
 }
 
 TagId TagStore::find(std::string_view name) const {
-  if (index_.empty()) return kInvalidTagId;
-  return index_[probe(name, hash_name(name))].id;
+  if (slots_.empty()) return kInvalidTagId;
+  return slots_[probe(name, hash_name(name))];
 }
 
 std::vector<std::string> TagStore::sorted_names() const {
-  std::vector<std::string> out = names_;
+  std::vector<std::string> out;
+  out.reserve(size());
+  for (TagId id = 0; id < size(); ++id) out.emplace_back(name(id));
   std::sort(out.begin(), out.end());
   return out;
 }
 
 bool TagStore::set(TagId id, const OpcValue& value, Quality quality, sim::SimTime now) {
-  Shard& sh = shards_[static_cast<std::size_t>(shard_of(id))];
-  std::size_t slot = slot_of(id);
-  bool changed = sh.values[slot] != value || sh.quality[slot] != quality;
-  sh.stamps[slot] = now;
-  if (!changed) return false;
-  sh.values[slot] = value;
-  sh.quality[slot] = quality;
+  Shard& sh = shard(id);
+  const std::size_t slot = slot_of(id);
+  Cell& c = sh.cells[slot];
+  c.ts = now;
+  std::uint8_t type = kSlotEmpty;
+  std::uint64_t payload = 0;
+  bool same;
+  if (value.is_real()) {
+    // Compare as doubles, as OpcValue equality does: 0.0 == -0.0 and
+    // NaN != NaN.
+    const double d = value.as_real();
+    type = kSlotReal;
+    payload = std::bit_cast<std::uint64_t>(d);
+    same = c.type == kSlotReal && std::bit_cast<double>(c.payload) == d;
+  } else {
+    if (value.is_bool()) {
+      type = kSlotBool;
+      payload = value.as_bool() ? 1 : 0;
+    } else if (value.is_int()) {
+      type = kSlotInt;
+      payload = static_cast<std::uint64_t>(static_cast<std::int64_t>(value.as_int()));
+    } else if (value.is_string()) {
+      type = kSlotString;
+    }
+    same = c.type == type && c.payload == payload &&
+           (type != kSlotString || strings_.find(id)->second == value);
+  }
+  if (same && c.quality == quality) return false;
+  if (type == kSlotString) {
+    strings_.insert_or_assign(id, value);
+  } else if (c.type == kSlotString) {
+    strings_.erase(id);
+  }
+  c.type = type;
+  c.payload = payload;
+  c.quality = quality;
   ++sh.version;
   ++mutations_;
-  if (sh.dirty[slot] == 0) {
-    sh.dirty[slot] = 1;
+  if (c.dirty == 0) {
+    c.dirty = 1;
     sh.dirty_list.push_back(id);
   }
-  if (sh.region != nullptr && slot < sh.region_slots) {
-    write_slot(sh, slot, value, quality, now);
-  }
+  if (sh.region != nullptr && slot < sh.region_slots) write_slot(sh, slot);
   return true;
+}
+
+OpcValue TagStore::value(TagId id) const {
+  const Cell& c = cell(id);
+  switch (c.type) {
+    case kSlotBool: return OpcValue::from_bool(c.payload != 0);
+    case kSlotInt:
+      return OpcValue::from_int(static_cast<std::int32_t>(static_cast<std::int64_t>(c.payload)));
+    case kSlotReal: return OpcValue::from_real(std::bit_cast<double>(c.payload));
+    case kSlotString: return strings_.find(id)->second;
+    default: return OpcValue();
+  }
 }
 
 std::size_t TagStore::dirty_count() const {
@@ -129,7 +178,7 @@ std::size_t TagStore::dirty_count() const {
 void TagStore::bind_regions(nt::MemorySpace& memory, const std::string& prefix) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = shards_[i];
-    std::size_t slots = sh.values.size();
+    std::size_t slots = sh.cells.size();
     if (slots == 0) continue;
     nt::Region& region = memory.alloc(cat(prefix, ".", i), slots * kSlotBytes);
     // Precise per-slot dirty marks must never collapse to a full-region
@@ -140,64 +189,47 @@ void TagStore::bind_regions(nt::MemorySpace& memory, const std::string& prefix) 
     // Seed the region with the current state so the first delta after
     // binding carries real bytes, and so a backup's restored image is
     // complete even for tags that never mutate again.
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-      write_slot(sh, slot, sh.values[slot], sh.quality[slot], sh.stamps[slot]);
-    }
+    for (std::size_t slot = 0; slot < slots; ++slot) write_slot(sh, slot);
   }
   bound_ = true;
 }
 
-void TagStore::write_slot(Shard& sh, std::size_t slot, const OpcValue& v, Quality q,
-                          sim::SimTime now) {
-  Slot s;
-  if (v.is_bool()) {
-    s.type = kSlotBool;
-    s.payload = v.as_bool() ? 1 : 0;
-  } else if (v.is_int()) {
-    s.type = kSlotInt;
-    s.payload = static_cast<std::uint64_t>(static_cast<std::int64_t>(v.as_int()));
-  } else if (v.is_real()) {
-    s.type = kSlotReal;
-    double d = v.as_real();
-    std::memcpy(&s.payload, &d, sizeof(d));
-  } else if (v.is_string()) {
-    s.type = kSlotString;  // not restorable; reload keeps the RAM value
-  }
-  s.quality = static_cast<std::uint8_t>(q);
-  s.ts = now;
-  sh.region->write(slot * kSlotBytes, s);
+void TagStore::write_slot(Shard& sh, std::size_t slot) {
+  Cell c = sh.cells[slot];
+  c.dirty = 0;
+  sh.region->write(slot * kSlotBytes, c);
 }
 
 void TagStore::reload_from_regions() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = shards_[i];
     if (sh.region == nullptr) continue;
-    std::size_t slots = std::min(sh.region_slots, sh.values.size());
+    std::size_t slots = std::min(sh.region_slots, sh.cells.size());
     for (std::size_t slot = 0; slot < slots; ++slot) {
-      Slot raw = sh.region->read<Slot>(slot * kSlotBytes);
-      auto q = static_cast<Quality>(raw.quality);
-      if (q != Quality::kBad && q != Quality::kUncertain && q != Quality::kGood) {
-        q = Quality::kBad;
+      const Cell raw = sh.region->read<Cell>(slot * kSlotBytes);
+      if (raw.type == kSlotString) continue;  // RAM value is the best we have
+      Cell& c = sh.cells[slot];
+      if (c.type == kSlotString) {
+        strings_.erase(static_cast<TagId>(slot << shard_bits_ | i));
       }
-      OpcValue v;
+      // Fail closed on foreign bytes: an unknown type reads as empty,
+      // an unknown quality as BAD, and payloads take the canonical form
+      // set() would have written.
+      c.type = raw.type;
       switch (raw.type) {
-        case kSlotBool: v = OpcValue::from_bool(raw.payload != 0); break;
+        case kSlotBool: c.payload = raw.payload != 0 ? 1 : 0; break;
         case kSlotInt:
-          v = OpcValue::from_int(
-              static_cast<std::int32_t>(static_cast<std::int64_t>(raw.payload)));
+          c.payload = static_cast<std::uint64_t>(static_cast<std::int64_t>(
+              static_cast<std::int32_t>(static_cast<std::int64_t>(raw.payload))));
           break;
-        case kSlotReal: {
-          double d = 0.0;
-          std::memcpy(&d, &raw.payload, sizeof(d));
-          v = OpcValue::from_real(d);
+        case kSlotReal: c.payload = raw.payload; break;
+        default:
+          c.type = kSlotEmpty;
+          c.payload = 0;
           break;
-        }
-        case kSlotString: continue;  // RAM value is the best we have
-        default: break;              // kSlotEmpty (or garbage): empty value
       }
-      sh.values[slot] = std::move(v);
-      sh.quality[slot] = q;
-      sh.stamps[slot] = raw.ts;
+      c.quality = wire_valid(raw.quality) ? raw.quality : Quality::kBad;
+      c.ts = raw.ts;
     }
   }
 }

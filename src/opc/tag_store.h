@@ -8,12 +8,17 @@
 //
 //  - string → dense TagId interning: tag names are resolved to a
 //    std::uint32_t exactly once (AddItems / add_input time); every hot
-//    path after that is an array index. Each name is stored once, in
-//    id order; the name index is a flat open-addressing table of ids.
+//    path after that is an array index. Names sit back to back in one
+//    arena, in id order, found by a u32 offset per id; the name index is
+//    a flat open-addressing table of ids.
 //  - a fixed power-of-two shard count. A tag's shard is `id & mask`, its
 //    slot within the shard `id >> shard_bits`, so sequential interning
-//    round-robins tags across shards and every shard's slot arrays stay
+//    round-robins tags across shards and every shard's cell array stays
 //    dense.
+//  - one trivially-copyable 24-byte cell per tag holding type, quality,
+//    payload and timestamp in the checkpoint slot's layout, so binding
+//    and reloading regions copy cells. String payloads live in a side
+//    table keyed by TagId.
 //  - per-shard version counters and dirty lists: set() appends a tag to
 //    its shard's dirty list only on a value/quality *change* (timestamp
 //    refreshes alone are not changes), so a scan cycle that rewrites
@@ -39,8 +44,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "opc/value.h"
@@ -64,26 +72,29 @@ class TagStore {
   explicit TagStore(int shard_count = 16);
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  std::size_t size() const { return names_.size(); }
+  std::size_t size() const { return name_at_.size() - 1; }
   int shard_of(TagId id) const { return static_cast<int>(id & shard_mask_); }
 
   /// Resolve-or-create. Ids are dense, assigned in interning order.
   TagId intern(std::string_view name);
   /// Resolve only; kInvalidTagId when unknown.
   TagId find(std::string_view name) const;
-  const std::string& name(TagId id) const { return names_[id]; }
+  std::string_view name(TagId id) const {
+    return std::string_view(arena_.data() + name_at_[id], name_at_[id + 1] - name_at_[id]);
+  }
   /// Every tag name, lexicographically sorted (the browse order the
   /// seed's std::map gave for free).
   std::vector<std::string> sorted_names() const;
 
   /// Store (value, quality) and refresh the timestamp. Returns true —
   /// and marks the tag dirty, bumps its shard version — only when the
-  /// value or quality actually changed.
+  /// value or quality actually changed, by OpcValue equality (so 0.0 and
+  /// -0.0 are the same value and NaN always changes).
   bool set(TagId id, const OpcValue& value, Quality quality, sim::SimTime now);
 
-  const OpcValue& value(TagId id) const { return shard(id).values[slot_of(id)]; }
-  Quality quality(TagId id) const { return shard(id).quality[slot_of(id)]; }
-  sim::SimTime timestamp(TagId id) const { return shard(id).stamps[slot_of(id)]; }
+  OpcValue value(TagId id) const;
+  Quality quality(TagId id) const { return cell(id).quality; }
+  sim::SimTime timestamp(TagId id) const { return cell(id).ts; }
 
   std::uint64_t shard_version(int shard) const { return shards_[static_cast<std::size_t>(shard)].version; }
   /// Total value/quality changes across all shards since construction.
@@ -97,7 +108,7 @@ class TagStore {
   void drain_dirty(Fn&& fn) {
     for (Shard& sh : shards_) {
       for (TagId id : sh.dirty_list) {
-        sh.dirty[slot_of(id)] = 0;
+        sh.cells[slot_of(id)].dirty = 0;
         fn(id);
       }
       sh.dirty_list.clear();
@@ -130,41 +141,85 @@ class TagStore {
     kSlotString = 4,  // payload not checkpointable; value stays RAM-only
   };
 
+  /// One tag, laid out as its checkpoint slot (kSlotBytes), so writing
+  /// or reading a region slot is a copy. `dirty` sits in the slot's pad
+  /// and is RAM-only: regions always see it as 0. A string's payload is
+  /// 0 here; its text lives in TagStore::strings_.
+  struct Cell {
+    std::uint8_t type = kSlotEmpty;
+    Quality quality = Quality::kBad;
+    std::uint8_t dirty = 0;
+    std::uint8_t pad[5] = {};
+    std::uint64_t payload = 0;
+    sim::SimTime ts = 0;
+  };
+  static_assert(sizeof(Cell) == kSlotBytes);
+  static_assert(std::is_trivially_copyable_v<Cell>);
+
+  /// A shard's cells in slot order, in fixed chunks that never move:
+  /// growing a shard allocates one more chunk instead of copying every
+  /// cell into a vector twice the size, so a build writes each cell's
+  /// memory once.
+  class CellArray {
+   public:
+    std::size_t size() const { return size_; }
+    Cell& operator[](std::size_t i) { return chunks_[i / kChunk][i % kChunk]; }
+    const Cell& operator[](std::size_t i) const { return chunks_[i / kChunk][i % kChunk]; }
+    void push_back() {
+      if (size_ % kChunk == 0) chunks_.push_back(std::make_unique<Cell[]>(kChunk));
+      ++size_;
+    }
+
+   private:
+    static constexpr std::size_t kChunk = 256;  // 6 KiB
+    std::vector<std::unique_ptr<Cell[]>> chunks_;
+    std::size_t size_ = 0;
+  };
+
   struct Shard {
-    std::vector<OpcValue> values;
-    std::vector<Quality> quality;
-    std::vector<sim::SimTime> stamps;
-    std::vector<std::uint8_t> dirty;
+    CellArray cells;
     std::vector<TagId> dirty_list;
     std::uint64_t version = 0;
     nt::Region* region = nullptr;
     std::size_t region_slots = 0;
   };
 
-  /// One slot of the name index: the id whose name hashes here, and
-  /// that hash, which settles most probes without a string compare.
-  struct IndexEntry {
-    TagId id = kInvalidTagId;
-    std::uint32_t hash = 0;
-  };
-
   std::size_t slot_of(TagId id) const { return id >> shard_bits_; }
+  Shard& shard(TagId id) { return shards_[static_cast<std::size_t>(shard_of(id))]; }
   const Shard& shard(TagId id) const { return shards_[static_cast<std::size_t>(shard_of(id))]; }
-  void write_slot(Shard& sh, std::size_t slot, const OpcValue& v, Quality q,
-                  sim::SimTime now);
+  const Cell& cell(TagId id) const { return shard(id).cells[slot_of(id)]; }
+  static void write_slot(Shard& sh, std::size_t slot);
   static std::uint32_t hash_name(std::string_view name);
   /// Index slot holding `name`, or the empty slot where it belongs.
   /// The index must not be empty.
   std::size_t probe(std::string_view name, std::uint32_t hash) const;
+  /// Put `id` in the empty index slot `i`.
+  void occupy(std::size_t i, TagId id, std::uint32_t hash);
   void grow_index();
 
   std::vector<Shard> shards_;
   std::uint32_t shard_mask_ = 0;
   int shard_bits_ = 0;
-  /// Name → id: a power-of-two table, linear probing, at most half
-  /// full. Nothing iterates it, so its layout never reaches an output.
-  std::vector<IndexEntry> index_;
-  std::vector<std::string> names_;
+  /// Name → id: open addressing over groups of eight slots, at most
+  /// half full. ctrl_ holds one byte per slot, packed eight to a word:
+  /// 0x80 while the slot is empty, else the low seven bits of its name's
+  /// hash (bits 7 and up pick the first group to probe). A probe reads
+  /// one word per group and compares names only where a byte matches,
+  /// and the small control array stays in cache where a table of full
+  /// entries would not. Nothing iterates the index, so its layout never
+  /// reaches an output.
+  std::vector<std::uint64_t> ctrl_;
+  /// The id in each slot; kInvalidTagId while the slot is empty.
+  std::vector<TagId> slots_;
+  /// Each id's name hash: probes check it before comparing names, and
+  /// growth re-places ids without hashing their names again.
+  std::vector<std::uint32_t> hashes_;
+  /// Every name back to back in id order; name `id` is
+  /// arena_[name_at_[id], name_at_[id + 1]).
+  std::string arena_;
+  std::vector<std::uint32_t> name_at_{0};
+  /// The value of every string-typed tag; nothing iterates it.
+  std::unordered_map<TagId, OpcValue> strings_;
   std::uint64_t mutations_ = 0;
   bool bound_ = false;
 };

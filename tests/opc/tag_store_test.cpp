@@ -54,7 +54,7 @@ std::vector<std::string> scrambled_names(int n) {
 }
 
 TEST(TagStoreIndex, IdsStayDenseInInsertionOrderAcrossGrowths) {
-  // 1000 names take the index from 16 slots through 7 doublings.
+  // 1000 names take the index from 64 slots through 5 doublings.
   const std::vector<std::string> names = scrambled_names(1000);
   TagStore store(4);
   for (std::size_t i = 0; i < names.size(); ++i) {
