@@ -1133,8 +1133,14 @@ void Engine::announce_role() {
 void Engine::on_datagram(const sim::Datagram& d) {
   // Session frames (cluster gossip / promotion) are consumed by the
   // endpoint and re-delivered through dispatch(); everything else —
-  // heartbeats, probes, FTIM loopback — is raw by design.
-  if (ep_ && ep_->handle(d)) return;
+  // heartbeats, probes, FTIM loopback, role subscriptions — is raw by
+  // design. Only configured members may open a session here: a frame
+  // from any other node would otherwise get its payload re-delivered
+  // into dispatch as if a member had sent it.
+  if (ep_ && transport::is_transport_frame(d.payload)) {
+    if (slots_.contains(d.src_node)) ep_->handle(d);
+    return;
+  }
   dispatch(d);
 }
 

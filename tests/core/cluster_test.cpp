@@ -490,6 +490,50 @@ TEST(ClusterWire, FtimKindsOverASessionFromAnotherNodeAreDropped) {
   EXPECT_EQ(dep.engine(0)->components().count("phantom"), 0u);
 }
 
+// Only configured members may open a session on a cluster engine's
+// port. A non-member's session frames are dropped before the endpoint:
+// no receive session opens (nothing acks them) and their payloads never
+// reach dispatch. Its raw frames still do — the diverter on the test PC
+// subscribes to role announcements that way.
+TEST(ClusterWire, NonMemberSessionFramesOpenNoSessionAndReachNoDispatch) {
+  sim::Simulation sim(7015);
+  ClusterDeployment dep(sim, standard_options(3));
+  sim.run_for(sim::seconds(5));
+  ASSERT_EQ(dep.primary_node(), dep.node(0).id());
+  const int primary = dep.node(0).id();
+  const int net = sim::pick_network(sim, dep.monitor_node().id(), primary);
+  ASSERT_GE(net, 0);
+
+  // A listener for the role announcements a dispatched subscription
+  // would trigger.
+  int announcements = 0;
+  const std::string listen_port = "test.roles";
+  auto listener = dep.monitor_node().start_process("listener", [&](sim::Process& p) {
+    p.bind(sim.port(listen_port), [&announcements](const sim::Datagram&) { ++announcements; });
+  });
+  SubscribeRoles sub;
+  sub.subscriber_node = dep.monitor_node().id();
+  sub.subscriber_port = listen_port;
+
+  const sim::PortId port = sim.port(kEnginePort);
+  auto test_pc = dep.monitor_node().start_process("test_pc", [port](sim::Process& p) {
+    p.attachment<SessionSpeaker>(p, port);
+  });
+  transport::Endpoint& ep = *test_pc->find_attachment<SessionSpeaker>()->ep;
+  ASSERT_TRUE(ep.send(primary, sub.encode(), /*tag=*/7));
+  sim.run_for(sim::seconds(2));
+
+  EXPECT_EQ(ep.acked_tag(primary, 0), 0u) << "no receive session acked the frame";
+  EXPECT_GT(ep.retransmits(), 0u) << "the sender keeps retransmitting into silence";
+  EXPECT_EQ(announcements, 0) << "the session payload reached dispatch";
+
+  // The raw path stays open to non-members.
+  test_pc->send(net, primary, port, sub.encode(), port);
+  sim.run_for(sim::milliseconds(100));
+  EXPECT_GE(announcements, 1);
+  (void)listener;
+}
+
 TEST(Cluster, MonitorRendersMembershipView) {
   sim::Simulation sim(7010);
   ClusterDeployment dep(sim, standard_options(3));
