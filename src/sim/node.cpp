@@ -1,5 +1,7 @@
 #include "sim/node.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "common/strings.h"
 #include "sim/simulation.h"
@@ -37,7 +39,7 @@ void Node::crash() {
   publish_down("power failure");
   kill_all_processes("node power failure");
   up_ = false;
-  ports_.clear();
+  clear_ports();
 }
 
 void Node::os_crash(SimTime reboot_after) {
@@ -47,7 +49,7 @@ void Node::os_crash(SimTime reboot_after) {
   publish_down("NT crash (blue screen)");
   kill_all_processes("NT crash");
   up_ = false;
-  ports_.clear();
+  clear_ports();
   if (reboot_after != kNever) reboot(reboot_after);
 }
 
@@ -113,17 +115,30 @@ std::size_t Node::port_index(PortId port) const {
 }
 
 void Node::bind_port(PortId port, LifeRef life, MessageHandler h) {
+  auto handler = std::make_unique<MessageHandler>(std::move(h));
   const std::size_t i = port_index(port);
   if (i < ports_.size()) {
     ports_[i].life = std::move(life);
-    ports_[i].handler = std::move(h);
+    retire(std::exchange(ports_[i].handler, std::move(handler)));
     return;
   }
-  ports_.push_back(PortEntry{port, std::move(life), std::move(h)});
+  ports_.push_back(PortEntry{port, std::move(life), std::move(handler)});
 }
 
 void Node::unbind_port(PortId port) {
-  std::erase_if(ports_, [port](const PortEntry& e) { return e.port == port; });
+  const std::size_t i = port_index(port);
+  if (i == ports_.size()) return;
+  retire(std::move(ports_[i].handler));
+  ports_.erase(ports_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void Node::retire(std::unique_ptr<MessageHandler> handler) {
+  if (delivering_) retired_.push_back(std::move(handler));
+}
+
+void Node::clear_ports() {
+  for (PortEntry& e : ports_) retire(std::move(e.handler));
+  ports_.clear();
 }
 
 void Node::deliver(const Datagram& d) {
@@ -144,9 +159,14 @@ void Node::deliver(const Datagram& d) {
     ctr_deliver_dead_strand_.inc();
     return;
   }
-  // Copy the handler: it may unbind (erase) itself during execution.
-  auto handler = ports_[i].handler;
+  // The handler may unbind or rebind its own port, bind or unbind
+  // others, or crash the node while it runs: retire() keeps whatever it
+  // drops alive until it returns.
+  MessageHandler& handler = *ports_[i].handler;
+  delivering_ = true;
   handler(d);
+  delivering_ = false;
+  retired_.clear();
 }
 
 }  // namespace oftt::sim

@@ -84,10 +84,15 @@ class Node {
   struct PortEntry {
     PortId port;
     LifeRef life;
-    MessageHandler handler;
+    /// Boxed, so the table may move while the handler runs.
+    std::unique_ptr<MessageHandler> handler;
   };
   /// Index of `port`'s entry, or ports_.size() when it is unbound.
   std::size_t port_index(PortId port) const;
+  /// Drop a handler that was unbound or replaced. While a delivery runs
+  /// it may be the running handler, so it is kept until deliver returns.
+  void retire(std::unique_ptr<MessageHandler> handler);
+  void clear_ports();
   void kill_all_processes(const std::string& reason);
   void publish_down(const char* why);
 
@@ -104,6 +109,8 @@ class Node {
   // A node binds a handful of ports: a flat table scanned by id beats
   // any tree or hash here.
   std::vector<PortEntry> ports_;
+  bool delivering_ = false;
+  std::vector<std::unique_ptr<MessageHandler>> retired_;
   std::map<std::string, std::shared_ptr<Process>> processes_;
   std::map<std::string, Process::Factory> factories_;
   // Pre-resolved delivery-path metric handles (shared names across all

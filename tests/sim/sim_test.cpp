@@ -487,6 +487,82 @@ TEST(Ports, UnbindFromInsideTheHandler) {
   EXPECT_EQ(r.no_port(), no_port + 1);
 }
 
+TEST(Ports, RebindFromInsideTheHandler) {
+  PortRig r;
+  const PortId x = r.sim.port("x");
+  std::vector<std::string> got;
+  const std::string name = "first handler, long enough to live on the heap";
+  r.pb->bind(x, [&r, &got, x, name](const Datagram&) {
+    r.pb->bind(x, [&got](const Datagram&) { got.push_back("second"); });
+    // The running handler's captures must outlive its own replacement.
+    got.push_back(name);
+  });
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.sim.run();
+  EXPECT_EQ(got, (std::vector<std::string>{name, "second", "second"}));
+}
+
+TEST(Ports, UnbindAndRebindFromInsideTheHandlerKeepsTheNewHandler) {
+  PortRig r;
+  const PortId x = r.sim.port("x");
+  int first = 0, second = 0;
+  r.pb->bind(x, [&](const Datagram&) {
+    ++first;
+    r.pb->main_strand().unbind(x);
+    r.pb->bind(x, [&second](const Datagram&) { ++second; });
+  });
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.sim.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+}
+
+// A handler that binds many ports (growing the port table) and unbinds
+// one bound before its own (shifting its entry) keeps running intact
+// and stays bound.
+TEST(Ports, HandlerReshapingThePortTableStaysBound) {
+  PortRig r;
+  const PortId early = r.sim.port("early");
+  const PortId x = r.sim.port("x");
+  r.pb->bind(early, [](const Datagram&) {});
+  std::vector<std::string> got;
+  const std::string name = "handler capture that lives on the heap, not inline";
+  r.pb->bind(x, [&r, &got, early, name](const Datagram&) {
+    for (int i = 0; i < 32; ++i) r.pb->bind(r.sim.port(cat("extra.", i)), [](const Datagram&) {});
+    r.pb->main_strand().unbind(early);
+    got.push_back(name);
+  });
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.pa->send(0, r.b.id(), x, Buffer{});
+  r.sim.run();
+  EXPECT_EQ(got, (std::vector<std::string>{name, name}));
+  EXPECT_FALSE(r.b.port_bound(early));
+}
+
+// Delivery runs the bound handler in place: it is never copied.
+TEST(Ports, DeliveryDoesNotCopyTheHandler) {
+  struct Counting {
+    int* copies;
+    int* calls;
+    Counting(int* copies, int* calls) : copies(copies), calls(calls) {}
+    Counting(const Counting& o) : copies(o.copies), calls(o.calls) { ++*copies; }
+    Counting(Counting&&) noexcept = default;
+    void operator()(const Datagram&) const { ++*calls; }
+  };
+  PortRig r;
+  const PortId x = r.sim.port("x");
+  int copies = 0, calls = 0;
+  r.pb->bind(x, Counting(&copies, &calls));
+  const int after_bind = copies;
+  for (int i = 0; i < 5; ++i) r.pa->send(0, r.b.id(), x, Buffer{});
+  r.sim.run();
+  EXPECT_EQ(calls, 5);
+  EXPECT_EQ(copies, after_bind);
+}
+
 TEST(Ports, OnePortIdBoundOnTwoNodes) {
   PortRig r;
   const PortId x = r.sim.port("x");
