@@ -1,6 +1,7 @@
 #include "transport/session.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -63,7 +64,7 @@ std::size_t Endpoint::inflight_bytes() const {
 
 std::size_t Endpoint::queued_frames() const {
   std::size_t total = 0;
-  for (const auto& [peer, ts] : tx_) total += ts.queue.size();
+  for (const auto& [peer, ts] : tx_) total += ts.queued();
   return total;
 }
 
@@ -85,50 +86,39 @@ bool Endpoint::send(int peer, Buffer payload, std::uint64_t tag, AckFn on_acked,
                     std::uint8_t cls) {
   TxSession& ts = tx_session(peer);
   if (cls >= kTrafficClasses) cls = kClassControl;
-  QueuedFrame qf{std::move(payload), tag, std::move(on_acked), cls};
   // An oversized frame is admitted when it would be alone in flight —
   // otherwise nothing larger than the window could ever be sent.
-  if (ts.queue.empty() &&
-      (ts.inflight.empty() ||
-       ts.inflight_bytes + qf.payload.size() <= config_.window_bytes)) {
-    admit(peer, ts, std::move(qf));
-    return true;
-  }
-  if (ts.queue.size() >= config_.queue_cap) {
+  const bool admit_now =
+      ts.queued() == 0 &&
+      (ts.in_flight == 0 || ts.inflight_bytes + payload.size() <= config_.window_bytes);
+  if (!admit_now && ts.queued() >= config_.queue_cap) {
     if (config_.queue_policy == QueuePolicy::kReject) return false;
-    ts.queue.pop_front();
+    ts.frames.erase(ts.frames.begin() + static_cast<std::ptrdiff_t>(ts.in_flight));
     ++queue_drops_;
   }
-  ts.queue.push_back(std::move(qf));
+  ts.frames.push_back(TxFrame{std::move(payload), tag, std::move(on_acked), cls});
+  if (admit_now) admit(peer, ts);
   return true;
 }
 
-void Endpoint::admit(int peer, TxSession& ts, QueuedFrame qf) {
-  std::uint64_t seq = ts.next_seq++;
-  auto it = ts.inflight
-                .emplace(seq, InflightFrame{std::move(qf.payload), qf.tag,
-                                            std::move(qf.on_acked), qf.cls, 0})
-                .first;
-  ts.inflight_bytes += it->second.payload.size();
-  class_bytes_[it->second.cls] += it->second.payload.size();
-  gauge_inflight_bytes_.add(static_cast<std::int64_t>(it->second.payload.size()));
-  transmit(peer, ts, seq);
+void Endpoint::admit(int peer, TxSession& ts) {
+  TxFrame& f = ts.frames[ts.in_flight++];
+  const std::uint64_t seq = ts.next_seq++;
+  ts.inflight_bytes += f.payload.size();
+  class_bytes_[f.cls] += f.payload.size();
+  gauge_inflight_bytes_.add(static_cast<std::int64_t>(f.payload.size()));
+  transmit(peer, ts, seq, f);
 }
 
 void Endpoint::pump(int peer, TxSession& ts) {
-  while (!ts.queue.empty() &&
-         (ts.inflight.empty() ||
-          ts.inflight_bytes + ts.queue.front().payload.size() <= config_.window_bytes)) {
-    QueuedFrame qf = std::move(ts.queue.front());
-    ts.queue.pop_front();
-    admit(peer, ts, std::move(qf));
+  while (ts.queued() > 0 &&
+         (ts.in_flight == 0 ||
+          ts.inflight_bytes + ts.frames[ts.in_flight].payload.size() <= config_.window_bytes)) {
+    admit(peer, ts);
   }
 }
 
-void Endpoint::transmit(int peer, TxSession& ts, std::uint64_t seq) {
-  auto it = ts.inflight.find(seq);
-  if (it == ts.inflight.end()) return;
-  InflightFrame& f = it->second;
+void Endpoint::transmit(int peer, TxSession& ts, std::uint64_t seq, TxFrame& f) {
   const DataFrame frame{{}, ts.epoch, seq, f.voided ? kFlagVoid : std::uint8_t{0}, f.payload};
   int net = config_.networks[static_cast<std::size_t>(f.attempts) % config_.networks.size()];
   process_->send(net, peer, port_, frame.encode(), port_);
@@ -157,11 +147,11 @@ void Endpoint::transmit(int peer, TxSession& ts, std::uint64_t seq) {
 void Endpoint::on_rto(int peer, std::uint64_t epoch, std::uint64_t seq) {
   auto t = tx_.find(peer);
   if (t == tx_.end() || t->second.epoch != epoch) return;
-  auto it = t->second.inflight.find(seq);
-  if (it == t->second.inflight.end()) return;
-  if (it->second.sacked) return;  // peer holds it; a cum ack will retire it
-  ++it->second.attempts;
-  transmit(peer, t->second, seq);
+  TxFrame* f = t->second.frame(seq);
+  // Retired, or sacked: the peer holds it and a cum ack will retire it.
+  if (f == nullptr || f->sacked) return;
+  ++f->attempts;
+  transmit(peer, t->second, seq, *f);
 }
 
 bool Endpoint::handle(const sim::Datagram& d) {
@@ -212,29 +202,37 @@ void Endpoint::handle_data(const sim::Datagram& d) {
     // handler runs to completion here, so anything we acknowledge has
     // genuinely been processed (and journaled, for FTIM) by the app.
     if (!voided && deliver_) deliver_(d.src_node, d.network_id, payload);
-    auto it = rx.reorder.begin();
-    while (it != rx.reorder.end() && it->first == rx.cum + 1) {
-      rx.cum = it->first;
-      ReorderEntry e = std::move(it->second);
-      it = rx.reorder.erase(it);
+    // Then the run of parked frames the hole was holding back.
+    std::size_t n = 0;
+    for (; n < rx.reorder.size() && rx.reorder[n].seq == rx.cum + 1; ++n) {
+      rx.cum = rx.reorder[n].seq;
+      const ReorderEntry& e = rx.reorder[n];
       if (!e.voided && deliver_) deliver_(d.src_node, d.network_id, e.payload);
     }
-  } else if (rx.reorder.count(seq) != 0) {
-    ++duplicate_frames_;
-    ctr_dup_frames_.inc();
-  } else if (rx.reorder.size() < kReorderCap) {
-    rx.reorder.emplace(seq, ReorderEntry{Buffer(payload.begin(), payload.end()), voided});
-    hist_reorder_depth_.record(static_cast<std::int64_t>(rx.reorder.size()));
+    rx.reorder.erase(rx.reorder.begin(), rx.reorder.begin() + static_cast<std::ptrdiff_t>(n));
+  } else {
+    auto at = std::lower_bound(rx.reorder.begin(), rx.reorder.end(), seq,
+                               [](const ReorderEntry& e, std::uint64_t s) { return e.seq < s; });
+    if (at != rx.reorder.end() && at->seq == seq) {
+      ++duplicate_frames_;
+      ctr_dup_frames_.inc();
+    } else if (rx.reorder.size() < kReorderCap) {
+      rx.reorder.insert(at, ReorderEntry{seq, Buffer(payload.begin(), payload.end()), voided});
+      hist_reorder_depth_.record(static_cast<std::int64_t>(rx.reorder.size()));
+    }
+    // else: reorder buffer full — drop; retransmission refills the hole.
   }
-  // else: reorder buffer full — drop; retransmission refills the hole.
   send_ack(d, rx);
 }
 
 void Endpoint::send_ack(const sim::Datagram& d, const RxSession& rx) {
   AckFrame ack{{}, instance_, rx.epoch, rx.cum, 0};
-  for (const auto& [seq, entry] : rx.reorder) {
-    std::uint64_t off = seq - rx.cum;
-    if (off >= 2 && off <= kSackBits + 1) ack.sack |= std::uint64_t{1} << (off - 2);
+  // Parked frames sit at cum + 2 or above (cum + 1 is the hole); the
+  // sack bits reach only to cum + 65.
+  for (const ReorderEntry& e : rx.reorder) {
+    const std::uint64_t off = e.seq - rx.cum;
+    if (off > kSackBits + 1) break;
+    ack.sack |= std::uint64_t{1} << (off - 2);
   }
   int net = d.network_id >= 0 ? d.network_id : config_.networks.front();
   process_->send(net, d.src_node, d.src_port ? d.src_port : port_, ack.encode(), port_);
@@ -269,48 +267,52 @@ void Endpoint::handle_ack(const sim::Datagram& d) {
   // frame must stay re-dispatchable. Sack merely silences its
   // retransmission; the cum+1 hole is never sacked and keeps probing,
   // so a lost final ack cannot stall the session.
-  for (std::uint64_t i = 0; i < kSackBits; ++i) {
-    if ((ack.sack & (std::uint64_t{1} << i)) == 0) continue;
-    auto it = ts.inflight.find(ack.cum + 2 + i);
-    if (it != ts.inflight.end()) it->second.sacked = true;
+  for (std::uint64_t bits = ack.sack; bits != 0; bits &= bits - 1) {
+    TxFrame* f = ts.frame(ack.cum + 2 + static_cast<std::uint64_t>(std::countr_zero(bits)));
+    if (f != nullptr) f->sacked = true;
   }
-  // Collect first, retire second: an on_acked callback may re-enter
-  // send()/cancel() and disturb the map mid-iteration.
-  std::vector<std::uint64_t> done;
-  for (const auto& [seq, f] : ts.inflight) {
-    if (seq > ack.cum) break;
-    done.push_back(seq);
-  }
-  for (std::uint64_t seq : done) {
-    auto it = ts.inflight.find(seq);
-    if (it != ts.inflight.end()) retire(ts, it);
+  // Retire the covered frames oldest first. Each callback runs before
+  // the next frame retires, so what it does (send(), cancel()) is seen
+  // by the frames after it; frames it admits are not covered by this ack.
+  const std::uint64_t last = std::min(ack.cum, ts.next_seq - 1);
+  while (ts.in_flight > 0 && ts.first_seq() <= last) {
+    if (!retire_front(d.src_node, ts)) return;
   }
   pump(d.src_node, ts);
 }
 
-void Endpoint::retire(TxSession& ts, std::map<std::uint64_t, InflightFrame>::iterator it) {
-  InflightFrame& f = it->second;
+bool Endpoint::retire_front(int peer, TxSession& ts) {
+  TxFrame f = std::move(ts.frames.front());
+  ts.frames.pop_front();
+  --ts.in_flight;
   ts.inflight_bytes -= f.payload.size();
   gauge_inflight_bytes_.add(-static_cast<std::int64_t>(f.payload.size()));
-  if (f.tag > ts.max_acked_by_cls[f.cls] && !f.voided) ts.max_acked_by_cls[f.cls] = f.tag;
-  AckFn fn = std::move(f.on_acked);
-  std::uint64_t tag = f.tag;
-  bool voided = f.voided;
-  ts.inflight.erase(it);
-  if (fn && !voided) fn(tag);
+  if (f.voided) return true;
+  if (f.tag > ts.max_acked_by_cls[f.cls]) ts.max_acked_by_cls[f.cls] = f.tag;
+  if (!f.on_acked) return true;
+  const std::uint64_t epoch = ts.epoch;
+  const std::uint64_t dropped = sessions_dropped_;
+  f.on_acked(f.tag);
+  if (sessions_dropped_ == dropped) return true;
+  // Some session was dropped: was it this one?
+  auto t = tx_.find(peer);
+  return t != tx_.end() && t->second.epoch == epoch;
 }
 
 void Endpoint::reset_session(int peer, TxSession& ts, std::uint64_t new_peer_instance) {
-  std::deque<QueuedFrame> pending;
-  for (auto& [seq, f] : ts.inflight) {
-    gauge_inflight_bytes_.add(-static_cast<std::int64_t>(f.payload.size()));
-    if (f.voided) continue;  // a cancelled frame need not survive the reset
-    pending.push_back(QueuedFrame{std::move(f.payload), f.tag, std::move(f.on_acked), f.cls});
+  // Every unacked frame queues again, in order; a cancelled frame need
+  // not survive the reset.
+  const auto in_flight_end = ts.frames.begin() + static_cast<std::ptrdiff_t>(ts.in_flight);
+  for (auto it = ts.frames.begin(); it != in_flight_end; ++it) {
+    gauge_inflight_bytes_.add(-static_cast<std::int64_t>(it->payload.size()));
+    it->attempts = 0;
+    it->sacked = false;
   }
-  for (auto& qf : ts.queue) pending.push_back(std::move(qf));
-  ts.inflight.clear();
+  ts.frames.erase(std::remove_if(ts.frames.begin(), in_flight_end,
+                                 [](const TxFrame& f) { return f.voided; }),
+                  in_flight_end);
+  ts.in_flight = 0;
   ts.inflight_bytes = 0;
-  ts.queue = std::move(pending);
   ts.epoch = process_->sim().next_epoch();
   ts.next_seq = 1;
   ts.peer_instance = new_peer_instance;
@@ -335,7 +337,8 @@ std::size_t Endpoint::cancel(int peer, std::uint64_t tag) {
   TxSession& ts = t->second;
   std::size_t n = 0;
   bool any_live = false;
-  for (auto& [seq, f] : ts.inflight) {
+  for (std::size_t i = 0; i < ts.in_flight; ++i) {
+    TxFrame& f = ts.frames[i];
     if (f.tag == tag && !f.voided) {
       // Void in place: the sequence slot still completes (empty) so the
       // frames behind it are not stalled by a hole.
@@ -350,20 +353,19 @@ std::size_t Endpoint::cancel(int peer, std::uint64_t tag) {
       any_live = true;
     }
   }
-  for (auto it = ts.queue.begin(); it != ts.queue.end();) {
-    if (it->tag == tag) {
-      it = ts.queue.erase(it);
-      ++n;
-    } else {
-      any_live = true;
-      ++it;
-    }
-  }
+  // Queued frames are removed outright.
+  const auto queued_begin = ts.frames.begin() + static_cast<std::ptrdiff_t>(ts.in_flight);
+  const auto kept_end = std::remove_if(queued_begin, ts.frames.end(),
+                                       [tag](const TxFrame& f) { return f.tag == tag; });
+  n += static_cast<std::size_t>(ts.frames.end() - kept_end);
+  if (kept_end != queued_begin) any_live = true;
+  ts.frames.erase(kept_end, ts.frames.end());
   if (!any_live) {
     // Nothing real left: drop the whole session instead of retransmitting
     // void frames at a possibly-dead peer forever. The next send() opens
     // a fresh epoch; the peer's rx state resets on its first frame.
     tx_.erase(t);
+    ++sessions_dropped_;
     return n;
   }
   if (n > 0) pump(peer, ts);

@@ -133,7 +133,8 @@ class Endpoint {
   /// buffer), valid for the duration of the call.
   using DeliverFn = std::function<void(int src_node, int network_id, ByteView payload)>;
   /// Per-frame ack callback, invoked when the peer acknowledges the
-  /// frame. `tag` is the caller's opaque id from send().
+  /// frame. `tag` is the caller's opaque id from send(). It may call
+  /// send() and cancel(), even to cancel the session's last live frame.
   using AckFn = std::function<void(std::uint64_t tag)>;
 
   Endpoint(sim::Strand& strand, sim::PortId port, SessionConfig config);
@@ -188,13 +189,8 @@ class Endpoint {
   std::size_t queued_frames() const;
 
  private:
-  struct QueuedFrame {
-    Buffer payload;
-    std::uint64_t tag = 0;
-    AckFn on_acked;
-    std::uint8_t cls = kClassControl;
-  };
-  struct InflightFrame {
+  /// One unacked frame: queued for window space, then in flight.
+  struct TxFrame {
     Buffer payload;
     std::uint64_t tag = 0;
     AckFn on_acked;
@@ -214,31 +210,51 @@ class Endpoint {
     std::uint64_t next_seq = 1;
     /// rx_instance of the peer endpoint we last heard from; 0 = unknown.
     std::uint64_t peer_instance = 0;
-    std::map<std::uint64_t, InflightFrame> inflight;  // seq-ordered
-    std::deque<QueuedFrame> queue;
+    /// Every unacked frame in send order. The first `in_flight` hold
+    /// seqs [first_seq(), next_seq); the rest wait for window space.
+    /// Seqs are handed out in order and cumulative acks retire only from
+    /// the front, so the in-flight frames are one contiguous range and a
+    /// seq finds its frame by index.
+    std::deque<TxFrame> frames;
+    std::size_t in_flight = 0;
     std::size_t inflight_bytes = 0;
     std::array<std::uint64_t, kTrafficClasses> max_acked_by_cls{};
+
+    std::size_t queued() const { return frames.size() - in_flight; }
+    std::uint64_t first_seq() const { return next_seq - in_flight; }
+    /// The in-flight frame numbered `seq`; null once it has retired.
+    TxFrame* frame(std::uint64_t seq) {
+      const std::uint64_t i = seq - first_seq();  // wraps below the range
+      return i < in_flight ? &frames[i] : nullptr;
+    }
   };
   struct ReorderEntry {
+    std::uint64_t seq = 0;
     Buffer payload;
     bool voided = false;
   };
   struct RxSession {
     std::uint64_t epoch = 0;
     std::uint64_t cum = 0;  // highest in-order seq delivered
-    std::map<std::uint64_t, ReorderEntry> reorder;
+    /// Frames parked above the cum + 1 hole, ascending seq; at most
+    /// kReorderCap (64) entries, so a flat array.
+    std::vector<ReorderEntry> reorder;
   };
 
   TxSession& tx_session(int peer);
-  void admit(int peer, TxSession& ts, QueuedFrame qf);
+  /// Transmit the oldest queued frame under the next seq.
+  void admit(int peer, TxSession& ts);
   void pump(int peer, TxSession& ts);
-  void transmit(int peer, TxSession& ts, std::uint64_t seq);
+  void transmit(int peer, TxSession& ts, std::uint64_t seq, TxFrame& f);
   void on_rto(int peer, std::uint64_t epoch, std::uint64_t seq);
   void reset_session(int peer, TxSession& ts, std::uint64_t new_peer_instance);
   void handle_data(const sim::Datagram& d);
   void handle_ack(const sim::Datagram& d);
   void send_ack(const sim::Datagram& d, const RxSession& rx);
-  void retire(TxSession& ts, std::map<std::uint64_t, InflightFrame>::iterator it);
+  /// Retire the oldest in-flight frame and fire its callback. False when
+  /// the callback dropped the session (cancel() of its last live frame),
+  /// so `ts` must not be touched again.
+  bool retire_front(int peer, TxSession& ts);
 
   sim::Strand* strand_;
   sim::Process* process_;
@@ -250,6 +266,9 @@ class Endpoint {
   DeliverFn deliver_;
   std::map<int, TxSession> tx_;
   std::map<int, RxSession> rx_;
+  /// Sessions cancel() has dropped; lets an ack callback's cancel() be
+  /// noticed without a lookup per retired frame.
+  std::uint64_t sessions_dropped_ = 0;
 
   std::uint64_t data_sent_ = 0;
   std::uint64_t retransmits_ = 0;

@@ -231,6 +231,36 @@ TEST(Transport, AckCallbackAndTagWatermark) {
   EXPECT_EQ(tx.ep().acked_tag(999, kClassControl), 0u) << "unknown peer has no watermark";
 }
 
+// An ack callback may cancel the session's last live frame. That drops
+// the session while its ack is still being handled; the endpoint must
+// stop touching it, and the next send opens a fresh session.
+TEST(Transport, AckCallbackCancellingTheLastLiveFrameDropsTheSession) {
+  Harness h(47);
+  std::vector<std::uint64_t> got, acked;
+  TestPeer& tx = h.install(*h.a, nullptr);
+  h.install(*h.b, &got);
+  const int b = h.b->id();
+  std::size_t cancelled = 0;
+  auto log_ack = [&acked](std::uint64_t tag) { acked.push_back(tag); };
+  ASSERT_TRUE(tx.ep().send(b, numbered(1), /*tag=*/1, [&](std::uint64_t tag) {
+    log_ack(tag);
+    cancelled = tx.ep().cancel(b, 2);
+  }));
+  ASSERT_TRUE(tx.ep().send(b, numbered(2), /*tag=*/2, log_ack));
+  h.sim.run_for(sim::seconds(1));
+  EXPECT_EQ(cancelled, 1u);
+  EXPECT_EQ(acked, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(tx.ep().inflight_bytes(), 0u);
+  EXPECT_EQ(tx.ep().acked_tag(b, kClassControl), 0u) << "the session and its watermark are gone";
+
+  ASSERT_TRUE(tx.ep().send(b, numbered(3), /*tag=*/3, log_ack));
+  h.sim.run_for(sim::seconds(1));
+  // Frame 2 was delivered before its cancel: beyond recall, but unacked.
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(acked, (std::vector<std::uint64_t>{1, 3}));
+  EXPECT_EQ(tx.ep().acked_tag(b, kClassControl), 3u);
+}
+
 TEST(Transport, RejectPolicyRefusesWhenQueueFullDropOldestSheds) {
   Harness h(44);
   // A second sender node: sessions are keyed per peer node, so the two
