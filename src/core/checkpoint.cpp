@@ -154,7 +154,12 @@ DeltaApplyResult apply_delta(CheckpointImage& base, const CheckpointImage& delta
 int restore_checkpoint(nt::NtRuntime& rt, const CheckpointImage& image) {
   int anomalies = 0;
   for (const auto& [name, bytes] : image.regions) {
-    nt::Region& region = rt.memory().alloc(name, bytes.size() == 0 ? 1 : bytes.size());
+    // An existing region keeps its size (alloc asserts a match); a
+    // mismatch is clamped and counted below.
+    nt::Region* existing = rt.memory().find(name);
+    nt::Region& region = existing != nullptr
+                             ? *existing
+                             : rt.memory().alloc(name, bytes.size() == 0 ? 1 : bytes.size());
     if (region.size() == bytes.size()) {
       region.restore(bytes);
     } else {

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "nt/memory.h"
 #include "nt/runtime.h"
 #include "opc/tag_store.h"
@@ -259,7 +260,7 @@ TEST(TagStoreGolden, ChangeMeansVariantEquality) {
 
 TEST(TagStoreGolden, DirtyOrderIsShardThenMutationOrder) {
   TagStore store(4);
-  for (int i = 0; i < 12; ++i) store.intern("t" + std::to_string(i));
+  for (int i = 0; i < 12; ++i) store.intern(cat("t", i));
   for (TagId id : {9u, 2u, 5u, 1u, 10u, 6u, 2u, 4u}) {
     store.set(id, OpcValue::from_int(static_cast<std::int32_t>(id) + 100), Quality::kGood, 1);
   }
@@ -273,9 +274,8 @@ TEST(TagStoreGolden, IdNameFindAgreeAcrossIndexGrowth) {
   // embed a NUL byte, interned through many doublings of the index.
   std::vector<std::string> names{"", std::string("a\0b", 3), std::string("a\0c", 3)};
   for (int i = 0; i < 5000; ++i) {
-    names.push_back(i % 7 == 0 ? std::string(static_cast<std::size_t>(i % 61), 'x') + "/" +
-                                     std::to_string(i)
-                               : "p" + std::to_string(i));
+    names.push_back(i % 7 == 0 ? cat(std::string(static_cast<std::size_t>(i % 61), 'x'), "/", i)
+                               : cat("p", i));
   }
   TagStore store(8);
   for (std::size_t i = 0; i < names.size(); ++i) {
