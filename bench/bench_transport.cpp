@@ -15,8 +15,19 @@
 //       with the primary crashed, recovery time measured at the same
 //       loss rates — p50/p99 across seeds, plus how often the restored
 //       state was continuous (no more than ~a checkpoint period lost).
+//  E20: host cost of one retransmission against the number of frames
+//       in flight, D. A sender keeps D 64-byte frames in flight (each
+//       ack admits a fresh one) to a silent peer (partitioned away) and
+//       to a peer behind 25% loss; the row is host ns per retransmit
+//       over a measured stretch after the RTOs have backed off, fastest
+//       of five runs. transport_floor.h bounds how much it may grow
+//       from D = 64 to the largest D. These are wall-clock numbers, so
+//       they go to stderr: stdout and the JSON stay byte-identical at
+//       any OFTT_BENCH_THREADS.
 //
 // Exports BENCH_transport.json.
+#include <chrono>
+#include <cstdlib>
 #include <map>
 #include <set>
 
@@ -28,6 +39,7 @@
 #include "sim/timer.h"
 #include "support/counter_app.h"
 #include "transport/session.h"
+#include "transport_floor.h"
 
 using namespace oftt;
 using namespace oftt::bench;
@@ -224,6 +236,74 @@ FailoverResult run_failover(double loss, std::uint64_t seed) {
   return res;
 }
 
+// ---------------------------------------------------------------------
+// E20 — host ns per retransmission against frames in flight.
+// ---------------------------------------------------------------------
+
+constexpr std::size_t kRetxFrameBytes = 64;
+
+/// Keeps `depth` frames in flight to `peer`: the window holds exactly
+/// that many, and each ack admits a fresh frame.
+class DepthSender {
+ public:
+  DepthSender(sim::Process& p, int peer, std::size_t depth) : peer_(peer) {
+    const sim::PortId port = p.sim().port(kPort);
+    p.bind(port, [this](const sim::Datagram& d) { ep_->handle(d); });
+    transport::SessionConfig config;
+    config.window_bytes = depth * kRetxFrameBytes;
+    ep_ = std::make_unique<transport::Endpoint>(p.main_strand(), port, config);
+    for (std::size_t i = 0; i < depth; ++i) send_one();
+  }
+  transport::Endpoint& ep() { return *ep_; }
+
+ private:
+  void send_one() {
+    ep_->send(peer_, Buffer(kRetxFrameBytes, 0x5A), 0, [this](std::uint64_t) { send_one(); });
+  }
+
+  int peer_;
+  std::unique_ptr<transport::Endpoint> ep_;
+};
+
+struct RetxCost {
+  std::uint64_t retransmits = 0;  // in the measured stretch
+  double ns_per_retx = 0;         // fastest run; stderr/floor only
+};
+
+/// `loss` < 0 means a silent peer. Counts are the same on every run.
+RetxCost run_retx_cost(std::size_t depth, double loss, std::uint64_t target, int reps) {
+  using Clock = std::chrono::steady_clock;
+  RetxCost best;
+  for (int rep = 0; rep < reps; ++rep) {
+    sim::Simulation sim(20);
+    sim::Node& a = sim.add_node("a");
+    sim::Node& b = sim.add_node("b");
+    sim::Network& net = sim.add_network("lan");
+    net.attach(a.id());
+    net.attach(b.id());
+    if (loss < 0) {
+      net.partition({{a.id()}, {b.id()}});
+    } else {
+      net.set_loss(loss);
+    }
+    a.boot();
+    b.boot();
+    auto rx_proc = b.start_process("rx", nullptr);
+    rx_proc->attachment<SessionPeer>(*rx_proc);
+    auto tx_proc = a.start_process("tx", nullptr);
+    auto& tx = tx_proc->attachment<DepthSender>(*tx_proc, b.id(), depth);
+    sim.run_for(sim::seconds(5));  // every RTO backs off to rto_max
+    const std::uint64_t before = tx.ep().retransmits();
+    const auto t0 = Clock::now();
+    while (tx.ep().retransmits() - before < target) sim.run_for(sim::seconds(1));
+    const double ns = std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+    best.retransmits = tx.ep().retransmits() - before;
+    const double per = ns / static_cast<double>(best.retransmits);
+    if (rep == 0 || per < best.ns_per_retx) best.ns_per_retx = per;
+  }
+  return best;
+}
+
 double p99_of(std::vector<double> xs) {
   if (xs.empty()) return 0;
   std::sort(xs.begin(), xs.end());
@@ -318,6 +398,41 @@ int main() {
     w.end_object();
   }
   w.end_array();
+
+  // E20 prints to stderr (see the header); the JSON keeps the counts.
+  const bool smoke = smoke_mode();
+  const std::vector<std::size_t> depths =
+      smoke ? std::vector<std::size_t>{64, 1024} : std::vector<std::size_t>{64, 1024, 4096};
+  const std::uint64_t target = smoke ? 100'000 : 400'000;
+  std::fprintf(stderr,
+               "\nE20: host ns per retransmit vs frames in flight (D)\n"
+               "%-16s %8s %14s %14s\n",
+               "peer", "D", "retransmits", "ns/retransmit");
+  bool flat = true;
+  w.key("retransmit_cost");
+  w.begin_array();
+  for (double loss : {-1.0, 0.25}) {
+    const char* peer = loss < 0 ? "silent" : "25% loss";
+    double ns_at_64 = 0;
+    for (std::size_t depth : depths) {
+      const RetxCost c = run_retx_cost(depth, loss, target, 5);
+      if (depth == depths.front()) ns_at_64 = c.ns_per_retx;
+      std::fprintf(stderr, "%-16s %8zu %14llu %14.0f\n", peer, depth,
+                   static_cast<unsigned long long>(c.retransmits), c.ns_per_retx);
+      w.begin_object();
+      w.kv("peer", peer);
+      w.kv("depth", static_cast<std::uint64_t>(depth));
+      w.kv("retransmits", c.retransmits);
+      w.end_object();
+      if (depth == depths.back()) {
+        const double ratio = c.ns_per_retx / ns_at_64;
+        std::fprintf(stderr, "%-16s ratio D=%zu / D=64: %.2f (ceiling %.2f)\n", peer, depth,
+                     ratio, kCeilingRetxFlatness);
+        if (ratio > kCeilingRetxFlatness) flat = false;
+      }
+    }
+  }
+  w.end_array();
   w.end_object();
   write_file("BENCH_transport.json", w.take());
 
@@ -327,5 +442,13 @@ int main() {
       " only the missing frames instead of every unacked one; failover latency is\n"
       " detection-dominated and should hold roughly flat across loss rates because\n"
       " heartbeats deliberately stay raw while replication absorbs the loss.)\n");
+  const char* enforce = std::getenv("OFTT_BENCH_ENFORCE_FLOOR");
+  if (enforce != nullptr && enforce[0] != '\0' && !flat) {
+    std::fprintf(stderr,
+                 "FLOOR REGRESSION: ns per retransmit grows more than %.1fx from D = 64 "
+                 "to the largest D (transport_floor.h)\n",
+                 kCeilingRetxFlatness);
+    return 1;
+  }
   return 0;
 }
