@@ -19,6 +19,11 @@ namespace oftt::chaos {
 
 namespace {
 
+/// Survivor criterion: failover p99 above this factor x baseline.
+constexpr double kP99Factor = 1.2;
+/// Most entries one campaign adds to its corpus.
+constexpr int kMaxCorpus = 24;
+
 /// The fixed evaluation workload: a checkpointable counter app (the
 /// same shape as tests' CounterApp) ticking every 10 ms, so failover
 /// traces have application state to restore and progress to resume.
@@ -223,7 +228,7 @@ void Campaign::run() {
   p99_threshold_ =
       baseline_p99_ > 0
           ? static_cast<std::int64_t>(static_cast<double>(baseline_p99_) *
-                                      options_.p99_factor)
+                                      kP99Factor)
           : std::numeric_limits<std::int64_t>::max();
   coverage_.merge(base.coverage);
 
@@ -255,7 +260,7 @@ void Campaign::run() {
       bool p99_case = r.failover_p99 > p99_threshold_;
 
       if ((cov_case || p99_case) &&
-          static_cast<int>(corpus_.size()) < options_.max_corpus) {
+          static_cast<int>(corpus_.size()) < kMaxCorpus) {
         Reason reason = dual_case  ? Reason::kDualPrimary
                         : p99_case ? Reason::kP99
                                    : Reason::kCoverage;

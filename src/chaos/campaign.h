@@ -79,12 +79,9 @@ struct CampaignOptions {
   MutationParams mutation;
   int population = 16;
   int generations = 8;
-  /// Survivor criterion: failover p99 above `p99_factor` x baseline.
-  double p99_factor = 1.2;
   /// Cap on shrink re-evaluations per survivor (the greedy loop is
   /// quadratic in ops in the worst case).
   int shrink_budget = 48;
-  int max_corpus = 24;
 };
 
 struct CorpusEntry {

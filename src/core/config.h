@@ -60,16 +60,6 @@ enum class AloneStartupPolicy : std::uint8_t {
   kBecomePrimary = 1,
 };
 
-/// Static recovery rule (paper: "the current implementation only
-/// supports static decision").
-struct RecoveryRule {
-  /// Local restarts to attempt before declaring the fault permanent
-  /// (transient-fault handling).
-  int max_local_restarts = 1;
-  /// On a permanent fault: transfer control to the backup node.
-  bool switchover_on_permanent = true;
-};
-
 struct OfttConfig {
   std::string unit_name = "unit";  // logical execution unit (the pair)
   int peer_node = -1;              // node id of the partner
@@ -82,10 +72,6 @@ struct OfttConfig {
   /// SWIM failure detection, membership-view gossip and quorum-gated
   /// promotion; empty keeps the paper's pair protocol.
   std::vector<int> cluster_nodes;
-  /// Cluster mode: a primary that can no longer see a live majority of
-  /// the configured membership steps down to backup (keeps a minority
-  /// partition's old primary from serving stale state).
-  bool quorum_stepdown = true;
 
   bool cluster_mode() const { return cluster_nodes.size() >= 2; }
   std::vector<int> cluster_peers(int self) const {
@@ -103,20 +89,11 @@ struct OfttConfig {
 
   /// Unused: see DetectionMode.
   DetectionMode detection = DetectionMode::kSwim;
-  /// Swim: direct-probe ack deadline before fanning out the indirect
-  /// probes. Must leave room inside one heartbeat_period for the
-  /// indirect round trip, so keep it well under the period.
-  sim::SimTime swim_probe_timeout = sim::milliseconds(40);
-  /// Swim: proxies asked to probe on the origin's behalf after a direct
-  /// miss (the paper's k).
-  int swim_indirect_probes = 3;
   /// Swim: how long a suspect may refute before it is confirmed dead.
   /// 0 = auto: (2*ceil(log2 N) + 6) * heartbeat_period — long enough
   /// for a refutation to disseminate, short enough to keep failover
   /// p99 within 2x of a 9-node cluster at N=512.
   sim::SimTime swim_suspicion_timeout = 0;
-  /// Swim: most membership updates riding one probe/ack frame.
-  std::size_t swim_max_piggyback = 6;
 
   // Startup negotiation (§3.2).
   sim::SimTime startup_probe_timeout = sim::milliseconds(800);
@@ -130,15 +107,16 @@ struct OfttConfig {
   /// rejects the combination otherwise.
   ReplicationMode replication = ReplicationMode::kColdPassive;
 
-  // Status reporting.
-  sim::SimTime status_report_period = sim::seconds(1);
-
   // Telemetry: bound on the engine's operator-facing incident log
   // (oldest entries evicted first once the cap is reached).
   std::size_t event_history_cap = 256;
-
-  RecoveryRule default_rule;
 };
+
+/// Swim: direct-probe ack deadline before fanning out the indirect
+/// probes. It must leave room inside one heartbeat_period for the
+/// indirect round trip, so validate_swim_settings rejects any
+/// heartbeat_period at or below it.
+inline constexpr sim::SimTime kSwimProbeTimeout = sim::milliseconds(40);
 
 /// Well-known ports.
 inline constexpr const char* kEnginePort = "oftt.engine";

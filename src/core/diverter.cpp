@@ -5,6 +5,18 @@
 #include "sim/simulation.h"
 
 namespace oftt::core {
+namespace {
+constexpr sim::SimTime kResubscribePeriod = sim::seconds(1);
+
+store::JournalOptions send_journal_options() {
+  store::JournalOptions jopts;
+  jopts.auto_compact = false;  // a pure message log has no snapshots
+  // No snapshots to compact against either: bound the journal by
+  // dropping its oldest segment.
+  jopts.max_segments = 4;
+  return jopts;
+}
+}  // namespace
 
 MessageDiverter::MessageDiverter(sim::Process& process, DiverterOptions options)
     : process_(&process),
@@ -12,30 +24,25 @@ MessageDiverter::MessageDiverter(sim::Process& process, DiverterOptions options)
       port_name_(cat("oftt.divert.", process.name())),
       port_(process.sim().port(port_name_)),
       engine_port_(process.sim().port(kEnginePort)),
+      journal_(process.sim(), process.node().id(), "oftt.dvrt." + options_.unit,
+               send_journal_options()),
       resubscribe_timer_(process.main_strand()) {
   process_->bind(port_, [this](const sim::Datagram& d) { on_announce(d); });
-  if (options_.durable_sends) {
-    store::JournalOptions jopts;
-    jopts.auto_compact = false;  // a pure message log has no snapshots
-    jopts.max_segments = options_.send_journal_max_segments;
-    journal_ = std::make_unique<store::Journal>(process.sim(), process.node().id(),
-                                                "oftt.dvrt." + options_.unit, jopts);
-    replay_journal();
-  }
+  replay_journal();
   subscribe();
-  resubscribe_timer_.start(options_.resubscribe_period, [this] {
+  resubscribe_timer_.start(kResubscribePeriod, [this] {
     subscribe();
     apply_route();  // re-assert the route (the QM may have restarted)
   });
 }
 
 void MessageDiverter::replay_journal() {
-  std::vector<store::Record> records = journal_->recover();
+  std::vector<store::Record> records = journal_.recover();
   if (records.empty()) return;
   // Re-drive every journaled recoverable send through the fresh QM.
   // wipe() first: send() re-journals each message, so surviving ones
   // stay durable without accumulating duplicates across restarts.
-  journal_->wipe();
+  journal_.wipe();
   for (const store::Record& r : records) {
     JournaledSend js;
     if (r.type != store::RecordType::kMessage || !JournaledSend::decode(r.payload, js)) continue;
@@ -107,8 +114,8 @@ void MessageDiverter::send(const std::string& label, Buffer body, msmq::Delivery
   // Journal BEFORE handing off: if this process dies inside the QM call
   // the message is still re-driven on restart. Express messages are
   // explicitly lossy, so only recoverable ones are journaled.
-  if (journal_ && mode == msmq::DeliveryMode::kRecoverable) {
-    if (journal_->append(store::RecordType::kMessage, ++msg_seq_, 0,
+  if (mode == msmq::DeliveryMode::kRecoverable) {
+    if (journal_.append(store::RecordType::kMessage, ++msg_seq_, 0,
                          JournaledSend{{}, label, body, mode}.encode())) {
       ++journaled_sends_;
     }

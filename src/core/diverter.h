@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "core/config.h"
 #include "core/wire.h"
 #include "msmq/queue_manager.h"
@@ -29,15 +27,6 @@ struct DiverterOptions {
   /// precedence over node_a/node_b — the diverter subscribes to every
   /// member's engine, since any of them can become primary.
   std::vector<int> nodes;
-  sim::SimTime resubscribe_period = sim::seconds(1);
-  /// Journal recoverable sends to the node-local durable store and
-  /// replay them after a restart: covers the window where the message
-  /// left the application but the local QM died before persisting it.
-  /// MSMQ's at-least-once contract makes the possible duplicate benign.
-  bool durable_sends = true;
-  /// Bound on the send journal (it has no snapshots to compact against;
-  /// the oldest segment is dropped instead).
-  std::size_t send_journal_max_segments = 4;
 };
 
 /// The send journal's record (store::RecordType::kMessage): one
@@ -64,7 +53,6 @@ class MessageDiverter {
   /// Recoverable sends re-driven from the journal after a restart.
   std::uint64_t replayed_sends() const { return replayed_sends_; }
   std::uint64_t journaled_sends() const { return journaled_sends_; }
-  const store::Journal* send_journal() const { return journal_.get(); }
 
  private:
   void on_announce(const sim::Datagram& d);
@@ -81,7 +69,11 @@ class MessageDiverter {
   int last_primary_ = -1;  // survives transient "no primary" gaps
   std::uint32_t primary_incarnation_ = 0;
   std::uint64_t reroutes_ = 0;
-  std::unique_ptr<store::Journal> journal_;
+  /// Recoverable sends, journaled to the node-local durable store and
+  /// replayed after a restart: covers the window where the message left
+  /// the application but the local QM died before persisting it.
+  /// MSMQ's at-least-once contract makes the possible duplicate benign.
+  store::Journal journal_;
   std::uint64_t msg_seq_ = 0;
   std::uint64_t replayed_sends_ = 0;
   std::uint64_t journaled_sends_ = 0;

@@ -145,52 +145,6 @@ std::string SystemMonitor::render() const {
   return os.str();
 }
 
-std::string SystemMonitor::opc_board() const {
-  const auto& metrics = process_->sim().telemetry().metrics();
-  std::ostringstream os;
-  // Groups: oftt.opc.group.<instance>.{items,notified,suppressed}. The
-  // three live in separate maps, so key off the ".items" gauge and look
-  // the counters up by rebuilt name.
-  constexpr std::string_view kGroupPrefix = "oftt.opc.group.";
-  constexpr std::string_view kItemsSuffix = ".items";
-  std::size_t groups = 0;
-  for (const auto& [name, cell] : metrics.gauges()) {
-    if (name.compare(0, kGroupPrefix.size(), kGroupPrefix) != 0) continue;
-    if (name.size() < kItemsSuffix.size() ||
-        name.compare(name.size() - kItemsSuffix.size(), kItemsSuffix.size(),
-                     kItemsSuffix) != 0) {
-      continue;
-    }
-    std::string base = name.substr(0, name.size() - kItemsSuffix.size());
-    std::uint64_t notified = 0, suppressed = 0;
-    const auto& counters = metrics.counters();
-    if (auto it = counters.find(base + ".notified"); it != counters.end()) {
-      notified = it->second->value;
-    }
-    if (auto it = counters.find(base + ".suppressed"); it != counters.end()) {
-      suppressed = it->second->value;
-    }
-    ++groups;
-    os << "  group " << base.substr(kGroupPrefix.size()) << ": items=" << cell->value
-       << " notified=" << notified << " deadband_suppressed=" << suppressed << "\n";
-  }
-  // Plane totals and per-client pending-batch depth.
-  std::ostringstream plane;
-  for (const auto& [name, cell] : metrics.gauges()) {
-    if (name == "oftt.opc.notifications_per_s" || name == "oftt.opc.coalesced_bytes_per_s") {
-      plane << "  " << name.substr(9) << " = " << cell->value << "\n";
-    } else if (name.compare(0, 25, "oftt.opc.pending_batches.") == 0) {
-      plane << "  pending batches -> " << name.substr(25) << ": " << cell->value << "\n";
-    }
-  }
-  if (auto it = metrics.counters().find("oftt.opc.batch_drops");
-      it != metrics.counters().end() && it->second->value > 0) {
-    plane << "  batch_drops = " << it->second->value << " [OVERLOAD]\n";
-  }
-  if (groups == 0 && plane.str().empty()) return {};
-  return cat("=== OPC data plane ===\n", os.str(), plane.str());
-}
-
 std::string SystemMonitor::pdes_board() const {
   const auto& metrics = process_->sim().telemetry().metrics();
   const auto& counters = metrics.counters();

@@ -73,12 +73,6 @@ class SystemMonitor {
   /// ASCII status board (what the operator's screen would show).
   std::string render() const;
 
-  /// OPC data-plane board: per-group items / notified / suppressed plus
-  /// the coalesced-plane throughput and per-client pending-batch depth,
-  /// read straight from the "oftt.opc." metrics namespace. Empty string
-  /// when no OPC component has published.
-  std::string opc_board() const;
-
   /// Parallel-engine board: windows executed, events per worker lane,
   /// horizon-stall time and mailbox high-water/spill counts, read from
   /// the "oftt.pdes." metrics namespace. Empty string on a sequential

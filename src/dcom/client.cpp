@@ -20,7 +20,7 @@ OrpcClient::OrpcClient(sim::Process& process)
       ctr_call_timeout_(process.sim().telemetry().metrics().counter("orpc.call_timeout")),
       ping_timer_(process.main_strand()) {
   process_->bind(reply_port_, [this](const sim::Datagram& d) { on_datagram(d); });
-  ping_timer_.start(config_.ping_period, [this] { ping_sweep(); });
+  ping_timer_.start(kPingPeriod, [this] { ping_sweep(); });
 }
 
 OrpcClient::~OrpcClient() {

@@ -24,7 +24,6 @@ namespace oftt::dcom {
 
 struct OrpcClientConfig {
   sim::SimTime call_timeout = sim::seconds(1);
-  sim::SimTime ping_period = sim::seconds(2);
 };
 
 class ProxyBase;

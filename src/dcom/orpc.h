@@ -16,6 +16,7 @@
 #include "common/codec.h"
 #include "common/guid.h"
 #include "common/hresult.h"
+#include "sim/time.h"
 
 namespace oftt::dcom {
 
@@ -68,6 +69,10 @@ struct ResponsePacket {
     v(call_id); v(hr); v(result);
   }
 };
+
+/// Clients ping the exports they hold at this period, and servers sweep
+/// for unpinged exports at the same period; both sides must agree.
+inline constexpr sim::SimTime kPingPeriod = sim::seconds(2);
 
 struct PingPacket {
   std::vector<std::uint64_t> oids;

@@ -16,11 +16,6 @@ void InterfaceRegistry::register_interface(const Iid& iid, StubFactory stub, Pro
   proxies_.emplace(iid, std::move(proxy));
 }
 
-bool InterfaceRegistry::registered(const Iid& iid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stubs_.count(iid) != 0;
-}
-
 const StubFactory* InterfaceRegistry::find_stub(const Iid& iid) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = stubs_.find(iid);

@@ -42,7 +42,6 @@ class InterfaceRegistry {
   static InterfaceRegistry& instance();
 
   void register_interface(const Iid& iid, StubFactory stub, ProxyFactory proxy);
-  bool registered(const Iid& iid) const;
 
   const StubFactory* find_stub(const Iid& iid) const;
   const ProxyFactory* find_proxy(const Iid& iid) const;

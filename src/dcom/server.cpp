@@ -7,6 +7,9 @@
 #include "sim/simulation.h"
 
 namespace oftt::dcom {
+namespace {
+constexpr int kPingGracePeriods = 3;  // missed pings before an export is reclaimed
+}  // namespace
 
 OrpcServer::OrpcServer(sim::Process& process)
     : process_(&process),
@@ -16,7 +19,7 @@ OrpcServer::OrpcServer(sim::Process& process)
       ctr_gc_reclaimed_(process.sim().telemetry().metrics().counter("orpc.gc_reclaimed")),
       gc_timer_(process.main_strand()) {
   process_->bind(port_, [this](const sim::Datagram& d) { on_datagram(d); });
-  gc_timer_.start(config_.ping_period, [this] { gc_sweep(); });
+  gc_timer_.start(kPingPeriod, [this] { gc_sweep(); });
 }
 
 ObjectRef OrpcServer::export_object(com::ComPtr<com::IUnknown> object, const Iid& iid,
@@ -42,8 +45,6 @@ ObjectRef OrpcServer::export_with_dispatch(com::ComPtr<com::IUnknown> keepalive,
   ref.iid = iid;
   return ref;
 }
-
-void OrpcServer::revoke(std::uint64_t oid) { exports_.erase(oid); }
 
 void OrpcServer::register_server_class(const Clsid& clsid, const std::string& name) {
   Directory::of(process_->sim())
@@ -119,7 +120,7 @@ void OrpcServer::handle_ping(const PingPacket& ping) {
 
 void OrpcServer::gc_sweep() {
   sim::SimTime now = process_->sim().now();
-  sim::SimTime limit = config_.ping_period * config_.ping_grace_periods;
+  sim::SimTime limit = kPingPeriod * kPingGracePeriods;
   for (auto it = exports_.begin(); it != exports_.end();) {
     if (!it->second.pinned && now - it->second.last_ping > limit) {
       OFTT_LOG_DEBUG("dcom", process_->name(), ": GC reclaimed oid ", it->first);

@@ -16,11 +16,6 @@
 
 namespace oftt::dcom {
 
-struct OrpcConfig {
-  sim::SimTime ping_period = sim::seconds(2);
-  int ping_grace_periods = 3;  // missed pings before an export is reclaimed
-};
-
 class OrpcServer {
  public:
   explicit OrpcServer(sim::Process& process);
@@ -41,7 +36,6 @@ class OrpcServer {
   ObjectRef export_with_dispatch(com::ComPtr<com::IUnknown> keepalive, const Iid& iid,
                                  StubDispatch dispatch, bool pinned = false);
 
-  void revoke(std::uint64_t oid);
   bool exported(std::uint64_t oid) const { return exports_.count(oid) != 0; }
   std::size_t export_count() const { return exports_.size(); }
 
@@ -70,7 +64,6 @@ class OrpcServer {
   sim::PortId port_;
   std::uint64_t next_oid_ = 1;
   std::map<std::uint64_t, Export> exports_;
-  OrpcConfig config_;
   // Pre-resolved metric handles (dispatch + GC paths).
   obs::Counter ctr_bad_packet_;
   obs::Counter ctr_gc_reclaimed_;

@@ -9,6 +9,9 @@ namespace {
 
 constexpr const char* kQueuePersistPrefix = "mq.q.";
 constexpr const char* kOutgoingPersistKey = "mq.out";
+/// A message delivered but not acknowledged for this long is requeued;
+/// the sweep runs at the same period.
+constexpr sim::SimTime kRedeliveryTimeout = sim::milliseconds(500);
 
 }  // namespace
 
@@ -24,7 +27,7 @@ QueueManager::QueueManager(sim::Process& process)
       redelivery_timer_(process.main_strand()) {
   process_->bind(port_, [this](const sim::Datagram& d) { on_datagram(d); });
   transport::SessionConfig sc;
-  sc.networks = {config_.preferred_network};
+  sc.networks = {0};
   sc.rto_initial = sim::milliseconds(200);
   sc.rto_max = sim::milliseconds(500);
   sc.queue_cap = 1 << 20;  // store-and-forward: the disk is the limit
@@ -48,12 +51,12 @@ QueueManager::QueueManager(sim::Process& process)
     }
     for (std::uint64_t id : ids) dispatch_entry(id);
   });
-  redelivery_timer_.start(config_.redelivery_timeout, [this] {
+  redelivery_timer_.start(kRedeliveryTimeout, [this] {
     sim::SimTime now = process_->sim().now();
     for (auto& [qname, q] : queues_) {
       bool changed = false;
       for (auto it = q.unacked.begin(); it != q.unacked.end();) {
-        if (now - it->second.delivered_at >= config_.redelivery_timeout) {
+        if (now - it->second.delivered_at >= kRedeliveryTimeout) {
           q.ready.push_back(std::move(it->second.msg));
           it = q.unacked.erase(it);
           changed = true;

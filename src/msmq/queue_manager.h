@@ -34,9 +34,7 @@ struct QueueManagerConfig {
   /// Per-queue quota (messages); arrivals beyond it are rejected and
   /// counted, like an MSMQ quota-full queue. 0 = unlimited.
   std::size_t queue_quota = 0;
-  sim::SimTime redelivery_timeout = sim::milliseconds(500);
   sim::SimTime time_to_reach_queue = sim::seconds(30);  // then dead-letter
-  int preferred_network = 0;
 };
 
 class QueueManager {

@@ -91,9 +91,4 @@ NtEvent& NtRuntime::create_event(const std::string& name) {
   return *it->second;
 }
 
-NtEvent* NtRuntime::find_event(const std::string& name) {
-  auto it = events_.find(name);
-  return it == events_.end() ? nullptr : it->second.get();
-}
-
 }  // namespace oftt::nt

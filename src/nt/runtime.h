@@ -151,7 +151,6 @@ class NtRuntime {
 
   // --- kernel objects ---
   NtEvent& create_event(const std::string& name);
-  NtEvent* find_event(const std::string& name);
   std::unique_ptr<WaitableTimer> create_waitable_timer(sim::Strand& strand) {
     return std::make_unique<WaitableTimer>(strand);
   }

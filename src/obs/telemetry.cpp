@@ -1,7 +1,6 @@
 #include "obs/telemetry.h"
 
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace oftt::obs {
 
@@ -11,18 +10,5 @@ Telemetry::Telemetry(ClockFn clock)
 }
 
 Telemetry::~Telemetry() { Logger::instance().set_clock(nullptr); }
-
-void Telemetry::set_mirror_events_to_log(bool on) {
-  if (on && log_mirror_sub_ == 0) {
-    log_mirror_sub_ = bus_.subscribe_all([](const Event& e) {
-      OFTT_LOG_TRACE("obs/event", event_kind_name(e.kind), " node=", e.node, " unit='",
-                     e.unit, "' component='", e.component, "' a=", e.a, " b=", e.b,
-                     e.detail.empty() ? "" : " — ", e.detail);
-    });
-  } else if (!on && log_mirror_sub_ != 0) {
-    bus_.unsubscribe(log_mirror_sub_);
-    log_mirror_sub_ = 0;
-  }
-}
 
 }  // namespace oftt::obs

@@ -39,16 +39,11 @@ class Telemetry {
   FailoverSpans& spans() { return spans_; }
   const FailoverSpans& spans() const { return spans_; }
 
-  /// Mirror every published event into the Logger at TRACE level (off
-  /// by default; handy when correlating events with free-text logs).
-  void set_mirror_events_to_log(bool on);
-
  private:
   ClockFn clock_;
   EventBus bus_;
   MetricsRegistry metrics_;
   FailoverSpans spans_;
-  EventBus::SubscriberId log_mirror_sub_ = 0;
 };
 
 }  // namespace oftt::obs

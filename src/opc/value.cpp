@@ -4,15 +4,6 @@
 
 namespace oftt::opc {
 
-const char* quality_name(Quality q) {
-  switch (q) {
-    case Quality::kBad: return "BAD";
-    case Quality::kUncertain: return "UNCERTAIN";
-    case Quality::kGood: return "GOOD";
-  }
-  return "?";
-}
-
 bool OpcValue::as_bool(bool fallback) const {
   if (auto* b = std::get_if<bool>(&v_)) return *b;
   if (auto* i = std::get_if<std::int32_t>(&v_)) return *i != 0;

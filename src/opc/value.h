@@ -15,7 +15,6 @@ namespace oftt::opc {
 
 enum class Quality : std::uint8_t { kBad = 0, kUncertain = 1, kGood = 3 };
 
-const char* quality_name(Quality q);
 constexpr bool wire_valid(Quality q) {
   return q == Quality::kBad || q == Quality::kUncertain || q == Quality::kGood;
 }

@@ -101,13 +101,6 @@ std::shared_ptr<Process> Node::find_process(const std::string& pname) {
   return it == processes_.end() ? nullptr : it->second;
 }
 
-std::vector<std::string> Node::process_names() const {
-  std::vector<std::string> out;
-  out.reserve(processes_.size());
-  for (const auto& [pname, _] : processes_) out.push_back(pname);
-  return out;
-}
-
 std::size_t Node::port_index(PortId port) const {
   std::size_t i = 0;
   while (i < ports_.size() && ports_[i].port != port) ++i;

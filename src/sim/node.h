@@ -57,7 +57,6 @@ class Node {
   std::shared_ptr<Process> restart_process(const std::string& name);
 
   std::shared_ptr<Process> find_process(const std::string& name);
-  std::vector<std::string> process_names() const;
 
   // --- datagram plumbing (used by Strand/Network, not applications) ---
   /// Binding a bound port replaces its handler.

@@ -14,10 +14,6 @@ EventHandle Strand::schedule_after(SimTime delay, EventFn fn) {
   return sim.schedule_on(sim.now() + delay, life_, std::move(fn), process_.node().id());
 }
 
-EventHandle Strand::schedule_at(SimTime at, EventFn fn) {
-  return process_.sim().schedule_on(at, life_, std::move(fn), process_.node().id());
-}
-
 void Strand::bind(PortId port, MessageHandler handler) {
   process_.node().bind_port(port, life_, std::move(handler));
   bound_ports_.push_back(port);

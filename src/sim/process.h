@@ -39,7 +39,6 @@ class Strand {
   /// Schedule `fn` to run on this strand after `delay`. The callback is
   /// silently discarded if the strand has died or hung by fire time.
   EventHandle schedule_after(SimTime delay, EventFn fn);
-  EventHandle schedule_at(SimTime at, EventFn fn);
 
   /// Bind a datagram port; the handler executes on this strand.
   void bind(PortId port, MessageHandler handler);

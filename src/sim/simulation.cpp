@@ -93,13 +93,6 @@ Node& Simulation::add_node(const std::string& name) {
   return *nodes_.back();
 }
 
-Node* Simulation::find_node(const std::string& name) {
-  for (auto& n : nodes_) {
-    if (n->name() == name) return n.get();
-  }
-  return nullptr;
-}
-
 PortId Simulation::port(std::string_view name) {
   if (name.empty()) return PortId{};
   std::lock_guard<std::mutex> lock(ports_mu_);

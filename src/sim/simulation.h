@@ -99,7 +99,6 @@ class Simulation {
   void cancel(EventHandle& h) { EventQueue::cancel_owned(h); }
 
   Node& add_node(const std::string& name);
-  Node* find_node(const std::string& name);
   Node& node(int id) { return *nodes_.at(static_cast<std::size_t>(id)); }
   std::size_t node_count() const { return nodes_.size(); }
 

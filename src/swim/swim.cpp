@@ -1,7 +1,5 @@
 #include "swim/swim.h"
 
-#include "common/strings.h"
-
 namespace oftt::swim {
 
 const char* member_state_name(MemberState s) {
@@ -11,10 +9,6 @@ const char* member_state_name(MemberState s) {
     case MemberState::kDead: return "dead";
   }
   return "?";
-}
-
-std::string update_summary(const Update& u) {
-  return cat(u.node, " ", member_state_name(u.state), "@", u.incarnation);
 }
 
 }  // namespace oftt::swim

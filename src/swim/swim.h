@@ -20,8 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-
 
 namespace oftt::swim {
 
@@ -67,8 +65,5 @@ struct Update {
 
   bool operator==(const Update&) const = default;
 };
-
-/// One-line operator rendering: "7 alive@3".
-std::string update_summary(const Update& u);
 
 }  // namespace oftt::swim

@@ -69,9 +69,10 @@ std::size_t Endpoint::queued_frames() const {
 }
 
 std::uint64_t Endpoint::acked_tag(int peer, std::uint8_t cls) const {
-  auto it = tx_.find(peer);
-  if (it == tx_.end() || cls >= kTrafficClasses) return 0;
-  return it->second.max_acked_by_cls[cls];
+  if (cls >= kTrafficClasses) return 0;
+  if (auto it = tx_.find(peer); it != tx_.end()) return it->second.max_acked_by_cls[cls];
+  auto kept = dropped_watermarks_.find(peer);
+  return kept == dropped_watermarks_.end() ? 0 : kept->second[cls];
 }
 
 Endpoint::TxSession& Endpoint::tx_session(int peer) {
@@ -79,6 +80,10 @@ Endpoint::TxSession& Endpoint::tx_session(int peer) {
   if (it != tx_.end()) return it->second;
   TxSession ts;
   ts.epoch = process_->sim().next_epoch();
+  if (auto kept = dropped_watermarks_.find(peer); kept != dropped_watermarks_.end()) {
+    ts.max_acked_by_cls = kept->second;
+    dropped_watermarks_.erase(kept);
+  }
   return tx_.emplace(peer, std::move(ts)).first->second;
 }
 
@@ -364,6 +369,9 @@ std::size_t Endpoint::cancel(int peer, std::uint64_t tag) {
     // Nothing real left: drop the whole session instead of retransmitting
     // void frames at a possibly-dead peer forever. The next send() opens
     // a fresh epoch; the peer's rx state resets on its first frame.
+    // The ack watermarks outlive the session: they record what the
+    // peer processed.
+    dropped_watermarks_[peer] = ts.max_acked_by_cls;
     tx_.erase(t);
     ++sessions_dropped_;
     return n;

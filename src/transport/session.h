@@ -266,6 +266,9 @@ class Endpoint {
   DeliverFn deliver_;
   std::map<int, TxSession> tx_;
   std::map<int, RxSession> rx_;
+  /// max_acked_by_cls of sessions cancel() dropped, until the next
+  /// send() to that peer reopens one.
+  std::map<int, std::array<std::uint64_t, kTrafficClasses>> dropped_watermarks_;
   /// Sessions cancel() has dropped; lets an ack callback's cancel() be
   /// noticed without a lookup per retired frame.
   std::uint64_t sessions_dropped_ = 0;

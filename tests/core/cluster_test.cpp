@@ -612,7 +612,9 @@ TEST(ClusterValidation, RejectsNonsensicalConfigs) {
 
 // Engine::install and ClusterDeployment share one swim validator: a
 // suspicion window shorter than one protocol period leaves the accused
-// no round in which to refute, and both entry points refuse it.
+// no round in which to refute, and a period at or below the direct-probe
+// timeout leaves no room for the indirect round; both entry points
+// refuse either.
 TEST(ClusterValidation, SwimSuspicionBelowHeartbeatPeriodIsRejectedEverywhere) {
   sim::Simulation sim(7013);
   sim::Node& lone = sim.add_node("lone");
@@ -625,6 +627,16 @@ TEST(ClusterValidation, SwimSuspicionBelowHeartbeatPeriodIsRejectedEverywhere) {
   ClusterDeploymentOptions opts;
   opts.engine.swim_suspicion_timeout = opts.engine.heartbeat_period / 2;
   EXPECT_THROW(ClusterDeployment(sim, opts), std::invalid_argument);
+
+  for (sim::SimTime period : {kSwimProbeTimeout, kSwimProbeTimeout / 2}) {
+    OfttConfig fast;
+    fast.cluster_nodes = cfg.cluster_nodes;
+    fast.heartbeat_period = period;
+    EXPECT_THROW(Engine::install(lone, fast), std::invalid_argument) << period;
+    ClusterDeploymentOptions fast_opts;
+    fast_opts.engine.heartbeat_period = period;
+    EXPECT_THROW(ClusterDeployment(sim, fast_opts), std::invalid_argument) << period;
+  }
 
   cfg.swim_suspicion_timeout = cfg.heartbeat_period;
   EXPECT_NO_THROW(Engine::install(lone, cfg));

@@ -2,6 +2,8 @@
 // IO, subscriptions over DCOM, and the client's reconnect compensation.
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
+#include "dcom/marshal.h"
 #include "dcom/scm.h"
 #include "opc/client.h"
 #include "opc/device.h"
@@ -257,6 +259,157 @@ TEST_F(OpcEndToEnd, AddItemsReportsPerItemErrors) {
   ASSERT_EQ(items.size(), 2u);
   EXPECT_EQ(items[0].quality, Quality::kGood);
   EXPECT_EQ(items[1].quality, Quality::kBad);
+}
+
+// --- the remaining IOPCServer / IOPCGroup / IOPCDataCallback methods,
+// driven through their proxies and stubs across the two nodes ---
+
+class OpcProxyStub : public OpcEndToEnd {
+ protected:
+  // Remote CoCreateInstance from the HMI node, then AddGroup "g".
+  void SetUp() override {
+    auto& orpc = dcom::OrpcClient::of(*client_proc_);
+    orpc.activate(server_node_->id(), kPlcServerClsid, IOPCServer::iid(),
+                  [&](HRESULT hr, const dcom::ObjectRef& ref) {
+                    if (SUCCEEDED(hr)) server_ = orpc.unmarshal(ref).as<IOPCServer>();
+                  });
+    sim_.run_for(sim::milliseconds(100));
+    ASSERT_TRUE(server_);
+    server_->AddGroup("g", sim::milliseconds(100), [&](HRESULT hr, com::ComPtr<IOPCGroup> g) {
+      if (SUCCEEDED(hr)) group_ = std::move(g);
+    });
+    sim_.run_for(sim::milliseconds(100));
+    ASSERT_TRUE(group_);
+  }
+
+  /// Runs one acknowledged call to completion and returns its HRESULT.
+  HRESULT ack(const std::function<void(AckHandler)>& call) {
+    HRESULT got = S_FALSE;
+    call([&got](HRESULT hr) { got = hr; });
+    sim_.run_for(sim::milliseconds(100));
+    return got;
+  }
+
+  HRESULT add_items(const std::vector<std::string>& ids) {
+    HRESULT got = S_FALSE;
+    group_->AddItems(ids, [&got](HRESULT hr, const std::vector<HRESULT>&) { got = hr; });
+    sim_.run_for(sim::milliseconds(100));
+    return got;
+  }
+
+  /// Sends `args` less its last byte straight to the stub behind `ref`,
+  /// from a process on the server node: the stub must refuse the
+  /// truncated argument list with E_INVALIDARG.
+  HRESULT call_truncated(const dcom::ObjectRef& ref, std::uint16_t method, Buffer args) {
+    args.pop_back();
+    if (!prober_) prober_ = server_node_->start_process("prober", nullptr);
+    HRESULT got = S_FALSE;
+    dcom::OrpcClient::of(*prober_).invoke(ref, sim_.port(ref.port), method, std::move(args),
+                                          [&got](HRESULT hr, BinaryReader&) { got = hr; });
+    sim_.run_for(sim::milliseconds(100));
+    return got;
+  }
+
+  template <class I>
+  static const dcom::ObjectRef& ref_of(const com::ComPtr<I>& proxy) {
+    return dynamic_cast<dcom::ProxyBase&>(*proxy.get()).ref();
+  }
+
+  com::ComPtr<IOPCServer> server_;
+  com::ComPtr<IOPCGroup> group_;
+  std::shared_ptr<sim::Process> prober_;
+};
+
+TEST_F(OpcProxyStub, RemoveGroup) {
+  HRESULT got = S_FALSE;
+  server_->RemoveGroup("g", [&got](HRESULT hr) { got = hr; });
+  sim_.run_for(sim::milliseconds(100));
+  EXPECT_EQ(got, S_OK);
+  server_->RemoveGroup("g", [&got](HRESULT hr) { got = hr; });
+  sim_.run_for(sim::milliseconds(100));
+  EXPECT_EQ(got, E_INVALIDARG) << "the group is already gone";
+
+  EXPECT_EQ(call_truncated(ref_of(server_), methods::kRemoveGroup,
+                           codec::encode(std::string("g"))),
+            E_INVALIDARG);
+}
+
+TEST_F(OpcProxyStub, SetDeadband) {
+  EXPECT_EQ(ack([&](auto done) { group_->SetDeadband(5.0, done); }), S_OK);
+  EXPECT_EQ(ack([&](auto done) { group_->SetDeadband(150.0, done); }), E_INVALIDARG)
+      << "a deadband is a percentage of the item's range";
+
+  EXPECT_EQ(call_truncated(ref_of(group_), methods::kSetDeadband, codec::encode(5.0)),
+            E_INVALIDARG);
+}
+
+// RemoveItems, AsyncRead and the OnReadComplete callback in one pass:
+// the asynchronous read reports exactly the items still in the group.
+TEST_F(OpcProxyStub, RemoveItemsAsyncReadAndOnReadComplete) {
+  ASSERT_EQ(add_items({"Line.Speed", "Tank.Level"}), S_OK);
+  EXPECT_EQ(ack([&](auto done) { group_->AsyncRead(7, done); }), E_FAIL)
+      << "no callback registered yet";
+  EXPECT_EQ(ack([&](auto done) { group_->RemoveItems({"Line.Speed"}, done); }), S_OK);
+
+  std::uint32_t transaction = 0;
+  HRESULT read_hr = S_FALSE;
+  std::vector<ItemState> read;
+  auto sink = DataSink::create(nullptr, [&](std::uint32_t t, HRESULT hr,
+                                            const std::vector<ItemState>& items) {
+    transaction = t;
+    read_hr = hr;
+    read = items;
+  });
+  EXPECT_EQ(ack([&](auto done) {
+              group_->SetCallback(com::ComPtr<IOPCDataCallback>(sink.get()), done);
+            }),
+            S_OK);
+  EXPECT_EQ(ack([&](auto done) { group_->AsyncRead(7, done); }), S_OK);
+  EXPECT_EQ(transaction, 7u);
+  EXPECT_EQ(read_hr, S_OK);
+  ASSERT_EQ(read.size(), 1u);
+  EXPECT_EQ(read[0].item_id, "Tank.Level");
+  EXPECT_EQ(read[0].quality, Quality::kGood);
+
+  const dcom::ObjectRef& group_ref = ref_of(group_);
+  EXPECT_EQ(call_truncated(group_ref, methods::kRemoveItems,
+                           codec::encode(std::vector<std::string>{"Tank.Level"})),
+            E_INVALIDARG);
+  EXPECT_EQ(call_truncated(group_ref, methods::kAsyncRead, codec::encode(std::uint32_t{8})),
+            E_INVALIDARG);
+  // The sink's own export on the HMI node, called from the server node.
+  const dcom::ObjectRef sink_ref =
+      dcom::marshal_interface(dcom::OrpcServer::of(*client_proc_),
+                              com::ComPtr<IOPCDataCallback>(sink.get()))
+          .ref;
+  EXPECT_EQ(call_truncated(sink_ref, methods::kOnReadComplete,
+                           codec::encode(std::uint32_t{9}, S_OK, read)),
+            E_INVALIDARG);
+  EXPECT_EQ(transaction, 7u) << "a refused call never reaches the sink";
+}
+
+TEST_F(OpcProxyStub, SetActive) {
+  ASSERT_EQ(add_items({"Line.Speed"}), S_OK);
+  int changes = 0;
+  auto sink = DataSink::create([&](std::uint32_t, const std::vector<ItemState>&) { ++changes; });
+  ASSERT_EQ(ack([&](auto done) {
+              group_->SetCallback(com::ComPtr<IOPCDataCallback>(sink.get()), done);
+            }),
+            S_OK);
+  sim_.run_for(sim::milliseconds(500));
+  EXPECT_GT(changes, 0);
+
+  EXPECT_EQ(ack([&](auto done) { group_->SetActive(false, done); }), S_OK);
+  const int paused_at = changes;
+  sim_.run_for(sim::milliseconds(500));
+  EXPECT_EQ(changes, paused_at) << "an inactive group notifies nothing";
+
+  EXPECT_EQ(ack([&](auto done) { group_->SetActive(true, done); }), S_OK);
+  sim_.run_for(sim::milliseconds(500));
+  EXPECT_GT(changes, paused_at);
+
+  EXPECT_EQ(call_truncated(ref_of(group_), methods::kSetActive, codec::encode(true)),
+            E_INVALIDARG);
 }
 
 }  // namespace

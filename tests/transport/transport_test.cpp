@@ -233,7 +233,8 @@ TEST(Transport, AckCallbackAndTagWatermark) {
 
 // An ack callback may cancel the session's last live frame. That drops
 // the session while its ack is still being handled; the endpoint must
-// stop touching it, and the next send opens a fresh session.
+// stop touching it, and the next send opens a fresh session that keeps
+// the dropped one's ack watermark.
 TEST(Transport, AckCallbackCancellingTheLastLiveFrameDropsTheSession) {
   Harness h(47);
   std::vector<std::uint64_t> got, acked;
@@ -251,7 +252,8 @@ TEST(Transport, AckCallbackCancellingTheLastLiveFrameDropsTheSession) {
   EXPECT_EQ(cancelled, 1u);
   EXPECT_EQ(acked, (std::vector<std::uint64_t>{1}));
   EXPECT_EQ(tx.ep().inflight_bytes(), 0u);
-  EXPECT_EQ(tx.ep().acked_tag(b, kClassControl), 0u) << "the session and its watermark are gone";
+  EXPECT_EQ(tx.ep().acked_tag(b, kClassControl), 1u)
+      << "the session is gone but its watermark survives";
 
   ASSERT_TRUE(tx.ep().send(b, numbered(3), /*tag=*/3, log_ack));
   h.sim.run_for(sim::seconds(1));
