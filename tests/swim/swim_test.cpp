@@ -67,7 +67,6 @@ Detector make_detector(std::uint64_t seed = 1) {
   DetectorConfig dc;
   dc.self = 1;
   dc.members = {1, 2, 3, 4, 5};
-  dc.probe_timeout = sim::milliseconds(40);
   dc.suspicion_timeout = kSuspicion;
   return Detector(dc, sim::Rng(seed));
 }
@@ -205,7 +204,7 @@ TEST(SwimDetector, PiggybackIsBoundedAndRetransmitBudgeted) {
 
   std::vector<Update> batch;
   d.piggyback(batch);
-  EXPECT_LE(batch.size(), d.config().max_piggyback);
+  EXPECT_LE(batch.size(), swim::kMaxPiggyback);
 
   // Each buffered update rides exactly budget() frames, then drops out.
   int drains = 0;
@@ -259,7 +258,6 @@ std::vector<std::string> sparse_trace(std::uint64_t seed) {
   DetectorConfig dc;
   dc.self = 100;
   dc.members = {4096, 3, 100, 7};
-  dc.probe_timeout = sim::milliseconds(40);
   dc.suspicion_timeout = sim::milliseconds(300);
   Detector d(dc, sim::Rng(seed));
   std::vector<std::string> out;
