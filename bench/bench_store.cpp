@@ -14,15 +14,24 @@
 //       (nothing on disk, nack the first live delta, force a fresh full
 //       image). Reported as resync bytes shipped by the primary and the
 //       journal replay depth.
+//  E10c: host ns per recoverable enqueue on an unread queue, filled to
+//       depth 500 and 4 000. The queue manager journals one record per
+//       enqueue, so the cost per message should not grow with depth;
+//       bench/store_floor.h caps the ratio. Host times go to stderr
+//       only, so stdout and the JSON stay sim-domain.
 //
 // Exports BENCH_store.json.
+#include <chrono>
+
 #include "bench_util.h"
 #include "core/api.h"
 #include "core/deployment.h"
+#include "msmq/queue_manager.h"
 #include "nt/runtime.h"
 #include "obs/json.h"
 #include "sim/simulation.h"
 #include "sim/timer.h"
+#include "store_floor.h"
 
 using namespace oftt;
 using namespace oftt::bench;
@@ -173,6 +182,37 @@ RestartResult run_restart(bool journal, std::uint64_t seed) {
   return r;
 }
 
+// ---------------------------------------------------------------------
+// E10c — host ns per recoverable enqueue against queue depth.
+// ---------------------------------------------------------------------
+
+/// Fastest of `reps` runs that each enqueue `depth` recoverable messages
+/// on one unread local queue; ns per message.
+double enqueue_ns(std::size_t depth, int reps) {
+  using Clock = std::chrono::steady_clock;
+  double best = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    sim::Simulation sim(31);
+    sim::Node& node = sim.add_node("n");
+    sim.add_network("lan").attach(node.id());
+    node.set_boot_script([](sim::Node& n) { msmq::QueueManager::install(n); });
+    node.boot();
+    auto app = node.start_process("app", nullptr);
+    sim.run_for(sim::milliseconds(1));
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < depth; ++i) {
+      msmq::MsmqApi::of(*app).send("unread", "m", Buffer(8, 1), msmq::DeliveryMode::kRecoverable);
+    }
+    sim.run_for(sim::milliseconds(100));
+    const double ns =
+        std::chrono::duration<double, std::nano>(Clock::now() - t0).count() /
+        static_cast<double>(depth);
+    if (msmq::QueueManager::find(node)->local_depth("unread") != depth) return -1;
+    best = rep == 0 ? ns : std::min(best, ns);
+  }
+  return best;
+}
+
 }  // namespace
 
 int main() {
@@ -264,10 +304,26 @@ int main() {
   w.end_object();
   write_file("BENCH_store.json", w.take());
 
+  std::fprintf(stderr, "\nE10c: host ns per recoverable enqueue on an unread queue\n%8s %14s\n",
+               "depth", "ns/enqueue");
+  const double at_500 = enqueue_ns(500, 5);
+  const double at_4000 = enqueue_ns(4000, 5);
+  std::fprintf(stderr, "%8d %14.0f\n%8d %14.0f\n", 500, at_500, 4000, at_4000);
+  const double ratio = at_500 > 0 && at_4000 > 0 ? at_4000 / at_500 : 1e9;
+  std::fprintf(stderr, "ratio 4000 / 500: %.2f (ceiling %.2f)\n", ratio, kCeilingEnqueueFlatness);
+
   std::printf(
       "\n(deltas ship the dirty working set, not the region: at 0.1%% mutation the wire\n"
       " carries a small fraction of full-only traffic, converging as the dirty fraction\n"
       " approaches 1. A journaled backup reboots into its own durable chain and pulls\n"
       " only the delta suffix it missed — the unjournaled one costs a full image.)\n");
+  const char* enforce = std::getenv("OFTT_BENCH_ENFORCE_FLOOR");
+  if (enforce != nullptr && enforce[0] != '\0' && ratio > kCeilingEnqueueFlatness) {
+    std::fprintf(stderr,
+                 "FLOOR REGRESSION: ns per recoverable enqueue grows more than %.1fx from "
+                 "depth 500 to 4 000 (store_floor.h)\n",
+                 kCeilingEnqueueFlatness);
+    return 1;
+  }
   return 0;
 }

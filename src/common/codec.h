@@ -39,7 +39,7 @@
 // swim::Update and MembershipView it embeds, the OPC notify frame and
 // OpcValue/ItemState, the ORPC packets and dcom::InterfaceRef, the OPC
 // and engine COM argument lists, the MSMQ packets and msmq::Message
-// (wire and persisted queues), the transport DataFrame and AckFrame,
+// (wire and the queue manager's journal records), the transport DataFrame and AckFrame,
 // CheckpointImage, nt::TaskContext, the diverter's JournaledSend, the
 // FTIM policy record, the engine's role hint and opc::CallEvent.
 // Two pieces stay hand-framed because neither is a field of the layout

@@ -108,6 +108,12 @@ void MessageDiverter::apply_route() {
   msmq::QueueManager* qm = msmq::QueueManager::find(process_->node());
   if (qm == nullptr) return;  // QM down; retried on next period
   qm->set_route(options_.queue, primary_node_);
+  if (routed_) return;
+  routed_ = true;
+  for (auto& [label, body, mode] : held_) {
+    msmq::MsmqApi::of(*process_).send(options_.queue, label, std::move(body), mode);
+  }
+  held_.clear();
 }
 
 void MessageDiverter::send(const std::string& label, Buffer body, msmq::DeliveryMode mode) {
@@ -119,6 +125,10 @@ void MessageDiverter::send(const std::string& label, Buffer body, msmq::Delivery
                          JournaledSend{{}, label, body, mode}.encode())) {
       ++journaled_sends_;
     }
+  }
+  if (!routed_) {
+    held_.emplace_back(label, std::move(body), mode);
+    return;
   }
   msmq::MsmqApi::of(*process_).send(options_.queue, label, std::move(body), mode);
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/config.h"
@@ -77,6 +78,11 @@ class MessageDiverter {
   std::uint64_t msg_seq_ = 0;
   std::uint64_t replayed_sends_ = 0;
   std::uint64_t journaled_sends_ = 0;
+  /// Sends made before the first route reached the QM (the journal
+  /// replay among them): without a route the QM would keep them in its
+  /// own local queue, where no consumer reads them.
+  std::vector<std::tuple<std::string, Buffer, msmq::DeliveryMode>> held_;
+  bool routed_ = false;
   sim::PeriodicTimer resubscribe_timer_;
 };
 

@@ -6,7 +6,7 @@
 //   the reliable transport session — see src/transport/)
 //
 // Express messages live in memory only; recoverable messages are
-// persisted to the node's disk store and survive a reboot — the
+// journaled to the node's disk store and survive a reboot — the
 // property the Message Diverter's "non-delivery is detected and
 // retried" guarantee rests on.
 #pragma once
@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "common/bytes.h"
 #include "common/codec.h"
@@ -87,36 +88,31 @@ Buffer encode_packet(Message& msg) {
   return frame;
 }
 
-/// A persisted queue (the disk blob behind every recoverable queue and
-/// the outgoing transfers): a u32 count, then each recoverable message.
-/// `each(visit)` calls visit(msg) for every message of the live
-/// containers, so nothing is copied into a vector first.
-template <class Each>
-Buffer encode_queue_blob(Each each) {
-  std::uint32_t count = 0;
-  each([&](const Message& m) { count += m.mode == DeliveryMode::kRecoverable ? 1 : 0; });
-  BinaryWriter w;
-  codec::write(w, count);
-  each([&](const Message& m) {
-    if (m.mode == DeliveryMode::kRecoverable) codec::write(w, m);
-  });
-  return std::move(w).take();
-}
-
-/// Calls restore(msg) for each message of a queue blob. It reads message
-/// by message, so a damaged blob still restores the messages in front
-/// of the damage.
-template <class Restore>
-void decode_queue_blob(ByteView blob, Restore restore) {
-  BinaryReader r(blob);
-  std::uint32_t count = 0;
-  if (!codec::read(r, count)) return;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Message m;
-    if (!codec::read(r, m)) return;
-    restore(std::move(m));
-  }
-}
+/// A queue manager's journal (store::Journal; DESIGN §7) is its only
+/// durable state. A kMessage record's payload is one QmRecord; a
+/// kSnapshot's is the live set as a run of them (a QmReserve, then one
+/// QmEnqueue per recoverable message).
+/// A recoverable message joined local queue `msg.queue`, or the outgoing
+/// transfers when `outgoing` is set.
+struct QmEnqueue {
+  bool outgoing = false;
+  Message msg;
+  template <class V> void fields(V& v) { v(outgoing); v(msg); }
+};
+/// It left again: receive-ack, transfer ack, route-home, dead-letter or
+/// purge.
+struct QmRetire {
+  bool outgoing = false;
+  std::string queue;
+  std::uint64_t id = 0;
+  template <class V> void fields(V& v) { v(outgoing); v(queue); v(id); }
+};
+/// Message sequence numbers below `next_seq` may be taken.
+struct QmReserve {
+  std::uint64_t next_seq = 1;
+  template <class V> void fields(V& v) { v(next_seq); }
+};
+using QmRecord = std::variant<QmReserve, QmEnqueue, QmRetire>;
 
 /// Well-known queue-manager port on every node.
 inline constexpr const char* kMsmqPort = "msmq";

@@ -7,8 +7,8 @@
 namespace oftt::msmq {
 namespace {
 
-constexpr const char* kQueuePersistPrefix = "mq.q.";
-constexpr const char* kOutgoingPersistKey = "mq.out";
+/// Message sequence numbers are journaled as taken this many at a time.
+constexpr std::uint64_t kSeqBlock = 1024;
 /// A message delivered but not acknowledged for this long is requeued;
 /// the sweep runs at the same period.
 constexpr sim::SimTime kRedeliveryTimeout = sim::milliseconds(500);
@@ -18,6 +18,7 @@ constexpr sim::SimTime kRedeliveryTimeout = sim::milliseconds(500);
 QueueManager::QueueManager(sim::Process& process)
     : process_(&process),
       port_(process.sim().port(kMsmqPort)),
+      journal_(process.sim(), process.node().id(), kJournal),
       ctr_bad_packet_(process.sim().telemetry().metrics().counter("msmq.bad_packet")),
       ctr_quota_rejected_(
           process.sim().telemetry().metrics().counter("msmq.quota_rejected")),
@@ -39,9 +40,19 @@ QueueManager::QueueManager(sim::Process& process)
       ctr_bad_packet_.inc();
       return;
     }
-    handle_xfer(std::move(p.msg));
+    if (!handle_xfer(std::move(p.msg))) ep_->refuse();
   });
-  restore_from_disk();
+  JournalImage img = replay(journal_);
+  next_seq_ = reserved_seq_ = img.next_seq;
+  for (auto& [key, m] : img.local) {
+    LocalQueue& q = queue_ref(key.first);
+    q.seen_ids.insert(m.id);
+    q.ready.push_back(std::move(m));
+  }
+  for (auto& [id, m] : img.outgoing) {
+    outgoing_[id] = OutgoingEntry{std::move(m), process_->sim().now()};
+  }
+  outgoing_depth_gauge_.set(static_cast<std::int64_t>(outgoing_.size()));
   // Transfers restored from disk dispatch one tick later, so a boot
   // script's synchronous set_route() can repoint them first.
   process_->main_strand().schedule_after(sim::milliseconds(1), [this] {
@@ -118,6 +129,7 @@ std::size_t QueueManager::local_depth(const std::string& queue) const {
 std::size_t QueueManager::outgoing_depth() const { return outgoing_.size(); }
 
 void QueueManager::on_datagram(const sim::Datagram& d) {
+  snapshot_if_due();
   if (ep_ && ep_->handle(d)) return;
   // Any frame that does not decode whole (unknown kind, unknown delivery
   // mode, truncation, trailing bytes) is counted and dropped. Transfers
@@ -143,7 +155,13 @@ void QueueManager::on_datagram(const sim::Datagram& d) {
 
 void QueueManager::handle_send(Message msg) {
   sim::Node& node = process_->node();
-  // Assign a globally unique id: node | boot generation | sequence.
+  // Assign a globally unique id: node | boot generation | sequence. The
+  // sequence resumes from the journal, so a QM restarted within one
+  // boot does not hand out ids its peers have already seen.
+  if (next_seq_ >= reserved_seq_) {
+    reserved_seq_ = next_seq_ + kSeqBlock;
+    journal(QmReserve{reserved_seq_});
+  }
   msg.id = (static_cast<std::uint64_t>(node.id()) << 48) |
            (static_cast<std::uint64_t>(node.boot_count() & 0xff) << 40) | next_seq_++;
   msg.src_node = node.id();
@@ -159,8 +177,8 @@ void QueueManager::handle_send(Message msg) {
   entry.first_attempt = process_->sim().now();
   std::uint64_t id = entry.msg.id;
   bool recoverable = entry.msg.mode == DeliveryMode::kRecoverable;
+  if (recoverable) journal(QmEnqueue{true, entry.msg});
   outgoing_.emplace(id, std::move(entry));
-  if (recoverable) persist_outgoing();
   dispatch_entry(id);
   outgoing_depth_gauge_.set(static_cast<std::int64_t>(outgoing_.size()));
 }
@@ -171,13 +189,14 @@ void QueueManager::dispatch_entry(std::uint64_t id) {
   OutgoingEntry& e = it->second;
   int dest = route(e.msg.queue);
   if (dest < 0 || dest == process_->node().id()) {
-    // Route points home: deliver locally and retire the entry.
+    // Route points home: deliver locally, then retire the entry, so a
+    // crash between the two writes leaves a duplicate, never a loss.
     Message msg = std::move(e.msg);
     bool recoverable = msg.mode == DeliveryMode::kRecoverable;
     outgoing_.erase(it);
-    if (recoverable) persist_outgoing();
     outgoing_depth_gauge_.set(static_cast<std::int64_t>(outgoing_.size()));
     accept_local(std::move(msg));
+    if (recoverable) journal(QmRetire{true, {}, id});
     return;
   }
   if (e.dispatched_to < 0) {
@@ -200,7 +219,7 @@ void QueueManager::complete_entry(std::uint64_t id) {
   if (it == outgoing_.end()) return;
   bool recoverable = it->second.msg.mode == DeliveryMode::kRecoverable;
   outgoing_.erase(it);
-  if (recoverable) persist_outgoing();
+  if (recoverable) journal(QmRetire{true, {}, id});
   outgoing_depth_gauge_.set(static_cast<std::int64_t>(outgoing_.size()));
 }
 
@@ -216,10 +235,11 @@ void QueueManager::dead_letter_entry(std::uint64_t id) {
   Message dl = std::move(e.msg);
   dl.label = cat("DLQ:", dl.queue, ":", dl.label);
   dl.queue = kDeadLetterQueue;
+  bool recoverable = dl.mode == DeliveryMode::kRecoverable;
   outgoing_.erase(it);
-  persist_outgoing();
   outgoing_depth_gauge_.set(static_cast<std::int64_t>(outgoing_.size()));
-  accept_local(std::move(dl));
+  accept_local(std::move(dl));  // enqueue before retiring, as in dispatch_entry
+  if (recoverable) journal(QmRetire{true, {}, id});
 }
 
 void QueueManager::handle_subscribe(const SubscribePacket& sub) {
@@ -238,46 +258,57 @@ void QueueManager::handle_subscribe(const SubscribePacket& sub) {
 void QueueManager::handle_recv_ack(const RecvAckPacket& ack) {
   auto it = queues_.find(ack.queue);
   if (it == queues_.end()) return;
-  if (it->second.unacked.erase(ack.id) > 0) {
-    persist_queue(ack.queue);
-  }
+  auto u = it->second.unacked.find(ack.id);
+  if (u == it->second.unacked.end()) return;
+  bool recoverable = u->second.msg.mode == DeliveryMode::kRecoverable;
+  it->second.unacked.erase(u);
+  if (recoverable) journal(QmRetire{false, ack.queue, ack.id});
 }
 
-void QueueManager::handle_xfer(Message msg) {
+bool QueueManager::handle_xfer(Message msg) {
   // The session already suppressed retransmitted duplicates; this
   // message-id check catches what it cannot — the same transfer
   // re-dispatched on a different session after a reroute or a sender
   // session reset.
   LocalQueue& q = queue_ref(msg.queue);
-  if (!q.seen_ids.insert(msg.id).second) {
+  const std::uint64_t id = msg.id;
+  if (!q.seen_ids.insert(id).second) {
     ++duplicates_dropped_;
-    return;
+    return true;
   }
-  accept_local(std::move(msg));
+  if (accept_local(std::move(msg))) return true;
+  q.seen_ids.erase(id);  // the retransmission is taken again
+  return false;
 }
 
 std::size_t QueueManager::purge(const std::string& queue) {
   auto it = queues_.find(queue);
   if (it == queues_.end()) return 0;
-  std::size_t n = it->second.ready.size() + it->second.unacked.size();
-  it->second.ready.clear();
-  it->second.unacked.clear();
-  persist_queue(queue);
+  LocalQueue& q = it->second;
+  std::size_t n = q.ready.size() + q.unacked.size();
+  const auto retire = [&](const Message& m) {
+    if (m.mode == DeliveryMode::kRecoverable) journal(QmRetire{false, queue, m.id});
+  };
+  for (const Message& m : q.ready) retire(m);
+  for (const auto& [id, inflight] : q.unacked) retire(inflight.msg);
+  q.ready.clear();
+  q.unacked.clear();
   return n;
 }
 
-void QueueManager::accept_local(Message msg) {
+bool QueueManager::accept_local(Message msg) {
   std::string qname = msg.queue;
   LocalQueue& q = queue_ref(qname);
   if (config_.queue_quota > 0 &&
       q.ready.size() + q.unacked.size() >= config_.queue_quota) {
     ++quota_rejections_;
     ctr_quota_rejected_.inc();
-    return;
+    return true;
   }
+  const bool durable = msg.mode != DeliveryMode::kRecoverable || journal(QmEnqueue{false, msg});
   q.ready.push_back(std::move(msg));
-  if (q.ready.back().mode == DeliveryMode::kRecoverable) persist_queue(qname);
   pump_queue(qname);
+  return durable;
 }
 
 void QueueManager::pump_queue(const std::string& qname) {
@@ -294,47 +325,61 @@ void QueueManager::pump_queue(const std::string& qname) {
   }
 }
 
-void QueueManager::persist_queue(const std::string& qname) {
-  auto it = queues_.find(qname);
-  if (it == queues_.end()) return;
-  const LocalQueue& q = it->second;
-  Buffer blob = encode_queue_blob([&](auto visit) {
-    for (const Message& m : q.ready) visit(m);
-    for (const auto& [_, inflight] : q.unacked) visit(inflight.msg);
-  });
-  sim::DiskStore::of(process_->sim())
-      .write(process_->node().id(), cat(kQueuePersistPrefix, qname), std::move(blob));
+bool QueueManager::journal(const QmRecord& rec) {
+  const Buffer payload = codec::encode(rec);
+  if (!journal_.append(store::RecordType::kMessage, 0, 0, payload)) {
+    snapshot_due_ = true;  // the snapshot carries what this record missed
+    return false;
+  }
+  since_snapshot_ += payload.size();
+  return true;
 }
 
-void QueueManager::persist_outgoing() {
-  Buffer blob = encode_queue_blob([&](auto visit) {
-    for (const auto& [_, e] : outgoing_) visit(e.msg);
-  });
-  sim::DiskStore::of(process_->sim())
-      .write(process_->node().id(), kOutgoingPersistKey, std::move(blob));
+void QueueManager::snapshot_if_due() {
+  if (!snapshot_due_ &&
+      since_snapshot_ < std::max(store::JournalOptions{}.segment_bytes, snapshot_bytes_)) {
+    return;
+  }
+  BinaryWriter w;
+  codec::write(w, QmRecord{QmReserve{reserved_seq_}});
+  const auto put = [&w](bool outgoing, const Message& m) {
+    if (m.mode == DeliveryMode::kRecoverable) codec::write(w, QmRecord{QmEnqueue{outgoing, m}});
+  };
+  for (const auto& [qname, q] : queues_) {
+    for (const Message& m : q.ready) put(false, m);
+    for (const auto& [id, inflight] : q.unacked) put(false, inflight.msg);
+  }
+  for (const auto& [id, e] : outgoing_) put(true, e.msg);
+  const Buffer payload = std::move(w).take();
+  if (!journal_.append(store::RecordType::kSnapshot, 0, 0, payload)) return;
+  snapshot_bytes_ = payload.size();
+  since_snapshot_ = 0;
+  snapshot_due_ = false;
 }
 
-void QueueManager::restore_from_disk() {
-  auto& disk = sim::DiskStore::of(process_->sim());
-  int node = process_->node().id();
-  for (const auto& key : disk.keys_with_prefix(node, kQueuePersistPrefix)) {
-    auto blob = disk.read(node, key);
-    if (!blob) continue;
-    decode_queue_blob(*blob, [&](Message m) {
-      LocalQueue& q = queue_ref(m.queue);
-      q.seen_ids.insert(m.id);
-      q.ready.push_back(std::move(m));
-    });
-  }
-  if (auto blob = disk.read(node, kOutgoingPersistKey)) {
-    decode_queue_blob(*blob, [&](Message m) {
-      OutgoingEntry e;
-      e.first_attempt = process_->sim().now();
-      e.msg = std::move(m);
-      outgoing_.emplace(e.msg.id, std::move(e));
-    });
-    outgoing_depth_gauge_.set(static_cast<std::int64_t>(outgoing_.size()));
-  }
+QueueManager::JournalImage QueueManager::replay(const store::Journal& journal) {
+  JournalImage img;
+  journal.scan([&img](const store::RecordView& r) {
+    if (r.type == store::RecordType::kSnapshot) img = JournalImage{};
+    BinaryReader in(r.payload);
+    QmRecord rec;
+    while (!in.at_end() && codec::read(in, rec)) {
+      if (auto* e = std::get_if<QmEnqueue>(&rec)) {
+        if (e->outgoing) {
+          img.outgoing[e->msg.id] = std::move(e->msg);
+        } else {
+          std::pair key{e->msg.queue, e->msg.id};
+          img.local[std::move(key)] = std::move(e->msg);
+        }
+      } else if (auto* x = std::get_if<QmRetire>(&rec)) {
+        if (x->outgoing) img.outgoing.erase(x->id);
+        else img.local.erase({x->queue, x->id});
+      } else {
+        img.next_seq = std::max(img.next_seq, std::get<QmReserve>(rec).next_seq);
+      }
+    }
+  });
+  return img;
 }
 
 MsmqApi::MsmqApi(sim::Process& process)

@@ -12,7 +12,9 @@
 //     frame and re-dispatches to the new destination (the hook the
 //     Message Diverter uses to chase the current primary);
 //   * dead-lettering when a message exhausts its time-to-reach-queue;
-//   * persistence of recoverable messages to the node's disk.
+//   * durability: every recoverable enqueue and retirement is one record
+//     in the QM's store::Journal, its only durable state, which a
+//     restarted QM replays.
 #pragma once
 
 #include <deque>
@@ -26,6 +28,7 @@
 #include "sim/disk.h"
 #include "sim/node.h"
 #include "sim/timer.h"
+#include "store/journal.h"
 #include "transport/session.h"
 
 namespace oftt::msmq {
@@ -73,6 +76,18 @@ class QueueManager {
   /// Administrative purge of a local queue; returns messages removed.
   std::size_t purge(const std::string& queue);
 
+  /// Name of the QM's journal on its node's disk.
+  static constexpr const char* kJournal = "mq.jrnl";
+  /// What a QM starting on the journal would restore: the live
+  /// recoverable messages, local ones by (queue, id), and the next free
+  /// sequence number.
+  struct JournalImage {
+    std::uint64_t next_seq = 1;
+    std::map<std::pair<std::string, std::uint64_t>, Message> local;
+    std::map<std::uint64_t, Message> outgoing;
+  };
+  static JournalImage replay(const store::Journal& journal);
+
  private:
   friend class MsmqApi;
 
@@ -103,9 +118,13 @@ class QueueManager {
   void handle_send(Message msg);
   void handle_subscribe(const SubscribePacket& sub);
   void handle_recv_ack(const RecvAckPacket& ack);
-  void handle_xfer(Message msg);
+  /// False when the transfer could not be journaled: the session then
+  /// refuses it, so the sender keeps it and retransmits.
+  bool handle_xfer(Message msg);
 
-  void accept_local(Message msg);
+  /// False when the message is recoverable and the disk refused its
+  /// journal record.
+  bool accept_local(Message msg);
   void pump_queue(const std::string& queue);
   /// Resolve the route and hand the transfer to the session (or deliver
   /// locally when the route points home). Arms the TTL dead-letter
@@ -114,9 +133,16 @@ class QueueManager {
   /// Peer acked the transfer: the entry's job is done.
   void complete_entry(std::uint64_t id);
   void dead_letter_entry(std::uint64_t id);
-  void persist_queue(const std::string& queue);
-  void persist_outgoing();
-  void restore_from_disk();
+  /// Append one record; false when the disk refused it, which makes a
+  /// snapshot due.
+  bool journal(const QmRecord& rec);
+  /// Write the live set as one kSnapshot record, so compaction can retire
+  /// the segments before it. Due once the bytes this QM appended since
+  /// its last snapshot reach that snapshot's size (or a segment):
+  /// amortized O(1) per record and disk use O(live). Taken between
+  /// operations, where the memory state is exactly what the journal
+  /// holds.
+  void snapshot_if_due();
   LocalQueue& queue_ref(const std::string& queue) { return queues_[queue]; }
 
   sim::Process* process_;
@@ -126,12 +152,17 @@ class QueueManager {
   std::map<std::uint64_t, OutgoingEntry> outgoing_;  // by message id
   std::map<std::string, int> routes_;
   std::uint64_t next_seq_ = 1;
+  std::uint64_t reserved_seq_ = 1;  // journaled: sequence numbers below it may be taken
   std::uint64_t duplicates_dropped_ = 0;
   std::uint64_t quota_rejections_ = 0;
   /// Reliable QM-to-QM sessions: transfers are tagged with the message
   /// id so a route change can cancel the in-flight frame by id and the
   /// ack callback can retire exactly the right outgoing entry.
   std::unique_ptr<transport::Endpoint> ep_;
+  store::Journal journal_;
+  std::size_t snapshot_bytes_ = 0;  // payload of the last snapshot
+  std::size_t since_snapshot_ = 0;  // payload bytes appended after it
+  bool snapshot_due_ = false;
   // Pre-resolved metric handles (shared cells across all QM instances);
   // the outgoing-depth gauge is per-process state.
   obs::Counter ctr_bad_packet_;

@@ -7,6 +7,8 @@
 // Writes are accounted per node and can be made to fail like a full
 // disk: set_capacity() caps a node's used bytes, and fail_writes() is
 // the chaos hook that rejects every write outright (a dying disk).
+// set_write_budget() is the crash-point harness's seam: power fails
+// right after a node's next n writes.
 #pragma once
 
 #include <algorithm>
@@ -33,13 +35,14 @@ class DiskStore {
   bool write(int node, const std::string& key, Buffer value) {
     std::lock_guard<std::mutex> lock(mu_);
     auto& acct = accounts_[node];
-    if (acct.fail_writes) return false;
+    if (acct.fail_writes || acct.budget == 0) return false;
     auto it = data_.find({node, key});
     std::size_t old_bytes = it != data_.end() ? it->second.size() : 0;
     if (acct.capacity != 0 &&
         acct.used_bytes - old_bytes + value.size() > acct.capacity) {
       return false;
     }
+    acct.spend();
     acct.used_bytes = acct.used_bytes - old_bytes + value.size();
     data_[{node, key}] = std::move(value);
     return true;
@@ -59,21 +62,26 @@ class DiskStore {
     for (ByteView p : parts) n += p.size();
     std::lock_guard<std::mutex> lock(mu_);
     auto& acct = accounts_[node];
-    if (acct.fail_writes) return false;
+    if (acct.fail_writes || acct.budget == 0) return false;
     auto it = data_.find({node, key});
     std::size_t old_bytes = it != data_.end() ? it->second.size() : 0;
     if (at > old_bytes) return false;
     if (acct.capacity != 0 && acct.used_bytes - old_bytes + at + n > acct.capacity) {
       return false;
     }
-    acct.used_bytes = acct.used_bytes - old_bytes + at + n;
+    // A torn last write keeps half of its bytes, and power fails before
+    // it completes: the caller sees it refused.
+    const bool torn = acct.spend();
+    const std::size_t keep = torn ? n / 2 : n;
+    acct.used_bytes = acct.used_bytes - old_bytes + at + keep;
     Buffer& value = it != data_.end() ? it->second : data_[{node, key}];
     value.resize(at);
     // Grow once for all parts, geometrically so that a run of small
     // appends stays amortized O(1).
     if (value.capacity() < at + n) value.reserve(std::max(at + n, 2 * value.capacity()));
     for (ByteView p : parts) value.insert(value.end(), p.begin(), p.end());
-    return true;
+    value.resize(at + keep);
+    return !torn;
   }
   bool write_at(int node, const std::string& key, std::size_t at, ByteView bytes) {
     return write_at(node, key, at, {bytes});
@@ -97,8 +105,10 @@ class DiskStore {
   void erase(int node, const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = data_.find({node, key});
-    if (it == data_.end()) return;
-    accounts_[node].used_bytes -= it->second.size();
+    auto& acct = accounts_[node];
+    if (it == data_.end() || acct.budget == 0) return;
+    acct.spend();
+    acct.used_bytes -= it->second.size();
     data_.erase(it);
   }
 
@@ -107,6 +117,8 @@ class DiskStore {
   /// segments.
   std::size_t erase_prefix(int node, const std::string& prefix) {
     std::lock_guard<std::mutex> lock(mu_);
+    auto& acct = accounts_[node];
+    if (acct.budget == 0) return 0;
     std::size_t reclaimed = 0;
     auto it = data_.lower_bound({node, prefix});
     while (it != data_.end() && it->first.first == node &&
@@ -114,7 +126,8 @@ class DiskStore {
       reclaimed += it->second.size();
       it = data_.erase(it);
     }
-    accounts_[node].used_bytes -= reclaimed;
+    if (reclaimed > 0) acct.spend();
+    acct.used_bytes -= reclaimed;
     return reclaimed;
   }
 
@@ -158,11 +171,42 @@ class DiskStore {
     return it != accounts_.end() && it->second.fail_writes;
   }
 
+  /// Test seam (crash-point harness; nothing in src/ sets it): power
+  /// fails right after the node's next `writes` writes, so every later
+  /// write and erase is refused. With `torn`, the last one, when it is a
+  /// write_at, keeps only half of the bytes it appends and is refused.
+  void set_write_budget(int node, std::uint64_t writes, bool torn = false) {
+    std::lock_guard<std::mutex> lock(mu_);
+    accounts_[node].budget = writes;
+    accounts_[node].torn = torn;
+  }
+  bool write_budget_spent(int node) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = accounts_.find(node);
+    return it != accounts_.end() && it->second.budget == 0;
+  }
+  /// Writes (write, write_at, erase, erase_prefix) the node's disk took.
+  std::uint64_t writes(int node) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = accounts_.find(node);
+    return it != accounts_.end() ? it->second.writes : 0;
+  }
+
  private:
   struct Account {
     std::size_t used_bytes = 0;
     std::size_t capacity = 0;  // 0 = unlimited
     bool fail_writes = false;
+    std::uint64_t writes = 0;
+    std::uint64_t budget = ~std::uint64_t{0};  // writes left before power fails
+    bool torn = false;
+    /// Count one accepted write against the budget; true when it is a
+    /// torn last write.
+    bool spend() {
+      ++writes;
+      if (budget == ~std::uint64_t{0}) return false;
+      return --budget == 0 && torn;
+    }
   };
   // The map structure is shared across nodes even though every key is
   // per-node: parallel-engine workers mutate concurrently, so the whole

@@ -62,7 +62,7 @@ namespace oftt::store {
 enum class RecordType : std::uint8_t {
   kSnapshot = 1,  // self-contained image; shadows everything before it
   kDelta = 2,     // applies on top of record `base`
-  kMessage = 3,   // journaled in-flight message (diverter retry state)
+  kMessage = 3,   // diverter send or queue-manager record (msmq::QmRecord)
   kDecision = 4,  // semi-active decision-log entry (id = decision seq)
   kPolicy = 5,    // active replication policy (payload = mode byte)
 };

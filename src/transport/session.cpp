@@ -202,19 +202,20 @@ void Endpoint::handle_data(const sim::Datagram& d) {
     return;
   }
   if (seq == rx.cum + 1) {
-    rx.cum = seq;
     // Deliver before acking: in the single-threaded sim the application
     // handler runs to completion here, so anything we acknowledge has
     // genuinely been processed (and journaled, for FTIM) by the app.
-    if (!voided && deliver_) deliver_(d.src_node, d.network_id, payload);
-    // Then the run of parked frames the hole was holding back.
-    std::size_t n = 0;
-    for (; n < rx.reorder.size() && rx.reorder[n].seq == rx.cum + 1; ++n) {
-      rx.cum = rx.reorder[n].seq;
-      const ReorderEntry& e = rx.reorder[n];
-      if (!e.voided && deliver_) deliver_(d.src_node, d.network_id, e.payload);
+    if (deliver(d, payload, voided)) {
+      rx.cum = seq;
+      // Then the run of parked frames the hole was holding back.
+      std::size_t n = 0;
+      for (; n < rx.reorder.size() && rx.reorder[n].seq == rx.cum + 1; ++n) {
+        const ReorderEntry& e = rx.reorder[n];
+        if (!deliver(d, e.payload, e.voided)) break;
+        rx.cum = e.seq;
+      }
+      rx.reorder.erase(rx.reorder.begin(), rx.reorder.begin() + static_cast<std::ptrdiff_t>(n));
     }
-    rx.reorder.erase(rx.reorder.begin(), rx.reorder.begin() + static_cast<std::ptrdiff_t>(n));
   } else {
     auto at = std::lower_bound(rx.reorder.begin(), rx.reorder.end(), seq,
                                [](const ReorderEntry& e, std::uint64_t s) { return e.seq < s; });
@@ -228,6 +229,12 @@ void Endpoint::handle_data(const sim::Datagram& d) {
     // else: reorder buffer full — drop; retransmission refills the hole.
   }
   send_ack(d, rx);
+}
+
+bool Endpoint::deliver(const sim::Datagram& d, ByteView payload, bool voided) {
+  refused_ = false;
+  if (!voided && deliver_) deliver_(d.src_node, d.network_id, payload);
+  return !refused_;
 }
 
 void Endpoint::send_ack(const sim::Datagram& d, const RxSession& rx) {

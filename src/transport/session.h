@@ -144,6 +144,10 @@ class Endpoint {
   Endpoint& operator=(const Endpoint&) = delete;
 
   void on_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
+  /// Called from the delivery callback: the frame is not taken (its
+  /// receiver could not make it durable). It is neither acknowledged nor
+  /// counted delivered, so the sender retransmits it.
+  void refuse() { refused_ = true; }
 
   /// Feed an arriving datagram. Returns true when the datagram was a
   /// transport frame (consumed — including malformed ones, which are
@@ -251,6 +255,9 @@ class Endpoint {
   void handle_data(const sim::Datagram& d);
   void handle_ack(const sim::Datagram& d);
   void send_ack(const sim::Datagram& d, const RxSession& rx);
+  /// Hand one in-order frame to the delivery callback; false when the
+  /// callback refused it.
+  bool deliver(const sim::Datagram& d, ByteView payload, bool voided);
   /// Retire the oldest in-flight frame and fire its callback. False when
   /// the callback dropped the session (cancel() of its last live frame),
   /// so `ts` must not be touched again.
@@ -264,6 +271,7 @@ class Endpoint {
   /// This endpoint's lifetime id, stamped into every ack we emit.
   std::uint64_t instance_;
   DeliverFn deliver_;
+  bool refused_ = false;
   std::map<int, TxSession> tx_;
   std::map<int, RxSession> rx_;
   /// max_acked_by_cls of sessions cancel() dropped, until the next

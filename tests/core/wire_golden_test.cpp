@@ -286,19 +286,18 @@ std::vector<std::pair<std::string, Buffer>> golden_frames() {
   activate.reply_port = "orpcc.hmi";
   f.emplace_back("OrpcActivate", dcom::encode_activate(activate));
 
-  // MSMQ app <-> queue manager packets, the QM <-> QM transfer, and a
-  // persisted queue blob (u32 count, then each recoverable message).
+  // MSMQ app <-> queue manager packets, the QM <-> QM transfer, and the
+  // queue manager's journal record payloads.
   msmq::Message msg = sample_message(0x0001000000000007ull, "call");
   f.emplace_back("MqSend", msmq::encode_packet<msmq::MqPacket::kSend>(msg));
   f.emplace_back("MqDeliver", msmq::encode_packet<msmq::MqPacket::kDeliver>(msg));
   f.emplace_back("MqXfer", msmq::encode_packet<msmq::MqPacket::kXfer>(msg));
   f.emplace_back("MqSubscribe", msmq::SubscribePacket{{}, "plant", "mqr.app"}.encode());
   f.emplace_back("MqRecvAck", msmq::RecvAckPacket{{}, msg.id, "plant"}.encode());
-  const msmq::Message hangup = sample_message(0x0001000000000008ull, "hangup");
-  f.emplace_back("MqQueueBlob", msmq::encode_queue_blob([&](auto visit) {
-                   visit(msg);
-                   visit(hangup);
-                 }));
+  f.emplace_back("MqJournalEnqueue", codec::encode(msmq::QmRecord{msmq::QmEnqueue{true, msg}}));
+  f.emplace_back("MqJournalRetire",
+                 codec::encode(msmq::QmRecord{msmq::QmRetire{false, "plant", msg.id}}));
+  f.emplace_back("MqJournalReserve", codec::encode(msmq::QmRecord{msmq::QmReserve{2048}}));
 
   // Transport session frames.
   const Buffer payload{5, 6, 7};
@@ -394,7 +393,9 @@ constexpr Pin kPins[] = {
     {"MqXfer", 47, 0xe233592cu},
     {"MqSubscribe", 21, 0x468d0aa5u},
     {"MqRecvAck", 18, 0xc0487f20u},
-    {"MqQueueBlob", 98, 0x914823b0u},
+    {"MqJournalEnqueue", 48, 0xa730dcfbu},
+    {"MqJournalRetire", 19, 0x00cdf221u},
+    {"MqJournalReserve", 9, 0xf5c895f0u},
     {"TransportData", 25, 0x72e61553u},
     {"TransportAck", 33, 0x9639353au},
     {"DiverterSend", 16, 0x4a581f7eu},

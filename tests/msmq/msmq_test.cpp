@@ -1,11 +1,12 @@
 // MSMQ tests: local delivery, store-and-forward with ACK/retry, route
 // re-resolution (the diverter hook), dedup, redelivery after subscriber
-// crash, dead-lettering, and recoverable-message persistence.
+// crash, dead-lettering, and the recoverable-message journal.
 #include <gtest/gtest.h>
 
 #include "msmq/queue_manager.h"
 #include "sim/disk.h"
 #include "sim/simulation.h"
+#include "store/journal.h"
 
 namespace oftt::msmq {
 namespace {
@@ -237,6 +238,23 @@ TEST_F(MsmqTest, MessageIdsUniqueAcrossReboot) {
   EXPECT_EQ(got, 2) << "post-reboot message must not be treated as a duplicate";
 }
 
+TEST_F(MsmqTest, MessageIdsUniqueAcrossQmRestart) {
+  // The id sequence resumes from the journal, so a QM restarted within
+  // one boot (same boot generation) does not reuse ids the peer has seen.
+  auto app = a_->start_process("app", nullptr);
+  auto receiver = b_->start_process("dst", nullptr);
+  qm(*a_)->set_route("inbox", b_->id());
+  int got = 0;
+  MsmqApi::of(*receiver).subscribe("inbox", [&](const Message&) { ++got; });
+  MsmqApi::of(*app).send("inbox", "pre", Buffer{});
+  sim_.run_for(sim::milliseconds(300));
+  a_->restart_process("msmq");
+  qm(*a_)->set_route("inbox", b_->id());
+  MsmqApi::of(*app).send("inbox", "post", Buffer{});
+  sim_.run_for(sim::milliseconds(500));
+  EXPECT_EQ(got, 2) << "post-restart message must not be treated as a duplicate";
+}
+
 TEST_F(MsmqTest, SendWithAnUnknownDeliveryModeIsCountedAndDropped) {
   auto app = a_->start_process("app", nullptr);
   SendPacket p;
@@ -253,7 +271,7 @@ TEST_F(MsmqTest, SendWithAnUnknownDeliveryModeIsCountedAndDropped) {
   EXPECT_EQ(qm(*a_)->local_depth("inbox"), 0u) << "nothing enqueued";
 }
 
-TEST_F(MsmqTest, DamagedQueueBlobRestoresTheMessagesBeforeTheDamage) {
+TEST_F(MsmqTest, TornJournalTailRestoresTheMessagesBeforeIt) {
   auto app = a_->start_process("app", nullptr);
   for (int i = 0; i < 3; ++i) {
     MsmqApi::of(*app).send("inbox", "durable", Buffer{1, 2, 3}, DeliveryMode::kRecoverable);
@@ -261,15 +279,59 @@ TEST_F(MsmqTest, DamagedQueueBlobRestoresTheMessagesBeforeTheDamage) {
   sim_.run_for(sim::milliseconds(50));
   ASSERT_EQ(qm(*a_)->local_depth("inbox"), 3u);
 
-  // Power-cycle with the tail of the third message cut off the blob.
+  // Power-cycle with the tail of the third enqueue record cut off.
   a_->crash();
   auto& disk = sim::DiskStore::of(sim_);
-  auto blob = disk.read(a_->id(), "mq.q.inbox");
-  ASSERT_TRUE(blob.has_value());
-  blob->resize(blob->size() - 3);
-  disk.write(a_->id(), "mq.q.inbox", *blob);
+  const auto segments =
+      disk.keys_with_prefix(a_->id(), std::string(QueueManager::kJournal) + ".seg.");
+  ASSERT_EQ(segments.size(), 1u);
+  auto segment = disk.read(a_->id(), segments.front());
+  ASSERT_TRUE(segment.has_value());
+  segment->resize(segment->size() - 3);
+  disk.write(a_->id(), segments.front(), *segment);
   a_->boot();
   EXPECT_EQ(qm(*a_)->local_depth("inbox"), 2u) << "the two intact messages come back";
+}
+
+TEST_F(MsmqTest, JournalReplayRestoresTheExactLiveSetAfterASnapshot) {
+  auto app = a_->start_process("app", nullptr);
+  std::vector<std::string> got;
+  MsmqApi::of(*app).subscribe("work", [&](const Message& m) { got.push_back(m.label); });
+  // Three unread 30 KiB messages: more than a journal segment, so the
+  // next operation snapshots the live set and compaction retires the
+  // segments before it.
+  for (int i = 0; i < 3; ++i) {
+    MsmqApi::of(*app).send("keep", "k" + std::to_string(i), Buffer(30 * 1024, 7));
+  }
+  sim_.run_for(sim::milliseconds(50));
+  // Two messages enqueued, delivered and acked after the snapshot.
+  MsmqApi::of(*app).send("work", "w0", Buffer{});
+  MsmqApi::of(*app).send("work", "w1", Buffer{});
+  sim_.run_for(sim::milliseconds(50));
+  ASSERT_EQ(got, (std::vector<std::string>{"w0", "w1"}));
+  EXPECT_FALSE(sim::DiskStore::of(sim_).read(
+      a_->id(), std::string(QueueManager::kJournal) + ".seg.00000000"))
+      << "the segment before the snapshot is retired";
+  // More after it: a local enqueue and an outgoing transfer to a dead node.
+  b_->crash();
+  qm(*a_)->set_route("far", b_->id());
+  MsmqApi::of(*app).send("keep", "k3", Buffer{});
+  MsmqApi::of(*app).send("far", "o0", Buffer{});
+  MsmqApi::of(*app).send("keep", "x", Buffer{}, DeliveryMode::kExpress);
+  sim_.run_for(sim::milliseconds(50));
+
+  a_->crash();
+  const store::Journal journal(sim_, a_->id(), QueueManager::kJournal);
+  const QueueManager::JournalImage img = QueueManager::replay(journal);
+  std::vector<std::string> local;
+  for (const auto& [key, m] : img.local) local.push_back(key.first + "/" + m.label);
+  EXPECT_EQ(local, (std::vector<std::string>{"keep/k0", "keep/k1", "keep/k2", "keep/k3"}));
+  ASSERT_EQ(img.outgoing.size(), 1u);
+  EXPECT_EQ(img.outgoing.begin()->second.label, "o0");
+  a_->boot();
+  EXPECT_EQ(qm(*a_)->local_depth("keep"), 4u);
+  EXPECT_EQ(qm(*a_)->local_depth("work"), 0u);
+  EXPECT_EQ(qm(*a_)->outgoing_depth(), 1u);
 }
 
 TEST_F(MsmqTest, MessageMarshalRoundTrip) {
