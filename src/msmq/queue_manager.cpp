@@ -336,8 +336,9 @@ bool QueueManager::journal(const QmRecord& rec) {
 }
 
 void QueueManager::snapshot_if_due() {
-  if (!snapshot_due_ &&
-      since_snapshot_ < std::max(store::JournalOptions{}.segment_bytes, snapshot_bytes_)) {
+  // After a refusal, retry once the disk takes an append again.
+  if (since_snapshot_ < (snapshot_due_ ? 1 : std::max(store::JournalOptions{}.segment_bytes,
+                                                       snapshot_bytes_))) {
     return;
   }
   BinaryWriter w;
@@ -351,10 +352,9 @@ void QueueManager::snapshot_if_due() {
   }
   for (const auto& [id, e] : outgoing_) put(true, e.msg);
   const Buffer payload = std::move(w).take();
-  if (!journal_.append(store::RecordType::kSnapshot, 0, 0, payload)) return;
-  snapshot_bytes_ = payload.size();
+  snapshot_due_ = !journal_.append(store::RecordType::kSnapshot, 0, 0, payload);
+  if (!snapshot_due_) snapshot_bytes_ = payload.size();
   since_snapshot_ = 0;
-  snapshot_due_ = false;
 }
 
 QueueManager::JournalImage QueueManager::replay(const store::Journal& journal) {

@@ -205,17 +205,7 @@ void Endpoint::handle_data(const sim::Datagram& d) {
     // Deliver before acking: in the single-threaded sim the application
     // handler runs to completion here, so anything we acknowledge has
     // genuinely been processed (and journaled, for FTIM) by the app.
-    if (deliver(d, payload, voided)) {
-      rx.cum = seq;
-      // Then the run of parked frames the hole was holding back.
-      std::size_t n = 0;
-      for (; n < rx.reorder.size() && rx.reorder[n].seq == rx.cum + 1; ++n) {
-        const ReorderEntry& e = rx.reorder[n];
-        if (!deliver(d, e.payload, e.voided)) break;
-        rx.cum = e.seq;
-      }
-      rx.reorder.erase(rx.reorder.begin(), rx.reorder.begin() + static_cast<std::ptrdiff_t>(n));
-    }
+    if (deliver(d, payload, voided)) rx.cum = seq;
   } else {
     auto at = std::lower_bound(rx.reorder.begin(), rx.reorder.end(), seq,
                                [](const ReorderEntry& e, std::uint64_t s) { return e.seq < s; });
@@ -228,6 +218,17 @@ void Endpoint::handle_data(const sim::Datagram& d) {
     }
     // else: reorder buffer full — drop; retransmission refills the hole.
   }
+  // Then the run of parked frames the hole was holding back. A parked
+  // frame the callback refused stays at the head (its sender holds it
+  // as sacked) and is offered again when the next frame arrives.
+  std::size_t n = 0;
+  for (; n < rx.reorder.size() && rx.reorder[n].seq <= rx.cum + 1; ++n) {
+    const ReorderEntry& e = rx.reorder[n];
+    if (e.seq <= rx.cum) continue;  // a refused frame that arrived again and was taken
+    if (!deliver(d, e.payload, e.voided)) break;
+    rx.cum = e.seq;
+  }
+  rx.reorder.erase(rx.reorder.begin(), rx.reorder.begin() + static_cast<std::ptrdiff_t>(n));
   send_ack(d, rx);
 }
 
@@ -243,6 +244,7 @@ void Endpoint::send_ack(const sim::Datagram& d, const RxSession& rx) {
   // sack bits reach only to cum + 65.
   for (const ReorderEntry& e : rx.reorder) {
     const std::uint64_t off = e.seq - rx.cum;
+    if (off < 2) continue;  // a refused frame waiting at the head
     if (off > kSackBits + 1) break;
     ack.sack |= std::uint64_t{1} << (off - 2);
   }

@@ -238,6 +238,23 @@ TEST_F(MsmqTest, MessageIdsUniqueAcrossReboot) {
   EXPECT_EQ(got, 2) << "post-reboot message must not be treated as a duplicate";
 }
 
+TEST_F(MsmqTest, EnqueueTheDiskRefusedIsJournaledOnceTheDiskRecovers) {
+  auto app = a_->start_process("app", nullptr);
+  auto& disk = sim::DiskStore::of(sim_);
+  disk.fail_writes(a_->id(), true);
+  MsmqApi::of(*app).send("inbox", "refused", Buffer{});
+  sim_.run_for(sim::milliseconds(50));
+  disk.fail_writes(a_->id(), false);
+  // The next enqueue is journaled, and the operation after it snapshots
+  // the live set, the refused message included.
+  MsmqApi::of(*app).send("inbox", "taken", Buffer{});
+  MsmqApi::of(*app).send("other", "next", Buffer{});
+  sim_.run_for(sim::milliseconds(50));
+  a_->crash();
+  a_->boot();
+  EXPECT_EQ(qm(*a_)->local_depth("inbox"), 2u);
+}
+
 TEST_F(MsmqTest, MessageIdsUniqueAcrossQmRestart) {
   // The id sequence resumes from the journal, so a QM restarted within
   // one boot (same boot generation) does not reuse ids the peer has seen.
