@@ -105,6 +105,33 @@ TEST(Transport, ExactlyOnceInOrderUnderLossDupAndReorderAcrossSeeds) {
   EXPECT_GT(total_rx_dups, 0u);
 }
 
+TEST(Transport, RefusedDeliveryIsNotAckedAndComesBackByRetransmission) {
+  Harness h(3);
+  std::vector<std::uint64_t> got;
+  TestPeer& tx = h.install(*h.a, nullptr);
+  TestPeer& rx = h.install(*h.b, nullptr);
+  int refusals = 3;  // the receiver's disk refuses its first three tries
+  rx.ep().on_deliver([&](int, int, ByteView b) {
+    if (refusals-- > 0) {
+      rx.ep().refuse();
+      return;
+    }
+    BinaryReader r(b);
+    got.push_back(r.u64());
+  });
+  std::uint64_t acked = 0;
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(tx.ep().send(h.b->id(), numbered(i), i, [&](std::uint64_t tag) { acked = tag; }));
+  }
+  h.sim.run_for(sim::milliseconds(20));
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(acked, 0u) << "nothing refused is acknowledged";
+  h.sim.run_for(sim::seconds(5));
+  EXPECT_EQ(got, iota1(5)) << "each frame delivered once, in order";
+  EXPECT_EQ(acked, 5u);
+  EXPECT_GT(tx.ep().retransmits(), 0u);
+}
+
 TEST(Transport, PartitionStallsThenHealDeliversEverything) {
   for (std::uint64_t seed : {7u, 8u, 9u, 10u, 11u}) {
     SCOPED_TRACE(seed);
