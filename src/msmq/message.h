@@ -88,10 +88,11 @@ Buffer encode_packet(Message& msg) {
   return frame;
 }
 
-/// A queue manager's journal (store::Journal; DESIGN §7) is its only
-/// durable state. A kMessage record's payload is one QmRecord; a
-/// kSnapshot's is the live set as a run of them (a QmReserve, then one
-/// QmEnqueue per recoverable message).
+// A queue manager's journal (store::Journal; DESIGN §5 #9) is its only
+// durable state. A kMessage record's payload is one QmRecord; a
+// kSnapshot's is the live set as a run of them (a QmReserve, then one
+// QmEnqueue per recoverable message).
+
 /// A recoverable message joined local queue `msg.queue`, or the outgoing
 /// transfers when `outgoing` is set.
 struct QmEnqueue {

@@ -25,7 +25,6 @@
 
 #include "msmq/message.h"
 #include "obs/metrics.h"
-#include "sim/disk.h"
 #include "sim/node.h"
 #include "sim/timer.h"
 #include "store/journal.h"
