@@ -1,8 +1,8 @@
 // Crash-point harness: power fails right after a node's k-th disk write,
-// for every k the scenario makes on every node, and again with write k
-// torn (a write_at that keeps half of its bytes and is refused). Later
-// writes in that event are refused (sim::DiskStore's write budget) and
-// the node crashes when the event ends. 356 crash points in all: 250 in
+// for every k each node makes in the scenario's scripted window, and
+// again with write k torn (a write_at that keeps half of its bytes and
+// is refused). Later writes in that event are refused (sim::DiskStore's
+// write budget) and the node crashes when the event ends. 356 crash points in all: 250 in
 // the pair scenario, 106 in the queue-manager one. After the reboot and
 // a drain:
 //   * every recoverable message that some queue manager had made durable
