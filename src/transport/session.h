@@ -145,8 +145,9 @@ class Endpoint {
 
   void on_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
   /// Called from the delivery callback: the frame is not taken (its
-  /// receiver could not make it durable). It is neither acknowledged nor
-  /// counted delivered, so the sender retransmits it.
+  /// receiver could not make it durable). It is not acknowledged, so the
+  /// sender retransmits it; one already parked (and sacked) is offered
+  /// again when the next frame from that sender arrives.
   void refuse() { refused_ = true; }
 
   /// Feed an arriving datagram. Returns true when the datagram was a
